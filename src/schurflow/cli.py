@@ -12,6 +12,8 @@ wall time varies between reruns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import sys
 import time
@@ -100,96 +102,74 @@ def _axis(node, path: str) -> np.ndarray:
     return arr
 
 
-def _schur_model(node, path: str):
-    if not isinstance(node, dict) or "kind" not in node:
-        _fail(path, 'expected an object with a "kind" key')
-    kind = node["kind"]
+# JSON "kind" of each elimination-load model; drives parsing and the echo.
+_MODELS = {"lognormal_gaussian": LognormalGaussian, "wishart": Wishart}
+# Flow fields a grid supplies cell by cell, absent from its base_config.
+_CELL_PARAMS = ("zeta", "a0")
+
+
+def _raw(value, path: str):
+    return value
+
+
+def _dataclass(cls, node: dict, path: str, skip=()):
+    """Build a config dataclass from a JSON object.
+
+    Each key names a field of ``cls``; its value is parsed by the leading
+    type of the field's annotation, and the dataclass validates the rest.
+    """
+    if not isinstance(node, dict):
+        _fail(path, "expected an object")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
+    _require_keys(node, path, fields)
+    kwargs = {
+        key: _PARSERS.get(fields[key].type.split(" | ")[0], _raw)(
+            value, f"{path}.{key}"
+        )
+        for key, value in node.items()
+    }
     try:
-        if kind == "lognormal_gaussian":
-            _require_keys(node, path, {"kind", "sigma_log", "d_fast"})
-            kwargs = {}
-            if "sigma_log" in node:
-                kwargs["sigma_log"] = _as_number(node["sigma_log"], f"{path}.sigma_log")
-            if "d_fast" in node:
-                kwargs["d_fast"] = _as_int(node["d_fast"], f"{path}.d_fast")
-            return LognormalGaussian(**kwargs)
-        if kind == "wishart":
-            _require_keys(node, path, {"kind", "rank"})
-            kwargs = {}
-            if "rank" in node:
-                kwargs["rank"] = _as_int(node["rank"], f"{path}.rank")
-            return Wishart(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
-    _fail(f"{path}.kind", f'unknown model kind {kind!r}; expected "lognormal_gaussian" or "wishart"')
-
-
-_FLOW_KEYS = {
-    "zeta",
-    "a0",
-    "d_tan",
-    "q_n",
-    "beta_decay",
-    "k_max",
-    "norm_mode",
-    "schur_model",
-    "disorder",
-    "target_n_minus",
-    "q_init",
-}
-
-
-def _flow_config(node: dict, path: str, allow_cell_params: bool = True) -> FlowConfig:
-    allowed = set(_FLOW_KEYS) if allow_cell_params else _FLOW_KEYS - {"zeta", "a0"}
-    _require_keys(node, path, allowed)
-    kwargs = {}
-    for key in ("zeta", "a0", "q_n", "beta_decay"):
-        if key in node:
-            kwargs[key] = _as_number(node[key], f"{path}.{key}")
-    for key in ("d_tan", "k_max", "target_n_minus"):
-        if key in node:
-            kwargs[key] = _as_int(node[key], f"{path}.{key}")
-    for key in ("norm_mode", "disorder"):
-        if key in node:
-            kwargs[key] = node[key]
-    if "schur_model" in node:
-        kwargs["schur_model"] = _schur_model(node["schur_model"], f"{path}.schur_model")
-    if "q_init" in node:
-        kwargs["q_init"] = _matrix(node["q_init"], f"{path}.q_init")
-    try:
-        return FlowConfig(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         _fail(path, str(exc))
 
 
-def _model_echo(model) -> dict:
-    if isinstance(model, LognormalGaussian):
-        echo = {"kind": "lognormal_gaussian", "sigma_log": model.sigma_log}
-        if model.d_fast is not None:
-            echo["d_fast"] = model.d_fast
-        return echo
-    echo = {"kind": "wishart"}
-    if model.rank is not None:
-        echo["rank"] = model.rank
-    return echo
+def _schur_model(node, path: str):
+    if not isinstance(node, dict) or "kind" not in node:
+        _fail(path, 'expected an object with a "kind" key')
+    kind = node["kind"]
+    if not isinstance(kind, str) or kind not in _MODELS:
+        _fail(
+            f"{path}.kind", f"unknown model kind {kind!r}; expected one of {sorted(_MODELS)}"
+        )
+    options = {key: value for key, value in node.items() if key != "kind"}
+    return _dataclass(_MODELS[kind], options, path)
 
 
-def _flow_config_echo(config: FlowConfig, include_cell_params: bool = True) -> dict:
-    echo = {
-        "d_tan": config.d_tan,
-        "q_n": config.q_n,
-        "beta_decay": config.beta_decay,
-        "k_max": config.k_max,
-        "norm_mode": config.norm_mode.value,
-        "schur_model": _model_echo(config.schur_model),
-        "disorder": config.disorder.value,
-        "target_n_minus": config.target_n_minus,
-    }
-    if include_cell_params:
-        echo["zeta"] = config.zeta
-        echo["a0"] = config.a0
-    if config.q_init is not None:
-        echo["q_init"] = config.q_init.tolist()
+# Parser per leading type of a field annotation.  The config modules use
+# ``from __future__ import annotations``, so annotations are strings.
+_PARSERS = {
+    "float": _as_number,
+    "int": _as_int,
+    "np.ndarray": _matrix,
+    "SchurModel": _schur_model,
+}
+
+
+def _echo(config, skip=()) -> dict:
+    """Manifest echo of a config dataclass: every field not in ``skip`` and
+    not ``None``, with enums as their values and models with their kind."""
+    kinds = {cls: kind for kind, cls in _MODELS.items()}
+    echo = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.name in skip or value is None:
+            continue
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif type(value) in kinds:
+            value = {"kind": kinds[type(value)], **_echo(value)}
+        echo[field.name] = value
     return echo
 
 
@@ -228,18 +208,13 @@ def _cmd_schur(payload, args, out_dir):
     else:
         serialize.write_matrix_csv(out_dir / "q_eff.csv", q_eff)
         files = ["q_eff.csv"]
-    echo = {
-        "a": blocks.a.tolist(),
-        "b": blocks.b.tolist(),
-        "c": blocks.c.tolist(),
-    }
-    return files, summary, echo
+    return files, summary, _echo(blocks)
 
 
 def _cmd_flow(payload, args, out_dir):
     seed = _resolve_seed(payload, "flow", args.seed)
-    config = _flow_config(
-        {k: v for k, v in payload.items() if k != "seed"}, "flow"
+    config = _dataclass(
+        FlowConfig, {k: v for k, v in payload.items() if k != "seed"}, "flow"
     )
     # The single-trajectory stream matches cell 0, trajectory 0 of a grid
     # run with this master seed.
@@ -262,7 +237,7 @@ def _cmd_flow(payload, args, out_dir):
         "collapsed": record.collapsed,
         "n_steps": record.n_steps,
     }
-    echo = _flow_config_echo(config)
+    echo = _echo(config)
     echo["seed"] = seed
     return files, summary, echo
 
@@ -282,8 +257,8 @@ def _cmd_grid(payload, args, out_dir):
         "grid.zeta_values",
     )
     n_traj = _as_int(payload.get("n_traj", 100), "grid.n_traj")
-    base_config = _flow_config(
-        payload.get("base_config", {}), "grid.base_config", allow_cell_params=False
+    base_config = _dataclass(
+        FlowConfig, payload.get("base_config", {}), "grid.base_config", _CELL_PARAMS
     )
     try:
         spec = GridSpec(
@@ -307,21 +282,25 @@ def _cmd_grid(payload, args, out_dir):
         "n_cells": spec.n_cells,
         "n_traj": spec.n_traj,
         "min_n_valid": int(result.n_valid.min()),
+        # run_grid starts no more worker processes than there are cells.
+        "workers": min(args.workers, spec.n_cells),
     }
     echo = {
         "a0_values": a0_values.tolist(),
         "zeta_values": zeta_values.tolist(),
         "n_traj": n_traj,
         "master_seed": master_seed,
-        "base_config": _flow_config_echo(base_config, include_cell_params=False),
+        "base_config": _echo(base_config, _CELL_PARAMS),
     }
     return files, summary, echo
 
 
 def _cmd_minimal_scan(payload, args, out_dir):
-    _require_keys(
-        payload, "minimal-scan", {"chi_values", "g_values", "d_s", "d_f", "b0"}
-    )
+    # Every key but the two axes configures the template; chi and g come
+    # from the axes cell by cell.
+    axes = _DEFAULT_AXES["minimal-scan"]
+    options = {k: v for k, v in payload.items() if k not in axes}
+    template = _dataclass(MinimalModelSpec, options, "minimal-scan", ("chi", "g"))
     chi_values = _axis(
         payload.get("chi_values", _DEFAULT_AXES["minimal-scan"]["chi_values"]),
         "minimal-scan.chi_values",
@@ -330,28 +309,12 @@ def _cmd_minimal_scan(payload, args, out_dir):
         payload.get("g_values", _DEFAULT_AXES["minimal-scan"]["g_values"]),
         "minimal-scan.g_values",
     )
-    template_kwargs = {}
-    if "d_s" in payload:
-        template_kwargs["d_s"] = _as_int(payload["d_s"], "minimal-scan.d_s")
-    if "d_f" in payload:
-        template_kwargs["d_f"] = _as_int(payload["d_f"], "minimal-scan.d_f")
-    if "b0" in payload:
-        template_kwargs["b0"] = _matrix(payload["b0"], "minimal-scan.b0")
     try:
-        template = MinimalModelSpec(g=float(g_values[0]), **template_kwargs)
         result = scan(chi_values, g_values, template)
     except (TypeError, ValueError) as exc:
         _fail("minimal-scan", str(exc))
     if args.fmt == "json":
-        serialize.dump_json(
-            out_dir / "scan.json",
-            {
-                "chi_values": result.chi_values,
-                "g_values": result.g_values,
-                "b_eff": result.b_eff,
-                "contour": serialize.boundary_to_dict(result.contour),
-            },
-        )
+        serialize.dump_json(out_dir / "scan.json", dataclasses.asdict(result))
         files = ["scan.json"]
     else:
         rows = []
@@ -371,9 +334,7 @@ def _cmd_minimal_scan(payload, args, out_dir):
         "skipped_cells": result.contour.skipped_cells,
     }
     echo = {"chi_values": chi_values.tolist(), "g_values": g_values.tolist()}
-    echo.update(
-        {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in template_kwargs.items()}
-    )
+    echo.update({key: getattr(template, key) for key in options})
     return files, summary, echo
 
 
@@ -403,16 +364,7 @@ def _cmd_reconstruct(payload, args, out_dir):
         kwargs["burn_in"] = _as_int(payload["burn_in"], "reconstruct.burn_in")
     report = reconstruct(**kwargs)
     if args.fmt == "json":
-        serialize.dump_json(
-            out_dir / "report.json",
-            {
-                "gamma": report.gamma,
-                "g_eff": report.g_eff,
-                "curvature_target": report.curvature_target,
-                "einstein_residual": report.einstein_residual,
-                "beta": report.beta,
-            },
-        )
+        serialize.dump_json(out_dir / "report.json", dataclasses.asdict(report))
         files = ["report.json"]
     else:
         serialize.write_matrix_csv(out_dir / "gamma.csv", report.gamma)
@@ -526,3 +478,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -19,6 +19,7 @@ import numpy as np
 from .contour import BoundaryCurve, find_contour
 from .errors import NoValidRecords
 from .flow import FlowConfig, TrajectoryRecord, _run_batch
+from .tensor import check_int
 
 
 def _check_axis_values(values, name: str) -> np.ndarray:
@@ -47,12 +48,8 @@ class GridSpec:
         object.__setattr__(
             self, "zeta_values", _check_axis_values(self.zeta_values, "zeta_values")
         )
-        if not isinstance(self.n_traj, (int, np.integer)) or self.n_traj < 1:
-            raise ValueError(f"n_traj must be a positive integer, got {self.n_traj}")
-        if not isinstance(self.master_seed, (int, np.integer)) or self.master_seed < 0:
-            raise ValueError(
-                f"master_seed must be a non-negative integer, got {self.master_seed}"
-            )
+        check_int(self.n_traj, "n_traj")
+        check_int(self.master_seed, "master_seed", low=0)
         if not isinstance(self.base_config, FlowConfig):
             raise TypeError("base_config must be a FlowConfig")
 
@@ -152,18 +149,19 @@ def _run_cell(args):
 def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     """Run every grid cell and aggregate sector statistics.
 
-    ``parallelism`` distributes cells over worker processes; the output is
-    bitwise independent of the worker count because every trajectory owns a
-    generator derived from ``[master_seed, cell_index, trajectory_index]``.
+    ``parallelism`` distributes cells over at most ``min(parallelism,
+    n_cells)`` worker processes; the output is bitwise independent of the
+    worker count because every trajectory owns a generator derived from
+    ``[master_seed, cell_index, trajectory_index]``.
     """
-    if not isinstance(parallelism, (int, np.integer)) or parallelism < 1:
-        raise ValueError(f"parallelism must be a positive integer, got {parallelism}")
+    check_int(parallelism, "parallelism")
+    workers = min(int(parallelism), spec.n_cells)
     n_a0, n_zeta = spec.a0_values.size, spec.zeta_values.size
     tasks = [(spec, idx) for idx in range(spec.n_cells)]
-    if parallelism == 1:
+    if workers == 1:
         cell_outputs = [_run_cell(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=int(parallelism)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cell_outputs = list(pool.map(_run_cell, tasks))
 
     n_sectors = spec.base_config.d_tan + 1

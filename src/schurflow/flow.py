@@ -9,8 +9,8 @@ where ``Sigma_k`` is a random positive semidefinite elimination load,
 ``A_k`` a random traceless unit-norm anisotropy with amplitude
 ``a_k = a0 * exp(-beta_decay * k)``, and ``N`` a normalization that fixes
 the overall scale without touching the signature.  The normal sector is a
-fixed positive scalar ``q_n``, so the signature of the full tensor
-``diag(q_n, q_t)`` is the tangential signature plus one positive count.
+fixed positive scalar ``q_n``; records classify the full tensor
+``diag(q_n, q_t)`` exactly as :func:`~schurflow.tensor.signature` does.
 
 Randomness contract
 -------------------
@@ -37,7 +37,7 @@ import enum
 import numpy as np
 
 from .errors import DegenerateDraw, FlowCollapsed, ZeroTensor
-from .tensor import SIGNATURE_TOL, check_symmetric
+from .tensor import check_int, check_scalar, check_symmetric, count_inertia
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
 ZERO_FLOOR = 1e-14
@@ -76,12 +76,9 @@ class LognormalGaussian:
     d_fast: int | None = None
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma_log) and self.sigma_log > 0):
-            raise ValueError(f"sigma_log must be positive, got {self.sigma_log}")
-        if self.d_fast is not None and (
-            not isinstance(self.d_fast, (int, np.integer)) or self.d_fast < 1
-        ):
-            raise ValueError(f"d_fast must be a positive integer, got {self.d_fast}")
+        check_scalar(self.sigma_log, "sigma_log")
+        if self.d_fast is not None:
+            check_int(self.d_fast, "d_fast")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,10 +90,8 @@ class Wishart:
     rank: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rank is not None and (
-            not isinstance(self.rank, (int, np.integer)) or self.rank < 1
-        ):
-            raise ValueError(f"rank must be a positive integer, got {self.rank}")
+        if self.rank is not None:
+            check_int(self.rank, "rank")
 
 
 SchurModel = LognormalGaussian | Wishart
@@ -123,25 +118,14 @@ class FlowConfig:
     q_init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d_tan, (int, np.integer)) or self.d_tan < 1:
-            raise ValueError(f"d_tan must be a positive integer, got {self.d_tan}")
-        if not isinstance(self.k_max, (int, np.integer)) or self.k_max < 1:
-            raise ValueError(f"k_max must be a positive integer, got {self.k_max}")
+        check_int(self.d_tan, "d_tan")
+        check_int(self.k_max, "k_max")
         for name in ("zeta", "a0", "beta_decay"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if not (np.isfinite(self.q_n) and self.q_n > 0):
-            raise ValueError(f"q_n must be positive, got {self.q_n}")
+            check_scalar(getattr(self, name), name, positive=False)
+        check_scalar(self.q_n, "q_n")
         if self.a0 > 0 and self.d_tan < 2:
             raise ValueError("anisotropy requires d_tan >= 2")
-        if (
-            not isinstance(self.target_n_minus, (int, np.integer))
-            or not 0 <= self.target_n_minus <= self.d_tan
-        ):
-            raise ValueError(
-                f"target_n_minus must lie in [0, {self.d_tan}], got {self.target_n_minus}"
-            )
+        check_int(self.target_n_minus, "target_n_minus", low=0, high=self.d_tan)
         object.__setattr__(self, "norm_mode", NormMode(self.norm_mode))
         object.__setattr__(self, "disorder", Disorder(self.disorder))
         if not isinstance(self.schur_model, (LognormalGaussian, Wishart)):
@@ -165,7 +149,10 @@ class TrajectoryRecord:
     """Per-step classification of one flow trajectory.
 
     Arrays run over states ``0 .. n_steps`` (entry 0 is the initial state).
-    The signature counts refer to the full tensor ``diag(q_n, q_t)``;
+    The signature counts refer to the full tensor ``diag(q_n, q_t)`` and
+    equal ``signature(embed_full(q_t, q_n))``: an eigenvalue counts as zero
+    within ``SIGNATURE_TOL * max(1, q_n, ||q_t||_op)``, the full tensor's
+    band, so a large ``q_n`` widens the band of the tangential eigenvalues.
     ``q`` and ``s_opnorm`` are the isotropic weight and traceless operator
     norm of the tangential block alone.  ``first_passage`` is the first step
     whose negative count equals the target, ``None`` when censored.  A
@@ -189,21 +176,9 @@ class TrajectoryRecord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrajectoryRecord):
             return NotImplemented
-        return (
-            self.first_passage == other.first_passage
-            and self.censored == other.censored
-            and self.collapsed == other.collapsed
-            and all(
-                np.array_equal(getattr(self, f), getattr(other, f))
-                for f in (
-                    "n_plus",
-                    "n_minus",
-                    "n_zero",
-                    "q",
-                    "s_opnorm",
-                    "separation_holds",
-                )
-            )
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in dataclasses.fields(self)
         )
 
 
@@ -215,10 +190,8 @@ def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rng) -> np.ndarray
     d_fast)``, then the coupling ``(n, d_tan, d_fast)``.  For
     :class:`Wishart`: a single ``(n, d_tan, rank)`` draw.
     """
-    if not isinstance(d_tan, (int, np.integer)) or d_tan < 1:
-        raise ValueError(f"d_tan must be a positive integer, got {d_tan}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    check_int(d_tan, "d_tan")
+    check_int(n, "n")
     if isinstance(model, LognormalGaussian):
         d_fast = model.d_fast if model.d_fast is not None else int(d_tan)
         z = rng.standard_normal((n, d_fast))
@@ -258,10 +231,8 @@ def sample_anisotropy_batch(d_tan: int, n: int, rng) -> np.ndarray:
     and normalizes to unit Frobenius norm.  Draws whose projected norm falls
     below the zero floor are redrawn, up to ``RESAMPLE_BUDGET`` times.
     """
-    if not isinstance(d_tan, (int, np.integer)) or d_tan < 2:
-        raise ValueError(f"d_tan must be an integer >= 2, got {d_tan}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    check_int(d_tan, "d_tan", low=2)
+    check_int(n, "n")
     eye = np.eye(d_tan)
     out = np.empty((n, d_tan, d_tan))
     pending = np.arange(n)
@@ -292,10 +263,8 @@ def anisotropy_strength(a0: float, beta_decay: float, k):
     ``k`` counts steps from zero, so the first update uses exactly ``a0``.
     Accepts a scalar or array ``k``.
     """
-    if not (np.isfinite(a0) and a0 >= 0):
-        raise ValueError(f"a0 must be finite and non-negative, got {a0}")
-    if not (np.isfinite(beta_decay) and beta_decay >= 0):
-        raise ValueError(f"beta_decay must be finite and non-negative, got {beta_decay}")
+    check_scalar(a0, "a0", positive=False)
+    check_scalar(beta_decay, "beta_decay", positive=False)
     k_arr = np.asarray(k)
     if np.any(k_arr < 0):
         raise ValueError("step index k must be non-negative")
@@ -376,8 +345,7 @@ def flow_step(q_t, sigma, a, a_k: float, zeta: float, mode: NormMode) -> np.ndar
 def embed_full(q_t, q_n: float) -> np.ndarray:
     """Full tensor ``diag(q_n, q_t)`` with the scalar normal sector first."""
     q = check_symmetric(q_t, name="q_t")
-    if not (np.isfinite(q_n) and q_n > 0):
-        raise ValueError(f"q_n must be positive, got {q_n}")
+    check_scalar(q_n, "q_n")
     d = q.shape[0]
     full = np.zeros((d + 1, d + 1))
     full[0, 0] = q_n
@@ -431,11 +399,11 @@ def _run_batch(config: FlowConfig, rngs) -> list[TrajectoryRecord]:
         states[:, k + 1] = q
 
     eigs = np.linalg.eigvalsh(states.reshape(-1, d, d)).reshape(n, k_max + 1, d)
+    # The spectrum of diag(q_n, q_t) is q_n plus that of q_t; classify it
+    # whole so the zero band is the full tensor's, as in signature().
+    full = np.concatenate([np.full((n, k_max + 1, 1), config.q_n), eigs], axis=-1)
+    n_plus, n_minus, n_zero = count_inertia(full)
     q_iso = np.trace(states, axis1=2, axis2=3) / d
-    opnorm = np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
-    band = SIGNATURE_TOL * np.maximum(1.0, opnorm)
-    n_minus = (eigs < -band[..., None]).sum(axis=-1)
-    n_plus = (eigs > band[..., None]).sum(axis=-1)
     s_opnorm = np.maximum(
         np.abs(eigs[..., 0] - q_iso), np.abs(eigs[..., -1] - q_iso)
     )
@@ -450,9 +418,9 @@ def _run_batch(config: FlowConfig, rngs) -> list[TrajectoryRecord]:
         first = int(passages[0]) if passages.size else None
         records.append(
             TrajectoryRecord(
-                n_plus=n_plus[t, sl].copy() + 1,
+                n_plus=n_plus[t, sl].copy(),
                 n_minus=n_minus[t, sl].copy(),
-                n_zero=d - n_plus[t, sl] - n_minus[t, sl],
+                n_zero=n_zero[t, sl].copy(),
                 q=q_iso[t, sl].copy(),
                 s_opnorm=s_opnorm[t, sl].copy(),
                 separation_holds=separation[t, sl].copy(),

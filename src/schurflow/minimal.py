@@ -14,7 +14,13 @@ import dataclasses
 import numpy as np
 
 from .contour import BoundaryCurve, find_contour
-from .tensor import BlockQuadratic, schur_complement
+from .tensor import (
+    BlockQuadratic,
+    check_int,
+    check_matrix,
+    check_scalar,
+    schur_complement,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,22 +35,12 @@ class MinimalModelSpec:
     b0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.chi) and self.chi >= 0):
-            raise ValueError(f"chi must be finite and non-negative, got {self.chi}")
-        if not (np.isfinite(self.g) and self.g > 0):
-            raise ValueError(f"g must be positive, got {self.g}")
-        for name in ("d_s", "d_f"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value}")
+        check_scalar(self.chi, "chi", positive=False)
+        check_scalar(self.g, "g")
+        check_int(self.d_s, "d_s")
+        check_int(self.d_f, "d_f")
         if self.b0 is not None:
-            b0 = np.asarray(self.b0, dtype=float)
-            if b0.shape != (self.d_s, self.d_f):
-                raise ValueError(
-                    f"b0: expected shape {(self.d_s, self.d_f)}, got {b0.shape}"
-                )
-            if not np.all(np.isfinite(b0)):
-                raise ValueError("b0: entries must be finite")
+            b0 = check_matrix(self.b0, "b0", shape=(self.d_s, self.d_f))
             if np.linalg.norm(b0) == 0.0:
                 raise ValueError("b0 must be non-zero")
             object.__setattr__(self, "b0", b0)

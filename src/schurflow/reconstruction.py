@@ -6,13 +6,16 @@ linear Langevin model
     dp = -m p dt + sqrt(2) L dW,      L L.T = d_mat,
 
 with decay matrix ``m = mu q_eff`` and diffusion ``d_mat = mu / beta``.
-The stationary covariance ``gamma`` solves the fluctuation balance
+The stationary covariance ``gamma`` of the sampled process solves the
+fluctuation balance
 
-    m.T gamma + gamma m = 2 d_mat,
+    m gamma + gamma m.T = 2 d_mat,
 
-and for mobilities commuting with ``q_eff`` equals ``(beta q_eff)^{-1}``:
-the log-density curvature of the stationary Gaussian reproduces
-``beta q_eff``, closing the loop between response and fluctuations.
+which is ``solve_lyapunov(m.T, d_mat)`` in the convention of
+:func:`solve_lyapunov`.  For every symmetric positive definite mobility it
+equals ``(beta q_eff)^{-1}``: the log-density curvature of the stationary
+Gaussian reproduces ``beta q_eff``, closing the loop between response and
+fluctuations.
 """
 
 from __future__ import annotations
@@ -23,39 +26,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ResponseNotPD, SingularCovariance, StepTooLarge, UnstableDrift
-from .reduction import check_mobility, m_from_q
-from .tensor import PD_TOL, check_symmetric
+from .reduction import check_mobility, m_from_q, strictly_decaying
+from .tensor import check_int, check_matrix, check_pd, check_scalar, check_symmetric
 
-# Relative margin for the Hurwitz test on decay matrices.
-STABILITY_RTOL = 1e-12
 # Relative residual allowed on the fluctuation-balance solution.
 LYAPUNOV_RTOL = 1e-10
 # Explicit Euler steps must satisfy dt * ||m||_2 < this bound.
 STEP_GUARD = 0.1
 # Condition-number ceiling beyond which a sample covariance is singular.
 CONDITION_CEILING = 1e12
-# Commutator scale below which the covariance cross-check applies.
-COMMUTATOR_RTOL = 1e-10
-
-
-def _check_square(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name}: expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    return arr
-
-
-def _check_decaying(m: np.ndarray) -> None:
-    """Raise UnstableDrift unless every eigenvalue of m has positive real part."""
-    w = np.linalg.eigvals(m)
-    margin = STABILITY_RTOL * max(1.0, float(np.abs(m).max()))
-    if not np.all(w.real > margin):
-        raise UnstableDrift(
-            f"decay matrix has eigenvalue with Re = {w.real.min():.3e} <= 0; "
-            "no stationary state exists"
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,7 +45,7 @@ class LinearSDE:
     d_mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _check_square(self.m, "m")
+        m = check_matrix(self.m, "m")
         d_mat = check_symmetric(self.d_mat, name="d_mat")
         if d_mat.shape != m.shape:
             raise ValueError(
@@ -80,9 +59,7 @@ class LinearSDE:
         return self.m.shape[0]
 
     def is_stable(self) -> bool:
-        w = np.linalg.eigvals(self.m)
-        margin = STABILITY_RTOL * max(1.0, float(np.abs(self.m).max()))
-        return bool(np.all(w.real > margin))
+        return strictly_decaying(self.m)
 
 
 def solve_lyapunov(m, d_mat) -> np.ndarray:
@@ -108,11 +85,14 @@ def solve_lyapunov(m, d_mat) -> np.ndarray:
     UnstableDrift
         If ``m`` is not a strict decay matrix.
     """
-    m_arr = _check_square(m, "m")
+    m_arr = check_matrix(m, "m")
     d_arr = check_symmetric(d_mat, name="d_mat")
     if d_arr.shape != m_arr.shape:
         raise ValueError(f"d_mat: expected shape {m_arr.shape}, got {d_arr.shape}")
-    _check_decaying(m_arr)
+    if not strictly_decaying(m_arr):
+        raise UnstableDrift(
+            "decay matrix has an eigenvalue with Re <= 0; no stationary state exists"
+        )
     gamma = scipy.linalg.solve_continuous_lyapunov(m_arr.T, 2.0 * d_arr)
     gamma = 0.5 * (gamma + gamma.T)
     residual = np.linalg.norm(m_arr.T @ gamma + gamma @ m_arr - 2.0 * d_arr)
@@ -127,9 +107,9 @@ def stationary_gaussian(mu, q_eff, beta: float) -> np.ndarray:
     """Predicted log-density curvature ``beta * q_eff`` of the stationary state.
 
     Requires positive definite ``mu`` and ``q_eff`` and positive ``beta``.
-    When ``mu`` commutes with ``q_eff`` the prediction is cross-checked
-    against the fluctuation-balance covariance: ``gamma^{-1}`` must match
-    ``beta * q_eff`` to within ``1e-8`` relative error.
+    The prediction is cross-checked against the stationary covariance of
+    the Langevin model: ``gamma^{-1}`` must match ``beta * q_eff`` to within
+    ``1e-8`` relative error.
 
     Raises
     ------
@@ -140,25 +120,16 @@ def stationary_gaussian(mu, q_eff, beta: float) -> np.ndarray:
     q_arr = check_symmetric(q_eff, name="q_eff")
     if q_arr.shape != mu_arr.shape:
         raise ValueError(f"shape mismatch: mu {mu_arr.shape}, q_eff {q_arr.shape}")
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    w = np.linalg.eigvalsh(q_arr)
-    tol = PD_TOL * max(1.0, float(np.abs(w).max()))
-    if w.min() <= tol:
-        raise ResponseNotPD(
-            f"q_eff eigenvalue {w.min():.3e} <= tolerance {tol:.3e}"
-        )
+    check_scalar(beta, "beta")
+    check_pd(np.linalg.eigvalsh(q_arr), "q_eff", ResponseNotPD)
     predicted = beta * q_arr
-    commutator = np.linalg.norm(mu_arr @ q_arr - q_arr @ mu_arr)
-    scale = np.linalg.norm(mu_arr) * np.linalg.norm(q_arr)
-    if commutator <= COMMUTATOR_RTOL * max(1.0, scale):
-        gamma = solve_lyapunov(m_from_q(mu_arr, q_arr), mu_arr / beta)
-        recovered = np.linalg.inv(gamma)
-        err = np.linalg.norm(recovered - predicted) / np.linalg.norm(predicted)
-        if err > 1e-8:
-            raise ArithmeticError(
-                f"covariance route disagrees with beta * q_eff: {err:.3e}"
-            )
+    gamma = solve_lyapunov(m_from_q(mu_arr, q_arr).T, mu_arr / beta)
+    recovered = np.linalg.inv(gamma)
+    err = np.linalg.norm(recovered - predicted) / np.linalg.norm(predicted)
+    if err > 1e-8:
+        raise ArithmeticError(
+            f"covariance route disagrees with beta * q_eff: {err:.3e}"
+        )
     return predicted
 
 
@@ -179,12 +150,9 @@ def simulate_sde(
         If ``dt * ||m||_2 >= 0.1``; larger steps make the explicit scheme
         inaccurate or divergent.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
-    if not isinstance(burn_in, (int, np.integer)) or burn_in < 0:
-        raise ValueError(f"burn_in must be a non-negative integer, got {burn_in}")
+    check_scalar(dt, "dt")
+    check_int(n_steps, "n_steps")
+    check_int(burn_in, "burn_in", low=0)
     if not sde.is_stable():
         raise UnstableDrift("decay matrix has an eigenvalue with Re <= 0")
     opnorm = np.linalg.norm(sde.m, 2)
@@ -251,8 +219,7 @@ def einstein_check(d_mat, mu, beta: float) -> float:
     mu_arr = check_mobility(mu)
     if d_arr.shape != mu_arr.shape:
         raise ValueError(f"shape mismatch: d_mat {d_arr.shape}, mu {mu_arr.shape}")
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_scalar(beta, "beta")
     target = mu_arr / beta
     return float(np.linalg.norm(d_arr - target) / np.linalg.norm(target))
 
@@ -296,11 +263,12 @@ def reconstruct(
     """
     mu_arr = check_mobility(mu)
     q_arr = check_symmetric(q_eff, name="q_eff")
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_scalar(beta, "beta")
     m = m_from_q(mu_arr, q_arr)
     diffusion = mu_arr / beta if d_mat is None else check_symmetric(d_mat, "d_mat")
-    gamma = solve_lyapunov(m, diffusion)
+    # The sampled drift is -m p, whose covariance balance is
+    # m gamma + gamma m.T = 2 diffusion: solve_lyapunov with m.T.
+    gamma = solve_lyapunov(m.T, diffusion)
     if dt is None:
         dt = 0.5 * STEP_GUARD / np.linalg.norm(m, 2)
     sde = LinearSDE(m=m, d_mat=diffusion)

@@ -17,19 +17,18 @@ import dataclasses
 import numpy as np
 
 from .errors import FastSectorUnstable
-from .tensor import check_symmetric
+from .tensor import check_matrix, check_pd, check_symmetric
 
-# Relative floor used when testing Re(lambda) < 0 for the fast block.
+# Relative margin of the Hurwitz test in strictly_decaying.
 STABILITY_RTOL = 1e-12
 
 
-def _as_matrix(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name}: expected a 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    return arr
+def strictly_decaying(m: np.ndarray) -> bool:
+    """True if every eigenvalue of the validated square ``m`` has real part
+    above ``STABILITY_RTOL * max(1, max |m_ij|)``, so that ``dx/dt = -m x``
+    decays and roundoff-level marginal modes count as not decaying."""
+    margin = STABILITY_RTOL * max(1.0, float(np.abs(m).max()))
+    return bool(np.all(np.linalg.eigvals(m).real > margin))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,19 +41,11 @@ class BlockGenerator:
     k_ff: np.ndarray
 
     def __post_init__(self) -> None:
-        k_ss = _as_matrix(self.k_ss, "k_ss")
-        k_ff = _as_matrix(self.k_ff, "k_ff")
-        if k_ss.shape[0] != k_ss.shape[1]:
-            raise ValueError(f"k_ss: expected square, got {k_ss.shape}")
-        if k_ff.shape[0] != k_ff.shape[1]:
-            raise ValueError(f"k_ff: expected square, got {k_ff.shape}")
+        k_ss = check_matrix(self.k_ss, "k_ss")
+        k_ff = check_matrix(self.k_ff, "k_ff")
         d_s, d_f = k_ss.shape[0], k_ff.shape[0]
-        k_sf = _as_matrix(self.k_sf, "k_sf")
-        k_fs = _as_matrix(self.k_fs, "k_fs")
-        if k_sf.shape != (d_s, d_f):
-            raise ValueError(f"k_sf: expected shape {(d_s, d_f)}, got {k_sf.shape}")
-        if k_fs.shape != (d_f, d_s):
-            raise ValueError(f"k_fs: expected shape {(d_f, d_s)}, got {k_fs.shape}")
+        k_sf = check_matrix(self.k_sf, "k_sf", shape=(d_s, d_f))
+        k_fs = check_matrix(self.k_fs, "k_fs", shape=(d_f, d_s))
         object.__setattr__(self, "k_ss", k_ss)
         object.__setattr__(self, "k_sf", k_sf)
         object.__setattr__(self, "k_fs", k_fs)
@@ -78,15 +69,10 @@ class BlockGenerator:
 def check_fast_stable(k_ff) -> bool:
     """True if every eigenvalue of the fast block has negative real part.
 
-    The test uses a relative margin: ``Re(lambda) < -STABILITY_RTOL *
-    max(1, ||k_ff||)`` so roundoff-level marginal modes count as unstable.
+    This is :func:`strictly_decaying` applied to ``-k_ff``, so the same
+    relative margin makes roundoff-level marginal modes count as unstable.
     """
-    arr = _as_matrix(k_ff, "k_ff")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"k_ff: expected square, got {arr.shape}")
-    w = np.linalg.eigvals(arr)
-    margin = STABILITY_RTOL * max(1.0, float(np.abs(arr).max()))
-    return bool(np.all(w.real < -margin))
+    return strictly_decaying(-check_matrix(k_ff, "k_ff"))
 
 
 def eliminate_fast(k: BlockGenerator) -> np.ndarray:
@@ -120,19 +106,11 @@ def fast_slave(k: BlockGenerator, x_s) -> np.ndarray:
 def check_mobility(mu) -> np.ndarray:
     """Validate a mobility matrix: symmetric positive definite.
 
-    Returns the symmetrized array.  Raises ``ValueError`` if any eigenvalue
-    is ``<= PD_TOL * max(1, ||mu||_op)``.
+    Returns the symmetrized array.  Raises ``ValueError`` if ``mu`` fails
+    :func:`~schurflow.tensor.check_pd`.
     """
-    from .tensor import PD_TOL
-
     arr = check_symmetric(mu, name="mu")
-    w = np.linalg.eigvalsh(arr)
-    tol = PD_TOL * max(1.0, float(np.abs(w).max()))
-    if w.min() <= tol:
-        raise ValueError(
-            f"mu: eigenvalue {w.min():.3e} <= tolerance {tol:.3e}; "
-            "mobility must be positive definite"
-        )
+    check_pd(np.linalg.eigvalsh(arr), "mu")
     return arr
 
 

@@ -9,11 +9,11 @@ files use sorted keys and two-space indentation; NaN values are emitted as
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 
-from .contour import BoundaryCurve
 from .ensemble import GridResult
 from .flow import TrajectoryRecord
 
@@ -68,18 +68,8 @@ def dump_json(path, payload) -> None:
 
 
 def record_to_dict(record: TrajectoryRecord) -> dict:
-    """JSON-safe dictionary for one trajectory record."""
-    return {
-        "n_plus": [int(x) for x in record.n_plus],
-        "n_minus": [int(x) for x in record.n_minus],
-        "n_zero": [int(x) for x in record.n_zero],
-        "q": [float(x) for x in record.q],
-        "s_opnorm": [float(x) for x in record.s_opnorm],
-        "separation_holds": [bool(x) for x in record.separation_holds],
-        "first_passage": None if record.first_passage is None else int(record.first_passage),
-        "censored": bool(record.censored),
-        "collapsed": bool(record.collapsed),
-    }
+    """JSON-safe dictionary for one trajectory record, keyed by field."""
+    return to_builtin(dataclasses.asdict(record))
 
 
 def write_records_jsonl(path, records) -> None:
@@ -91,20 +81,20 @@ def write_records_jsonl(path, records) -> None:
 
 
 def record_steps_rows(record: TrajectoryRecord):
-    """Per-step CSV rows for a trajectory record."""
-    header = "step,n_plus,n_minus,n_zero,q,s_opnorm,separation_holds"
-    rows = [
-        [
-            str(k),
-            str(int(record.n_plus[k])),
-            str(int(record.n_minus[k])),
-            str(int(record.n_zero[k])),
-            format_float(record.q[k]),
-            format_float(record.s_opnorm[k]),
-            str(int(record.separation_holds[k])),
-        ]
-        for k in range(len(record.q))
+    """Per-step CSV rows for a trajectory record, one column per array
+    field; floats get 17 digits, counts and flags are written as integers."""
+    names = [
+        f.name
+        for f in dataclasses.fields(record)
+        if isinstance(getattr(record, f.name), np.ndarray)
     ]
+    columns = [getattr(record, name) for name in names]
+    rows = [
+        [str(k)]
+        + [format_float(c[k]) if c.dtype.kind == "f" else str(int(c[k])) for c in columns]
+        for k in range(record.n_steps + 1)
+    ]
+    header = ",".join(["step", *names])
     return header, rows
 
 
@@ -128,21 +118,4 @@ def grid_rows(result: GridResult):
 
 
 def grid_to_dict(result: GridResult) -> dict:
-    return {
-        "a0_values": result.a0_values,
-        "zeta_values": result.zeta_values,
-        "p_sector": result.p_sector,
-        "mean_fpt": result.mean_fpt,
-        "censored_fraction": result.censored_fraction,
-        "n_valid": result.n_valid,
-        "n_traj": result.n_traj,
-        "master_seed": result.master_seed,
-    }
-
-
-def boundary_to_dict(curve: BoundaryCurve) -> dict:
-    return {
-        "level": curve.level,
-        "skipped_cells": curve.skipped_cells,
-        "polylines": [poly.tolist() for poly in curve.polylines],
-    }
+    return dataclasses.asdict(result)

@@ -3,7 +3,10 @@
 The functions here operate on real symmetric matrices stored as plain
 ``numpy.ndarray`` objects.  Inputs are validated with :func:`check_symmetric`,
 which tolerates roundoff-level asymmetry and returns an exactly symmetrized
-copy; downstream code may therefore assume exact symmetry.
+copy; downstream code may therefore assume exact symmetry.  The argument
+checks shared by the whole package (:func:`check_matrix`, :func:`check_int`,
+:func:`check_scalar`, :func:`check_pd`) and the one inertia count
+(:func:`count_inertia`) live here too.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import FastSectorNotPD
 
 # Relative asymmetry tolerated by check_symmetric.
 SYMMETRY_RTOL = 1e-12
-# Relative floor below which a fast-sector eigenvalue is treated as non-positive.
+# Relative floor at or below which check_pd treats an eigenvalue as non-positive.
 PD_TOL = 1e-10
 # Default relative band within which an eigenvalue counts as zero.
 SIGNATURE_TOL = 1e-10
@@ -52,6 +55,49 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def check_matrix(m, name: str = "matrix", shape=None) -> np.ndarray:
+    """Validate a finite 2-D matrix and return it as a float array.
+
+    ``shape=None`` requires a non-empty square matrix; otherwise the shape
+    must equal ``shape`` exactly.
+
+    Raises
+    ------
+    ValueError
+        If the shape is wrong or an entry is not finite.
+    """
+    arr = np.asarray(m, dtype=float)
+    if shape is None:
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"{name}: expected a square matrix, got shape {arr.shape}")
+        if arr.shape[0] == 0:
+            raise ValueError(f"{name}: dimension must be at least 1")
+    elif arr.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name}: entries must be finite")
+    return arr
+
+
+def check_int(value, name: str, low: int = 1, high: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer in ``[low, high]``."""
+    if (
+        not isinstance(value, (int, np.integer))
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def check_scalar(value, name: str, positive: bool = True) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and positive (with
+    ``positive=False``, non-negative)."""
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
+
+
 def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     """Validate a square symmetric matrix and return a symmetrized copy.
 
@@ -73,13 +119,7 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     ValueError
         If the input is not square, not finite, or too asymmetric.
     """
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name}: expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError(f"{name}: dimension must be at least 1")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
+    arr = check_matrix(m, name)
     scale = 1.0 + np.abs(arr).max()
     asym = np.abs(arr - arr.T).max()
     if asym > SYMMETRY_RTOL * scale:
@@ -87,6 +127,38 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
             f"{name}: asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_RTOL * scale:.3e}"
         )
     return 0.5 * (arr + arr.T)
+
+
+def check_pd(w, name: str, error=ValueError) -> None:
+    """Raise ``error`` unless the eigenvalues ``w`` are positive definite.
+
+    An eigenvalue counts as positive when it exceeds
+    ``PD_TOL * max(1, max |w|)``; ``name`` labels the matrix in the message.
+    """
+    tol = PD_TOL * max(1.0, float(np.abs(w).max()))
+    if w.min() <= tol:
+        raise error(
+            f"{name} has eigenvalue {w.min():.3e} <= tolerance {tol:.3e}; "
+            "it must be positive definite"
+        )
+
+
+def count_inertia(eigs, tol: float = SIGNATURE_TOL):
+    """Count eigenvalues by sign over the last axis of ``eigs``.
+
+    Eigenvalues within ``tol * max(1, max |eigs|)`` of zero, the scale taken
+    over the same last axis, count as zero.  Leading axes are a batch.
+
+    Returns
+    -------
+    tuple of numpy.ndarray
+        Integer arrays ``(n_plus, n_minus, n_zero)`` over the batch axes.
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    band = tol * np.maximum(1.0, np.abs(eigs).max(axis=-1, keepdims=True))
+    n_plus = np.count_nonzero(eigs > band, axis=-1)
+    n_minus = np.count_nonzero(eigs < -band, axis=-1)
+    return n_plus, n_minus, eigs.shape[-1] - n_plus - n_minus
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,13 +179,7 @@ class BlockQuadratic:
     def __post_init__(self) -> None:
         a = check_symmetric(self.a, name="a")
         c = check_symmetric(self.c, name="c")
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim != 2 or b.shape != (a.shape[0], c.shape[0]):
-            raise ValueError(
-                f"b: expected shape {(a.shape[0], c.shape[0])}, got {b.shape}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise ValueError("b: entries must be finite")
+        b = check_matrix(self.b, "b", shape=(a.shape[0], c.shape[0]))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -153,14 +219,10 @@ def schur_complement(q: BlockQuadratic) -> np.ndarray:
     Raises
     ------
     FastSectorNotPD
-        If any eigenvalue of ``c`` is ``<= PD_TOL * max(1, ||c||_op)``.
+        If ``c`` fails :func:`check_pd`.
     """
     w, v = np.linalg.eigh(q.c)
-    tol = PD_TOL * max(1.0, float(np.abs(w).max()))
-    if w.min() <= tol:
-        raise FastSectorNotPD(
-            f"fast block has eigenvalue {w.min():.3e} <= tolerance {tol:.3e}"
-        )
+    check_pd(w, "fast block", FastSectorNotPD)
     bv = q.b @ v
     correction = (bv / w) @ bv.T
     return symmetrize(q.a - correction)
@@ -185,12 +247,8 @@ def signature(m, tol: float = SIGNATURE_TOL) -> Signature:
     """
     if tol < 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
-    arr = check_symmetric(m)
-    w = np.linalg.eigvalsh(arr)
-    band = tol * max(1.0, float(np.abs(w).max()))
-    n_plus = int(np.count_nonzero(w > band))
-    n_minus = int(np.count_nonzero(w < -band))
-    return Signature(n_plus, n_minus, arr.shape[0] - n_plus - n_minus)
+    counts = count_inertia(np.linalg.eigvalsh(check_symmetric(m)), tol)
+    return Signature(*(int(c) for c in counts))
 
 
 def iso_traceless(m) -> IsoTracelessSplit:

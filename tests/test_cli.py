@@ -7,10 +7,14 @@ asserted at the byte level.
 """
 
 import json
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import schurflow.ensemble as ensemble_mod
 from schurflow import FlowConfig, __version__, run_trajectory
 from schurflow.cli import main
 
@@ -156,6 +160,31 @@ class TestGridCommand:
         ).read_bytes()
         assert read_manifest(out_parallel)["workers"] == 2
 
+    def test_worker_pool_is_bounded_by_cell_count(self, tmp_path, monkeypatch):
+        # A fake pool records its size and maps serially: no process starts.
+        pool_sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", SerialPool)
+        _, out_serial = run_cli(tmp_path, self.payload, out="serial")
+        _, out_many = run_cli(tmp_path, self.payload, "--workers", "4096", out="many")
+        assert pool_sizes == [6]
+        assert read_manifest(out_serial)["summary"]["workers"] == 1
+        assert read_manifest(out_many)["summary"]["workers"] == 6
+        assert (out_serial / "grid.csv").read_bytes() == (out_many / "grid.csv").read_bytes()
+
     def test_manifest_round_trip_reproduces_results(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload)
         assert code == 0
@@ -229,6 +258,18 @@ class TestReconstructCommand:
         report = json.loads((out_dir / "report.json").read_text())
         np.testing.assert_allclose(report["curvature_target"], np.eye(2))
         assert report["beta"] == 1.0
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["schurflow", "schurflow.cli"])
+    def test_help_exits_zero(self, module, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", [module, "--help"])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            # Running an already imported module warns; that is expected here.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module(module, run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: schurflow")
 
 
 class TestErrorHandling:

@@ -8,6 +8,8 @@ samplers and stepping by hand.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import schurflow.flow as flow_mod
 from schurflow import (
@@ -399,6 +401,37 @@ class TestTrajectories:
         assert record.collapsed
         assert record.n_steps == 0
         np.testing.assert_array_equal(record.n_minus, [0])
+
+
+class TestClassificationContract:
+    # Record counts and first passage are those of signature() on the full
+    # tensor diag(q_n, q_t), whose zero band scales with max(q_n, ||q_t||).
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        log_q_n=st.floats(-3.0, 9.0),
+        norm_mode=st.sampled_from(list(NormMode)),
+        disorder=st.sampled_from(list(Disorder)),
+        d_tan=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        k_max=st.just(40),
+    )
+    @example(log_q_n=8.0, norm_mode=NormMode.FROBENIUS, disorder=Disorder.ANNEALED,
+             d_tan=3, seed=1, k_max=180)
+    def test_record_counts_match_full_tensor_signature(
+        self, log_q_n, norm_mode, disorder, d_tan, seed, k_max
+    ):
+        config = FlowConfig(
+            zeta=0.3, a0=0.5, d_tan=d_tan, q_n=10.0**log_q_n, k_max=k_max,
+            norm_mode=norm_mode, disorder=disorder, target_n_minus=d_tan,
+        )
+        record = run_trajectory(config, seed)
+        states = replay_trajectory(config, seed)
+        sigs = [signature(embed_full(q, config.q_n)) for q in states]
+        assert [tuple(s) for s in sigs] == list(
+            zip(record.n_plus, record.n_minus, record.n_zero)
+        )
+        hits = [k for k, s in enumerate(sigs) if s.n_minus == config.target_n_minus]
+        assert record.first_passage == (hits[0] if hits else None)
 
 
 class TestFlowConfigValidation:

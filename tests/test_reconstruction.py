@@ -279,6 +279,17 @@ class TestReconstruct:
         )
         assert report.einstein_residual == pytest.approx(0.2)
 
+    def test_gamma_is_covariance_of_sampled_process_for_any_mobility(self):
+        # simulate_sde integrates dp = -mu q_eff p dt + sqrt(2 mu / beta) dW,
+        # whose stationary covariance is inv(beta q_eff) for every SPD
+        # mobility, here one that does not commute with q_eff.
+        mu = np.diag([0.5, 0.9, 1.4])
+        q_eff = np.array([[1.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 0.8]])
+        report = reconstruct(mu, q_eff, beta=1.3, n_steps=1_000, burn_in=0)
+        target = 1.3 * q_eff
+        err = np.linalg.norm(np.linalg.inv(report.gamma) - target)
+        assert err / np.linalg.norm(target) <= 1e-10
+
     def test_invalid_beta(self):
         with pytest.raises(ValueError, match="beta"):
             reconstruct(np.eye(2), np.eye(2), beta=0.0)
