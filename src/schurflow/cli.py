@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import inspect
 import json
 import sys
 import time
@@ -31,32 +32,25 @@ from .tensor import BlockQuadratic, schur_complement, signature
 
 _COMMANDS = ("schur", "flow", "grid", "minimal-scan", "reconstruct")
 
-_DEFAULT_AXES = {
-    "grid": {
-        "a0_values": {"start": 0.0, "stop": 1.0, "num": 20},
-        "zeta_values": {"start": 0.0, "stop": 0.3, "num": 20},
-    },
-    "minimal-scan": {
-        "chi_values": {"start": 0.0, "stop": 2.0, "num": 50},
-        "g_values": {"start": 0.5, "stop": 2.0, "num": 50},
-    },
+# Payload key that --seed overrides, per command.
+_SEED_KEYS = {"flow": "seed", "grid": "master_seed", "reconstruct": "seed"}
+# Default axes of minimal-scan; the library's scan requires both.
+_SCAN_AXES = {
+    "chi_values": {"start": 0.0, "stop": 2.0, "num": 50},
+    "g_values": {"start": 0.5, "stop": 2.0, "num": 50},
 }
+# JSON "kind" of each elimination-load model; drives parsing and the echo.
+_MODELS = {"lognormal_gaussian": LognormalGaussian, "wishart": Wishart}
+# Flow fields a grid supplies cell by cell, absent from its base_config.
+_CELL_PARAMS = ("zeta", "a0")
 
 
 def _fail(path: str, message: str):
     raise ConfigInvalid(f"{path}: {message}")
 
 
-def _require_keys(node: dict, path: str, allowed) -> None:
-    unknown = sorted(set(node) - set(allowed))
-    if unknown:
-        _fail(path, f"unknown key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
 def _as_int(value, path: str) -> int:
-    if isinstance(value, bool):
-        _fail(path, f"expected an integer, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -66,72 +60,31 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _matrix(node, path: str) -> np.ndarray:
     try:
-        arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 2:
-        _fail(path, "expected a matrix as a list of equal-length rows")
-    return arr
+        return float(value)
+    except OverflowError:
+        _fail(path, "number out of the float range")
 
 
-def _axis(node, path: str) -> np.ndarray:
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """Evenly spaced values; the signature is the ``{start, stop, num}`` key set."""
+    return np.linspace(start, stop, num)
+
+
+def _array(node, path: str) -> np.ndarray:
+    """Array from a list, a list of rows or ``{start, stop, num}`` (evenly
+    spaced values); the library checks the shape."""
     if isinstance(node, dict):
-        _require_keys(node, path, {"start", "stop", "num"})
-        for key in ("start", "stop", "num"):
-            if key not in node:
-                _fail(path, f"missing key {key!r}")
-        num = _as_int(node["num"], f"{path}.num")
-        if num < 1:
-            _fail(f"{path}.num", "must be at least 1")
-        return np.linspace(
-            _as_number(node["start"], f"{path}.start"),
-            _as_number(node["stop"], f"{path}.stop"),
-            num,
-        )
+        return _build(_linspace, node, path)
     try:
-        arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.size < 1:
-        _fail(path, "expected a list of numbers or {start, stop, num}")
-    return arr
-
-
-# JSON "kind" of each elimination-load model; drives parsing and the echo.
-_MODELS = {"lognormal_gaussian": LognormalGaussian, "wishart": Wishart}
-# Flow fields a grid supplies cell by cell, absent from its base_config.
-_CELL_PARAMS = ("zeta", "a0")
+        return np.asarray(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        _fail(path, "expected a list of numbers, a list of equal-length rows "
+              "or {start, stop, num}")
 
 
 def _raw(value, path: str):
     return value
-
-
-def _dataclass(cls, node: dict, path: str, skip=()):
-    """Build a config dataclass from a JSON object.
-
-    Each key names a field of ``cls``; its value is parsed by the leading
-    type of the field's annotation, and the dataclass validates the rest.
-    """
-    if not isinstance(node, dict):
-        _fail(path, "expected an object")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
-    _require_keys(node, path, fields)
-    kwargs = {
-        key: _PARSERS.get(fields[key].type.split(" | ")[0], _raw)(
-            value, f"{path}.{key}"
-        )
-        for key, value in node.items()
-    }
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        _fail(path, str(exc))
 
 
 def _schur_model(node, path: str):
@@ -143,60 +96,105 @@ def _schur_model(node, path: str):
             f"{path}.kind", f"unknown model kind {kind!r}; expected one of {sorted(_MODELS)}"
         )
     options = {key: value for key, value in node.items() if key != "kind"}
-    return _dataclass(_MODELS[kind], options, path)
+    return _build(_MODELS[kind], options, path)
 
 
-# Parser per leading type of a field annotation.  The config modules use
-# ``from __future__ import annotations``, so annotations are strings.
+# Parser per leading type of a parameter annotation.  The library modules
+# use ``from __future__ import annotations``, so annotations are strings.
 _PARSERS = {
     "float": _as_number,
     "int": _as_int,
-    "np.ndarray": _matrix,
+    "np.ndarray": _array,
     "SchurModel": _schur_model,
+    "FlowConfig": lambda node, path: _build(FlowConfig, node, path, _CELL_PARAMS),
 }
 
+# Signatures of the library calls a payload configures, read at import:
+# the commands call ``scan`` and ``reconstruct`` through this module's
+# names, which a caller may rebind with a plain wrapper (e.g. to time them).
+_SCAN = inspect.signature(scan)
+_RECONSTRUCT = inspect.signature(reconstruct)
 
-def _echo(config, skip=()) -> dict:
-    """Manifest echo of a config dataclass: every field not in ``skip`` and
-    not ``None``, with enums as their values and models with their kind."""
+
+def _kwargs(signature: inspect.Signature, node, path: str, skip=()) -> dict:
+    """Keyword arguments for a call with ``signature`` from a JSON object.
+
+    Each key names a parameter outside ``skip``, and every parameter
+    without a default is required.  A value is parsed by the leading type
+    of its parameter's annotation; the callee validates the rest.
+    """
+    if not isinstance(node, dict):
+        _fail(path, "expected an object")
+    params = {
+        name: param
+        for name, param in signature.parameters.items()
+        if name not in skip
+    }
+    unknown = sorted(set(node) - set(params))
+    if unknown:
+        _fail(path, f"unknown key(s) {unknown}; allowed: {sorted(params)}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in node:
+            _fail(path, f"missing required key {name!r}")
+    return {
+        key: _PARSERS.get(params[key].annotation.split(" | ")[0], _raw)(
+            value, f"{path}.{key}"
+        )
+        for key, value in node.items()
+    }
+
+
+def _call(target, kwargs: dict, path: str):
+    """``target(**kwargs)``, reporting its argument errors under ``path``."""
+    try:
+        return target(**kwargs)
+    except (TypeError, ValueError) as exc:
+        _fail(path, str(exc))
+
+
+def _build(target, node, path: str, skip=()):
+    """``target(**kwargs)`` for a config dataclass or helper ``target``,
+    the keyword arguments parsed from a JSON object by :func:`_kwargs`."""
+    return _call(target, _kwargs(inspect.signature(target), node, path, skip), path)
+
+
+def _echo(values, skip=()) -> dict:
+    """Manifest echo of resolved values, a dict or a config dataclass: every
+    entry not in ``skip`` and not ``None``, with enums as their values,
+    models with their kind and a grid's base config without cell fields."""
+    if dataclasses.is_dataclass(values):
+        values = {f.name: getattr(values, f.name) for f in dataclasses.fields(values)}
     kinds = {cls: kind for kind, cls in _MODELS.items()}
     echo = {}
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if field.name in skip or value is None:
+    for name, value in values.items():
+        if name in skip or value is None:
             continue
         if isinstance(value, enum.Enum):
             value = value.value
         elif type(value) in kinds:
             value = {"kind": kinds[type(value)], **_echo(value)}
-        echo[field.name] = value
+        elif isinstance(value, FlowConfig):
+            value = _echo(value, _CELL_PARAMS)
+        echo[name] = value
     return echo
 
 
-def _resolve_seed(payload: dict, path: str, flag_seed, key: str = "seed", default=0):
-    if flag_seed is not None:
-        return int(flag_seed)
+def _seeded(command: str, payload: dict, flag_seed) -> dict:
+    """``payload`` with its seed key resolved: ``--seed`` overrides it, and
+    a seed from the payload must be a non-negative integer."""
+    key = _SEED_KEYS.get(command)
+    if key is not None and flag_seed is not None:
+        return {**payload, key: flag_seed}
     if key in payload:
-        value = _as_int(payload[key], f"{path}.{key}")
-        if value < 0:
-            _fail(f"{path}.{key}", "must be non-negative")
-        return value
-    return default
+        seed = _as_int(payload[key], f"{command}.{key}")
+        if seed < 0:
+            _fail(f"{command}.{key}", "must be non-negative")
+        return {**payload, key: seed}
+    return payload
 
 
 def _cmd_schur(payload, args, out_dir):
-    _require_keys(payload, "schur", {"a", "b", "c"})
-    for key in ("a", "b", "c"):
-        if key not in payload:
-            _fail("schur", f"missing required key {key!r}")
-    try:
-        blocks = BlockQuadratic(
-            a=_matrix(payload["a"], "schur.a"),
-            b=_matrix(payload["b"], "schur.b"),
-            c=_matrix(payload["c"], "schur.c"),
-        )
-    except ValueError as exc:
-        _fail("schur", str(exc))
+    blocks = _build(BlockQuadratic, payload, "schur")
     q_eff = schur_complement(blocks)
     sig = signature(q_eff)
     summary = {"n_plus": sig.n_plus, "n_minus": sig.n_minus, "n_zero": sig.n_zero}
@@ -212,10 +210,9 @@ def _cmd_schur(payload, args, out_dir):
 
 
 def _cmd_flow(payload, args, out_dir):
-    seed = _resolve_seed(payload, "flow", args.seed)
-    config = _dataclass(
-        FlowConfig, {k: v for k, v in payload.items() if k != "seed"}, "flow"
-    )
+    options = {key: value for key, value in payload.items() if key != "seed"}
+    config = _build(FlowConfig, options, "flow")
+    seed = payload.get("seed", 0)
     # The single-trajectory stream matches cell 0, trajectory 0 of a grid
     # run with this master seed.
     try:
@@ -237,42 +234,14 @@ def _cmd_flow(payload, args, out_dir):
         "collapsed": record.collapsed,
         "n_steps": record.n_steps,
     }
-    echo = _echo(config)
-    echo["seed"] = seed
-    return files, summary, echo
+    return files, summary, {**_echo(config), "seed": seed}
 
 
 def _cmd_grid(payload, args, out_dir):
-    _require_keys(
-        payload,
-        "grid",
-        {"a0_values", "zeta_values", "n_traj", "master_seed", "base_config"},
-    )
-    master_seed = _resolve_seed(payload, "grid", args.seed, key="master_seed")
-    a0_values = _axis(
-        payload.get("a0_values", _DEFAULT_AXES["grid"]["a0_values"]), "grid.a0_values"
-    )
-    zeta_values = _axis(
-        payload.get("zeta_values", _DEFAULT_AXES["grid"]["zeta_values"]),
-        "grid.zeta_values",
-    )
-    n_traj = _as_int(payload.get("n_traj", 100), "grid.n_traj")
-    base_config = _dataclass(
-        FlowConfig, payload.get("base_config", {}), "grid.base_config", _CELL_PARAMS
-    )
-    try:
-        spec = GridSpec(
-            a0_values=a0_values,
-            zeta_values=zeta_values,
-            n_traj=n_traj,
-            master_seed=master_seed,
-            base_config=base_config,
-        )
-    except (TypeError, ValueError) as exc:
-        _fail("grid", str(exc))
+    spec = _build(GridSpec, payload, "grid")
     result = run_grid(spec, parallelism=args.workers)
     if args.fmt == "json":
-        serialize.dump_json(out_dir / "grid.json", serialize.grid_to_dict(result))
+        serialize.dump_json(out_dir / "grid.json", dataclasses.asdict(result))
         files = ["grid.json"]
     else:
         header, rows = serialize.grid_rows(result)
@@ -285,34 +254,17 @@ def _cmd_grid(payload, args, out_dir):
         # run_grid starts no more worker processes than there are cells.
         "workers": min(args.workers, spec.n_cells),
     }
-    echo = {
-        "a0_values": a0_values.tolist(),
-        "zeta_values": zeta_values.tolist(),
-        "n_traj": n_traj,
-        "master_seed": master_seed,
-        "base_config": _echo(base_config, _CELL_PARAMS),
-    }
-    return files, summary, echo
+    return files, summary, _echo(spec)
 
 
 def _cmd_minimal_scan(payload, args, out_dir):
-    # Every key but the two axes configures the template; chi and g come
-    # from the axes cell by cell.
-    axes = _DEFAULT_AXES["minimal-scan"]
-    options = {k: v for k, v in payload.items() if k not in axes}
-    template = _dataclass(MinimalModelSpec, options, "minimal-scan", ("chi", "g"))
-    chi_values = _axis(
-        payload.get("chi_values", _DEFAULT_AXES["minimal-scan"]["chi_values"]),
-        "minimal-scan.chi_values",
-    )
-    g_values = _axis(
-        payload.get("g_values", _DEFAULT_AXES["minimal-scan"]["g_values"]),
-        "minimal-scan.g_values",
-    )
-    try:
-        result = scan(chi_values, g_values, template)
-    except (TypeError, ValueError) as exc:
-        _fail("minimal-scan", str(exc))
+    # The axes are arguments of scan; every other key configures the
+    # template, whose chi and g the axes supply cell by cell.
+    axes = {**_SCAN_AXES, **{k: v for k, v in payload.items() if k in _SCAN_AXES}}
+    options = {k: v for k, v in payload.items() if k not in _SCAN_AXES}
+    template = _build(MinimalModelSpec, options, "minimal-scan", ("chi", "g"))
+    kwargs = _kwargs(_SCAN, axes, "minimal-scan", ("template",))
+    result = _call(scan, {**kwargs, "template": template}, "minimal-scan")
     if args.fmt == "json":
         serialize.dump_json(out_dir / "scan.json", dataclasses.asdict(result))
         files = ["scan.json"]
@@ -333,36 +285,12 @@ def _cmd_minimal_scan(payload, args, out_dir):
         "n_polylines": result.contour.n_components,
         "skipped_cells": result.contour.skipped_cells,
     }
-    echo = {"chi_values": chi_values.tolist(), "g_values": g_values.tolist()}
-    echo.update({key: getattr(template, key) for key in options})
-    return files, summary, echo
+    return files, summary, {**_echo(kwargs), **_echo(template, ("chi", "g"))}
 
 
 def _cmd_reconstruct(payload, args, out_dir):
-    _require_keys(
-        payload,
-        "reconstruct",
-        {"mu", "q_eff", "beta", "d_mat", "dt", "n_steps", "burn_in", "seed"},
-    )
-    for key in ("mu", "q_eff", "beta"):
-        if key not in payload:
-            _fail("reconstruct", f"missing required key {key!r}")
-    seed = _resolve_seed(payload, "reconstruct", args.seed)
-    kwargs = {
-        "mu": _matrix(payload["mu"], "reconstruct.mu"),
-        "q_eff": _matrix(payload["q_eff"], "reconstruct.q_eff"),
-        "beta": _as_number(payload["beta"], "reconstruct.beta"),
-        "seed": seed,
-    }
-    if "d_mat" in payload:
-        kwargs["d_mat"] = _matrix(payload["d_mat"], "reconstruct.d_mat")
-    if "dt" in payload:
-        kwargs["dt"] = _as_number(payload["dt"], "reconstruct.dt")
-    if "n_steps" in payload:
-        kwargs["n_steps"] = _as_int(payload["n_steps"], "reconstruct.n_steps")
-    if "burn_in" in payload:
-        kwargs["burn_in"] = _as_int(payload["burn_in"], "reconstruct.burn_in")
-    report = reconstruct(**kwargs)
+    kwargs = _kwargs(_RECONSTRUCT, payload, "reconstruct")
+    report = _call(reconstruct, kwargs, "reconstruct")
     if args.fmt == "json":
         serialize.dump_json(out_dir / "report.json", dataclasses.asdict(report))
         files = ["report.json"]
@@ -371,11 +299,9 @@ def _cmd_reconstruct(payload, args, out_dir):
         serialize.write_matrix_csv(out_dir / "g_eff.csv", report.g_eff)
         files = ["gamma.csv", "g_eff.csv"]
     summary = {"einstein_residual": report.einstein_residual, "beta": report.beta}
-    echo = {
-        key: (value.tolist() if isinstance(value, np.ndarray) else value)
-        for key, value in kwargs.items()
-    }
-    return files, summary, echo
+    resolved = _RECONSTRUCT.bind(**kwargs)
+    resolved.apply_defaults()
+    return files, summary, _echo(resolved.arguments)
 
 
 _DISPATCH = {
@@ -441,6 +367,7 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigInvalid(f"--seed must be non-negative, got {args.seed}")
         out_dir.mkdir(parents=True, exist_ok=True)
+        payload = _seeded(command, payload, args.seed)
         files, summary, echo = _DISPATCH[command](payload, args, out_dir)
         serialize.dump_json(
             out_dir / "manifest.json",
@@ -458,7 +385,7 @@ def main(argv=None) -> int:
             },
         )
         return 0
-    except (SchurFlowError, ValueError, TypeError, OSError) as exc:
+    except (SchurFlowError, ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

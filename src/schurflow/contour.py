@@ -12,6 +12,8 @@ import dataclasses
 
 import numpy as np
 
+from .tensor import check_axis
+
 # Case index -> list of (edge, edge) segments; edges are S, E, N, W.
 # Bits: 1 = (i, j), 2 = (i+1, j), 4 = (i+1, j+1), 8 = (i, j+1) inside.
 _SEGMENTS = {
@@ -55,17 +57,6 @@ class BoundaryCurve:
         return np.vstack(self.polylines)
 
 
-def _check_axis(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"{name}: expected a 1-D array with at least 2 entries")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
-    if not np.all(np.diff(arr) > 0):
-        raise ValueError(f"{name}: values must be strictly increasing")
-    return arr
-
-
 def find_contour(x_values, y_values, field, level: float) -> BoundaryCurve:
     """Extract the ``field == level`` curve from samples on a rectilinear grid.
 
@@ -87,8 +78,8 @@ def find_contour(x_values, y_values, field, level: float) -> BoundaryCurve:
         Chained polylines; saddle cells are resolved with the cell-center
         average so curves never cross.
     """
-    x = _check_axis(x_values, "x_values")
-    y = _check_axis(y_values, "y_values")
+    x = check_axis(x_values, "x_values", min_size=2)
+    y = check_axis(y_values, "y_values", min_size=2)
     f = np.asarray(field, dtype=float)
     if f.shape != (x.size, y.size):
         raise ValueError(

@@ -17,37 +17,35 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .contour import BoundaryCurve, find_contour
-from .errors import NoValidRecords
+from .errors import NonFiniteState, NoValidRecords
 from .flow import FlowConfig, TrajectoryRecord, _run_batch
-from .tensor import check_int
-
-
-def _check_axis_values(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{name}: expected a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError(f"{name}: values must be finite and non-negative")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
-        raise ValueError(f"{name}: values must be strictly increasing")
-    return arr
+from .tensor import check_axis, check_int, check_scalar
 
 
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
-    """Parameter grid, trajectory count and seeding for an ensemble run."""
+    """Parameter grid, trajectory count and seeding for an ensemble run.
 
-    a0_values: np.ndarray
-    zeta_values: np.ndarray
-    n_traj: int
-    master_seed: int
+    The defaults are the reference grid: 20 x 20 cells over moderate
+    anisotropy and elimination strength, 100 trajectories per cell.  Axes
+    are non-negative as well as finite and strictly increasing.
+    """
+
+    a0_values: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.linspace(0.0, 1.0, 20)
+    )
+    zeta_values: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.linspace(0.0, 0.3, 20)
+    )
+    n_traj: int = 100
+    master_seed: int = 0
     base_config: FlowConfig = FlowConfig()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a0_values", _check_axis_values(self.a0_values, "a0_values"))
-        object.__setattr__(
-            self, "zeta_values", _check_axis_values(self.zeta_values, "zeta_values")
-        )
+        for name in ("a0_values", "zeta_values"):
+            axis = check_axis(getattr(self, name), name)
+            check_scalar(axis[0], name, positive=False)
+            object.__setattr__(self, name, axis)
         check_int(self.n_traj, "n_traj")
         check_int(self.master_seed, "master_seed", low=0)
         if not isinstance(self.base_config, FlowConfig):
@@ -125,14 +123,14 @@ def _run_cell(args):
         np.random.default_rng([spec.master_seed, cell_index, t])
         for t in range(spec.n_traj)
     ]
-    records = _run_batch(config, rngs)
+    cell = f"cell (a0={config.a0}, zeta={config.zeta})"
+    try:
+        records = _run_batch(config, rngs)
+    except NonFiniteState as exc:
+        raise NonFiniteState(f"{cell}: {exc}") from exc
     valid = [r for r in records if not r.collapsed]
     if not valid:
-        i, j = divmod(cell_index, spec.zeta_values.size)
-        raise NoValidRecords(
-            f"cell (a0={spec.a0_values[i]}, zeta={spec.zeta_values[j]}): "
-            f"all {spec.n_traj} trajectories collapsed"
-        )
+        raise NoValidRecords(f"{cell}: all {spec.n_traj} trajectories collapsed")
     p = np.array(
         [sector_probability(valid, m) for m in range(config.d_tan + 1)]
     )
@@ -242,14 +240,6 @@ def _bracket_indices(axis: np.ndarray, value: float) -> tuple[int, ...]:
 
 
 def default_grid_spec(master_seed: int, **overrides) -> GridSpec:
-    """Reference grid: 20 x 20 cells over moderate anisotropy and
-    elimination strength, 100 trajectories of 100 steps each."""
-    kwargs = dict(
-        a0_values=np.linspace(0.0, 1.0, 20),
-        zeta_values=np.linspace(0.0, 0.3, 20),
-        n_traj=100,
-        master_seed=master_seed,
-        base_config=FlowConfig(),
-    )
-    kwargs.update(overrides)
-    return GridSpec(**kwargs)
+    """Reference grid (the :class:`GridSpec` defaults) with the given master
+    seed; keyword overrides replace single fields."""
+    return GridSpec(master_seed=master_seed, **overrides)

@@ -38,6 +38,10 @@ class FlowCollapsed(SchurFlowError):
         self.record = record
 
 
+class NonFiniteState(SchurFlowError):
+    """A flow update or its norm overflowed or became NaN."""
+
+
 class NoValidRecords(SchurFlowError):
     """A grid cell produced no valid trajectories to aggregate."""
 

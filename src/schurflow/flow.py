@@ -36,7 +36,7 @@ import enum
 
 import numpy as np
 
-from .errors import DegenerateDraw, FlowCollapsed, ZeroTensor
+from .errors import DegenerateDraw, FlowCollapsed, NonFiniteState, ZeroTensor
 from .tensor import check_int, check_scalar, check_symmetric, count_inertia
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
@@ -102,7 +102,8 @@ class FlowConfig:
     """Parameters of a single flow run.
 
     ``q_init`` defaults to the identity.  ``target_n_minus`` is the
-    negative-count threshold defining first passage.
+    negative-count threshold defining first passage; it defaults to
+    ``d_tan``, the fully inverted tangential sector.
     """
 
     zeta: float = 0.0
@@ -114,7 +115,7 @@ class FlowConfig:
     norm_mode: NormMode = NormMode.FROBENIUS
     schur_model: SchurModel = LognormalGaussian()
     disorder: Disorder = Disorder.ANNEALED
-    target_n_minus: int = 3
+    target_n_minus: int | None = None
     q_init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -125,6 +126,8 @@ class FlowConfig:
         check_scalar(self.q_n, "q_n")
         if self.a0 > 0 and self.d_tan < 2:
             raise ValueError("anisotropy requires d_tan >= 2")
+        if self.target_n_minus is None:
+            object.__setattr__(self, "target_n_minus", self.d_tan)
         check_int(self.target_n_minus, "target_n_minus", low=0, high=self.d_tan)
         object.__setattr__(self, "norm_mode", NormMode(self.norm_mode))
         object.__setattr__(self, "disorder", Disorder(self.disorder))
@@ -273,16 +276,19 @@ def anisotropy_strength(a0: float, beta_decay: float, k):
 
 
 def _scale_factors(upd: np.ndarray, mode: NormMode):
-    """Per-slice normalization scale and zero-collapse mask.
+    """Per-slice normalization scale, zero-collapse mask and finite mask.
 
     ``upd`` has shape ``(n, d, d)``.  Frobenius mode rescales to unit
     Frobenius norm.  Trace mode rescales so ``|trace| == d`` whenever the
     trace magnitude is at least ``TRACE_FLOOR``, falling back to Frobenius
     below that.  Slices with Frobenius norm below ``ZERO_FLOOR`` are flagged
-    and assigned unit scale.
+    and assigned unit scale.  A slice whose Frobenius norm is not finite
+    (an entry is, or the norm overflowed) is flagged in the finite mask;
+    its scale is meaningless.
     """
     d = upd.shape[-1]
     fro = np.sqrt(np.einsum("kij,kij->k", upd, upd))
+    finite = np.isfinite(fro)
     zero = fro < ZERO_FLOOR
     safe_fro = np.where(zero, 1.0, fro)
     fro_scale = 1.0 / safe_fro
@@ -293,7 +299,7 @@ def _scale_factors(upd: np.ndarray, mode: NormMode):
         scale = np.where(tr_ok, d / safe_tr, fro_scale)
     else:
         scale = fro_scale
-    return np.where(zero, 1.0, scale), zero
+    return np.where(zero, 1.0, scale), zero, finite
 
 
 def normalize(q_t, mode: NormMode = NormMode.FROBENIUS) -> np.ndarray:
@@ -303,9 +309,13 @@ def normalize(q_t, mode: NormMode = NormMode.FROBENIUS) -> np.ndarray:
     ------
     ZeroTensor
         If the Frobenius norm is below ``ZERO_FLOOR``.
+    NonFiniteState
+        If the Frobenius norm overflows.
     """
     q = check_symmetric(q_t, name="q_t")
-    scale, zero = _scale_factors(q[None], NormMode(mode))
+    scale, zero, finite = _scale_factors(q[None], NormMode(mode))
+    if not finite[0]:
+        raise NonFiniteState("the Frobenius norm of q_t is not finite")
     if zero[0]:
         raise ZeroTensor(f"norm {np.linalg.norm(q):.3e} below floor {ZERO_FLOOR}")
     return q * scale[0]
@@ -317,7 +327,9 @@ def flow_step(q_t, sigma, a, a_k: float, zeta: float, mode: NormMode) -> np.ndar
     Computes ``N(q_t - zeta * sigma + a_k * a)`` with the symmetric part
     taken before normalization.  Multiplying by a positive scale never moves
     eigenvalues across zero, so the signature after the update is decided by
-    the un-normalized combination alone.
+    the un-normalized combination alone.  Raises :class:`ZeroTensor` below
+    the zero floor and :class:`NonFiniteState` if the update or its norm is
+    not finite.
     """
     q = np.asarray(q_t, dtype=float)
     sig = np.asarray(sigma, dtype=float)
@@ -334,7 +346,9 @@ def flow_step(q_t, sigma, a, a_k: float, zeta: float, mode: NormMode) -> np.ndar
         raise ValueError("a_k and zeta must be finite")
     upd = q - zeta * sig + a_k * a_arr
     upd = 0.5 * (upd + upd.T)
-    scale, zero = _scale_factors(upd[None], NormMode(mode))
+    scale, zero, finite = _scale_factors(upd[None], NormMode(mode))
+    if not finite[0]:
+        raise NonFiniteState("the update or its Frobenius norm is not finite")
     if zero[0]:
         raise ZeroTensor(
             f"update norm {np.linalg.norm(upd):.3e} below floor {ZERO_FLOOR}"
@@ -357,7 +371,9 @@ def _run_batch(config: FlowConfig, rngs) -> list[TrajectoryRecord]:
     """Run one trajectory per generator, vectorized across the batch.
 
     Every trajectory consumes only its own generator, in the documented
-    order, so the records are bitwise identical to single runs.
+    order, so the records are bitwise identical to single runs.  A
+    non-finite update raises :class:`NonFiniteState` naming the step and the
+    trajectory's index in ``rngs``.
     """
     n = len(rngs)
     d = config.d_tan
@@ -391,7 +407,12 @@ def _run_batch(config: FlowConfig, rngs) -> list[TrajectoryRecord]:
         if a_all is not None:
             upd = upd + a_k[k] * a_all[:, k if annealed else 0]
         upd = 0.5 * (upd + upd.transpose(0, 2, 1))
-        scale, zero = _scale_factors(upd, config.norm_mode)
+        scale, zero, finite = _scale_factors(upd, config.norm_mode)
+        if not finite.all():
+            raise NonFiniteState(
+                f"trajectory {int(np.argmin(finite))}, step {k + 1}: "
+                "the update or its Frobenius norm is not finite"
+            )
         newly = alive & zero
         collapse_at[newly] = k + 1
         alive &= ~zero
@@ -444,6 +465,8 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     FlowCollapsed
         If the tensor collapses below the zero floor mid-run; the partial
         record is attached to the exception.
+    NonFiniteState
+        If an update or its norm is not finite.
     """
     record = _run_batch(config, [np.random.default_rng(seed)])[0]
     if record.collapsed:

@@ -16,6 +16,7 @@ import numpy as np
 from .contour import BoundaryCurve, find_contour
 from .tensor import (
     BlockQuadratic,
+    check_axis,
     check_int,
     check_matrix,
     check_scalar,
@@ -78,14 +79,19 @@ class ScanResult:
     contour: BoundaryCurve
 
 
-def scan(chi_values, g_values, template: MinimalModelSpec | None = None) -> ScanResult:
+def scan(
+    chi_values: np.ndarray,
+    g_values: np.ndarray,
+    template: MinimalModelSpec | None = None,
+) -> ScanResult:
     """Evaluate ``b_eff_final`` on a grid and trace its zero contour.
 
+    Both axes need at least two finite, strictly increasing values.
     ``template`` fixes everything except ``chi`` and ``g``, which are
     overridden cell by cell.
     """
-    chi = np.asarray(chi_values, dtype=float)
-    g = np.asarray(g_values, dtype=float)
+    chi = check_axis(chi_values, "chi_values", min_size=2)
+    g = check_axis(g_values, "g_values", min_size=2)
     if template is None:
         template = MinimalModelSpec()
     b_eff = np.empty((chi.size, g.size))

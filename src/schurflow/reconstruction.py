@@ -236,14 +236,14 @@ class ReconstructionReport:
 
 
 def reconstruct(
-    mu,
-    q_eff,
+    mu: np.ndarray,
+    q_eff: np.ndarray,
     beta: float,
-    d_mat=None,
+    d_mat: np.ndarray | None = None,
     dt: float | None = None,
     n_steps: int = 100_000,
     burn_in: int = 1_000,
-    seed=0,
+    seed: int = 0,
 ) -> ReconstructionReport:
     """Recover the response tensor from simulated fluctuations.
 

@@ -98,14 +98,10 @@ def record_steps_rows(record: TrajectoryRecord):
     return header, rows
 
 
-def grid_csv_header(n_sectors: int) -> str:
-    sector_cols = ",".join(f"P{m}" for m in range(n_sectors))
-    return f"a0,zeta,{sector_cols},mean_fpt,censored_fraction"
-
-
 def grid_rows(result: GridResult):
     """Row-major (a0 outer, zeta inner) CSV rows for a grid result."""
-    header = grid_csv_header(result.n_sectors)
+    sector_cols = ",".join(f"P{m}" for m in range(result.n_sectors))
+    header = f"a0,zeta,{sector_cols},mean_fpt,censored_fraction"
     rows = []
     for i, a0 in enumerate(result.a0_values):
         for j, zeta in enumerate(result.zeta_values):
@@ -115,7 +111,3 @@ def grid_rows(result: GridResult):
             row.append(format_float(result.censored_fraction[i, j]))
             rows.append(row)
     return header, rows
-
-
-def grid_to_dict(result: GridResult) -> dict:
-    return dataclasses.asdict(result)

@@ -4,8 +4,8 @@ The functions here operate on real symmetric matrices stored as plain
 ``numpy.ndarray`` objects.  Inputs are validated with :func:`check_symmetric`,
 which tolerates roundoff-level asymmetry and returns an exactly symmetrized
 copy; downstream code may therefore assume exact symmetry.  The argument
-checks shared by the whole package (:func:`check_matrix`, :func:`check_int`,
-:func:`check_scalar`, :func:`check_pd`) and the one inertia count
+checks shared by the whole package (:func:`check_matrix`, :func:`check_axis`,
+:func:`check_int`, :func:`check_scalar`, :func:`check_pd`) and the one inertia count
 (:func:`count_inertia`) live here too.
 """
 
@@ -76,6 +76,21 @@ def check_matrix(m, name: str = "matrix", shape=None) -> np.ndarray:
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: entries must be finite")
+    return arr
+
+
+def check_axis(values, name: str, min_size: int = 1) -> np.ndarray:
+    """Raise ``ValueError`` unless ``values`` is a finite, strictly increasing
+    1-D axis of at least ``min_size`` entries; return it as a float array."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < min_size:
+        raise ValueError(
+            f"{name}: expected a non-empty 1-D array, at least {min_size} long"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name}: entries must be finite")
+    if not np.all(np.diff(arr) > 0):
+        raise ValueError(f"{name}: values must be strictly increasing")
     return arr
 
 

@@ -9,10 +9,14 @@ asserted at the byte level.
 import json
 import runpy
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import schurflow.ensemble as ensemble_mod
 from schurflow import FlowConfig, __version__, run_trajectory
@@ -121,6 +125,11 @@ class TestFlowCommand:
         assert (out_a / "record.jsonl").read_bytes() == (out_b / "record.jsonl").read_bytes()
         assert (out_a / "steps.csv").read_bytes() == (out_b / "steps.csv").read_bytes()
 
+    def test_target_defaults_to_fully_inverted_sector(self, tmp_path):
+        code, out_dir = run_cli(tmp_path, {"flow": {"d_tan": 2, "zeta": 0.2, "k_max": 5}})
+        assert code == 0
+        assert read_manifest(out_dir)["config"]["flow"]["target_n_minus"] == 2
+
     def test_seed_flag_overrides_payload(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--seed", "9")
         assert code == 0
@@ -185,16 +194,6 @@ class TestGridCommand:
         assert read_manifest(out_many)["summary"]["workers"] == 6
         assert (out_serial / "grid.csv").read_bytes() == (out_many / "grid.csv").read_bytes()
 
-    def test_manifest_round_trip_reproduces_results(self, tmp_path):
-        code, out_dir = run_cli(tmp_path, self.payload)
-        assert code == 0
-        echoed = read_manifest(out_dir)["config"]
-        cfg2 = tmp_path / "echoed.json"
-        cfg2.write_text(json.dumps(echoed))
-        out2 = tmp_path / "rerun"
-        assert main(["--config", str(cfg2), "--out", str(out2)]) == 0
-        assert (out_dir / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
-
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")
         assert code == 0
@@ -258,6 +257,79 @@ class TestReconstructCommand:
         report = json.loads((out_dir / "report.json").read_text())
         np.testing.assert_allclose(report["curvature_target"], np.eye(2))
         assert report["beta"] == 1.0
+
+
+# One config per command, each setting a key away from its default.
+ROUND_TRIP_PAYLOADS = {
+    "schur": {
+        "schur": {
+            "a": [[2.0, 0.3], [0.3, 1.0]],
+            "b": [[0.5], [0.2]],
+            "c": [[1.5]],
+        }
+    },
+    "flow": {
+        "flow": {
+            "zeta": 0.2, "a0": 0.4, "k_max": 12, "seed": 3, "disorder": "quenched",
+            "q_init": [[1.0, 0.1, 0.0], [0.1, 2.0, 0.0], [0.0, 0.0, 1.0]],
+        }
+    },
+    "grid": {
+        "grid": {
+            "a0_values": [0.0, 0.5],
+            "zeta_values": {"start": 0.0, "stop": 0.2, "num": 3},
+            "n_traj": 4,
+            "master_seed": 3,
+            "base_config": {"k_max": 10, "schur_model": {"kind": "wishart", "rank": 2}},
+        }
+    },
+    "minimal-scan": {
+        "minimal-scan": {
+            "chi_values": {"start": 0.0, "stop": 2.0, "num": 6},
+            "g_values": [0.5, 1.0, 2.0],
+            "d_f": 3,
+            "b0": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]],
+        }
+    },
+    "reconstruct": {
+        "reconstruct": {
+            "mu": [[0.8, 0.1], [0.1, 0.9]],
+            "q_eff": [[1.0, 0.3], [0.3, 1.5]],
+            "beta": 2.0,
+            "d_mat": [[0.5, 0.0], [0.0, 0.4]],
+            "n_steps": 2000,
+            "seed": 7,
+        }
+    },
+}
+
+
+class TestManifestRoundTrip:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(ROUND_TRIP_PAYLOADS))
+    def test_manifest_round_trip_reproduces_results(self, tmp_path, command, fmt):
+        code, out_dir = run_cli(tmp_path, ROUND_TRIP_PAYLOADS[command], "--format", fmt)
+        assert code == 0
+        manifest = read_manifest(out_dir)
+        cfg2 = tmp_path / "echoed.json"
+        cfg2.write_text(json.dumps(manifest["config"]))
+        out2 = tmp_path / "rerun"
+        assert main(["--config", str(cfg2), "--out", str(out2), "--format", fmt]) == 0
+        rerun = read_manifest(out2)
+        assert rerun["config"] == manifest["config"]
+        assert rerun["outputs"] == manifest["outputs"]
+        for name in manifest["outputs"]:
+            assert (out_dir / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_defaults_are_echoed(self, tmp_path):
+        code, out_dir = run_cli(tmp_path, ROUND_TRIP_PAYLOADS["reconstruct"])
+        assert code == 0
+        echo = read_manifest(out_dir)["config"]["reconstruct"]
+        assert echo["burn_in"] == 1000
+        code, out_dir = run_cli(tmp_path, ROUND_TRIP_PAYLOADS["minimal-scan"], out="scan")
+        assert code == 0
+        echo = read_manifest(out_dir)["config"]["minimal-scan"]
+        assert echo["d_s"] == 2
 
 
 class TestModuleEntryPoints:
@@ -345,3 +417,180 @@ class TestErrorHandling:
             {"schur": {"a": [[1.0]], "b": [[1.0]], "c": [[-1.0]]}},
         )
         self.assert_error_run(tmp_path, cfg, "fast", capsys)
+
+    def test_negative_payload_seed_names_key_path(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"reconstruct": {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0, "seed": -1}},
+        )
+        self.assert_error_run(
+            tmp_path, cfg, "reconstruct.seed: must be non-negative", capsys
+        )
+
+    def test_decreasing_scan_axis_fails_under_its_name(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"minimal-scan": {"chi_values": [1.0, 0.5]}})
+        self.assert_error_run(
+            tmp_path, cfg, "chi_values: values must be strictly increasing", capsys
+        )
+
+    # Fast-block eigenvalues reach ~1e302 and the update norm overflows; the
+    # run must fail rather than record a zero tensor.
+    OVERFLOWING = {
+        "k_max": 5,
+        "schur_model": {"kind": "lognormal_gaussian", "sigma_log": 300},
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"flow": {"zeta": 0.1, **OVERFLOWING}}, "trajectory 0, step 4"),
+            (
+                {"grid": {"a0_values": [0.0], "zeta_values": [0.1], "n_traj": 2,
+                          "base_config": OVERFLOWING}},
+                "cell (a0=0.0, zeta=0.1): trajectory 1, step 3",
+            ),
+        ],
+        ids=["flow", "grid"],
+    )
+    def test_non_finite_evolution(self, tmp_path, capsys, payload, where):
+        cfg = write_config(tmp_path, payload)
+        self.assert_error_run(tmp_path, cfg, where, capsys)
+        assert "not finite" in read_manifest(tmp_path / "out")["error"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"reconstruct": {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0,
+                             "n_steps": 10**15}},
+            {"flow": {"a0": 0.1, "k_max": 10**15}},
+        ],
+        ids=["reconstruct", "flow"],
+    )
+    def test_out_of_memory_request_exits_one(self, tmp_path, capsys, payload):
+        # Each run asks for at least 8 PB, beyond any 64-bit user address
+        # space, so the allocation fails at once without touching memory.
+        cfg = write_config(tmp_path, payload)
+        self.assert_error_run(tmp_path, cfg, "", capsys)
+
+
+def _junk():
+    """Values of the wrong type or range for most keys, all small."""
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=3),
+        st.integers(-3, 5),
+        st.sampled_from([float("nan"), float("inf"), -1.5, 2.5]),
+        st.lists(st.integers(-2, 2), max_size=3),
+        st.fixed_dictionaries({"start": st.integers(-1, 1), "num": st.integers(-1, 4)}),
+    )
+
+
+_MATRICES = st.sampled_from(
+    [
+        [[1.0]],
+        [[2.0, 0.5], [0.5, 1.0]],
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+        [[1.0, 2.0]],
+    ]
+)
+_AXES = st.one_of(
+    st.lists(st.floats(0.05, 1.0), max_size=4, unique=True).map(sorted),
+    st.fixed_dictionaries(
+        {"start": st.just(0.05), "stop": st.floats(0.1, 1.0), "num": st.integers(-1, 4)}
+    ),
+)
+_SMALL_FLOATS = st.floats(0.05, 2.0)
+_FLOW_KEYS = {
+    "zeta": _SMALL_FLOATS,
+    "a0": _SMALL_FLOATS,
+    "d_tan": st.integers(2, 3),
+    "q_n": _SMALL_FLOATS,
+    "beta_decay": _SMALL_FLOATS,
+    "norm_mode": st.sampled_from(["frobenius", "trace"]),
+    "schur_model": st.sampled_from(
+        [{"kind": "wishart", "rank": 2}, {"kind": "lognormal_gaussian", "d_fast": 1}]
+    ),
+    "disorder": st.sampled_from(["annealed", "quenched"]),
+    "target_n_minus": st.integers(0, 3),
+    "q_init": _MATRICES,
+}
+# Per command: the keys always present (those bounding the run's size and
+# the required ones) and the optional rest.
+_FUZZ_KEYS = {
+    "schur": ({"a": _MATRICES, "b": _MATRICES, "c": _MATRICES}, {}),
+    "flow": (
+        {"k_max": st.integers(1, 5)},
+        {**_FLOW_KEYS, "seed": st.integers(0, 5)},
+    ),
+    "grid": (
+        {
+            "a0_values": _AXES,
+            "zeta_values": _AXES,
+            "n_traj": st.integers(1, 3),
+            "base_config": st.fixed_dictionaries(
+                {"k_max": st.integers(1, 5)},
+                optional={k: _FLOW_KEYS[k] for k in ("d_tan", "schur_model", "disorder")},
+            ),
+        },
+        {"master_seed": st.integers(0, 5)},
+    ),
+    "minimal-scan": (
+        {"chi_values": _AXES, "g_values": _AXES},
+        {"d_s": st.integers(1, 3), "d_f": st.integers(1, 3), "b0": _MATRICES},
+    ),
+    "reconstruct": (
+        {
+            "mu": _MATRICES,
+            "q_eff": _MATRICES,
+            "beta": _SMALL_FLOATS,
+            "n_steps": st.integers(1, 2000),
+        },
+        {
+            "d_mat": _MATRICES,
+            "dt": st.floats(0.0, 0.2),
+            "burn_in": st.integers(0, 50),
+            "seed": st.integers(0, 5),
+        },
+    ),
+}
+
+
+@st.composite
+def _fuzz_configs(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
+    always, optional = _FUZZ_KEYS[command]
+    strategies = {**always, **optional}
+    keys = list(always)
+    if optional:
+        keys += draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    payload = {key: draw(strategies[key]) for key in keys}
+    # At most one mistyped value (a mistyped size key fails validation, so
+    # the run stays small) and at most one unknown key.
+    mistyped = draw(st.none() | st.sampled_from(keys))
+    if mistyped is not None:
+        payload[mistyped] = draw(_junk())
+    if draw(st.integers(0, 3)) == 0:
+        payload["zap"] = draw(_junk())
+    return {command: payload}
+
+
+class TestConfigFuzz:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(config=_fuzz_configs(), fmt=st.sampled_from(["csv", "json"]))
+    def test_any_config_exits_cleanly(self, config, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write_config(tmp, config)
+            out_dir = tmp / "out"
+            code = main(["--config", str(cfg), "--out", str(out_dir), "--format", fmt])
+            manifest = read_manifest(out_dir)
+            assert (code, manifest["status"]) in ((0, "ok"), (1, "error"))

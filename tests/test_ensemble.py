@@ -16,6 +16,8 @@ from schurflow import (
     FlowConfig,
     GridResult,
     GridSpec,
+    LognormalGaussian,
+    NonFiniteState,
     NoValidRecords,
     TrajectoryRecord,
     boundary_support,
@@ -208,6 +210,15 @@ class TestRunGrid:
         monkeypatch.setattr(ensemble_mod, "_run_batch", all_collapsed)
         spec = GridSpec([0.0], [0.1], n_traj=2, master_seed=0)
         with pytest.raises(NoValidRecords, match="all 2 trajectories collapsed"):
+            run_grid(spec)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_cell_names_its_coordinates(self):
+        base = FlowConfig(k_max=5, schur_model=LognormalGaussian(sigma_log=300))
+        spec = GridSpec([0.0], [0.1], n_traj=2, base_config=base)
+        with pytest.raises(
+            NonFiniteState, match=r"cell \(a0=0.0, zeta=0.1\): trajectory 1, step 3"
+        ):
             run_grid(spec)
 
 

@@ -18,6 +18,7 @@ from schurflow import (
     FlowCollapsed,
     FlowConfig,
     LognormalGaussian,
+    NonFiniteState,
     NormMode,
     Wishart,
     ZeroTensor,
@@ -204,6 +205,11 @@ class TestNormalize:
         with pytest.raises(ZeroTensor, match="below floor"):
             normalize(1e-16 * np.eye(3))
 
+    def test_overflowing_norm_raises(self):
+        # Finite entries whose Frobenius norm overflows used to scale to zero.
+        with pytest.raises(NonFiniteState, match="not finite"):
+            normalize(1e200 * np.eye(3))
+
     def test_mode_accepts_string(self):
         out = normalize(np.diag([3.0, 3.0]), "trace")
         np.testing.assert_allclose(out, np.eye(2))
@@ -257,6 +263,17 @@ class TestFlowStep:
                 np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), 0.0, 1.0,
                 NormMode.FROBENIUS,
             )
+
+    def test_overflowing_update_raises(self):
+        with pytest.raises(NonFiniteState, match="not finite"):
+            flow_step(np.eye(2), 1e200 * np.eye(2), np.zeros((2, 2)), 0.0, 1.0, "trace")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_trajectory_names_step(self):
+        # Fast-block eigenvalues near 1e302 overflow the update norm at step 4.
+        config = FlowConfig(zeta=0.1, k_max=5, schur_model=LognormalGaussian(sigma_log=300))
+        with pytest.raises(NonFiniteState, match="trajectory 0, step 4"):
+            run_trajectory(config, [0, 0, 0])
 
     def test_non_finite_scalars_raise(self):
         with pytest.raises(ValueError, match="finite"):
@@ -465,6 +482,11 @@ class TestFlowConfigValidation:
             FlowConfig(norm_mode="euclid")
         with pytest.raises(TypeError, match="schur_model"):
             FlowConfig(schur_model="wishart")
+
+    def test_target_defaults_to_fully_inverted_sector(self):
+        assert FlowConfig().target_n_minus == 3
+        assert FlowConfig(d_tan=2).target_n_minus == 2
+        assert FlowConfig(d_tan=5, target_n_minus=1).target_n_minus == 1
 
     def test_q_init_validation(self):
         with pytest.raises(ValueError, match="expected shape"):
