@@ -11,7 +11,9 @@ Core pieces:
 - :mod:`schurflow.cli` -- batch command-line runner.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
+
+import types
 
 from .contour import BoundaryCurve, find_contour
 from .ensemble import (
@@ -98,77 +100,9 @@ from .tensor import (
     symmetrize,
 )
 
-__all__ = [
-    "__version__",
-    "BoundaryCurve",
-    "find_contour",
-    "GridResult",
-    "GridSpec",
-    "boundary_support",
-    "default_grid_spec",
-    "extract_boundary",
-    "mean_first_passage",
-    "run_grid",
-    "sector_probability",
-    "ConfigInvalid",
-    "DegenerateDraw",
-    "FastSectorNotPD",
-    "FastSectorUnstable",
-    "FlowCollapsed",
-    "NoValidRecords",
-    "NonFiniteState",
-    "ResponseNotPD",
-    "SchurFlowError",
-    "SingularCovariance",
-    "StepTooLarge",
-    "UnstableDrift",
-    "ZeroTensor",
-    "Disorder",
-    "FlowConfig",
-    "LognormalGaussian",
-    "NormMode",
-    "TrajectoryRecord",
-    "Wishart",
-    "anisotropy_strength",
-    "embed_full",
-    "flow_step",
-    "normalize",
-    "run_trajectory",
-    "sample_anisotropy",
-    "sample_anisotropy_batch",
-    "sample_sigma",
-    "sample_sigma_batch",
-    "MinimalModelSpec",
-    "ScanResult",
-    "b_eff_final",
-    "build_blocks",
-    "minimal_scan",
-    "LinearSDE",
-    "ReconstructionReport",
-    "einstein_check",
-    "estimate_log_curvature",
-    "reconstruct",
-    "simulate_sde",
-    "solve_lyapunov",
-    "stationary_gaussian",
-    "BlockGenerator",
-    "check_fast_stable",
-    "check_mobility",
-    "eliminate_fast",
-    "fast_slave",
-    "k_from_q",
-    "m_from_q",
-    "BlockQuadratic",
-    "IsoTracelessSplit",
-    "SeparationResult",
-    "Signature",
-    "check_symmetric",
-    "iso_traceless",
-    "operator_norm",
-    "perturbation_preserves_signature",
-    "schur_complement",
-    "separation_check",
-    "signature",
-    "stability_margin",
-    "symmetrize",
+# The public API is every name imported above; submodules are not part of it.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

@@ -4,9 +4,10 @@ A run is described by a JSON config file containing exactly one top-level
 key naming the command: ``schur``, ``flow``, ``grid``, ``minimal-scan`` or
 ``reconstruct``.  Results are written into ``--out`` together with a
 ``manifest.json`` echoing the fully resolved configuration, the applied
-seed and worker count, the library version, wall time and status.  Result
-files are deterministic for a given config and seed; only the manifest
-wall time varies between reruns.
+seed and worker count, the library version, wall time and status; a
+failed run's manifest keeps the error and what was known of the run.
+Result files are deterministic for a given config and seed; only the
+manifest wall time varies between reruns.
 """
 
 from __future__ import annotations
@@ -244,7 +245,11 @@ def _cmd_grid(payload, args, out_dir):
         serialize.dump_json(out_dir / "grid.json", dataclasses.asdict(result))
         files = ["grid.json"]
     else:
-        header, rows = serialize.grid_rows(result)
+        fields = {f"P{m}": result.p_sector[..., m] for m in range(result.n_sectors)}
+        fields.update(mean_fpt=result.mean_fpt, censored_fraction=result.censored_fraction)
+        header, rows = serialize.field_rows(
+            {"a0": result.a0_values, "zeta": result.zeta_values}, fields
+        )
         serialize.write_csv(out_dir / "grid.csv", header, rows)
         files = ["grid.csv"]
     summary = {
@@ -269,17 +274,10 @@ def _cmd_minimal_scan(payload, args, out_dir):
         serialize.dump_json(out_dir / "scan.json", dataclasses.asdict(result))
         files = ["scan.json"]
     else:
-        rows = []
-        for i, chi in enumerate(result.chi_values):
-            for j, g in enumerate(result.g_values):
-                rows.append(
-                    [
-                        serialize.format_float(chi),
-                        serialize.format_float(g),
-                        serialize.format_float(result.b_eff[i, j]),
-                    ]
-                )
-        serialize.write_csv(out_dir / "scan.csv", "chi,g,b_eff", rows)
+        header, rows = serialize.field_rows(
+            {"chi": result.chi_values, "g": result.g_values}, {"b_eff": result.b_eff}
+        )
+        serialize.write_csv(out_dir / "scan.csv", header, rows)
         files = ["scan.csv"]
     summary = {
         "n_polylines": result.contour.n_components,
@@ -313,15 +311,20 @@ _DISPATCH = {
 }
 
 
-def _load_config(path: str):
+def _read_config(path: str):
+    """The JSON value of the config file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file: {exc}")
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}")
+
+
+def _command(data):
+    """``(command, payload)`` of a config with one top-level command key."""
     if not isinstance(data, dict) or len(data) != 1:
         raise ConfigInvalid(
             "config must be an object with exactly one top-level command key"
@@ -360,8 +363,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     started = time.perf_counter()
+    # What the manifest says about the run, ok or not, as far as it is known;
+    # an error manifest keeps the config as loaded.
+    run = {"seed": args.seed, "workers": args.workers, "format": args.fmt,
+           "version": __version__}
     try:
-        command, payload = _load_config(args.config)
+        run["config"] = _read_config(args.config)
+        command, payload = _command(run["config"])
+        run["command"] = command
         if args.workers < 1:
             raise ConfigInvalid(f"--workers must be at least 1, got {args.workers}")
         if args.seed is not None and args.seed < 0:
@@ -372,12 +381,8 @@ def main(argv=None) -> int:
         serialize.dump_json(
             out_dir / "manifest.json",
             {
-                "command": command,
+                **run,
                 "config": {command: echo},
-                "seed": args.seed,
-                "workers": args.workers,
-                "format": args.fmt,
-                "version": __version__,
                 "status": "ok",
                 "wall_time_s": time.perf_counter() - started,
                 "outputs": files,
@@ -392,9 +397,9 @@ def main(argv=None) -> int:
             serialize.dump_json(
                 out_dir / "manifest.json",
                 {
+                    **run,
                     "status": "error",
                     "error": str(exc),
-                    "version": __version__,
                     "wall_time_s": time.perf_counter() - started,
                 },
             )

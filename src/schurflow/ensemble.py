@@ -18,8 +18,8 @@ import numpy as np
 
 from .contour import BoundaryCurve, find_contour
 from .errors import NonFiniteState, NoValidRecords
-from .flow import FlowConfig, TrajectoryRecord, _run_batch
-from .tensor import check_axis, check_int, check_scalar
+from .flow import FlowConfig, evolve_batch, first_passage_steps
+from .tensor import check_axis, check_budget, check_int, check_scalar
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,7 +28,8 @@ class GridSpec:
 
     The defaults are the reference grid: 20 x 20 cells over moderate
     anisotropy and elimination strength, 100 trajectories per cell.  Axes
-    are non-negative as well as finite and strictly increasing.
+    are non-negative as well as finite and strictly increasing.  The arrays
+    of one cell must fit in ``ARRAY_BUDGET``.
     """
 
     a0_values: np.ndarray = dataclasses.field(
@@ -50,6 +51,9 @@ class GridSpec:
         check_int(self.master_seed, "master_seed", low=0)
         if not isinstance(self.base_config, FlowConfig):
             raise TypeError("base_config must be a FlowConfig")
+        base = self.base_config
+        check_budget((3, self.n_traj, base.k_max + 1, base.d_tan, base.d_tan),
+                     "n_traj, base_config.k_max, base_config.d_tan")
 
     @property
     def n_cells(self) -> int:
@@ -92,28 +96,29 @@ class GridResult:
         return self.n_sectors - 1
 
 
-def sector_probability(records: list[TrajectoryRecord], n_minus: int) -> float:
-    """Fraction of records whose final state carries ``n_minus`` negative
-    directions.  Records are used as given; filter collapsed ones upstream."""
-    if not records:
+def sector_probability(records, n_minus: int) -> float:
+    """Fraction of trajectories whose final state carries ``n_minus``
+    negative directions.  ``records`` is their ``(n_traj, n_states)``
+    negative-count history; filter collapsed ones upstream."""
+    if len(records) == 0:
         raise ValueError("records must be non-empty")
-    hits = sum(1 for r in records if int(r.n_minus[-1]) == n_minus)
+    hits = int(np.count_nonzero(np.asarray(records)[:, -1] == n_minus))
     return hits / len(records)
 
 
-def mean_first_passage(records: list[TrajectoryRecord]):
-    """Mean first-passage step over uncensored records.
+def mean_first_passage(records, target_n_minus: int):
+    """Mean first-passage step into ``target_n_minus`` over the uncensored
+    trajectories of an ``(n_traj, n_states)`` negative-count history.
 
     Returns ``(mean, censored_fraction)``; the mean is ``None`` when every
-    record is censored (fraction 1.0) or the list is empty (fraction NaN).
+    trajectory is censored (fraction 1.0) or there are none (fraction NaN).
     """
-    if not records:
+    if len(records) == 0:
         return None, float("nan")
-    times = [r.first_passage for r in records if not r.censored]
-    censored_fraction = 1.0 - len(times) / len(records)
-    if not times:
-        return None, 1.0
-    return float(np.mean(times)), censored_fraction
+    steps = first_passage_steps(records, target_n_minus)
+    times = steps[steps >= 0]
+    mean = float(np.mean(times)) if len(times) else None
+    return mean, 1.0 - len(times) / len(records)
 
 
 def _run_cell(args):
@@ -125,23 +130,16 @@ def _run_cell(args):
     ]
     cell = f"cell (a0={config.a0}, zeta={config.zeta})"
     try:
-        records = _run_batch(config, rngs)
+        _, _, (_, n_minus, _), n_valid = evolve_batch(config, rngs)
     except NonFiniteState as exc:
         raise NonFiniteState(f"{cell}: {exc}") from exc
-    valid = [r for r in records if not r.collapsed]
-    if not valid:
+    # Non-collapsed trajectories are valid through all k_max + 1 states.
+    valid = n_minus[n_valid == config.k_max + 1]
+    if not len(valid):
         raise NoValidRecords(f"{cell}: all {spec.n_traj} trajectories collapsed")
-    p = np.array(
-        [sector_probability(valid, m) for m in range(config.d_tan + 1)]
-    )
-    mean_fpt, censored_fraction = mean_first_passage(valid)
-    return (
-        cell_index,
-        p,
-        np.nan if mean_fpt is None else mean_fpt,
-        censored_fraction,
-        len(valid),
-    )
+    p = [sector_probability(valid, m) for m in range(config.d_tan + 1)]
+    mean_fpt, censored_fraction = mean_first_passage(valid, config.target_n_minus)
+    return p, np.nan if mean_fpt is None else mean_fpt, censored_fraction, len(valid)
 
 
 def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
@@ -154,7 +152,6 @@ def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     """
     check_int(parallelism, "parallelism")
     workers = min(int(parallelism), spec.n_cells)
-    n_a0, n_zeta = spec.a0_values.size, spec.zeta_values.size
     tasks = [(spec, idx) for idx in range(spec.n_cells)]
     if workers == 1:
         cell_outputs = [_run_cell(task) for task in tasks]
@@ -162,24 +159,18 @@ def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cell_outputs = list(pool.map(_run_cell, tasks))
 
-    n_sectors = spec.base_config.d_tan + 1
-    p_sector = np.empty((n_a0, n_zeta, n_sectors))
-    mean_fpt = np.empty((n_a0, n_zeta))
-    censored = np.empty((n_a0, n_zeta))
-    n_valid = np.empty((n_a0, n_zeta), dtype=int)
-    for cell_index, p, fpt, cens, valid in cell_outputs:
-        i, j = divmod(cell_index, n_zeta)
-        p_sector[i, j] = p
-        mean_fpt[i, j] = fpt
-        censored[i, j] = cens
-        n_valid[i, j] = valid
+    # Outputs come in flat cell order, a0 outer: reshape them onto the grid.
+    shape = (spec.a0_values.size, spec.zeta_values.size)
+    p_sector, mean_fpt, censored, n_valid = (
+        np.array(column) for column in zip(*cell_outputs)
+    )
     return GridResult(
         a0_values=spec.a0_values.copy(),
         zeta_values=spec.zeta_values.copy(),
-        p_sector=p_sector,
-        mean_fpt=mean_fpt,
-        censored_fraction=censored,
-        n_valid=n_valid,
+        p_sector=p_sector.reshape(*shape, -1),
+        mean_fpt=mean_fpt.reshape(shape),
+        censored_fraction=censored.reshape(shape),
+        n_valid=n_valid.reshape(shape),
         n_traj=spec.n_traj,
         master_seed=int(spec.master_seed),
     )
@@ -234,9 +225,7 @@ def _bracket_indices(axis: np.ndarray, value: float) -> tuple[int, ...]:
     if exact.size:
         return (int(exact[0]),)
     hi = int(np.searchsorted(axis, value))
-    lo = hi - 1
-    out = tuple(k for k in (lo, hi) if 0 <= k < axis.size)
-    return out
+    return tuple(k for k in (hi - 1, hi) if 0 <= k < axis.size)
 
 
 def default_grid_spec(master_seed: int, **overrides) -> GridSpec:

@@ -37,7 +37,7 @@ import enum
 import numpy as np
 
 from .errors import DegenerateDraw, FlowCollapsed, NonFiniteState, ZeroTensor
-from .tensor import check_int, check_scalar, check_symmetric, count_inertia
+from .tensor import check_budget, check_int, check_scalar, check_symmetric, count_inertia
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
 ZERO_FLOOR = 1e-14
@@ -97,13 +97,18 @@ class Wishart:
 SchurModel = LognormalGaussian | Wishart
 
 
+class _FullyInverted(int):
+    """A defaulted ``target_n_minus``, resolved anew for a replaced ``d_tan``."""
+
+
 @dataclasses.dataclass(frozen=True)
 class FlowConfig:
     """Parameters of a single flow run.
 
     ``q_init`` defaults to the identity.  ``target_n_minus`` is the
     negative-count threshold defining first passage; it defaults to
-    ``d_tan``, the fully inverted tangential sector.
+    ``d_tan``, the fully inverted tangential sector, also after a
+    ``dataclasses.replace`` of ``d_tan``.
     """
 
     zeta: float = 0.0
@@ -121,13 +126,14 @@ class FlowConfig:
     def __post_init__(self) -> None:
         check_int(self.d_tan, "d_tan")
         check_int(self.k_max, "k_max")
+        check_budget((3, self.k_max + 1, self.d_tan, self.d_tan), "k_max, d_tan")
         for name in ("zeta", "a0", "beta_decay"):
             check_scalar(getattr(self, name), name, positive=False)
         check_scalar(self.q_n, "q_n")
         if self.a0 > 0 and self.d_tan < 2:
             raise ValueError("anisotropy requires d_tan >= 2")
-        if self.target_n_minus is None:
-            object.__setattr__(self, "target_n_minus", self.d_tan)
+        if isinstance(self.target_n_minus, (type(None), _FullyInverted)):
+            object.__setattr__(self, "target_n_minus", _FullyInverted(self.d_tan))
         check_int(self.target_n_minus, "target_n_minus", low=0, high=self.d_tan)
         object.__setattr__(self, "norm_mode", NormMode(self.norm_mode))
         object.__setattr__(self, "disorder", Disorder(self.disorder))
@@ -367,11 +373,14 @@ def embed_full(q_t, q_n: float) -> np.ndarray:
     return full
 
 
-def _run_batch(config: FlowConfig, rngs) -> list[TrajectoryRecord]:
-    """Run one trajectory per generator, vectorized across the batch.
-
-    Every trajectory consumes only its own generator, in the documented
-    order, so the records are bitwise identical to single runs.  A
+def evolve_batch(config: FlowConfig, rngs):
+    """Sample, evolve and classify one trajectory per generator, vectorized
+    across the batch; each consumes only its own generator, in the
+    documented order, so it is bitwise identical to a single run.  Returns
+    ``(states, eigs, counts, n_valid)``: the ``(n, k_max + 1, d, d)``
+    states, their ascending spectra, their full-tensor inertia ``(n_plus,
+    n_minus, n_zero)`` as ``(n, k_max + 1)`` arrays, and per trajectory the
+    count of valid states, those before the first below the zero floor.  A
     non-finite update raises :class:`NonFiniteState` naming the step and the
     trajectory's index in ``rngs``.
     """
@@ -383,22 +392,17 @@ def _run_batch(config: FlowConfig, rngs) -> list[TrajectoryRecord]:
     a_all = None
     if config.a0 > 0:
         n_draws = k_max if annealed else 1
-        a_all = np.empty((n, n_draws, d, d))
-        for t, rng in enumerate(rngs):
-            a_all[t] = sample_anisotropy_batch(d, n_draws, rng)
+        a_all = np.stack([sample_anisotropy_batch(d, n_draws, rng) for rng in rngs])
     sig_all = None
     if config.zeta > 0:
-        sig_all = np.empty((n, k_max, d, d))
-        for t, rng in enumerate(rngs):
-            sig_all[t] = sample_sigma_batch(config.schur_model, d, k_max, rng)
+        model = config.schur_model
+        sig_all = np.stack([sample_sigma_batch(model, d, k_max, rng) for rng in rngs])
 
     a_k = anisotropy_strength(config.a0, config.beta_decay, np.arange(k_max))
     states = np.empty((n, k_max + 1, d, d))
     q = np.broadcast_to(config.initial_state(), (n, d, d)).copy()
     states[:, 0] = q
-    alive = np.ones(n, dtype=bool)
-    # Index of the first invalid state; k_max + 1 means the run completed.
-    collapse_at = np.full(n, k_max + 1)
+    n_valid = np.full(n, k_max + 1)
 
     for k in range(k_max):
         upd = q
@@ -413,9 +417,7 @@ def _run_batch(config: FlowConfig, rngs) -> list[TrajectoryRecord]:
                 f"trajectory {int(np.argmin(finite))}, step {k + 1}: "
                 "the update or its Frobenius norm is not finite"
             )
-        newly = alive & zero
-        collapse_at[newly] = k + 1
-        alive &= ~zero
+        n_valid[zero & (n_valid == k_max + 1)] = k + 1
         q = upd * scale[:, None, None]
         states[:, k + 1] = q
 
@@ -423,42 +425,24 @@ def _run_batch(config: FlowConfig, rngs) -> list[TrajectoryRecord]:
     # The spectrum of diag(q_n, q_t) is q_n plus that of q_t; classify it
     # whole so the zero band is the full tensor's, as in signature().
     full = np.concatenate([np.full((n, k_max + 1, 1), config.q_n), eigs], axis=-1)
-    n_plus, n_minus, n_zero = count_inertia(full)
-    q_iso = np.trace(states, axis1=2, axis2=3) / d
-    s_opnorm = np.maximum(
-        np.abs(eigs[..., 0] - q_iso), np.abs(eigs[..., -1] - q_iso)
-    )
-    separation = np.abs(q_iso) > s_opnorm
-    hit = n_minus == config.target_n_minus
+    return states, eigs, count_inertia(full), n_valid
 
-    records = []
-    for t in range(n):
-        last = k_max if alive[t] else int(collapse_at[t]) - 1
-        sl = slice(0, last + 1)
-        passages = np.flatnonzero(hit[t, sl])
-        first = int(passages[0]) if passages.size else None
-        records.append(
-            TrajectoryRecord(
-                n_plus=n_plus[t, sl].copy(),
-                n_minus=n_minus[t, sl].copy(),
-                n_zero=n_zero[t, sl].copy(),
-                q=q_iso[t, sl].copy(),
-                s_opnorm=s_opnorm[t, sl].copy(),
-                separation_holds=separation[t, sl].copy(),
-                first_passage=first,
-                censored=first is None,
-                collapsed=not alive[t],
-            )
-        )
-    return records
+
+def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
+    """Index of the first state, along the last axis of ``n_minus``, whose
+    negative count equals ``target_n_minus``; -1 where there is none."""
+    hit = np.asarray(n_minus) == target_n_minus
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
 def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
-    """Run a single flow trajectory from a fresh generator.
+    """Run a single flow trajectory from a fresh generator and record it.
 
     ``seed`` is passed to ``numpy.random.default_rng`` unchanged, so a
     sequence seed like ``[master, cell, index]`` reproduces the exact
-    trajectory a batched grid run would produce at that position.
+    trajectory a batched grid run would produce at that position.  Only
+    here are records built, and ``q``, ``s_opnorm`` and the separation flag
+    computed.
 
     Raises
     ------
@@ -468,7 +452,24 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     NonFiniteState
         If an update or its norm is not finite.
     """
-    record = _run_batch(config, [np.random.default_rng(seed)])[0]
+    states, eigs, counts, n_valid = evolve_batch(config, [np.random.default_rng(seed)])
+    valid = slice(0, int(n_valid[0]))
+    eigs = eigs[0, valid]
+    n_plus, n_minus, n_zero = (c[0, valid] for c in counts)
+    q_iso = np.trace(states[0, valid], axis1=1, axis2=2) / config.d_tan
+    s_opnorm = np.maximum(np.abs(eigs[:, 0] - q_iso), np.abs(eigs[:, -1] - q_iso))
+    first = int(first_passage_steps(n_minus, config.target_n_minus))
+    record = TrajectoryRecord(
+        n_plus=n_plus,
+        n_minus=n_minus,
+        n_zero=n_zero,
+        q=q_iso,
+        s_opnorm=s_opnorm,
+        separation_holds=np.abs(q_iso) > s_opnorm,
+        first_passage=first if first >= 0 else None,
+        censored=first < 0,
+        collapsed=valid.stop <= config.k_max,
+    )
     if record.collapsed:
         raise FlowCollapsed(
             f"trajectory collapsed at step {record.n_steps + 1}", record=record

@@ -27,7 +27,14 @@ import scipy.linalg
 
 from .errors import ResponseNotPD, SingularCovariance, StepTooLarge, UnstableDrift
 from .reduction import check_mobility, m_from_q, strictly_decaying
-from .tensor import check_int, check_matrix, check_pd, check_scalar, check_symmetric
+from .tensor import (
+    check_budget,
+    check_int,
+    check_matrix,
+    check_pd,
+    check_scalar,
+    check_symmetric,
+)
 
 # Relative residual allowed on the fluctuation-balance solution.
 LYAPUNOV_RTOL = 1e-10
@@ -140,7 +147,8 @@ def simulate_sde(
 
     Iterates ``p <- p - m p dt + sqrt(2 dt) L z`` from the origin, discards
     ``burn_in`` steps and returns the following ``n_steps`` states as an
-    ``(n_steps, dim)`` array.
+    ``(n_steps, dim)`` array.  Its two ``(burn_in + n_steps, dim)`` buffers
+    must fit in ``ARRAY_BUDGET``.
 
     Raises
     ------
@@ -153,6 +161,7 @@ def simulate_sde(
     check_scalar(dt, "dt")
     check_int(n_steps, "n_steps")
     check_int(burn_in, "burn_in", low=0)
+    check_budget((2, burn_in + n_steps, sde.dim), "n_steps, burn_in")
     if not sde.is_stable():
         raise UnstableDrift("decay matrix has an eigenvalue with Re <= 0")
     opnorm = np.linalg.norm(sde.m, 2)

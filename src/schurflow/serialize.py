@@ -14,7 +14,6 @@ import json
 
 import numpy as np
 
-from .ensemble import GridResult
 from .flow import TrajectoryRecord
 
 
@@ -98,16 +97,19 @@ def record_steps_rows(record: TrajectoryRecord):
     return header, rows
 
 
-def grid_rows(result: GridResult):
-    """Row-major (a0 outer, zeta inner) CSV rows for a grid result."""
-    sector_cols = ",".join(f"P{m}" for m in range(result.n_sectors))
-    header = f"a0,zeta,{sector_cols},mean_fpt,censored_fraction"
-    rows = []
-    for i, a0 in enumerate(result.a0_values):
-        for j, zeta in enumerate(result.zeta_values):
-            row = [format_float(a0), format_float(zeta)]
-            row.extend(format_float(p) for p in result.p_sector[i, j])
-            row.append(format_float(result.mean_fpt[i, j]))
-            row.append(format_float(result.censored_fraction[i, j]))
-            rows.append(row)
+def field_rows(axes: dict, fields: dict):
+    """CSV header and rows of fields sampled on a rectilinear grid.
+
+    ``axes`` maps the two axis names to their 1-D values, outer axis first;
+    ``fields`` maps column names to ``(n_outer, n_inner)`` arrays.  One row
+    per node, outer axis outer, every value with 17 digits.
+    """
+    (x_name, x_values), (y_name, y_values) = axes.items()
+    header = ",".join([x_name, y_name, *fields])
+    rows = [
+        [format_float(x), format_float(y)]
+        + [format_float(field[i, j]) for field in fields.values()]
+        for i, x in enumerate(x_values)
+        for j, y in enumerate(y_values)
+    ]
     return header, rows

@@ -5,13 +5,14 @@ The functions here operate on real symmetric matrices stored as plain
 which tolerates roundoff-level asymmetry and returns an exactly symmetrized
 copy; downstream code may therefore assume exact symmetry.  The argument
 checks shared by the whole package (:func:`check_matrix`, :func:`check_axis`,
-:func:`check_int`, :func:`check_scalar`, :func:`check_pd`) and the one inertia count
-(:func:`count_inertia`) live here too.
+:func:`check_int`, :func:`check_scalar`, :func:`check_pd`, :func:`check_budget`)
+and the one inertia count (:func:`count_inertia`) live here too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,9 @@ SYMMETRY_RTOL = 1e-12
 PD_TOL = 1e-10
 # Default relative band within which an eigenvalue counts as zero.
 SIGNATURE_TOL = 1e-10
+# Bytes of float64 arrays one computation may hold at once: a grid cell's
+# states, loads and anisotropies, or the two buffers of one SDE run.
+ARRAY_BUDGET = 2**30
 
 
 class Signature(NamedTuple):
@@ -111,6 +115,17 @@ def check_scalar(value, name: str, positive: bool = True) -> None:
     if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
         sign = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be finite and {sign}, got {value}")
+
+
+def check_budget(shape, keys: str) -> None:
+    """Raise ``ValueError`` naming the config ``keys`` when float64 arrays
+    of ``shape`` in all would exceed ``ARRAY_BUDGET``; allocates nothing."""
+    n_bytes = 8 * math.prod(int(n) for n in shape)
+    if n_bytes > ARRAY_BUDGET:
+        raise ValueError(
+            f"{keys} ask for {n_bytes >> 20} MiB of arrays, over the "
+            f"{ARRAY_BUDGET >> 20} MiB budget"
+        )
 
 
 def check_symmetric(m, name: str = "matrix") -> np.ndarray:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import schurflow.cli as cli_mod
 import schurflow.ensemble as ensemble_mod
 from schurflow import FlowConfig, __version__, run_trajectory
 from schurflow.cli import main
@@ -63,6 +64,45 @@ class TestSchurCommand:
         assert manifest["workers"] == 1
         assert manifest["seed"] is None
         assert manifest["config"]["schur"]["a"] == [[2.0, 0.0], [0.0, 2.0]]
+
+    # Exact grid.csv text of two 2 x 2 grids, recorded at 0.3.0.  Every
+    # value is a ratio of small trajectory counts, so a refactor of the
+    # evolution or the aggregation must reproduce it byte for byte.
+    GOLDEN = {
+        "lognormal": (
+            {"a0_values": [0.3, 1.0], "zeta_values": [0.03, 0.08], "base_config": {}},
+            "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
+            "0.29999999999999999,0.029999999999999999,0,0,0.375,0.625,27,0.375\n"
+            "0.29999999999999999,0.080000000000000002,0,0,0,1,11.875,0\n"
+            "1,0.029999999999999999,0,0,0.375,0.625,22.833333333333332,0.25\n"
+            "1,0.080000000000000002,0,0,0.25,0.75,19.25,0\n",
+        ),
+        "wishart": (
+            {
+                "a0_values": [0.2, 0.9],
+                "zeta_values": [0.2, 0.5],
+                "base_config": {
+                    "schur_model": {"kind": "wishart"},
+                    "norm_mode": "trace",
+                    "disorder": "quenched",
+                },
+            },
+            "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
+            "0.20000000000000001,0.20000000000000001,0,0.5,0.5,0,nan,1\n"
+            "0.20000000000000001,0.5,0,1,0,0,nan,1\n"
+            "0.90000000000000002,0.20000000000000001,0,0.25,0.75,0,nan,1\n"
+            "0.90000000000000002,0.5,0,0.375,0.5,0.125,16,0.875\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(GOLDEN))
+    def test_csv_matches_golden_text(self, tmp_path, model):
+        grid, expected = self.GOLDEN[model]
+        grid["base_config"] = {**grid["base_config"], "k_max": 30}
+        payload = {"grid": {**grid, "n_traj": 8, "master_seed": 5}}
+        code, out_dir = run_cli(tmp_path, payload)
+        assert code == 0
+        assert (out_dir / "grid.csv").read_text() == expected
 
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")
@@ -457,6 +497,59 @@ class TestErrorHandling:
         cfg = write_config(tmp_path, payload)
         self.assert_error_run(tmp_path, cfg, where, capsys)
         assert "not finite" in read_manifest(tmp_path / "out")["error"]
+
+    @pytest.mark.parametrize(
+        "payload, keys",
+        [
+            ({"grid": {"n_traj": 1e300}},
+             "grid: n_traj, base_config.k_max, base_config.d_tan ask for"),
+            ({"flow": {"a0": 0.1, "k_max": 10**15}}, "flow: k_max, d_tan ask for"),
+            ({"reconstruct": {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0,
+                              "n_steps": 10**15}},
+             "reconstruct: n_steps, burn_in ask for"),
+        ],
+        ids=["grid", "flow", "reconstruct"],
+    )
+    def test_oversized_run_is_refused_before_it_starts(
+        self, tmp_path, capsys, monkeypatch, payload, keys
+    ):
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_mod, "run_grid", started)
+        cfg = write_config(tmp_path, payload)
+        self.assert_error_run(tmp_path, cfg, keys, capsys)
+        assert "budget" in read_manifest(tmp_path / "out")["error"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"flow": {"zeta": -1.0}},
+            {"flow": {"zeta": 0.1, **OVERFLOWING}},
+        ],
+        ids=["config", "runtime"],
+    )
+    def test_error_manifest_says_what_failed(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        argv = ["--config", str(cfg), "--out", str(out_dir), "--seed", "4",
+                "--workers", "2", "--format", "json"]
+        assert main(argv) == 1
+        manifest = read_manifest(out_dir)
+        assert manifest["status"] == "error"
+        assert manifest["command"] == "flow"
+        assert manifest["config"] == payload
+        assert (manifest["seed"], manifest["workers"], manifest["format"]) == (4, 2, "json")
+
+    def test_error_manifest_omits_what_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{not json")
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out_dir)]) == 1
+        manifest = read_manifest(out_dir)
+        assert "config" not in manifest and "command" not in manifest
+        assert (manifest["seed"], manifest["workers"], manifest["format"]) == (None, 1, "csv")
 
     @pytest.mark.parametrize(
         "payload",

@@ -1,25 +1,24 @@
 """Tests for grid ensembles, aggregation and boundary extraction.
 
-Aggregation formulas are checked on hand-built records, the seeding
-contract is checked against single-trajectory replays, and boundary
-extraction is checked on a synthetic probability field with a known
-contour.
+Aggregation formulas are checked on hand-built negative-count histories,
+the seeding contract is checked against single-trajectory replays, and
+boundary extraction is checked on a synthetic probability field with a
+known contour.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 import schurflow.ensemble as ensemble_mod
+import schurflow.flow as flow_mod
 from schurflow import (
+    FlowCollapsed,
     FlowConfig,
     GridResult,
     GridSpec,
     LognormalGaussian,
     NonFiniteState,
     NoValidRecords,
-    TrajectoryRecord,
     boundary_support,
     default_grid_spec,
     extract_boundary,
@@ -28,33 +27,26 @@ from schurflow import (
     run_trajectory,
     sector_probability,
 )
+from schurflow.tensor import ARRAY_BUDGET
 
 
-def make_record(first_passage=None, final_n_minus=0, collapsed=False, d=3):
-    """Minimal hand-built record with the requested summary fields."""
-    n = 4
-    n_minus = np.full(n, final_n_minus)
-    return TrajectoryRecord(
-        n_plus=np.full(n, d + 1 - final_n_minus),
-        n_minus=n_minus,
-        n_zero=np.zeros(n, dtype=int),
-        q=np.ones(n),
-        s_opnorm=np.zeros(n),
-        separation_holds=np.ones(n, dtype=bool),
-        first_passage=first_passage,
-        censored=first_passage is None,
-        collapsed=collapsed,
-    )
+def history(final_n_minus=0, first_passage=None, target=3, n_states=6):
+    """Negative counts of one trajectory's states: ``final_n_minus``
+    throughout, or from ``first_passage`` on the ``target``."""
+    n_minus = np.full(n_states, final_n_minus)
+    if first_passage is not None:
+        n_minus[first_passage:] = target
+    return n_minus
 
 
 class TestAggregation:
     def test_sector_probability_counts_final_states(self):
-        records = [
-            make_record(final_n_minus=0),
-            make_record(final_n_minus=0),
-            make_record(final_n_minus=3),
-            make_record(final_n_minus=2),
-        ]
+        records = np.array([
+            history(final_n_minus=0),
+            history(final_n_minus=0),
+            history(final_n_minus=3),
+            history(final_n_minus=2),
+        ])
         assert sector_probability(records, 0) == 0.5
         assert sector_probability(records, 2) == 0.25
         assert sector_probability(records, 3) == 0.25
@@ -62,24 +54,32 @@ class TestAggregation:
 
     def test_sector_probability_rejects_empty_list(self):
         with pytest.raises(ValueError, match="non-empty"):
-            sector_probability([], 0)
+            sector_probability(np.empty((0, 6), dtype=int), 0)
 
     def test_mean_first_passage_uncensored(self):
-        records = [make_record(first_passage=2), make_record(first_passage=4)]
-        assert mean_first_passage(records) == (3.0, 0.0)
+        records = np.array([history(first_passage=2), history(first_passage=4)])
+        assert mean_first_passage(records, 3) == (3.0, 0.0)
 
     def test_mean_first_passage_all_censored(self):
-        records = [make_record(), make_record()]
-        assert mean_first_passage(records) == (None, 1.0)
+        records = np.array([history(), history()])
+        assert mean_first_passage(records, 3) == (None, 1.0)
 
     def test_mean_first_passage_empty(self):
-        mean, fraction = mean_first_passage([])
+        mean, fraction = mean_first_passage(np.empty((0, 6), dtype=int), 3)
         assert mean is None
         assert np.isnan(fraction)
 
     def test_mean_first_passage_partial_censoring(self):
-        records = [make_record(first_passage=1)] + [make_record() for _ in range(3)]
-        assert mean_first_passage(records) == (1.0, 0.75)
+        records = np.array([history(first_passage=1)] + [history() for _ in range(3)])
+        assert mean_first_passage(records, 3) == (1.0, 0.75)
+
+
+def cancelling_batch(model, d_tan, n, rng):
+    """Loads whose first step, at zeta = 0.25, cancels the identity exactly."""
+    rng.standard_normal((n, d_tan, d_tan))
+    out = np.zeros((n, d_tan, d_tan))
+    out[0] = np.eye(d_tan) / 0.25
+    return out
 
 
 class TestGridSpec:
@@ -113,6 +113,17 @@ class TestGridSpec:
             GridSpec([0.0], [0.0], n_traj=1, master_seed=-1)
         with pytest.raises(TypeError, match="base_config"):
             GridSpec([0.0], [0.0], n_traj=1, master_seed=0, base_config=object())
+
+    def test_cell_arrays_are_budgeted(self):
+        # Sizes only: a spec allocates nothing.  A trajectory of the default
+        # flow holds states, loads and anisotropies of 101 x 3 x 3 floats.
+        per_traj = 3 * 101 * 9 * 8
+        GridSpec(n_traj=ARRAY_BUDGET // per_traj)
+        keys = r"^n_traj, base_config\.k_max, base_config\.d_tan ask for .* budget$"
+        with pytest.raises(ValueError, match=keys):
+            GridSpec(n_traj=ARRAY_BUDGET // per_traj + 1)
+        with pytest.raises(ValueError, match=keys):
+            GridSpec(n_traj=int(1e300))
 
     def test_default_grid_spec(self):
         spec = default_grid_spec(7)
@@ -170,14 +181,15 @@ class TestRunGrid:
             records = [
                 run_trajectory(config, [42, cell_index, t]) for t in range(4)
             ]
+            finals = [int(r.n_minus[-1]) for r in records]
             for m in range(4):
-                assert result.p_sector[i, j, m] == sector_probability(records, m)
-            mean_fpt, cens = mean_first_passage(records)
-            if mean_fpt is None:
-                assert np.isnan(result.mean_fpt[i, j])
+                assert result.p_sector[i, j, m] == finals.count(m) / 4
+            times = [r.first_passage for r in records if not r.censored]
+            if times:
+                assert result.mean_fpt[i, j] == sum(times) / len(times)
             else:
-                assert result.mean_fpt[i, j] == mean_fpt
-            assert result.censored_fraction[i, j] == cens
+                assert np.isnan(result.mean_fpt[i, j])
+            assert result.censored_fraction[i, j] == 1.0 - len(times) / 4
 
     def test_worker_count_does_not_change_results(self):
         spec = GridSpec(
@@ -201,16 +213,41 @@ class TestRunGrid:
             run_grid(spec, parallelism=0)
 
     def test_all_collapsed_cell_raises(self, monkeypatch):
-        def all_collapsed(config, rngs):
-            return [
-                dataclasses.replace(make_record(collapsed=True))
-                for _ in rngs
-            ]
-
-        monkeypatch.setattr(ensemble_mod, "_run_batch", all_collapsed)
-        spec = GridSpec([0.0], [0.1], n_traj=2, master_seed=0)
+        monkeypatch.setattr(flow_mod, "sample_sigma_batch", cancelling_batch)
+        spec = GridSpec([0.0], [0.25], n_traj=2, master_seed=0)
         with pytest.raises(NoValidRecords, match="all 2 trajectories collapsed"):
             run_grid(spec)
+
+    def test_partial_collapse_aggregates_valid_trajectories(self, monkeypatch):
+        sample = flow_mod.sample_sigma_batch
+
+        def sometimes_cancelling(model, d_tan, n, rng):
+            # A coin from the trajectory's own generator picks the load.
+            if rng.random() < 0.5:
+                return cancelling_batch(model, d_tan, n, rng)
+            return sample(model, d_tan, n, rng)
+
+        monkeypatch.setattr(flow_mod, "sample_sigma_batch", sometimes_cancelling)
+        spec = GridSpec(
+            [0.0], [0.25], n_traj=8, master_seed=1, base_config=FlowConfig(k_max=20)
+        )
+        result = run_grid(spec)
+        config = spec.cell_config(0)
+        valid = []
+        for t in range(spec.n_traj):
+            try:
+                valid.append(run_trajectory(config, [1, 0, t]))
+            except FlowCollapsed:
+                pass
+        assert 0 < len(valid) < spec.n_traj
+        assert result.n_valid[0, 0] == len(valid)
+        finals = [int(r.n_minus[-1]) for r in valid]
+        for m in range(4):
+            assert result.p_sector[0, 0, m] == finals.count(m) / len(valid)
+        times = [r.first_passage for r in valid if not r.censored]
+        assert times
+        assert result.mean_fpt[0, 0] == sum(times) / len(times)
+        assert result.censored_fraction[0, 0] == 1.0 - len(times) / len(valid)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_cell_names_its_coordinates(self):

@@ -6,6 +6,8 @@ cross-checked by replaying the documented draw order through the public
 samplers and stepping by hand.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +35,7 @@ from schurflow import (
     sample_sigma_batch,
     signature,
 )
+from schurflow.tensor import ARRAY_BUDGET
 
 
 class TestSigmaSamplers:
@@ -487,6 +490,21 @@ class TestFlowConfigValidation:
         assert FlowConfig().target_n_minus == 3
         assert FlowConfig(d_tan=2).target_n_minus == 2
         assert FlowConfig(d_tan=5, target_n_minus=1).target_n_minus == 1
+
+    def test_target_follows_d_tan_under_replace(self):
+        assert dataclasses.replace(FlowConfig(d_tan=2), d_tan=4).target_n_minus == 4
+        assert dataclasses.replace(FlowConfig(d_tan=4), d_tan=2).target_n_minus == 2
+        explicit = FlowConfig(d_tan=4, target_n_minus=1)
+        assert dataclasses.replace(explicit, d_tan=2).target_n_minus == 1
+        assert dataclasses.replace(explicit, zeta=0.2).target_n_minus == 1
+
+    def test_trajectory_arrays_are_budgeted(self):
+        # Sizes only: a config allocates nothing.  Each step of a d_tan = 3
+        # trajectory holds a state, a load and an anisotropy of 3 x 3 floats.
+        fits = ARRAY_BUDGET // (3 * 9 * 8) - 1
+        FlowConfig(k_max=fits)
+        with pytest.raises(ValueError, match=r"^k_max, d_tan ask for .* budget$"):
+            FlowConfig(k_max=fits + 1)
 
     def test_q_init_validation(self):
         with pytest.raises(ValueError, match="expected shape"):

@@ -16,6 +16,7 @@ from schurflow import (
     stability_margin,
     symmetrize,
 )
+from schurflow.tensor import ARRAY_BUDGET, check_budget
 
 
 def dense_schur_oracle(a, b, c):
@@ -242,3 +243,15 @@ class TestPerturbationBound:
                 accepted += 1
                 assert signature(m + a) == signature(m)
         assert accepted > 20  # the accepting branch is actually exercised
+
+
+class TestCheckBudget:
+    def test_refuses_one_float_over_the_budget(self):
+        # Sizes only: the check allocates nothing.
+        check_budget((2, ARRAY_BUDGET // 16), "n_steps, burn_in")
+        with pytest.raises(ValueError, match=r"^n_steps, burn_in ask for .* budget$"):
+            check_budget((2, ARRAY_BUDGET // 16 + 1), "n_steps, burn_in")
+
+    def test_sizes_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="n_traj ask for"):
+            check_budget((3, 10**300, 101, 3, 3), "n_traj")
