@@ -11,7 +11,7 @@ Core pieces:
 - :mod:`schurflow.cli` -- batch command-line runner.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 import types
 
@@ -27,11 +27,11 @@ from .ensemble import (
     sector_probability,
 )
 from .errors import (
+    BalanceResidual,
     ConfigInvalid,
     DegenerateDraw,
     FastSectorNotPD,
     FastSectorUnstable,
-    FlowCollapsed,
     NoValidRecords,
     NonFiniteState,
     ResponseNotPD,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, serialize
 from .ensemble import GridSpec, run_grid
-from .errors import ConfigInvalid, FlowCollapsed, SchurFlowError
+from .errors import ConfigInvalid, SchurFlowError
 from .flow import FlowConfig, LognormalGaussian, Wishart, run_trajectory
 from .minimal import MinimalModelSpec, scan
 from .reconstruction import reconstruct
@@ -216,10 +216,7 @@ def _cmd_flow(payload, args, out_dir):
     seed = payload.get("seed", 0)
     # The single-trajectory stream matches cell 0, trajectory 0 of a grid
     # run with this master seed.
-    try:
-        record = run_trajectory(config, [seed, 0, 0])
-    except FlowCollapsed as exc:
-        record = exc.record
+    record = run_trajectory(config, [seed, 0, 0])
     serialize.write_records_jsonl(out_dir / "record.jsonl", [record])
     files = ["record.jsonl"]
     if args.fmt == "csv":

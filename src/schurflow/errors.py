@@ -24,18 +24,7 @@ class ZeroTensor(SchurFlowError):
 
 
 class DegenerateDraw(SchurFlowError):
-    """A random draw remained degenerate after the allowed resample budget."""
-
-
-class FlowCollapsed(SchurFlowError):
-    """A flow trajectory collapsed to zero mid-run.
-
-    The partially completed trajectory record is attached as ``record``.
-    """
-
-    def __init__(self, message, record=None):
-        super().__init__(message)
-        self.record = record
+    """A random draw is degenerate, e.g. an anisotropy below the zero floor."""
 
 
 class NonFiniteState(SchurFlowError):
@@ -52,6 +41,10 @@ class ResponseNotPD(SchurFlowError):
 
 class UnstableDrift(SchurFlowError):
     """Drift matrix is not Hurwitz; no stationary state exists."""
+
+
+class BalanceResidual(SchurFlowError, ArithmeticError):
+    """A fluctuation-balance solution misses its residual tolerance."""
 
 
 class StepTooLarge(SchurFlowError):

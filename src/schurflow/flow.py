@@ -36,15 +36,13 @@ import enum
 
 import numpy as np
 
-from .errors import DegenerateDraw, FlowCollapsed, NonFiniteState, ZeroTensor
+from .errors import DegenerateDraw, NonFiniteState, ZeroTensor
 from .tensor import check_budget, check_int, check_scalar, check_symmetric, count_inertia
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
 ZERO_FLOOR = 1e-14
 # Absolute |trace| floor below which trace normalization falls back to Frobenius.
 TRACE_FLOOR = 1e-8
-# Resample budget for degenerate anisotropy draws (initial try not counted).
-RESAMPLE_BUDGET = 8
 
 
 class NormMode(str, enum.Enum):
@@ -237,28 +235,19 @@ def sample_anisotropy_batch(d_tan: int, n: int, rng) -> np.ndarray:
     """Draw ``n`` traceless unit-Frobenius symmetric anisotropies.
 
     Each draw symmetrizes an i.i.d. Gaussian matrix, projects out the trace
-    and normalizes to unit Frobenius norm.  Draws whose projected norm falls
-    below the zero floor are redrawn, up to ``RESAMPLE_BUDGET`` times.
+    and normalizes to unit Frobenius norm.  A projected norm below the zero
+    floor, which a Gaussian draw reaches with probability below 1e-28,
+    raises :class:`DegenerateDraw`; nothing is redrawn.
     """
     check_int(d_tan, "d_tan", low=2)
     check_int(n, "n")
-    eye = np.eye(d_tan)
-    out = np.empty((n, d_tan, d_tan))
-    pending = np.arange(n)
-    for _ in range(1 + RESAMPLE_BUDGET):
-        g = rng.standard_normal((pending.size, d_tan, d_tan))
-        s = 0.5 * (g + g.transpose(0, 2, 1))
-        s -= (np.trace(s, axis1=1, axis2=2) / d_tan)[:, None, None] * eye
-        norm = np.sqrt(np.einsum("kij,kij->k", s, s))
-        good = norm >= ZERO_FLOOR
-        out[pending[good]] = s[good] / norm[good, None, None]
-        pending = pending[~good]
-        if pending.size == 0:
-            return out
-    raise DegenerateDraw(
-        f"{pending.size} anisotropy draw(s) degenerate after "
-        f"{RESAMPLE_BUDGET} resamples"
-    )
+    g = rng.standard_normal((n, d_tan, d_tan))
+    s = 0.5 * (g + g.transpose(0, 2, 1))
+    s -= (np.trace(s, axis1=1, axis2=2) / d_tan)[:, None, None] * np.eye(d_tan)
+    norm = np.sqrt(np.einsum("kij,kij->k", s, s))
+    if np.any(norm < ZERO_FLOOR):
+        raise DegenerateDraw(f"an anisotropy draw has norm below {ZERO_FLOOR}")
+    return s / norm[:, None, None]
 
 
 def sample_anisotropy(d_tan: int, rng) -> np.ndarray:
@@ -410,7 +399,8 @@ def evolve_batch(config: FlowConfig, rngs):
             upd = upd - config.zeta * sig_all[:, k]
         if a_all is not None:
             upd = upd + a_k[k] * a_all[:, k if annealed else 0]
-        upd = 0.5 * (upd + upd.transpose(0, 2, 1))
+        # Not symmetrized: the initial state, the loads and the anisotropies
+        # are exactly symmetric and the update is elementwise, so it is too.
         scale, zero, finite = _scale_factors(upd, config.norm_mode)
         if not finite.all():
             raise NonFiniteState(
@@ -442,13 +432,11 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     sequence seed like ``[master, cell, index]`` reproduces the exact
     trajectory a batched grid run would produce at that position.  Only
     here are records built, and ``q``, ``s_opnorm`` and the separation flag
-    computed.
+    computed.  A trajectory that collapses below the zero floor mid-run is
+    returned as the record of its valid prefix, with ``collapsed`` set.
 
     Raises
     ------
-    FlowCollapsed
-        If the tensor collapses below the zero floor mid-run; the partial
-        record is attached to the exception.
     NonFiniteState
         If an update or its norm is not finite.
     """
@@ -459,7 +447,7 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     q_iso = np.trace(states[0, valid], axis1=1, axis2=2) / config.d_tan
     s_opnorm = np.maximum(np.abs(eigs[:, 0] - q_iso), np.abs(eigs[:, -1] - q_iso))
     first = int(first_passage_steps(n_minus, config.target_n_minus))
-    record = TrajectoryRecord(
+    return TrajectoryRecord(
         n_plus=n_plus,
         n_minus=n_minus,
         n_zero=n_zero,
@@ -470,8 +458,3 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
         censored=first < 0,
         collapsed=valid.stop <= config.k_max,
     )
-    if record.collapsed:
-        raise FlowCollapsed(
-            f"trajectory collapsed at step {record.n_steps + 1}", record=record
-        )
-    return record

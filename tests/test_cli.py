@@ -41,6 +41,11 @@ def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def repeat(value, n):
+    """``n`` copies of a JSON value as the inside of a JSON list."""
+    return ", ".join([value] * n)
+
+
 class TestSchurCommand:
     payload = {
         "schur": {
@@ -127,6 +132,72 @@ class TestSchurCommand:
 
 class TestFlowCommand:
     payload = {"flow": {"zeta": 0.1, "a0": 0.3, "k_max": 10, "seed": 5}}
+
+    STEPS_HEADER = "step,n_plus,n_minus,n_zero,q,s_opnorm,separation_holds\n"
+    # Exact record.jsonl and steps.csv text, recorded at 0.4.0: the default
+    # config (no load, no anisotropy: the state only renormalizes), a
+    # driven config and a zero initial state that collapses at step 1.
+    GOLDEN = {
+        "default": (
+            {},
+            '{"censored": true, "collapsed": false, "first_passage": null, '
+            f'"n_minus": [{repeat("0", 101)}], "n_plus": [{repeat("4", 101)}], '
+            f'"n_zero": [{repeat("0", 101)}], '
+            f'"q": [1.0, {repeat("0.5773502691896258", 100)}], '
+            f'"s_opnorm": [{repeat("0.0", 101)}], '
+            f'"separation_holds": [{repeat("true", 101)}]}}\n',
+            STEPS_HEADER + "0,4,0,0,1,0,1\n"
+            + "".join(f"{k},4,0,0,0.57735026918962584,0,1\n" for k in range(1, 101)),
+        ),
+        "driven": (
+            {"zeta": 0.15, "a0": 0.5, "k_max": 12, "seed": 7},
+            '{"censored": false, "collapsed": false, "first_passage": 9, '
+            '"n_minus": [0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3], '
+            '"n_plus": [4, 4, 4, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1], '
+            '"n_zero": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+            '"q": [1.0, 0.5582564284834969, 0.49464313645241437, '
+            "0.05629977927002516, -0.013913483842574384, -0.21111609371709128, "
+            "-0.3407898657051667, -0.4016076042040278, -0.4443136749433134, "
+            "-0.46443376094623284, -0.49058244599908507, -0.42245828801201196, "
+            '-0.4287672967718328], '
+            '"s_opnorm": [0.0, 0.19180626431265013, 0.37266972718783725, '
+            "0.7474182125365236, 0.7396145709734626, 0.6885598047772754, "
+            "0.6120389458463242, 0.520018775191097, 0.512413878375738, "
+            "0.44347577552755574, 0.397596309066649, 0.5366033007689994, "
+            '0.5391374386424899], '
+            '"separation_holds": [true, true, true, false, false, false, false, '
+            'false, false, true, true, false, false]}\n',
+            STEPS_HEADER
+            + "0,4,0,0,1,0,1\n"
+            "1,4,0,0,0.55825642848349688,0.19180626431265013,1\n"
+            "2,4,0,0,0.49464313645241437,0.37266972718783725,1\n"
+            "3,3,1,0,0.056299779270025163,0.74741821253652363,0\n"
+            "4,3,1,0,-0.013913483842574384,0.73961457097346262,0\n"
+            "5,2,2,0,-0.21111609371709128,0.68855980477727541,0\n"
+            "6,2,2,0,-0.34078986570516667,0.61203894584632423,0\n"
+            "7,2,2,0,-0.4016076042040278,0.52001877519109696,0\n"
+            "8,2,2,0,-0.44431367494331342,0.51241387837573804,0\n"
+            "9,1,3,0,-0.46443376094623284,0.44347577552755574,1\n"
+            "10,1,3,0,-0.49058244599908507,0.397596309066649,1\n"
+            "11,1,3,0,-0.42245828801201196,0.53660330076899942,0\n"
+            "12,1,3,0,-0.42876729677183278,0.53913743864248986,0\n",
+        ),
+        "collapsing": (
+            {"q_init": [[0.0] * 3] * 3},
+            '{"censored": true, "collapsed": true, "first_passage": null, '
+            '"n_minus": [0], "n_plus": [1], "n_zero": [3], "q": [0.0], '
+            '"s_opnorm": [0.0], "separation_holds": [false]}\n',
+            STEPS_HEADER + "0,1,0,3,0,0,0\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN))
+    def test_outputs_match_golden_text(self, tmp_path, config):
+        payload, record_text, steps_text = self.GOLDEN[config]
+        code, out_dir = run_cli(tmp_path, {"flow": payload})
+        assert code == 0
+        assert (out_dir / "record.jsonl").read_text() == record_text
+        assert (out_dir / "steps.csv").read_text() == steps_text
 
     def test_csv_outputs(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload)
@@ -554,17 +625,42 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "payload",
         [
-            {"reconstruct": {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0,
-                             "n_steps": 10**15}},
-            {"flow": {"a0": 0.1, "k_max": 10**15}},
+            {"reconstruct": {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0}},
+            {"flow": {"a0": 0.1}},
+            {"grid": {}},
         ],
-        ids=["reconstruct", "flow"],
+        ids=["reconstruct", "flow", "grid"],
     )
-    def test_out_of_memory_request_exits_one(self, tmp_path, capsys, payload):
-        # Each run asks for at least 8 PB, beyond any 64-bit user address
-        # space, so the allocation fails at once without touching memory.
+    def test_out_of_memory_request_exits_one(
+        self, tmp_path, capsys, monkeypatch, payload
+    ):
+        # The command's library call raises MemoryError, as an allocation
+        # that fails would; nothing is allocated.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        command = next(iter(payload))
+        target = {"flow": "run_trajectory", "grid": "run_grid"}.get(command, command)
+        monkeypatch.setattr(cli_mod, target, out_of_memory)
         cfg = write_config(tmp_path, payload)
-        self.assert_error_run(tmp_path, cfg, "", capsys)
+        self.assert_error_run(tmp_path, cfg, "cannot allocate", capsys)
+        assert read_manifest(tmp_path / "out")["command"] == command
+
+    def test_balance_residual_exits_one(self, tmp_path, capsys):
+        # Valid input (eigenvalues {1e-3, 1} of mu, {1e-6, 1} of q_eff) on
+        # which the fluctuation-balance solve misses its residual tolerance.
+        payload = {"reconstruct": {
+            "mu": [[0.20654369193095476, 0.40384395370788523],
+                   [0.40384395370788523, 0.7944563080690453]],
+            "q_eff": [[0.3863995662545038, 0.48692332851528214],
+                      [0.48692332851528214, 0.6136014337454961]],
+            "beta": 1.0,
+        }}
+        cfg = write_config(tmp_path, payload)
+        self.assert_error_run(tmp_path, cfg, "fluctuation-balance residual", capsys)
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["command"] == "reconstruct"
+        assert "tolerance" in manifest["error"]
 
 
 def _junk():

@@ -12,7 +12,6 @@ import pytest
 import schurflow.ensemble as ensemble_mod
 import schurflow.flow as flow_mod
 from schurflow import (
-    FlowCollapsed,
     FlowConfig,
     GridResult,
     GridSpec,
@@ -233,12 +232,8 @@ class TestRunGrid:
         )
         result = run_grid(spec)
         config = spec.cell_config(0)
-        valid = []
-        for t in range(spec.n_traj):
-            try:
-                valid.append(run_trajectory(config, [1, 0, t]))
-            except FlowCollapsed:
-                pass
+        records = [run_trajectory(config, [1, 0, t]) for t in range(spec.n_traj)]
+        valid = [r for r in records if not r.collapsed]
         assert 0 < len(valid) < spec.n_traj
         assert result.n_valid[0, 0] == len(valid)
         finals = [int(r.n_minus[-1]) for r in valid]

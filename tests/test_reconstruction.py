@@ -212,6 +212,16 @@ class TestStationaryGaussian:
         out = stationary_gaussian(mu, q_eff, beta=2.0)
         np.testing.assert_allclose(out, 2.0 * q_eff, rtol=1e-14)
 
+    def test_ill_conditioned_system_returns_beta_q(self):
+        # Eigenvalues {1e-3, 1} of mu and {1e-6, 1} of q_eff: the balance
+        # solve misses its residual tolerance here, but beta * q_eff needs
+        # no solve.
+        mu = np.array([[0.20654369193095476, 0.40384395370788523],
+                       [0.40384395370788523, 0.7944563080690453]])
+        q_eff = np.array([[0.3863995662545038, 0.48692332851528214],
+                          [0.48692332851528214, 0.6136014337454961]])
+        np.testing.assert_array_equal(stationary_gaussian(mu, q_eff, 1.0), q_eff)
+
     def test_indefinite_response_raises(self):
         with pytest.raises(ResponseNotPD, match="q_eff"):
             stationary_gaussian(np.eye(2), np.diag([1.0, -0.5]), beta=1.0)
