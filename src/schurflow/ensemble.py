@@ -130,7 +130,7 @@ def _run_cell(args):
     ]
     cell = f"cell (a0={config.a0}, zeta={config.zeta})"
     try:
-        _, _, (_, n_minus, _), n_valid = evolve_batch(config, rngs)
+        _, (_, n_minus, _), n_valid = evolve_batch(config, rngs)
     except NonFiniteState as exc:
         raise NonFiniteState(f"{cell}: {exc}") from exc
     # Non-collapsed trajectories are valid through all k_max + 1 states.

@@ -37,7 +37,9 @@ import enum
 import numpy as np
 
 from .errors import DegenerateDraw, NonFiniteState, ZeroTensor
-from .tensor import check_budget, check_int, check_scalar, check_symmetric, count_inertia
+from .tensor import (
+    check_budget, check_int, check_scalar, check_symmetric, embedded_inertia
+)
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
 ZERO_FLOOR = 1e-14
@@ -366,10 +368,13 @@ def evolve_batch(config: FlowConfig, rngs):
     """Sample, evolve and classify one trajectory per generator, vectorized
     across the batch; each consumes only its own generator, in the
     documented order, so it is bitwise identical to a single run.  Returns
-    ``(states, eigs, counts, n_valid)``: the ``(n, k_max + 1, d, d)``
-    states, their ascending spectra, their full-tensor inertia ``(n_plus,
-    n_minus, n_zero)`` as ``(n, k_max + 1)`` arrays, and per trajectory the
-    count of valid states, those before the first below the zero floor.  A
+    ``(states, counts, n_valid)``: the ``(n, k_max + 1, d, d)`` states,
+    the inertia ``(n_plus, n_minus, n_zero)`` of their full tensors
+    ``diag(q_n, q_t)`` as ``(n, k_max + 1)`` arrays, counted by
+    :func:`~schurflow.tensor.embedded_inertia` (a certified closed form for
+    ``d_tan = 3``, ``eigvalsh`` otherwise; no spectra are returned), and
+    per trajectory the count of valid states, those before the first below
+    the zero floor.  A
     non-finite update raises :class:`NonFiniteState` naming the step and the
     trajectory's index in ``rngs``.
     """
@@ -411,11 +416,7 @@ def evolve_batch(config: FlowConfig, rngs):
         q = upd * scale[:, None, None]
         states[:, k + 1] = q
 
-    eigs = np.linalg.eigvalsh(states.reshape(-1, d, d)).reshape(n, k_max + 1, d)
-    # The spectrum of diag(q_n, q_t) is q_n plus that of q_t; classify it
-    # whole so the zero band is the full tensor's, as in signature().
-    full = np.concatenate([np.full((n, k_max + 1, 1), config.q_n), eigs], axis=-1)
-    return states, eigs, count_inertia(full), n_valid
+    return states, embedded_inertia(states, config.q_n), n_valid
 
 
 def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
@@ -432,19 +433,22 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     sequence seed like ``[master, cell, index]`` reproduces the exact
     trajectory a batched grid run would produce at that position.  Only
     here are records built, and ``q``, ``s_opnorm`` and the separation flag
-    computed.  A trajectory that collapses below the zero floor mid-run is
-    returned as the record of its valid prefix, with ``collapsed`` set.
+    computed: this is the one caller that runs ``eigvalsh``, on the valid
+    prefix only, for the extreme eigenvalues behind ``s_opnorm``.  A
+    trajectory that collapses below the zero floor mid-run is returned as
+    the record of its valid prefix, with ``collapsed`` set.
 
     Raises
     ------
     NonFiniteState
         If an update or its norm is not finite.
     """
-    states, eigs, counts, n_valid = evolve_batch(config, [np.random.default_rng(seed)])
+    states, counts, n_valid = evolve_batch(config, [np.random.default_rng(seed)])
     valid = slice(0, int(n_valid[0]))
-    eigs = eigs[0, valid]
+    states = states[0, valid]
     n_plus, n_minus, n_zero = (c[0, valid] for c in counts)
-    q_iso = np.trace(states[0, valid], axis1=1, axis2=2) / config.d_tan
+    eigs = np.linalg.eigvalsh(states)
+    q_iso = np.trace(states, axis1=1, axis2=2) / config.d_tan
     s_opnorm = np.maximum(np.abs(eigs[:, 0] - q_iso), np.abs(eigs[:, -1] - q_iso))
     first = int(first_passage_steps(n_minus, config.target_n_minus))
     return TrajectoryRecord(

@@ -75,7 +75,10 @@ def solve_lyapunov(m, d_mat) -> np.ndarray:
     """Stationary covariance from the fluctuation balance.
 
     Solves ``m.T gamma + gamma m = 2 d_mat`` for symmetric ``gamma`` and
-    verifies the residual against ``LYAPUNOV_RTOL * ||d_mat||_F``.
+    verifies the residual against ``LYAPUNOV_RTOL * max(||d_mat||_F,
+    ||m||_F ||gamma||_F)``: a backward-stable solve leaves a residual of
+    the size of the terms ``m.T gamma`` it adds up, so an ill-conditioned
+    ``m`` with a large ``gamma`` is not refused.
 
     Parameters
     ----------
@@ -107,11 +110,13 @@ def solve_lyapunov(m, d_mat) -> np.ndarray:
     gamma = scipy.linalg.solve_continuous_lyapunov(m_arr.T, 2.0 * d_arr)
     gamma = 0.5 * (gamma + gamma.T)
     residual = np.linalg.norm(m_arr.T @ gamma + gamma @ m_arr - 2.0 * d_arr)
-    tolerance = LYAPUNOV_RTOL * np.linalg.norm(d_arr)
+    tolerance = LYAPUNOV_RTOL * max(
+        np.linalg.norm(d_arr), np.linalg.norm(m_arr) * np.linalg.norm(gamma)
+    )
     if residual > tolerance:
         raise BalanceResidual(
-            f"fluctuation-balance residual {residual:.3e} exceeds "
-            f"tolerance {tolerance:.3e} (LYAPUNOV_RTOL * ||d_mat||_F)"
+            f"fluctuation-balance residual {residual:.3e} exceeds tolerance "
+            f"{tolerance:.3e} (LYAPUNOV_RTOL * max(||d_mat||_F, ||m||_F ||gamma||_F))"
         )
     return gamma
 
@@ -178,7 +183,7 @@ def simulate_sde(
 
     rng = np.random.default_rng(seed)
     total = burn_in + int(n_steps)
-    kicks = np.sqrt(2.0 * dt) * (rng.standard_normal((total, sde.dim)) @ sqrt_d.T)
+    kicks = np.sqrt(2.0 * dt) * (sqrt_d @ rng.standard_normal((total, sde.dim)).T).T
     out = np.empty((total, sde.dim))
     p = np.zeros(sde.dim)
     for step in range(total):

@@ -6,7 +6,9 @@ which tolerates roundoff-level asymmetry and returns an exactly symmetrized
 copy; downstream code may therefore assume exact symmetry.  The argument
 checks shared by the whole package (:func:`check_matrix`, :func:`check_axis`,
 :func:`check_int`, :func:`check_scalar`, :func:`check_pd`, :func:`check_budget`)
-and the one inertia count (:func:`count_inertia`) live here too.
+and the one inertia count (:func:`count_inertia`, with its certified
+closed-form fast path for stacks of states, :func:`embedded_inertia`) live
+here too.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ SYMMETRY_RTOL = 1e-12
 PD_TOL = 1e-10
 # Default relative band within which an eigenvalue counts as zero.
 SIGNATURE_TOL = 1e-10
+# Relative rounding bound on the characteristic-polynomial coefficients of
+# a 3 x 3 state; a few multiples of the worst-case error of their formulas.
+_COEFF_RTOL = 8.0 * np.finfo(float).eps
 # Bytes of float64 arrays one computation may hold at once: a grid cell's
 # states, loads and anisotropies, or the two buffers of one SDE run.
 ARRAY_BUDGET = 2**30
@@ -185,10 +190,99 @@ def count_inertia(eigs, tol: float = SIGNATURE_TOL):
         Integer arrays ``(n_plus, n_minus, n_zero)`` over the batch axes.
     """
     eigs = np.asarray(eigs, dtype=float)
-    band = tol * np.maximum(1.0, np.abs(eigs).max(axis=-1, keepdims=True))
+    band = _zero_band(np.abs(eigs).max(axis=-1, keepdims=True), tol)
     n_plus = np.count_nonzero(eigs > band, axis=-1)
     n_minus = np.count_nonzero(eigs < -band, axis=-1)
     return n_plus, n_minus, eigs.shape[-1] - n_plus - n_minus
+
+
+def _zero_band(scale, tol: float = SIGNATURE_TOL):
+    """Half-width of the zero band of a spectrum of magnitude ``scale``."""
+    return tol * np.maximum(1.0, scale)
+
+
+def embedded_inertia(q_t, q_n: float):
+    """Inertia of ``diag(q_n, q_t)`` for a stack of symmetric states.
+
+    Equals ``count_inertia`` of ``q_n`` joined to ``eigvalsh(q_t)``, the
+    band ``SIGNATURE_TOL * max(1, q_n, ||q_t||_op)`` included, without
+    computing eigenvalues where a certificate decides the count.  For
+    ``3 x 3`` states the signs of ``c1 = tr q``, ``c2`` (the sum of the
+    principal 2 x 2 minors) and ``c3 = det q`` give the negative count as
+    the sign changes of ``(1, c1, c2, c3)``: Descartes' rule of signs is
+    exact for the real-rooted characteristic polynomial.  A state is
+    certified when, with ``F = ||q||_F >= ||q||_op`` and
+    ``band = 2 * _zero_band(max(q_n, F))``,
+
+    - ``|c3| - err3 > band * F**2``, so ``min |lambda| >= |c3| / F**2``
+      clears twice the band;
+    - ``q_n > band``;
+    - the signs that decide the count clear their rounding bounds: ``c1``
+      unless ``c2 < -err2``, and ``c2`` unless ``c1`` and ``c3`` differ in
+      sign.
+
+    The rounding bounds ``err1 = _COEFF_RTOL * F``, ``err2 = _COEFF_RTOL *
+    F**2`` and ``err3 = _COEFF_RTOL * F**3`` hold because the absolute
+    terms of each coefficient sum to at most ``sqrt(3) F``, ``F**2`` and
+    ``F**3``.  The factor two in the band keeps ``eigvalsh`` rounding from
+    crossing it.  Other states, and every state of another dimension, are
+    counted from ``eigvalsh``.  Only the lower triangle is read, as
+    ``eigvalsh`` does.
+
+    Returns
+    -------
+    tuple of numpy.ndarray
+        Integer arrays ``(n_plus, n_minus, n_zero)`` over the batch axes.
+    """
+    q_t = np.asarray(q_t, dtype=float)
+    d = q_t.shape[-1]
+    if d == 3:
+        certified, n_minus = _closed_form_n_minus(q_t, q_n)
+    else:
+        certified = np.zeros(q_t.shape[:-2], dtype=bool)
+        n_minus = np.zeros(q_t.shape[:-2], dtype=np.intp)
+    n_plus = d + 1 - n_minus
+    n_zero = np.zeros_like(n_minus)
+    rest = ~certified
+    if rest.any():
+        eigs = np.linalg.eigvalsh(q_t[rest])
+        full = np.concatenate([np.full((len(eigs), 1), q_n), eigs], axis=-1)
+        n_plus[rest], n_minus[rest], n_zero[rest] = count_inertia(full)
+    return n_plus, n_minus, n_zero
+
+
+def _closed_form_n_minus(q, q_n: float):
+    """Certified mask and closed-form negative count (0 where uncertified)
+    of a stack of ``3 x 3`` states; see :func:`embedded_inertia`."""
+    a, d, f = q[..., 0, 0], q[..., 1, 1], q[..., 2, 2]
+    b, c, e = q[..., 1, 0], q[..., 2, 0], q[..., 2, 1]
+    # A state too large for these products fails the certificate through
+    # its non-finite terms and is counted from eigvalsh instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        minor_a = d * f - e * e
+        c1 = a + d + f
+        c2 = minor_a + (a * f - c * c) + (a * d - b * b)
+        c3 = a * minor_a - b * (b * f - c * e) + c * (b * e - c * d)
+        fro2 = a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)
+        fro = np.sqrt(fro2)
+        band = 2.0 * _zero_band(np.maximum(q_n, fro))
+        t1 = np.where(np.abs(c1) > _COEFF_RTOL * fro, np.sign(c1), 0.0)
+        t2 = np.where(np.abs(c2) > _COEFF_RTOL * fro2, np.sign(c2), 0.0)
+        t3 = np.sign(c3)
+        certified = (
+            (np.abs(c3) - _COEFF_RTOL * fro2 * fro > band * fro2)
+            & (q_n > band)
+            & ((t1 != 0) | (t2 < 0))
+            & ((t2 != 0) | (t1 * t3 < 0))
+        )
+    # Sign changes of (1, c1, c2, c3), skipping a zero: once certified, an
+    # uncertain sign sits between two opposite signs and cannot move it.
+    n_minus = np.zeros(certified.shape, dtype=np.intp)
+    prev = np.ones_like(c1)
+    for t in (t1, t2, t3):
+        n_minus += certified & (t * prev < 0)
+        prev = np.where(t != 0, t, prev)
+    return certified, n_minus
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -646,15 +647,18 @@ class TestErrorHandling:
         self.assert_error_run(tmp_path, cfg, "cannot allocate", capsys)
         assert read_manifest(tmp_path / "out")["command"] == command
 
-    def test_balance_residual_exits_one(self, tmp_path, capsys):
-        # Valid input (eigenvalues {1e-3, 1} of mu, {1e-6, 1} of q_eff) on
-        # which the fluctuation-balance solve misses its residual tolerance.
+    def test_balance_residual_exits_one(self, tmp_path, capsys, monkeypatch):
+        # A Lyapunov solver that returns a perturbed gamma makes the
+        # fluctuation-balance residual miss its tolerance.
+        solve = scipy.linalg.solve_continuous_lyapunov
+        monkeypatch.setattr(
+            scipy.linalg, "solve_continuous_lyapunov",
+            lambda a, q: solve(a, q) + 1e-6,
+        )
         payload = {"reconstruct": {
-            "mu": [[0.20654369193095476, 0.40384395370788523],
-                   [0.40384395370788523, 0.7944563080690453]],
-            "q_eff": [[0.3863995662545038, 0.48692332851528214],
-                      [0.48692332851528214, 0.6136014337454961]],
-            "beta": 1.0,
+            "mu": [[0.8, 0.0], [0.0, 0.8]],
+            "q_eff": [[1.0, 0.3], [0.3, 1.5]],
+            "beta": 2.0,
         }}
         cfg = write_config(tmp_path, payload)
         self.assert_error_run(tmp_path, cfg, "fluctuation-balance residual", capsys)

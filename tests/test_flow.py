@@ -18,6 +18,7 @@ from schurflow import (
     Disorder,
     DegenerateDraw,
     FlowConfig,
+    GridSpec,
     LognormalGaussian,
     NonFiniteState,
     NormMode,
@@ -34,7 +35,7 @@ from schurflow import (
     sample_sigma_batch,
     signature,
 )
-from schurflow.tensor import ARRAY_BUDGET
+from schurflow.tensor import ARRAY_BUDGET, count_inertia
 
 
 class TestSigmaSamplers:
@@ -465,6 +466,34 @@ class TestEvolveBatch:
         rngs = [np.random.default_rng([seed, t]) for t in range(3)]
         states = flow_mod.evolve_batch(config, rngs)[0]
         assert np.array_equal(states, states.swapaxes(-1, -2))
+
+
+    # The two benchmark grids: the reference grid at the CLI defaults and
+    # the Wishart/trace/quenched grid over zeta in [0, 0.8], where trace
+    # normalization grows the states and some fall back to eigvalsh.
+    @pytest.mark.parametrize("master_seed", [0, 1])
+    @pytest.mark.parametrize("spec", [
+        GridSpec(),
+        GridSpec(
+            zeta_values=np.linspace(0.0, 0.8, 20),
+            base_config=FlowConfig(
+                schur_model=Wishart(), norm_mode="trace", disorder="quenched"
+            ),
+        ),
+    ], ids=["lognormal", "wishart"])
+    def test_counts_match_eigvalsh_on_benchmark_cells(self, spec, master_seed):
+        for cell in (0, 19, 210, 399):
+            config = spec.cell_config(cell)
+            rngs = [
+                np.random.default_rng([master_seed, cell, t]) for t in range(20)
+            ]
+            states, counts, _ = flow_mod.evolve_batch(config, rngs)
+            eigs = np.linalg.eigvalsh(states)
+            full = np.concatenate(
+                [np.full(eigs.shape[:-1] + (1,), config.q_n), eigs], axis=-1
+            )
+            for got, expected in zip(counts, count_inertia(full)):
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestFlowConfigValidation:

@@ -79,6 +79,20 @@ class TestSolveLyapunov:
             residual = np.linalg.norm(m.T @ gamma + gamma @ m - 2.0 * d_mat)
             assert residual <= 1e-10 * np.linalg.norm(d_mat)
 
+    def test_ill_conditioned_spd_system_solves(self):
+        # Eigenvalues {1e-3, 1} of mu and {1e-6, 1} of q_eff: ||gamma|| is
+        # about 1e6, and the residual 1.6e-10 the solve leaves here is
+        # rounding at that scale, not a failure.  A tolerance scaled by
+        # ||d_mat||_F alone refused it.
+        mu = np.array([[0.20654369193095476, 0.40384395370788523],
+                       [0.40384395370788523, 0.7944563080690453]])
+        q_eff = np.array([[0.3863995662545038, 0.48692332851528214],
+                          [0.48692332851528214, 0.6136014337454961]])
+        gamma = solve_lyapunov((mu @ q_eff).T, mu)
+        np.testing.assert_allclose(np.linalg.inv(gamma), q_eff, rtol=1e-8)
+        report = reconstruct(mu, q_eff, beta=1.0, n_steps=2_000, burn_in=0)
+        np.testing.assert_array_equal(report.gamma, gamma)
+
     def test_unstable_decay_raises(self):
         with pytest.raises(UnstableDrift, match="Re"):
             solve_lyapunov(-np.eye(2), np.eye(2))
@@ -213,9 +227,8 @@ class TestStationaryGaussian:
         np.testing.assert_allclose(out, 2.0 * q_eff, rtol=1e-14)
 
     def test_ill_conditioned_system_returns_beta_q(self):
-        # Eigenvalues {1e-3, 1} of mu and {1e-6, 1} of q_eff: the balance
-        # solve misses its residual tolerance here, but beta * q_eff needs
-        # no solve.
+        # Eigenvalues {1e-3, 1} of mu and {1e-6, 1} of q_eff: beta * q_eff
+        # needs no balance solve, however ill-conditioned the system.
         mu = np.array([[0.20654369193095476, 0.40384395370788523],
                        [0.40384395370788523, 0.7944563080690453]])
         q_eff = np.array([[0.3863995662545038, 0.48692332851528214],

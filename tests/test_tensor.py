@@ -1,12 +1,17 @@
 """Tests for symmetric-tensor algebra: elimination, inertia, margins."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurflow import (
     BlockQuadratic,
     FastSectorNotPD,
     check_symmetric,
+    embed_full,
     iso_traceless,
     operator_norm,
     perturbation_preserves_signature,
@@ -16,7 +21,7 @@ from schurflow import (
     stability_margin,
     symmetrize,
 )
-from schurflow.tensor import ARRAY_BUDGET, check_budget
+from schurflow.tensor import ARRAY_BUDGET, SIGNATURE_TOL, check_budget, embedded_inertia
 
 
 def dense_schur_oracle(a, b, c):
@@ -170,6 +175,86 @@ class TestSignature:
             d = int(rng.integers(1, 7))
             sig = signature(symmetrize(rng.standard_normal((d, d))))
             assert sig.n_plus + sig.n_minus + sig.n_zero == d
+
+
+@st.composite
+def embedded_states(draw):
+    """A ``3 x 3`` state and a ``q_n``, built from a random eigenbasis with
+    eigenvalues at 0, +-band/2, +-2 band and +-3 band of the full tensor's
+    band, or at the spectral scale; ``"trace"`` states have a near-zero
+    trace and ``"minors"`` states a near-zero sum of 2 x 2 minors."""
+    q_n = 10.0 ** draw(st.floats(-13.0, 9.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 17.0))
+    band = SIGNATURE_TOL * max(1.0, q_n, scale)
+    near = [0.0, band / 2, -band / 2, 2 * band, -2 * band, 3 * band, -3 * band]
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    small = draw(st.sampled_from(near))
+    kind = draw(st.sampled_from(["free", "trace", "minors"]))
+    if kind == "trace":
+        lam = [sign * scale, -sign * scale, small]
+    elif kind == "minors":
+        lam = [sign * scale, sign * scale, -sign * scale / 2 + small]
+    else:
+        pool = near + [scale, -scale, scale / 3, -scale / 3]
+        lam = [sign * scale, small, draw(st.sampled_from(pool))]
+    seed = draw(st.integers(0, 2**32 - 1))
+    v, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return symmetrize((v * lam) @ v.T), q_n
+
+
+def symmetrize_stack(m):
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def full_signature(states, q_n):
+    return tuple(
+        np.array(c) for c in zip(*(signature(embed_full(q, q_n)) for q in states))
+    )
+
+
+class TestEmbeddedInertia:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=embedded_states())
+    def test_matches_full_tensor_signature(self, case):
+        q, q_n = case
+        got = embedded_inertia(q[None], q_n)
+        for g, e in zip(got, full_signature([q], q_n)):
+            np.testing.assert_array_equal(g, e)
+
+    def test_hits_closed_form_and_fallback(self, monkeypatch):
+        # The fallback is the only eigvalsh call: spy on the states it gets.
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a)
+        )
+        rng = np.random.default_rng(5)
+        q_n = 1.0
+        band = SIGNATURE_TOL
+        lam = np.array([[1.0, 0.5, -0.3], [1.0, -1.0, band / 2], [2.0, 1.0, 0.0],
+                        [1.0, 1.0, -0.5], [-1.0, 2 * band, -3 * band]])
+        v, _ = np.linalg.qr(rng.standard_normal((len(lam), 3, 3)))
+        states = symmetrize_stack((v * lam[:, None, :]) @ v.transpose(0, 2, 1))
+        got = embedded_inertia(states, q_n)
+        # Uncertified: an eigenvalue at band/2 or 0, and two eigenvalues so
+        # small that |det| / ||q||_F**2 no longer bounds them off the band.
+        assert seen == [3]
+        for g, e in zip(got, full_signature(states, q_n)):
+            np.testing.assert_array_equal(g, e)
+
+    def test_zero_state_falls_back_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = embedded_inertia(np.zeros((2, 3, 3)), 1.0)
+        assert [c.tolist() for c in counts] == [[1, 1], [0, 0], [3, 3]]
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_other_dimensions_use_eigvalsh(self, d):
+        rng = np.random.default_rng(d)
+        states = symmetrize_stack(rng.standard_normal((6, d, d)))
+        got = embedded_inertia(states, 0.5)
+        for g, e in zip(got, full_signature(states, 0.5)):
+            np.testing.assert_array_equal(g, e)
 
 
 class TestIsoTraceless:
