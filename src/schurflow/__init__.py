@@ -11,7 +11,7 @@ Core pieces:
 - :mod:`schurflow.cli` -- batch command-line runner.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 import types
 
@@ -53,9 +53,7 @@ from .flow import (
     flow_step,
     normalize,
     run_trajectory,
-    sample_anisotropy,
     sample_anisotropy_batch,
-    sample_sigma,
     sample_sigma_batch,
 )
 from .minimal import (

@@ -17,16 +17,17 @@ Randomness contract
 A trajectory consumes its generator in a documented order so runs are
 reproducible and replayable through the public samplers:
 
-1. anisotropy draws, skipped entirely when ``a0 == 0``: one batched call
-   ``sample_anisotropy_batch(d_tan, n_draws, rng)`` with ``n_draws = 1``
-   (quenched, the single matrix is reused every step) or ``k_max``
-   (annealed, one matrix per step);
-2. elimination-load draws, skipped entirely when ``zeta == 0``: one batched
-   call ``sample_sigma_batch(model, d_tan, k_max, rng)``.
+1. anisotropy draws, skipped entirely when ``a0 == 0``: one
+   ``(n_draws, d_tan, d_tan)`` draw of :func:`sample_anisotropy_batch`
+   with ``n_draws = 1`` (quenched, the single matrix is reused every step)
+   or ``k_max`` (annealed, one matrix per step);
+2. elimination-load draws, skipped entirely when ``zeta == 0``: the
+   ``k_max`` loads of :func:`sample_sigma_batch`.
 
 The evolution itself draws nothing.  Batched runs over many trajectories
-give each trajectory its own generator, so a batch is bitwise identical to
-the corresponding sequence of single-trajectory runs.
+give each trajectory its own generator and call each sampler once for the
+whole batch; every generator still draws in the order above, so a batch is
+bitwise identical to the corresponding sequence of single-trajectory runs.
 """
 
 from __future__ import annotations
@@ -191,70 +192,68 @@ class TrajectoryRecord:
         )
 
 
-def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rng) -> np.ndarray:
-    """Draw ``n`` elimination loads as an ``(n, d_tan, d_tan)`` array.
+def _standard_normal(rngs, shape) -> np.ndarray:
+    """``rng.standard_normal(shape)`` of each generator, stacked in order."""
+    out = np.empty((len(rngs), *shape))
+    for i, rng in enumerate(rngs):
+        out[i] = rng.standard_normal(shape)
+    return out
 
-    Draw order for :class:`LognormalGaussian`: fast-block log-eigenvalues
-    ``z`` with shape ``(n, d_fast)``, then the rotation seed ``(n, d_fast,
-    d_fast)``, then the coupling ``(n, d_tan, d_fast)``.  For
-    :class:`Wishart`: a single ``(n, d_tan, rank)`` draw.
+
+def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rngs) -> np.ndarray:
+    """Draw ``n`` elimination loads per generator as a ``(len(rngs), n,
+    d_tan, d_tan)`` array; row ``i`` equals a call with ``[rngs[i]]`` alone.
+
+    Draw order of each generator for :class:`LognormalGaussian`: fast-block
+    log-eigenvalues ``z`` with shape ``(n, d_fast)``, then the rotation seed
+    ``(n, d_fast, d_fast)``, then the coupling ``(n, d_tan, d_fast)``.  For
+    :class:`Wishart`: a single ``(n, d_tan, rank)`` draw.  The transforms
+    then run once over the stacked draws.
     """
     check_int(d_tan, "d_tan")
     check_int(n, "n")
     if isinstance(model, LognormalGaussian):
         d_fast = model.d_fast if model.d_fast is not None else int(d_tan)
-        z = rng.standard_normal((n, d_fast))
-        rot = _haar_rotation(rng.standard_normal((n, d_fast, d_fast)))
-        b = rng.standard_normal((n, d_tan, d_fast)) / np.sqrt(d_fast)
-        w = b @ rot
-        sigma = (w * np.exp(-model.sigma_log * z)[:, None, :]) @ w.transpose(0, 2, 1)
+        z = _standard_normal(rngs, (n, d_fast))
+        # Haar rotations: the QR sign ambiguity is fixed by making the
+        # diagonal of r positive, which makes the distribution exactly Haar.
+        rot, r = np.linalg.qr(_standard_normal(rngs, (n, d_fast, d_fast)))
+        rot *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+        w = _standard_normal(rngs, (n, d_tan, d_fast)) / np.sqrt(d_fast) @ rot
+        del rot, r
+        sigma = (w * np.exp(-model.sigma_log * z)[..., None, :]) @ w.swapaxes(-1, -2)
     elif isinstance(model, Wishart):
         rank = model.rank if model.rank is not None else int(d_tan)
-        g = rng.standard_normal((n, d_tan, rank)) / np.sqrt(rank)
-        sigma = g @ g.transpose(0, 2, 1)
+        g = _standard_normal(rngs, (n, d_tan, rank)) / np.sqrt(rank)
+        sigma = g @ g.swapaxes(-1, -2)
     else:
         raise TypeError(f"unknown elimination-load model: {model!r}")
-    return 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    sigma += sigma.swapaxes(-1, -2)
+    sigma *= 0.5
+    return sigma
 
 
-def sample_sigma(model: SchurModel, d_tan: int, rng) -> np.ndarray:
-    """Draw one elimination load (batch of one)."""
-    return sample_sigma_batch(model, d_tan, 1, rng)[0]
+def sample_anisotropy_batch(d_tan: int, n: int, rngs) -> np.ndarray:
+    """Draw ``n`` traceless unit-Frobenius symmetric anisotropies per
+    generator as a ``(len(rngs), n, d_tan, d_tan)`` array.
 
-
-def _haar_rotation(g: np.ndarray) -> np.ndarray:
-    """Haar-distributed orthogonal matrices from Gaussian seeds via QR.
-
-    The QR sign ambiguity is fixed by forcing positive diagonal entries of
-    ``r``, which makes the distribution exactly Haar.
-    """
-    rot, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return rot * np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
-
-
-def sample_anisotropy_batch(d_tan: int, n: int, rng) -> np.ndarray:
-    """Draw ``n`` traceless unit-Frobenius symmetric anisotropies.
-
-    Each draw symmetrizes an i.i.d. Gaussian matrix, projects out the trace
-    and normalizes to unit Frobenius norm.  A projected norm below the zero
-    floor, which a Gaussian draw reaches with probability below 1e-28,
-    raises :class:`DegenerateDraw`; nothing is redrawn.
+    Each generator makes one ``(n, d_tan, d_tan)`` Gaussian draw; the stacked
+    draws are symmetrized, their traces projected out and their norms made
+    one.  A projected norm below the zero floor, which a Gaussian draw
+    reaches with probability below 1e-28, raises :class:`DegenerateDraw`;
+    nothing is redrawn.
     """
     check_int(d_tan, "d_tan", low=2)
     check_int(n, "n")
-    g = rng.standard_normal((n, d_tan, d_tan))
-    s = 0.5 * (g + g.transpose(0, 2, 1))
-    s -= (np.trace(s, axis1=1, axis2=2) / d_tan)[:, None, None] * np.eye(d_tan)
-    norm = np.sqrt(np.einsum("kij,kij->k", s, s))
+    s = _standard_normal(rngs, (n, d_tan, d_tan))
+    s += s.swapaxes(-1, -2)
+    s *= 0.5
+    s -= (np.trace(s, axis1=-2, axis2=-1) / d_tan)[..., None, None] * np.eye(d_tan)
+    norm = np.sqrt(np.einsum("...ij,...ij->...", s, s))
     if np.any(norm < ZERO_FLOOR):
         raise DegenerateDraw(f"an anisotropy draw has norm below {ZERO_FLOOR}")
-    return s / norm[:, None, None]
-
-
-def sample_anisotropy(d_tan: int, rng) -> np.ndarray:
-    """Draw one anisotropy matrix (batch of one)."""
-    return sample_anisotropy_batch(d_tan, 1, rng)[0]
+    s /= norm[..., None, None]
+    return s
 
 
 def anisotropy_strength(a0: float, beta_decay: float, k):
@@ -366,17 +365,17 @@ def embed_full(q_t, q_n: float) -> np.ndarray:
 
 def evolve_batch(config: FlowConfig, rngs):
     """Sample, evolve and classify one trajectory per generator, vectorized
-    across the batch; each consumes only its own generator, in the
-    documented order, so it is bitwise identical to a single run.  Returns
-    ``(states, counts, n_valid)``: the ``(n, k_max + 1, d, d)`` states,
-    the inertia ``(n_plus, n_minus, n_zero)`` of their full tensors
-    ``diag(q_n, q_t)`` as ``(n, k_max + 1)`` arrays, counted by
-    :func:`~schurflow.tensor.embedded_inertia` (a certified closed form for
-    ``d_tan = 3``, ``eigvalsh`` otherwise; no spectra are returned), and
-    per trajectory the count of valid states, those before the first below
-    the zero floor.  A
-    non-finite update raises :class:`NonFiniteState` naming the step and the
-    trajectory's index in ``rngs``.
+    across the batch with one call of each sampler; each trajectory consumes
+    only its own generator, in the documented order, so it is bitwise
+    identical to a single run.  Returns ``(states, counts, n_valid)``: the
+    ``(n, k_max + 1, d, d)`` states, the inertia ``(n_plus, n_minus,
+    n_zero)`` of their full tensors ``diag(q_n, q_t)`` as ``(n, k_max + 1)``
+    arrays, counted by :func:`~schurflow.tensor.embedded_inertia` (a
+    certified closed form for ``d_tan = 3``, ``eigvalsh`` otherwise; no
+    spectra are returned), and per trajectory the count of valid states,
+    those before the first below the zero floor.  A non-finite update raises
+    :class:`NonFiniteState` naming the step and the trajectory's index in
+    ``rngs``.
     """
     n = len(rngs)
     d = config.d_tan
@@ -385,12 +384,10 @@ def evolve_batch(config: FlowConfig, rngs):
 
     a_all = None
     if config.a0 > 0:
-        n_draws = k_max if annealed else 1
-        a_all = np.stack([sample_anisotropy_batch(d, n_draws, rng) for rng in rngs])
+        a_all = sample_anisotropy_batch(d, k_max if annealed else 1, rngs)
     sig_all = None
     if config.zeta > 0:
-        model = config.schur_model
-        sig_all = np.stack([sample_sigma_batch(model, d, k_max, rng) for rng in rngs])
+        sig_all = sample_sigma_batch(config.schur_model, d, k_max, rngs)
 
     a_k = anisotropy_strength(config.a0, config.beta_decay, np.arange(k_max))
     states = np.empty((n, k_max + 1, d, d))

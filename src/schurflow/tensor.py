@@ -25,13 +25,13 @@ from .errors import FastSectorNotPD
 SYMMETRY_RTOL = 1e-12
 # Relative floor at or below which check_pd treats an eigenvalue as non-positive.
 PD_TOL = 1e-10
-# Default relative band within which an eigenvalue counts as zero.
+# Relative band within which an eigenvalue counts as zero.
 SIGNATURE_TOL = 1e-10
 # Relative rounding bound on the characteristic-polynomial coefficients of
 # a 3 x 3 state; a few multiples of the worst-case error of their formulas.
 _COEFF_RTOL = 8.0 * np.finfo(float).eps
 # Bytes of float64 arrays one computation may hold at once: a grid cell's
-# states, loads and anisotropies, or the two buffers of one SDE run.
+# states, loads and anisotropies, or the one buffer of an SDE run.
 ARRAY_BUDGET = 2**30
 
 
@@ -178,11 +178,12 @@ def check_pd(w, name: str, error=ValueError) -> None:
         )
 
 
-def count_inertia(eigs, tol: float = SIGNATURE_TOL):
+def count_inertia(eigs):
     """Count eigenvalues by sign over the last axis of ``eigs``.
 
-    Eigenvalues within ``tol * max(1, max |eigs|)`` of zero, the scale taken
-    over the same last axis, count as zero.  Leading axes are a batch.
+    Eigenvalues within ``SIGNATURE_TOL * max(1, max |eigs|)`` of zero, the
+    scale taken over the same last axis, count as zero.  Leading axes are a
+    batch.
 
     Returns
     -------
@@ -190,15 +191,15 @@ def count_inertia(eigs, tol: float = SIGNATURE_TOL):
         Integer arrays ``(n_plus, n_minus, n_zero)`` over the batch axes.
     """
     eigs = np.asarray(eigs, dtype=float)
-    band = _zero_band(np.abs(eigs).max(axis=-1, keepdims=True), tol)
+    band = _zero_band(np.abs(eigs).max(axis=-1, keepdims=True))
     n_plus = np.count_nonzero(eigs > band, axis=-1)
     n_minus = np.count_nonzero(eigs < -band, axis=-1)
     return n_plus, n_minus, eigs.shape[-1] - n_plus - n_minus
 
 
-def _zero_band(scale, tol: float = SIGNATURE_TOL):
+def _zero_band(scale):
     """Half-width of the zero band of a spectrum of magnitude ``scale``."""
-    return tol * np.maximum(1.0, scale)
+    return SIGNATURE_TOL * np.maximum(1.0, scale)
 
 
 def embedded_inertia(q_t, q_n: float):
@@ -216,7 +217,9 @@ def embedded_inertia(q_t, q_n: float):
 
     - ``|c3| - err3 > band * F**2``, so ``min |lambda| >= |c3| / F**2``
       clears twice the band;
-    - ``q_n > band``;
+    - ``q_n > band``, or ``q_n < _zero_band(F / sqrt(3)) / 2``: then
+      ``q_n`` lies inside half the band, since ``||q||_op >= F / sqrt(3)``,
+      and counts as zero;
     - the signs that decide the count clear their rounding bounds: ``c1``
       unless ``c2 < -err2``, and ``c2`` unless ``c1`` and ``c3`` differ in
       sign.
@@ -237,23 +240,21 @@ def embedded_inertia(q_t, q_n: float):
     q_t = np.asarray(q_t, dtype=float)
     d = q_t.shape[-1]
     if d == 3:
-        certified, n_minus = _closed_form_n_minus(q_t, q_n)
+        certified, counts = _closed_form_counts(q_t, q_n)
     else:
         certified = np.zeros(q_t.shape[:-2], dtype=bool)
-        n_minus = np.zeros(q_t.shape[:-2], dtype=np.intp)
-    n_plus = d + 1 - n_minus
-    n_zero = np.zeros_like(n_minus)
+        counts = np.zeros((3, *certified.shape), dtype=np.intp)
     rest = ~certified
     if rest.any():
         eigs = np.linalg.eigvalsh(q_t[rest])
         full = np.concatenate([np.full((len(eigs), 1), q_n), eigs], axis=-1)
-        n_plus[rest], n_minus[rest], n_zero[rest] = count_inertia(full)
-    return n_plus, n_minus, n_zero
+        counts[:, rest] = count_inertia(full)
+    return tuple(counts)
 
 
-def _closed_form_n_minus(q, q_n: float):
-    """Certified mask and closed-form negative count (0 where uncertified)
-    of a stack of ``3 x 3`` states; see :func:`embedded_inertia`."""
+def _closed_form_counts(q, q_n: float):
+    """Certified mask and stacked counts ``(n_plus, n_minus, n_zero)``, valid
+    where certified, of ``diag(q_n, q)`` for ``3 x 3`` states ``q``."""
     a, d, f = q[..., 0, 0], q[..., 1, 1], q[..., 2, 2]
     b, c, e = q[..., 1, 0], q[..., 2, 0], q[..., 2, 1]
     # A state too large for these products fails the certificate through
@@ -266,12 +267,13 @@ def _closed_form_n_minus(q, q_n: float):
         fro2 = a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)
         fro = np.sqrt(fro2)
         band = 2.0 * _zero_band(np.maximum(q_n, fro))
+        normal_zero = q_n < 0.5 * _zero_band(fro / np.sqrt(3.0))
         t1 = np.where(np.abs(c1) > _COEFF_RTOL * fro, np.sign(c1), 0.0)
         t2 = np.where(np.abs(c2) > _COEFF_RTOL * fro2, np.sign(c2), 0.0)
         t3 = np.sign(c3)
         certified = (
             (np.abs(c3) - _COEFF_RTOL * fro2 * fro > band * fro2)
-            & (q_n > band)
+            & ((q_n > band) | normal_zero)
             & ((t1 != 0) | (t2 < 0))
             & ((t2 != 0) | (t1 * t3 < 0))
         )
@@ -282,7 +284,8 @@ def _closed_form_n_minus(q, q_n: float):
     for t in (t1, t2, t3):
         n_minus += certified & (t * prev < 0)
         prev = np.where(t != 0, t, prev)
-    return certified, n_minus
+    n_zero = normal_zero.astype(np.intp)
+    return certified, np.stack([4 - n_minus - n_zero, n_minus, n_zero])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -352,26 +355,23 @@ def schur_complement(q: BlockQuadratic) -> np.ndarray:
     return symmetrize(q.a - correction)
 
 
-def signature(m, tol: float = SIGNATURE_TOL) -> Signature:
+def signature(m) -> Signature:
     """Count eigenvalues by sign with a spectral-scale zero band.
 
-    Eigenvalues within ``tol * max(1, ||m||_op)`` of zero count as zero.
+    Eigenvalues within ``SIGNATURE_TOL * max(1, ||m||_op)`` of zero count
+    as zero.
 
     Parameters
     ----------
     m : array_like
         Symmetric matrix.
-    tol : float
-        Non-negative relative width of the zero band.
 
     Returns
     -------
     Signature
         ``(n_plus, n_minus, n_zero)`` summing to the dimension.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
-    counts = count_inertia(np.linalg.eigvalsh(check_symmetric(m)), tol)
+    counts = count_inertia(np.linalg.eigvalsh(check_symmetric(m)))
     return Signature(*(int(c) for c in counts))
 
 
@@ -410,9 +410,9 @@ def stability_margin(m) -> float:
 def perturbation_preserves_signature(m, a) -> bool:
     """Check the spectral-perturbation bound ``||a||_op < min_i |lambda_i(m)|``.
 
-    When this returns True, eigenvalue interlacing guarantees that
-    ``signature(m + a) == signature(m)`` for the exact (tol = 0) inertia:
-    each eigenvalue moves by at most ``||a||_op`` and so cannot cross zero.
+    When this returns True, eigenvalue interlacing guarantees that ``m + a``
+    has the exact inertia of ``m``, counted without a zero band: each
+    eigenvalue moves by at most ``||a||_op`` and so cannot cross zero.
     """
     m_arr = check_symmetric(m, name="m")
     a_arr = check_symmetric(a, name="a")

@@ -73,11 +73,12 @@ class TestAggregation:
         assert mean_first_passage(records, 3) == (1.0, 0.75)
 
 
-def cancelling_batch(model, d_tan, n, rng):
+def cancelling_batch(model, d_tan, n, rngs):
     """Loads whose first step, at zeta = 0.25, cancels the identity exactly."""
-    rng.standard_normal((n, d_tan, d_tan))
-    out = np.zeros((n, d_tan, d_tan))
-    out[0] = np.eye(d_tan) / 0.25
+    for rng in rngs:
+        rng.standard_normal((n, d_tan, d_tan))
+    out = np.zeros((len(rngs), n, d_tan, d_tan))
+    out[:, 0] = np.eye(d_tan) / 0.25
     return out
 
 
@@ -220,11 +221,13 @@ class TestRunGrid:
     def test_partial_collapse_aggregates_valid_trajectories(self, monkeypatch):
         sample = flow_mod.sample_sigma_batch
 
-        def sometimes_cancelling(model, d_tan, n, rng):
-            # A coin from the trajectory's own generator picks the load.
-            if rng.random() < 0.5:
-                return cancelling_batch(model, d_tan, n, rng)
-            return sample(model, d_tan, n, rng)
+        def sometimes_cancelling(model, d_tan, n, rngs):
+            # A coin from each trajectory's own generator picks its loads.
+            return np.concatenate([
+                cancelling_batch(model, d_tan, n, [rng]) if rng.random() < 0.5
+                else sample(model, d_tan, n, [rng])
+                for rng in rngs
+            ])
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", sometimes_cancelling)
         spec = GridSpec(

@@ -1,9 +1,10 @@
 """Tests for the stochastic coarse-graining flow.
 
 Covers the elimination-load and anisotropy samplers, the normalization
-rules, single flow steps, and full trajectories.  Trajectory evolution is
-cross-checked by replaying the documented draw order through the public
-samplers and stepping by hand.
+rules, single flow steps, and full trajectories.  The batched samplers are
+cross-checked against each generator's documented draws replayed from raw
+``standard_normal`` calls, and trajectory evolution by replaying the
+documented draw order through the public samplers and stepping by hand.
 """
 
 import dataclasses
@@ -29,9 +30,7 @@ from schurflow import (
     flow_step,
     normalize,
     run_trajectory,
-    sample_anisotropy,
     sample_anisotropy_batch,
-    sample_sigma,
     sample_sigma_batch,
     signature,
 )
@@ -41,7 +40,7 @@ from schurflow.tensor import ARRAY_BUDGET, count_inertia
 class TestSigmaSamplers:
     def test_lognormal_loads_are_symmetric_psd(self):
         rng = np.random.default_rng(11)
-        loads = sample_sigma_batch(LognormalGaussian(), 4, 50, rng)
+        loads = sample_sigma_batch(LognormalGaussian(), 4, 50, [rng])[0]
         assert loads.shape == (50, 4, 4)
         assert np.allclose(loads, loads.transpose(0, 2, 1))
         eigs = np.linalg.eigvalsh(loads)
@@ -49,7 +48,7 @@ class TestSigmaSamplers:
 
     def test_wishart_loads_are_symmetric_psd(self):
         rng = np.random.default_rng(12)
-        loads = sample_sigma_batch(Wishart(), 3, 50, rng)
+        loads = sample_sigma_batch(Wishart(), 3, 50, [rng])[0]
         assert np.allclose(loads, loads.transpose(0, 2, 1))
         eigs = np.linalg.eigvalsh(loads)
         assert eigs.min() >= -1e-12 * max(1.0, abs(eigs).max())
@@ -59,35 +58,29 @@ class TestSigmaSamplers:
         # Margin at this seed: 0.13% against the 1% bound.
         d = 3
         rng = np.random.default_rng(0)
-        loads = sample_sigma_batch(Wishart(), d, 100_000, rng)
+        loads = sample_sigma_batch(Wishart(), d, 100_000, [rng])[0]
         mean_trace = np.trace(loads, axis1=1, axis2=2).mean()
         assert abs(mean_trace - d) / d < 0.01
 
     def test_wishart_rank_one_signature(self):
         rng = np.random.default_rng(5)
-        load = sample_sigma(Wishart(rank=1), 3, rng)
+        load = sample_sigma_batch(Wishart(rank=1), 3, 1, [rng])[0, 0]
         assert signature(load) == (1, 0, 2)
 
     def test_lognormal_low_rank_coupling(self):
         # d_fast < d_tan caps the load rank at d_fast.
         rng = np.random.default_rng(6)
-        load = sample_sigma(LognormalGaussian(d_fast=2), 4, rng)
+        load = sample_sigma_batch(LognormalGaussian(d_fast=2), 4, 1, [rng])[0, 0]
         assert signature(load) == (2, 0, 2)
-
-    def test_batch_of_one_matches_single(self):
-        for model in (LognormalGaussian(), Wishart()):
-            a = sample_sigma(model, 3, np.random.default_rng(7))
-            b = sample_sigma_batch(model, 3, 1, np.random.default_rng(7))[0]
-            np.testing.assert_array_equal(a, b)
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="d_tan"):
-            sample_sigma_batch(Wishart(), 0, 5, rng)
+            sample_sigma_batch(Wishart(), 0, 5, [rng])
         with pytest.raises(ValueError, match="n must"):
-            sample_sigma_batch(Wishart(), 3, 0, rng)
+            sample_sigma_batch(Wishart(), 3, 0, [rng])
         with pytest.raises(TypeError, match="model"):
-            sample_sigma_batch(object(), 3, 5, rng)
+            sample_sigma_batch(object(), 3, 5, [rng])
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="sigma_log"):
@@ -103,7 +96,7 @@ class TestSigmaSamplers:
 class TestAnisotropySampler:
     def test_draws_are_traceless_symmetric_unit_norm(self):
         rng = np.random.default_rng(3)
-        draws = sample_anisotropy_batch(4, 200, rng)
+        draws = sample_anisotropy_batch(4, 200, [rng])[0]
         assert draws.shape == (200, 4, 4)
         assert np.allclose(draws, draws.transpose(0, 2, 1))
         assert np.abs(np.trace(draws, axis1=1, axis2=2)).max() < 1e-12
@@ -114,19 +107,14 @@ class TestAnisotropySampler:
         # Entrywise sample means sit within 3 standard errors of zero.
         # Margin at this seed: worst ratio 1.89 against the 3.0 bound.
         rng = np.random.default_rng(0)
-        draws = sample_anisotropy_batch(3, 20_000, rng)
+        draws = sample_anisotropy_batch(3, 20_000, [rng])[0]
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.abs(mean / se).max() < 3.0
 
-    def test_batch_of_one_matches_single(self):
-        a = sample_anisotropy(3, np.random.default_rng(9))
-        b = sample_anisotropy_batch(3, 1, np.random.default_rng(9))[0]
-        np.testing.assert_array_equal(a, b)
-
     def test_requires_at_least_two_dimensions(self):
         with pytest.raises(ValueError, match="d_tan"):
-            sample_anisotropy_batch(1, 5, np.random.default_rng(0))
+            sample_anisotropy_batch(1, 5, [np.random.default_rng(0)])
 
     def test_degenerate_draw_raises_without_redraw(self):
         class ZeroRng:
@@ -138,8 +126,94 @@ class TestAnisotropySampler:
 
         zero_rng = ZeroRng()
         with pytest.raises(DegenerateDraw, match="norm below"):
-            sample_anisotropy_batch(3, 2, zero_rng)
+            sample_anisotropy_batch(3, 2, [zero_rng])
         assert zero_rng.calls == 1
+
+
+def replay_sigma(model, d_tan, n, rng):
+    """One generator's documented load draws, transformed one matrix at a time."""
+    if isinstance(model, LognormalGaussian):
+        d_fast = model.d_fast or d_tan
+        z = rng.standard_normal((n, d_fast))
+        seed = rng.standard_normal((n, d_fast, d_fast))
+        b = rng.standard_normal((n, d_tan, d_fast)) / np.sqrt(d_fast)
+        loads = []
+        for k in range(n):
+            rot, r = np.linalg.qr(seed[k])
+            rot = rot * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+            w = b[k] @ rot
+            loads.append((w * np.exp(-model.sigma_log * z[k])) @ w.T)
+    else:
+        rank = model.rank or d_tan
+        g = rng.standard_normal((n, d_tan, rank)) / np.sqrt(rank)
+        loads = [gk @ gk.T for gk in g]
+    return np.array([0.5 * (s + s.T) for s in loads])
+
+
+def replay_anisotropy(d_tan, n, rng):
+    """One generator's documented anisotropy draws, one matrix at a time."""
+    out = []
+    for g in rng.standard_normal((n, d_tan, d_tan)):
+        s = 0.5 * (g + g.T)
+        s = s - np.trace(s) / d_tan * np.eye(d_tan)
+        # The sampler's einsum sum of squares; another summation order
+        # moves the last bit of the norm.
+        out.append(s / np.sqrt(np.einsum("ij,ij->", s, s)))
+    return np.array(out)
+
+
+def batch_rngs():
+    return [np.random.default_rng([11, t]) for t in range(7)]
+
+
+class TestBatchedSamplers:
+    # Row i of a batched call equals the replay of generator i alone, bit for
+    # bit, and equals a call with that generator alone: the stacked qr and
+    # matmul do not depend on the stack size.
+    @pytest.mark.parametrize("model, d_tan", [
+        (LognormalGaussian(), 3),
+        (LognormalGaussian(d_fast=5, sigma_log=0.7), 4),
+        (Wishart(), 3),
+        (Wishart(rank=2), 3),
+    ])
+    def test_sigma_matches_per_generator_replay(self, model, d_tan):
+        n = FlowConfig().k_max
+        loads = sample_sigma_batch(model, d_tan, n, batch_rngs())
+        assert loads.shape == (7, n, d_tan, d_tan)
+        expected = [replay_sigma(model, d_tan, n, rng) for rng in batch_rngs()]
+        np.testing.assert_array_equal(loads, expected)
+        singles = [sample_sigma_batch(model, d_tan, n, [rng])[0] for rng in batch_rngs()]
+        np.testing.assert_array_equal(loads, singles)
+
+    @pytest.mark.parametrize("n", [FlowConfig().k_max, 1])
+    def test_anisotropy_matches_per_generator_replay(self, n):
+        draws = sample_anisotropy_batch(3, n, batch_rngs())
+        assert draws.shape == (7, n, 3, 3)
+        expected = [replay_anisotropy(3, n, rng) for rng in batch_rngs()]
+        np.testing.assert_array_equal(draws, expected)
+        singles = [sample_anisotropy_batch(3, n, [rng])[0] for rng in batch_rngs()]
+        np.testing.assert_array_equal(draws, singles)
+
+    @pytest.mark.parametrize("zeta, a0, disorder", [
+        (0.2, 0.5, Disorder.ANNEALED),
+        (0.2, 0.5, Disorder.QUENCHED),
+        (0.2, 0.0, Disorder.ANNEALED),
+        (0.0, 0.5, Disorder.ANNEALED),
+    ])
+    def test_evolve_batch_calls_each_sampler_at_most_once(
+        self, monkeypatch, zeta, a0, disorder
+    ):
+        calls = {}
+        for name in ("sample_sigma_batch", "sample_anisotropy_batch"):
+            def spy(*args, _name=name, _sampler=getattr(flow_mod, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _sampler(*args)
+
+            monkeypatch.setattr(flow_mod, name, spy)
+        config = FlowConfig(zeta=zeta, a0=a0, k_max=10, disorder=disorder)
+        flow_mod.evolve_batch(config, batch_rngs())
+        assert calls.get("sample_sigma_batch", 0) == (zeta > 0)
+        assert calls.get("sample_anisotropy_batch", 0) == (a0 > 0)
 
 
 class TestAnisotropyStrength:
@@ -219,8 +293,8 @@ class TestFlowStep:
     def test_matches_manual_formula(self):
         rng = np.random.default_rng(31)
         q = np.eye(3)
-        sigma = sample_sigma(LognormalGaussian(), 3, rng)
-        a = sample_anisotropy(3, rng)
+        sigma = sample_sigma_batch(LognormalGaussian(), 3, 1, [rng])[0, 0]
+        a = sample_anisotropy_batch(3, 1, [rng])[0, 0]
         out = flow_step(q, sigma, a, 0.4, 0.2, NormMode.FROBENIUS)
         upd = q - 0.2 * sigma + 0.4 * a
         upd = 0.5 * (upd + upd.T)
@@ -231,10 +305,10 @@ class TestFlowStep:
         # trace; only the elimination load compresses it.
         rng = np.random.default_rng(32)
         q = np.eye(3)
-        a = sample_anisotropy(3, rng)
+        a = sample_anisotropy_batch(3, 1, [rng])[0, 0]
         upd = q + 0.9 * a
         assert abs(np.trace(upd) - np.trace(q)) < 1e-12
-        sigma = sample_sigma(Wishart(), 3, rng)
+        sigma = sample_sigma_batch(Wishart(), 3, 1, [rng])[0, 0]
         compressed = q - 0.3 * sigma
         assert np.trace(compressed) < np.trace(q)
 
@@ -294,12 +368,12 @@ def replay_trajectory(config: FlowConfig, seed):
     a_batch = None
     if config.a0 > 0:
         n_draws = config.k_max if annealed else 1
-        a_batch = sample_anisotropy_batch(config.d_tan, n_draws, rng)
+        a_batch = sample_anisotropy_batch(config.d_tan, n_draws, [rng])[0]
     sig_batch = None
     if config.zeta > 0:
         sig_batch = sample_sigma_batch(
-            config.schur_model, config.d_tan, config.k_max, rng
-        )
+            config.schur_model, config.d_tan, config.k_max, [rng]
+        )[0]
     zero = np.zeros((config.d_tan, config.d_tan))
     q = config.initial_state()
     states = [q.copy()]
@@ -392,10 +466,11 @@ class TestTrajectories:
     def test_collapse_returns_partial_record(self, monkeypatch):
         # Force the first update to cancel exactly: the trajectory collapses
         # at step 1 and its record holds the one-state prefix.
-        def cancelling_batch(model, d_tan, n, rng):
-            rng.standard_normal((n, d_tan, d_tan))
-            out = np.zeros((n, d_tan, d_tan))
-            out[0] = np.eye(d_tan) / 0.25
+        def cancelling_batch(model, d_tan, n, rngs):
+            for rng in rngs:
+                rng.standard_normal((n, d_tan, d_tan))
+            out = np.zeros((len(rngs), n, d_tan, d_tan))
+            out[:, 0] = np.eye(d_tan) / 0.25
             return out
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", cancelling_batch)

@@ -173,7 +173,7 @@ class TestSimulateSde:
             simulate_sde(sde, dt=0.01, n_steps=10, burn_in=-1)
 
     def test_buffers_are_budgeted_before_allocation(self):
-        # Two (burn_in + n_steps, 1) buffers of 8 PB each: refused unallocated.
+        # One (burn_in + n_steps, 1) buffer of 8 PB: refused unallocated.
         sde = LinearSDE(m=np.eye(1), d_mat=np.eye(1))
         with pytest.raises(ValueError, match="n_steps, burn_in ask for"):
             simulate_sde(sde, dt=0.01, n_steps=10**15)
