@@ -11,7 +11,7 @@ Core pieces:
 - :mod:`schurflow.cli` -- batch command-line runner.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 import types
 
@@ -20,7 +20,6 @@ from .ensemble import (
     GridResult,
     GridSpec,
     boundary_support,
-    default_grid_spec,
     extract_boundary,
     mean_first_passage,
     run_grid,

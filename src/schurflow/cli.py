@@ -31,8 +31,6 @@ from .minimal import MinimalModelSpec, scan
 from .reconstruction import reconstruct
 from .tensor import BlockQuadratic, schur_complement, signature
 
-_COMMANDS = ("schur", "flow", "grid", "minimal-scan", "reconstruct")
-
 # Payload key that --seed overrides, per command.
 _SEED_KEYS = {"flow": "seed", "grid": "master_seed", "reconstruct": "seed"}
 # Default axes of minimal-scan; the library's scan requires both.
@@ -327,9 +325,9 @@ def _command(data):
             "config must be an object with exactly one top-level command key"
         )
     ((command, payload),) = data.items()
-    if command not in _COMMANDS:
+    if command not in _DISPATCH:
         raise ConfigInvalid(
-            f"unknown command {command!r}; expected one of {list(_COMMANDS)}"
+            f"unknown command {command!r}; expected one of {list(_DISPATCH)}"
         )
     if not isinstance(payload, dict):
         raise ConfigInvalid(f"{command}: payload must be an object")

@@ -1,9 +1,12 @@
 """Level-set extraction on rectilinear scalar fields.
 
-Marching squares with linearly interpolated crossings.  Crossing points are
+Marching squares with linearly interpolated crossings.  Every cell is
+classified at once from shifted views of the field: a cell with a
+non-finite corner is skipped and counted, and the others get the case index
+of their inside corners.  Only the cells the level crosses are visited, in
+row-major order, and a case table gives their segments.  Crossing points are
 keyed by the grid edge they live on, so the two cells sharing an edge reuse
 the identical floating-point point and chained polylines join exactly.
-Cells with a non-finite corner value are skipped and counted.
 """
 
 from __future__ import annotations
@@ -14,24 +17,20 @@ import numpy as np
 
 from .tensor import check_axis
 
-# Case index -> list of (edge, edge) segments; edges are S, E, N, W.
-# Bits: 1 = (i, j), 2 = (i+1, j), 4 = (i+1, j+1), 8 = (i, j+1) inside.
-_SEGMENTS = {
-    0: [],
-    1: [("W", "S")],
-    2: [("S", "E")],
-    3: [("W", "E")],
-    4: [("E", "N")],
-    6: [("S", "N")],
-    7: [("W", "N")],
-    8: [("N", "W")],
-    9: [("S", "N")],
-    11: [("E", "N")],
-    12: [("W", "E")],
-    13: [("S", "E")],
-    14: [("W", "S")],
-    15: [],
-}
+# Cell edges as (corner, corner), lower node first, over the corners
+# 0 = (i, j), 1 = (i+1, j), 2 = (i+1, j+1), 3 = (i, j+1); corner b sets
+# bit 2**b of the case index when it is inside.
+_S, _E, _N, _W = (0, 1), (1, 2), (3, 2), (0, 3)
+# Case index -> segments as (edge, edge), cases 0-4, 5, 6-9, 10 and 11-15.
+# The saddle cases 5 and 10 list two segment sets, for the cell centre
+# outside and inside.
+_SEGMENTS = (
+    (), ((_W, _S),), ((_S, _E),), ((_W, _E),), ((_E, _N),),
+    (((_S, _W), (_E, _N)), ((_S, _E), (_N, _W))),
+    ((_S, _N),), ((_W, _N),), ((_N, _W),), ((_S, _N),),
+    (((_S, _E), (_N, _W)), ((_S, _W), (_E, _N))),
+    ((_E, _N),), ((_W, _E),), ((_S, _E),), ((_W, _S),), (),
+)
 
 
 @dataclasses.dataclass
@@ -88,14 +87,12 @@ def find_contour(x_values, y_values, field, level: float) -> BoundaryCurve:
     if not np.isfinite(level):
         raise ValueError("level must be finite")
 
-    inside = f > level
-    finite = np.isfinite(f)
+    corners = (f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:])
+    finite = np.logical_and.reduce([np.isfinite(c) for c in corners])
+    cases = sum((c > level) * (1 << b) for b, c in enumerate(corners))
+    cells = np.nonzero(finite & (cases > 0) & (cases < 15))
     point_cache: dict[tuple, np.ndarray] = {}
     segments: list[tuple[tuple, tuple]] = []
-    skipped = 0
-
-    def edge_key(n0, n1):
-        return (n0, n1) if n0 <= n1 else (n1, n0)
 
     def edge_point(key):
         pt = point_cache.get(key)
@@ -109,48 +106,21 @@ def find_contour(x_values, y_values, field, level: float) -> BoundaryCurve:
             point_cache[key] = pt
         return pt
 
-    for i in range(x.size - 1):
-        for j in range(y.size - 1):
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            if not all(finite[c] for c in corners):
-                skipped += 1
+    for i, j, case in zip(*(a.tolist() for a in (*cells, cases[cells]))):
+        nodes = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+        pairs = _SEGMENTS[case]
+        if case in (5, 10):
+            pairs = pairs[bool(np.mean([f[n] for n in nodes]) > level)]
+        for pair in pairs:
+            k0, k1 = ((nodes[a], nodes[b]) for a, b in pair)
+            if np.array_equal(edge_point(k0), edge_point(k1)):
                 continue
-            case = (
-                1 * inside[i, j]
-                + 2 * inside[i + 1, j]
-                + 4 * inside[i + 1, j + 1]
-                + 8 * inside[i, j + 1]
-            )
-            edges = {
-                "S": edge_key(corners[0], corners[1]),
-                "E": edge_key(corners[1], corners[2]),
-                "N": edge_key(corners[3], corners[2]),
-                "W": edge_key(corners[0], corners[3]),
-            }
-            if case in (5, 10):
-                center_inside = np.mean([f[c] for c in corners]) > level
-                if case == 5:
-                    pairs = [("S", "E"), ("N", "W")] if center_inside else [
-                        ("S", "W"),
-                        ("E", "N"),
-                    ]
-                else:
-                    pairs = [("S", "W"), ("E", "N")] if center_inside else [
-                        ("S", "E"),
-                        ("N", "W"),
-                    ]
-            else:
-                pairs = _SEGMENTS[case]
-            for e0, e1 in pairs:
-                k0, k1 = edges[e0], edges[e1]
-                if np.array_equal(edge_point(k0), edge_point(k1)):
-                    continue
-                segments.append((k0, k1))
+            segments.append((k0, k1))
 
     return BoundaryCurve(
         level=float(level),
         polylines=_chain(segments, point_cache),
-        skipped_cells=skipped,
+        skipped_cells=int(np.count_nonzero(~finite)),
     )
 
 
@@ -161,29 +131,17 @@ def _chain(segments, point_cache) -> list[np.ndarray]:
         adjacency.setdefault(k0, []).append(k1)
         adjacency.setdefault(k1, []).append(k0)
 
-    unused = {key: list(nbrs) for key, nbrs in adjacency.items()}
-
-    def walk(start):
-        chain = [start]
-        while True:
-            here = chain[-1]
-            nbrs = unused.get(here, [])
-            if not nbrs:
-                break
-            nxt = nbrs.pop()
-            unused[nxt].remove(here)
+    def walk(here):
+        # Each step uses up the segment it crosses, in both directions.
+        chain = [here]
+        while adjacency[here]:
+            nxt = adjacency[here].pop()
+            adjacency[nxt].remove(here)
             chain.append(nxt)
-        return chain
+            here = nxt
+        return np.array([point_cache[k] for k in chain])
 
-    polylines = []
-    # Open chains first: start from endpoints (degree one).
-    for key in list(adjacency):
-        if len(unused.get(key, [])) == 1:
-            chain = walk(key)
-            polylines.append(np.array([point_cache[k] for k in chain]))
-    # Remaining segments form closed loops; the walk returns to its start.
-    for key in list(adjacency):
-        if unused.get(key):
-            chain = walk(key)
-            polylines.append(np.array([point_cache[k] for k in chain]))
-    return polylines
+    # Open chains first, from an end (one unused neighbour); the segments
+    # left then form closed loops, and a walk returns to its start.
+    polylines = [walk(key) for key in adjacency if len(adjacency[key]) == 1]
+    return polylines + [walk(key) for key in adjacency if adjacency[key]]

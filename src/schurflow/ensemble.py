@@ -18,8 +18,8 @@ import numpy as np
 
 from .contour import BoundaryCurve, find_contour
 from .errors import NonFiniteState, NoValidRecords
-from .flow import FlowConfig, evolve_batch, first_passage_steps
-from .tensor import check_axis, check_budget, check_int, check_scalar
+from .flow import FlowConfig, check_batch_budget, evolve_batch, first_passage_steps
+from .tensor import check_axis, check_int, check_scalar
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,9 +51,10 @@ class GridSpec:
         check_int(self.master_seed, "master_seed", low=0)
         if not isinstance(self.base_config, FlowConfig):
             raise TypeError("base_config must be a FlowConfig")
-        base = self.base_config
-        check_budget((3, self.n_traj, base.k_max + 1, base.d_tan, base.d_tan),
-                     "n_traj, base_config.k_max, base_config.d_tan")
+        check_batch_budget(
+            self.base_config, self.n_traj,
+            "n_traj, base_config.k_max, base_config.d_tan, base_config.schur_model",
+        )
 
     @property
     def n_cells(self) -> int:
@@ -227,8 +228,3 @@ def _bracket_indices(axis: np.ndarray, value: float) -> tuple[int, ...]:
     hi = int(np.searchsorted(axis, value))
     return tuple(k for k in (hi - 1, hi) if 0 <= k < axis.size)
 
-
-def default_grid_spec(master_seed: int, **overrides) -> GridSpec:
-    """Reference grid (the :class:`GridSpec` defaults) with the given master
-    seed; keyword overrides replace single fields."""
-    return GridSpec(master_seed=master_seed, **overrides)

@@ -66,11 +66,14 @@ class Disorder(str, enum.Enum):
 class LognormalGaussian:
     """Elimination load from a Gaussian coupling and a lognormal fast block.
 
-    The fast block is ``r diag(exp(sigma_log * z)) r.T`` with Haar-random
+    The fast block is ``r diag(exp(sigma_log * z)) r.T`` with a random
     rotation ``r`` and standard normal ``z``; the coupling is an i.i.d.
     Gaussian ``(d_tan, d_fast)`` matrix scaled by ``1 / sqrt(d_fast)``.  The
     load is the Schur-complement correction ``b C^{-1} b.T``, evaluated in
-    the eigenbasis of the fast block.
+    the eigenbasis of the fast block.  ``r`` is the Q factor of a Gaussian
+    matrix, Haar up to the signs of its columns, which the load does not
+    depend on: the load has the law it would have under an exactly Haar
+    ``r``.
     """
 
     sigma_log: float = 1.0
@@ -127,7 +130,6 @@ class FlowConfig:
     def __post_init__(self) -> None:
         check_int(self.d_tan, "d_tan")
         check_int(self.k_max, "k_max")
-        check_budget((3, self.k_max + 1, self.d_tan, self.d_tan), "k_max, d_tan")
         for name in ("zeta", "a0", "beta_decay"):
             check_scalar(getattr(self, name), name, positive=False)
         check_scalar(self.q_n, "q_n")
@@ -138,10 +140,11 @@ class FlowConfig:
         check_int(self.target_n_minus, "target_n_minus", low=0, high=self.d_tan)
         object.__setattr__(self, "norm_mode", NormMode(self.norm_mode))
         object.__setattr__(self, "disorder", Disorder(self.disorder))
-        if not isinstance(self.schur_model, (LognormalGaussian, Wishart)):
+        if not isinstance(self.schur_model, SchurModel):
             raise TypeError(
                 "schur_model must be a LognormalGaussian or Wishart instance"
             )
+        check_batch_budget(self, 1, "k_max, d_tan, schur_model")
         if self.q_init is not None:
             q0 = check_symmetric(self.q_init, name="q_init")
             if q0.shape != (self.d_tan, self.d_tan):
@@ -192,6 +195,26 @@ class TrajectoryRecord:
         )
 
 
+def check_batch_budget(config: FlowConfig, n: int, keys: str) -> None:
+    """Refuse, naming the config ``keys``, a batch of ``n`` trajectories
+    whose arrays would exceed ``ARRAY_BUDGET``; allocates nothing.
+
+    Per trajectory :func:`evolve_batch` holds its states, loads and
+    anisotropies, counted as three ``(k_max + 1, d_tan, d_tan)`` arrays, and
+    :func:`sample_sigma_batch` its draws: for :class:`LognormalGaussian` the
+    rotation seed with its two QR factors, ``(k_max, d_fast, d_fast)`` each,
+    and the coupling ``(k_max, d_tan, d_fast)``; for :class:`Wishart` the
+    factor ``(k_max, d_tan, rank)``.
+    """
+    d, k, model = int(config.d_tan), int(config.k_max), config.schur_model
+    if isinstance(model, LognormalGaussian):
+        d_fast = model.d_fast or d
+        draws = 3 * d_fast * d_fast + d * d_fast
+    else:
+        draws = d * (model.rank or d)
+    check_budget((n, 3 * (k + 1) * d * d + k * draws), keys)
+
+
 def _standard_normal(rngs, shape) -> np.ndarray:
     """``rng.standard_normal(shape)`` of each generator, stacked in order."""
     out = np.empty((len(rngs), *shape))
@@ -215,12 +238,12 @@ def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rngs) -> np.ndarra
     if isinstance(model, LognormalGaussian):
         d_fast = model.d_fast if model.d_fast is not None else int(d_tan)
         z = _standard_normal(rngs, (n, d_fast))
-        # Haar rotations: the QR sign ambiguity is fixed by making the
-        # diagonal of r positive, which makes the distribution exactly Haar.
-        rot, r = np.linalg.qr(_standard_normal(rngs, (n, d_fast, d_fast)))
-        rot *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+        # The QR rotation is Haar up to the signs of its columns.  The load
+        # does not see them: flipping a column of rot negates a column of w
+        # exactly, and the load takes the product of two entries of it.
+        rot = np.linalg.qr(_standard_normal(rngs, (n, d_fast, d_fast)))[0]
         w = _standard_normal(rngs, (n, d_tan, d_fast)) / np.sqrt(d_fast) @ rot
-        del rot, r
+        del rot
         sigma = (w * np.exp(-model.sigma_log * z)[..., None, :]) @ w.swapaxes(-1, -2)
     elif isinstance(model, Wishart):
         rank = model.rank if model.rank is not None else int(d_tan)

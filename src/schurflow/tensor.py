@@ -31,7 +31,7 @@ SIGNATURE_TOL = 1e-10
 # a 3 x 3 state; a few multiples of the worst-case error of their formulas.
 _COEFF_RTOL = 8.0 * np.finfo(float).eps
 # Bytes of float64 arrays one computation may hold at once: a grid cell's
-# states, loads and anisotropies, or the one buffer of an SDE run.
+# (counted by flow.check_batch_budget), or the one buffer of an SDE run.
 ARRAY_BUDGET = 2**30
 
 

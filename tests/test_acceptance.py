@@ -16,12 +16,12 @@ from schurflow import (
     BlockQuadratic,
     Disorder,
     FlowConfig,
+    GridSpec,
     NormMode,
     ResponseNotPD,
     UnstableDrift,
     Wishart,
     boundary_support,
-    default_grid_spec,
     extract_boundary,
     minimal_scan,
     operator_norm,
@@ -87,7 +87,7 @@ def overlap_fraction(curve_a, curve_b, a0_values, zeta_values) -> float:
 @pytest.fixture(scope="module")
 def reference_grid():
     """Reference-seed default grid, shared by criteria 6 and 7."""
-    spec = default_grid_spec(REFERENCE_SEED)
+    spec = GridSpec(master_seed=REFERENCE_SEED)
     start = time.perf_counter()
     result = run_grid(spec)
     elapsed = time.perf_counter() - start
@@ -251,7 +251,7 @@ def test_criterion_07_protocol_boundary_overlap(reference_grid):
             spec_kwargs = {"base_config": base}
             if zeta_values is not None:
                 spec_kwargs["zeta_values"] = zeta_values
-            spec = default_grid_spec(REFERENCE_SEED, **spec_kwargs)
+            spec = GridSpec(master_seed=REFERENCE_SEED, **spec_kwargs)
             result = run_grid(spec)
             curve = extract_boundary(result)
             assert not curve.is_empty, f"{label} {disorder.value}: empty boundary"

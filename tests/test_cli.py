@@ -570,17 +570,24 @@ class TestErrorHandling:
         self.assert_error_run(tmp_path, cfg, where, capsys)
         assert "not finite" in read_manifest(tmp_path / "out")["error"]
 
+    GRID_KEYS = ("grid: n_traj, base_config.k_max, base_config.d_tan, "
+                 "base_config.schur_model ask for")
+
     @pytest.mark.parametrize(
         "payload, keys",
         [
-            ({"grid": {"n_traj": 1e300}},
-             "grid: n_traj, base_config.k_max, base_config.d_tan ask for"),
-            ({"flow": {"a0": 0.1, "k_max": 10**15}}, "flow: k_max, d_tan ask for"),
+            ({"grid": {"n_traj": 1e300}}, GRID_KEYS),
+            ({"grid": {"base_config": {"schur_model": {
+                "kind": "lognormal_gaussian", "d_fast": 400}}}}, GRID_KEYS),
+            ({"grid": {"base_config": {"schur_model": {
+                "kind": "wishart", "rank": 10**5}}}}, GRID_KEYS),
+            ({"flow": {"a0": 0.1, "k_max": 10**15}},
+             "flow: k_max, d_tan, schur_model ask for"),
             ({"reconstruct": {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0,
                               "n_steps": 10**15}},
              "reconstruct: n_steps, burn_in ask for"),
         ],
-        ids=["grid", "flow", "reconstruct"],
+        ids=["grid", "grid-lognormal", "grid-wishart", "flow", "reconstruct"],
     )
     def test_oversized_run_is_refused_before_it_starts(
         self, tmp_path, capsys, monkeypatch, payload, keys

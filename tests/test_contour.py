@@ -114,3 +114,40 @@ class TestValidation:
     def test_rejects_nonfinite_level(self):
         with pytest.raises(ValueError):
             find_contour([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), np.nan)
+
+
+class TestPinnedOutput:
+    def test_polylines_and_skipped_cells_are_pinned(self):
+        # Cell (0, 0) is a case-5 saddle with its centre outside, cell (1, 0)
+        # a case-10 saddle with its centre inside.  Node (1, 3) sits exactly
+        # at the level with every neighbour inside, so its four cells give
+        # degenerate segments, all dropped; node (3, 5) sits at the level
+        # next to outside nodes, so a crossing lands on it.  The NaN and inf
+        # nodes skip six cells, and node (1, 6) is ringed by a closed loop.
+        # The literal fixes every point's bytes, the polyline order and each
+        # polyline's direction.
+        nan, inf = np.nan, np.inf
+        f = np.array([
+            [1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0],
+            [-1.0, 1.0, 1.0, 0.0, 1.0, -1.0, 1.0, -1.0],
+            [2.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0],
+            [0.5, nan, -0.5, 2.0, -1.0, 0.0, -1.0, -1.0],
+            [-1.0, 0.3, 1.0, inf, 0.7, 1.0, -1.0, -1.0],
+        ])
+        x = [0.0, 1.0, 2.5, 3.0, 4.5]
+        y = [0.0, 0.5, 1.5, 2.0, 3.0, 3.5, 4.5, 5.0]
+        curve = find_contour(x, y, f, 0.0)
+        expected = [
+            [[0.5, 0.0], [0.0, 0.25]],
+            [[0.0, 1.0], [0.5, 0.5], [1.0, 0.25], [1.5, 0.0]],
+            [[0.0, 3.25], [1.0, 3.25], [2.5, 3.25], [2.75, 3.0],
+             [3.0, 2.6666666666666665]],
+            [[2.5, 0.3333333333333333], [1.75, 0.5], [2.5, 1.0]],
+            [[2.8333333333333335, 1.5], [3.0, 1.6]],
+            [[3.8823529411764706, 3.0], [3.0, 3.5], [4.5, 4.0]],
+            [[1.0, 4.0], [1.75, 4.5], [1.0, 4.75], [0.5, 4.5], [1.0, 4.0]],
+        ]
+        assert curve.skipped_cells == 6
+        assert len(curve.polylines) == len(expected)
+        for poly, want in zip(curve.polylines, expected):
+            assert np.array_equal(poly, np.array(want))

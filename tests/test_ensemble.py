@@ -18,8 +18,8 @@ from schurflow import (
     LognormalGaussian,
     NonFiniteState,
     NoValidRecords,
+    Wishart,
     boundary_support,
-    default_grid_spec,
     extract_boundary,
     mean_first_passage,
     run_grid,
@@ -116,24 +116,33 @@ class TestGridSpec:
 
     def test_cell_arrays_are_budgeted(self):
         # Sizes only: a spec allocates nothing.  A trajectory of the default
-        # flow holds states, loads and anisotropies of 101 x 3 x 3 floats.
-        per_traj = 3 * 101 * 9 * 8
+        # flow holds states, loads and anisotropies of 101 x 3 x 3 floats, and
+        # its load sampler a rotation seed, two QR factors and a coupling of
+        # 100 x 3 x 3 floats each.
+        per_traj = (3 * 101 * 9 + 4 * 100 * 9) * 8
         GridSpec(n_traj=ARRAY_BUDGET // per_traj)
-        keys = r"^n_traj, base_config\.k_max, base_config\.d_tan ask for .* budget$"
+        keys = (r"^n_traj, base_config\.k_max, base_config\.d_tan, "
+                r"base_config\.schur_model ask for .* budget$")
         with pytest.raises(ValueError, match=keys):
             GridSpec(n_traj=ARRAY_BUDGET // per_traj + 1)
         with pytest.raises(ValueError, match=keys):
             GridSpec(n_traj=int(1e300))
+        # One trajectory of each fits, a cell of 100 does not: the QR arrays
+        # of d_fast = 400 alone take 36 GiB, the Wishart factors 22 GiB.
+        for model in (LognormalGaussian(d_fast=400), Wishart(rank=10**5)):
+            base = FlowConfig(schur_model=model)
+            with pytest.raises(ValueError, match=keys):
+                GridSpec(base_config=base)
 
     def test_default_grid_spec(self):
-        spec = default_grid_spec(7)
+        spec = GridSpec(master_seed=7)
         assert spec.a0_values.shape == (20,)
         assert spec.zeta_values.shape == (20,)
         assert spec.a0_values[-1] == 1.0
         assert spec.zeta_values[-1] == pytest.approx(0.3)
         assert spec.n_traj == 100
         assert spec.master_seed == 7
-        small = default_grid_spec(7, n_traj=3)
+        small = GridSpec(master_seed=7, n_traj=3)
         assert small.n_traj == 3
 
 

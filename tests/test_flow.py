@@ -140,6 +140,8 @@ def replay_sigma(model, d_tan, n, rng):
         loads = []
         for k in range(n):
             rot, r = np.linalg.qr(seed[k])
+            # The sampler skips this sign fix; equal loads pin that the
+            # load does not depend on the signs of the columns of rot.
             rot = rot * np.where(np.diag(r) < 0.0, -1.0, 1.0)
             w = b[k] @ rot
             loads.append((w * np.exp(-model.sigma_log * z[k])) @ w.T)
@@ -617,11 +619,17 @@ class TestFlowConfigValidation:
 
     def test_trajectory_arrays_are_budgeted(self):
         # Sizes only: a config allocates nothing.  Each step of a d_tan = 3
-        # trajectory holds a state, a load and an anisotropy of 3 x 3 floats.
-        fits = ARRAY_BUDGET // (3 * 9 * 8) - 1
+        # trajectory holds a state, a load and an anisotropy of 3 x 3 floats,
+        # and its load sampler a rotation seed, two QR factors and a
+        # coupling of 3 x 3 floats each; the first three count k_max + 1
+        # steps.
+        fits = (ARRAY_BUDGET // 8 - 3 * 9) // (7 * 9)
         FlowConfig(k_max=fits)
-        with pytest.raises(ValueError, match=r"^k_max, d_tan ask for .* budget$"):
+        keys = r"^k_max, d_tan, schur_model ask for .* budget$"
+        with pytest.raises(ValueError, match=keys):
             FlowConfig(k_max=fits + 1)
+        with pytest.raises(ValueError, match=keys):
+            FlowConfig(schur_model=Wishart(rank=10**6))
 
     def test_q_init_validation(self):
         with pytest.raises(ValueError, match="expected shape"):
