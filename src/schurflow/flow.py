@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateDraw, NonFiniteState, ZeroTensor
 from .tensor import (
-    check_budget, check_int, check_scalar, check_symmetric, embedded_inertia
+    check_budget, check_int, check_scalar, check_symmetric, embedded_inertia, symmetrize
 )
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
@@ -146,11 +146,7 @@ class FlowConfig:
             )
         check_batch_budget(self, 1, "k_max, d_tan, schur_model")
         if self.q_init is not None:
-            q0 = check_symmetric(self.q_init, name="q_init")
-            if q0.shape != (self.d_tan, self.d_tan):
-                raise ValueError(
-                    f"q_init: expected shape {(self.d_tan, self.d_tan)}, got {q0.shape}"
-                )
+            q0 = check_symmetric(self.q_init, "q_init", (self.d_tan, self.d_tan))
             object.__setattr__(self, "q_init", q0)
 
     def initial_state(self) -> np.ndarray:
@@ -251,9 +247,7 @@ def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rngs) -> np.ndarra
         sigma = g @ g.swapaxes(-1, -2)
     else:
         raise TypeError(f"unknown elimination-load model: {model!r}")
-    sigma += sigma.swapaxes(-1, -2)
-    sigma *= 0.5
-    return sigma
+    return symmetrize(sigma)
 
 
 def sample_anisotropy_batch(d_tan: int, n: int, rngs) -> np.ndarray:
@@ -268,9 +262,7 @@ def sample_anisotropy_batch(d_tan: int, n: int, rngs) -> np.ndarray:
     """
     check_int(d_tan, "d_tan", low=2)
     check_int(n, "n")
-    s = _standard_normal(rngs, (n, d_tan, d_tan))
-    s += s.swapaxes(-1, -2)
-    s *= 0.5
+    s = symmetrize(_standard_normal(rngs, (n, d_tan, d_tan)))
     s -= (np.trace(s, axis1=-2, axis2=-1) / d_tan)[..., None, None] * np.eye(d_tan)
     norm = np.sqrt(np.einsum("...ij,...ij->...", s, s))
     if np.any(norm < ZERO_FLOOR):
@@ -321,6 +313,17 @@ def _scale_factors(upd: np.ndarray, mode: NormMode):
     return np.where(zero, 1.0, scale), zero, finite
 
 
+def _normalized(q: np.ndarray, mode: NormMode, what: str) -> np.ndarray:
+    """``q`` rescaled as :func:`_scale_factors` says; a failure names ``what``."""
+    scale, zero, finite = _scale_factors(q[None], NormMode(mode))
+    if not finite[0]:
+        raise NonFiniteState(f"{what} or its Frobenius norm is not finite")
+    if zero[0]:
+        norm = np.linalg.norm(q)
+        raise ZeroTensor(f"{what} has norm {norm:.3e} below floor {ZERO_FLOOR}")
+    return q * scale[0]
+
+
 def normalize(q_t, mode: NormMode = NormMode.FROBENIUS) -> np.ndarray:
     """Rescale a symmetric tensor without changing its signature.
 
@@ -331,13 +334,7 @@ def normalize(q_t, mode: NormMode = NormMode.FROBENIUS) -> np.ndarray:
     NonFiniteState
         If the Frobenius norm overflows.
     """
-    q = check_symmetric(q_t, name="q_t")
-    scale, zero, finite = _scale_factors(q[None], NormMode(mode))
-    if not finite[0]:
-        raise NonFiniteState("the Frobenius norm of q_t is not finite")
-    if zero[0]:
-        raise ZeroTensor(f"norm {np.linalg.norm(q):.3e} below floor {ZERO_FLOOR}")
-    return q * scale[0]
+    return _normalized(check_symmetric(q_t, name="q_t"), mode, "q_t")
 
 
 def flow_step(q_t, sigma, a, a_k: float, zeta: float, mode: NormMode) -> np.ndarray:
@@ -363,16 +360,8 @@ def flow_step(q_t, sigma, a, a_k: float, zeta: float, mode: NormMode) -> np.ndar
         )
     if not (np.isfinite(a_k) and np.isfinite(zeta)):
         raise ValueError("a_k and zeta must be finite")
-    upd = q - zeta * sig + a_k * a_arr
-    upd = 0.5 * (upd + upd.T)
-    scale, zero, finite = _scale_factors(upd[None], NormMode(mode))
-    if not finite[0]:
-        raise NonFiniteState("the update or its Frobenius norm is not finite")
-    if zero[0]:
-        raise ZeroTensor(
-            f"update norm {np.linalg.norm(upd):.3e} below floor {ZERO_FLOOR}"
-        )
-    return upd * scale[0]
+    upd = symmetrize(q - zeta * sig + a_k * a_arr)
+    return _normalized(upd, mode, "the update")
 
 
 def embed_full(q_t, q_n: float) -> np.ndarray:

@@ -30,12 +30,8 @@ from .errors import (
 )
 from .reduction import check_mobility, m_from_q, strictly_decaying
 from .tensor import (
-    check_budget,
-    check_int,
-    check_matrix,
-    check_pd,
-    check_scalar,
-    check_symmetric,
+    check_budget, check_int, check_matrix, check_pd, check_scalar, check_symmetric,
+    symmetrize,
 )
 
 # Relative residual allowed on the fluctuation-balance solution.
@@ -55,11 +51,7 @@ class LinearSDE:
 
     def __post_init__(self) -> None:
         m = check_matrix(self.m, "m")
-        d_mat = check_symmetric(self.d_mat, name="d_mat")
-        if d_mat.shape != m.shape:
-            raise ValueError(
-                f"d_mat: expected shape {m.shape}, got {d_mat.shape}"
-            )
+        d_mat = check_symmetric(self.d_mat, "d_mat", m.shape)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "d_mat", d_mat)
 
@@ -100,15 +92,12 @@ def solve_lyapunov(m, d_mat) -> np.ndarray:
         If the residual exceeds its tolerance.
     """
     m_arr = check_matrix(m, "m")
-    d_arr = check_symmetric(d_mat, name="d_mat")
-    if d_arr.shape != m_arr.shape:
-        raise ValueError(f"d_mat: expected shape {m_arr.shape}, got {d_arr.shape}")
+    d_arr = check_symmetric(d_mat, "d_mat", m_arr.shape)
     if not strictly_decaying(m_arr):
         raise UnstableDrift(
             "decay matrix has an eigenvalue with Re <= 0; no stationary state exists"
         )
-    gamma = scipy.linalg.solve_continuous_lyapunov(m_arr.T, 2.0 * d_arr)
-    gamma = 0.5 * (gamma + gamma.T)
+    gamma = symmetrize(scipy.linalg.solve_continuous_lyapunov(m_arr.T, 2.0 * d_arr))
     residual = np.linalg.norm(m_arr.T @ gamma + gamma @ m_arr - 2.0 * d_arr)
     tolerance = LYAPUNOV_RTOL * max(
         np.linalg.norm(d_arr), np.linalg.norm(m_arr) * np.linalg.norm(gamma)
@@ -132,12 +121,10 @@ def stationary_gaussian(mu, q_eff, beta: float) -> np.ndarray:
     Raises
     ------
     ResponseNotPD
-        If ``q_eff`` has an eigenvalue at or below the PD tolerance.
+        If ``q_eff`` fails :func:`~schurflow.tensor.check_pd`.
     """
     mu_arr = check_mobility(mu)
-    q_arr = check_symmetric(q_eff, name="q_eff")
-    if q_arr.shape != mu_arr.shape:
-        raise ValueError(f"shape mismatch: mu {mu_arr.shape}, q_eff {q_arr.shape}")
+    q_arr = check_symmetric(q_eff, "q_eff", mu_arr.shape)
     check_scalar(beta, "beta")
     check_pd(np.linalg.eigvalsh(q_arr), "q_eff", ResponseNotPD)
     return beta * q_arr
@@ -224,16 +211,13 @@ def estimate_log_curvature(samples) -> np.ndarray:
             f"sample covariance spectrum [{w.min():.3e}, {w.max():.3e}] "
             "is numerically singular"
         )
-    curvature = (v / w) @ v.T
-    return 0.5 * (curvature + curvature.T)
+    return symmetrize((v / w) @ v.T)
 
 
 def einstein_check(d_mat, mu, beta: float) -> float:
     """Relative deviation of the diffusion from ``mu / beta``."""
-    d_arr = check_symmetric(d_mat, name="d_mat")
     mu_arr = check_mobility(mu)
-    if d_arr.shape != mu_arr.shape:
-        raise ValueError(f"shape mismatch: d_mat {d_arr.shape}, mu {mu_arr.shape}")
+    d_arr = check_symmetric(d_mat, "d_mat", mu_arr.shape)
     check_scalar(beta, "beta")
     target = mu_arr / beta
     return float(np.linalg.norm(d_arr - target) / np.linalg.norm(target))
@@ -277,7 +261,7 @@ def reconstruct(
         the Hurwitz test and no stationary state exists.
     """
     mu_arr = check_mobility(mu)
-    q_arr = check_symmetric(q_eff, name="q_eff")
+    q_arr = check_symmetric(q_eff, "q_eff", mu_arr.shape)
     check_scalar(beta, "beta")
     m = m_from_q(mu_arr, q_arr)
     diffusion = mu_arr / beta if d_mat is None else check_symmetric(d_mat, "d_mat")

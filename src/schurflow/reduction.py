@@ -117,9 +117,7 @@ def check_mobility(mu) -> np.ndarray:
 def k_from_q(mu, q) -> np.ndarray:
     """Relaxation generator ``k = -mu q`` of ``dx/dt = k x``."""
     mu_arr = check_mobility(mu)
-    q_arr = check_symmetric(q, name="q")
-    if q_arr.shape != mu_arr.shape:
-        raise ValueError(f"shape mismatch: mu {mu_arr.shape}, q {q_arr.shape}")
+    q_arr = check_symmetric(q, "q", mu_arr.shape)
     return -(mu_arr @ q_arr)
 
 

@@ -2,13 +2,13 @@
 
 The functions here operate on real symmetric matrices stored as plain
 ``numpy.ndarray`` objects.  Inputs are validated with :func:`check_symmetric`,
-which tolerates roundoff-level asymmetry and returns an exactly symmetrized
-copy; downstream code may therefore assume exact symmetry.  The argument
-checks shared by the whole package (:func:`check_matrix`, :func:`check_axis`,
-:func:`check_int`, :func:`check_scalar`, :func:`check_pd`, :func:`check_budget`)
-and the one inertia count (:func:`count_inertia`, with its certified
-closed-form fast path for stacks of states, :func:`embedded_inertia`) live
-here too.
+which tolerates roundoff-level asymmetry, checks the ``shape`` if given one
+and returns an exactly symmetrized copy (:func:`symmetrize`, which also takes
+stacks over the last two axes).  The argument checks shared by the whole
+package (:func:`check_matrix`, :func:`check_axis`, :func:`check_int`,
+:func:`check_scalar`, :func:`check_pd`, :func:`check_budget`) and the one
+inertia count (:func:`count_inertia`, with its certified closed-form fast
+path for stacks of states, :func:`embedded_inertia`) live here too.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .errors import FastSectorNotPD
 
 # Relative asymmetry tolerated by check_symmetric.
 SYMMETRY_RTOL = 1e-12
-# Relative floor at or below which check_pd treats an eigenvalue as non-positive.
-PD_TOL = 1e-10
-# Relative band within which an eigenvalue counts as zero.
+# Relative band within which an eigenvalue counts as zero (check_pd included).
 SIGNATURE_TOL = 1e-10
 # Relative rounding bound on the characteristic-polynomial coefficients of
 # a 3 x 3 state; a few multiples of the worst-case error of their formulas.
@@ -59,9 +57,9 @@ class SeparationResult(NamedTuple):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part ``(m + m.T) / 2``."""
+    """Return the symmetric part ``(m + m.T) / 2`` over the last two axes."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def check_matrix(m, name: str = "matrix", shape=None) -> np.ndarray:
@@ -104,9 +102,9 @@ def check_axis(values, name: str, min_size: int = 1) -> np.ndarray:
 
 
 def check_int(value, name: str, low: int = 1, high: int | None = None) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer in ``[low, high]``."""
+    """Raise ``ValueError`` unless ``value`` is a non-bool integer in [low, high]."""
     if (
-        not isinstance(value, (int, np.integer))
+        not isinstance(value, (int, np.integer)) or isinstance(value, bool)
         or value < low
         or (high is not None and value > high)
     ):
@@ -115,9 +113,10 @@ def check_int(value, name: str, low: int = 1, high: int | None = None) -> None:
 
 
 def check_scalar(value, name: str, positive: bool = True) -> None:
-    """Raise ``ValueError`` unless ``value`` is finite and positive (with
-    ``positive=False``, non-negative)."""
-    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+    """Raise ``ValueError`` unless ``value`` is a finite, positive (with
+    ``positive=False``, non-negative) number, not a boolean."""
+    number = not isinstance(value, (bool, np.bool_)) and np.isfinite(value)
+    if not (number and (value > 0 if positive else value >= 0)):
         sign = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be finite and {sign}, got {value}")
 
@@ -133,7 +132,7 @@ def check_budget(shape, keys: str) -> None:
         )
 
 
-def check_symmetric(m, name: str = "matrix") -> np.ndarray:
+def check_symmetric(m, name: str = "matrix", shape=None) -> np.ndarray:
     """Validate a square symmetric matrix and return a symmetrized copy.
 
     Parameters
@@ -143,6 +142,8 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
         a relative tolerance of ``SYMMETRY_RTOL * (1 + max |m|)``.
     name : str
         Label used in error messages.
+    shape : tuple of int, optional
+        Exact shape required, as in :func:`check_matrix`.
 
     Returns
     -------
@@ -152,25 +153,25 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     Raises
     ------
     ValueError
-        If the input is not square, not finite, or too asymmetric.
+        If the shape is wrong, an entry is not finite or the asymmetry too large.
     """
-    arr = check_matrix(m, name)
+    arr = check_matrix(m, name, shape)
     scale = 1.0 + np.abs(arr).max()
     asym = np.abs(arr - arr.T).max()
     if asym > SYMMETRY_RTOL * scale:
         raise ValueError(
             f"{name}: asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_RTOL * scale:.3e}"
         )
-    return 0.5 * (arr + arr.T)
+    return symmetrize(arr)
 
 
 def check_pd(w, name: str, error=ValueError) -> None:
     """Raise ``error`` unless the eigenvalues ``w`` are positive definite.
 
-    An eigenvalue counts as positive when it exceeds
-    ``PD_TOL * max(1, max |w|)``; ``name`` labels the matrix in the message.
+    An eigenvalue counts as positive above :func:`count_inertia`'s zero band,
+    ``SIGNATURE_TOL * max(1, max |w|)``; ``name`` labels the matrix.
     """
-    tol = PD_TOL * max(1.0, float(np.abs(w).max()))
+    tol = _zero_band(float(np.abs(w).max()))
     if w.min() <= tol:
         raise error(
             f"{name} has eigenvalue {w.min():.3e} <= tolerance {tol:.3e}; "
@@ -397,7 +398,7 @@ def separation_check(m) -> SeparationResult:
     by the isotropic weight alone.
     """
     q, s = iso_traceless(m)
-    s_norm = operator_norm(s) if s.shape[0] > 0 else 0.0
+    s_norm = operator_norm(s)
     return SeparationResult(abs(q) > s_norm, q, s_norm)
 
 
@@ -415,9 +416,5 @@ def perturbation_preserves_signature(m, a) -> bool:
     eigenvalue moves by at most ``||a||_op`` and so cannot cross zero.
     """
     m_arr = check_symmetric(m, name="m")
-    a_arr = check_symmetric(a, name="a")
-    if m_arr.shape != a_arr.shape:
-        raise ValueError(
-            f"shape mismatch: m is {m_arr.shape}, a is {a_arr.shape}"
-        )
+    a_arr = check_symmetric(a, name="a", shape=m_arr.shape)
     return operator_norm(a_arr) < stability_margin(m_arr)

@@ -71,44 +71,22 @@ class TestSchurCommand:
         assert manifest["seed"] is None
         assert manifest["config"]["schur"]["a"] == [[2.0, 0.0], [0.0, 2.0]]
 
-    # Exact grid.csv text of two 2 x 2 grids, recorded at 0.3.0.  Every
-    # value is a ratio of small trajectory counts, so a refactor of the
-    # evolution or the aggregation must reproduce it byte for byte.
-    GOLDEN = {
-        "lognormal": (
-            {"a0_values": [0.3, 1.0], "zeta_values": [0.03, 0.08], "base_config": {}},
-            "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
-            "0.29999999999999999,0.029999999999999999,0,0,0.375,0.625,27,0.375\n"
-            "0.29999999999999999,0.080000000000000002,0,0,0,1,11.875,0\n"
-            "1,0.029999999999999999,0,0,0.375,0.625,22.833333333333332,0.25\n"
-            "1,0.080000000000000002,0,0,0.25,0.75,19.25,0\n",
-        ),
-        "wishart": (
-            {
-                "a0_values": [0.2, 0.9],
-                "zeta_values": [0.2, 0.5],
-                "base_config": {
-                    "schur_model": {"kind": "wishart"},
-                    "norm_mode": "trace",
-                    "disorder": "quenched",
-                },
-            },
-            "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
-            "0.20000000000000001,0.20000000000000001,0,0.5,0.5,0,nan,1\n"
-            "0.20000000000000001,0.5,0,1,0,0,nan,1\n"
-            "0.90000000000000002,0.20000000000000001,0,0.25,0.75,0,nan,1\n"
-            "0.90000000000000002,0.5,0,0.375,0.5,0.125,16,0.875\n",
-        ),
-    }
-
-    @pytest.mark.parametrize("model", sorted(GOLDEN))
-    def test_csv_matches_golden_text(self, tmp_path, model):
-        grid, expected = self.GOLDEN[model]
-        grid["base_config"] = {**grid["base_config"], "k_max": 30}
-        payload = {"grid": {**grid, "n_traj": 8, "master_seed": 5}}
+    # Exact q_eff.csv text of a coupled block with non-diagonal a, b and c,
+    # recorded at 0.7.0.
+    def test_coupled_blocks_match_golden_text(self, tmp_path):
+        payload = {
+            "schur": {
+                "a": [[2.0, 0.3], [0.3, 1.0]],
+                "b": [[0.5, 0.1], [0.2, 0.4]],
+                "c": [[1.5, 0.2], [0.2, 1.0]],
+            }
+        }
         code, out_dir = run_cli(tmp_path, payload)
         assert code == 0
-        assert (out_dir / "grid.csv").read_text() == expected
+        assert (out_dir / "q_eff.csv").read_text() == (
+            "1.8321917808219177,0.22054794520547943\n"
+            "0.22054794520547943,0.83013698630136989\n"
+        )
 
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")
@@ -306,6 +284,45 @@ class TestGridCommand:
         assert read_manifest(out_many)["summary"]["workers"] == 6
         assert (out_serial / "grid.csv").read_bytes() == (out_many / "grid.csv").read_bytes()
 
+    # Exact grid.csv text of two 2 x 2 grids, recorded at 0.3.0.  Every
+    # value is a ratio of small trajectory counts, so a refactor of the
+    # evolution or the aggregation must reproduce it byte for byte.
+    GOLDEN = {
+        "lognormal": (
+            {"a0_values": [0.3, 1.0], "zeta_values": [0.03, 0.08], "base_config": {}},
+            "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
+            "0.29999999999999999,0.029999999999999999,0,0,0.375,0.625,27,0.375\n"
+            "0.29999999999999999,0.080000000000000002,0,0,0,1,11.875,0\n"
+            "1,0.029999999999999999,0,0,0.375,0.625,22.833333333333332,0.25\n"
+            "1,0.080000000000000002,0,0,0.25,0.75,19.25,0\n",
+        ),
+        "wishart": (
+            {
+                "a0_values": [0.2, 0.9],
+                "zeta_values": [0.2, 0.5],
+                "base_config": {
+                    "schur_model": {"kind": "wishart"},
+                    "norm_mode": "trace",
+                    "disorder": "quenched",
+                },
+            },
+            "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
+            "0.20000000000000001,0.20000000000000001,0,0.5,0.5,0,nan,1\n"
+            "0.20000000000000001,0.5,0,1,0,0,nan,1\n"
+            "0.90000000000000002,0.20000000000000001,0,0.25,0.75,0,nan,1\n"
+            "0.90000000000000002,0.5,0,0.375,0.5,0.125,16,0.875\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(GOLDEN))
+    def test_csv_matches_golden_text(self, tmp_path, model):
+        grid, expected = self.GOLDEN[model]
+        grid["base_config"] = {**grid["base_config"], "k_max": 30}
+        payload = {"grid": {**grid, "n_traj": 8, "master_seed": 5}}
+        code, out_dir = run_cli(tmp_path, payload)
+        assert code == 0
+        assert (out_dir / "grid.csv").read_text() == expected
+
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")
         assert code == 0
@@ -333,6 +350,33 @@ class TestMinimalScanCommand:
         manifest = read_manifest(out_dir)
         assert manifest["summary"]["n_polylines"] >= 1
         assert manifest["summary"]["skipped_cells"] == 0
+
+    # Exact scan.csv text of a 4 x 3 scan of the default template, recorded
+    # at 0.7.0.
+    def test_csv_matches_golden_text(self, tmp_path):
+        payload = {
+            "minimal-scan": {
+                "chi_values": {"start": 0.0, "stop": 2.0, "num": 4},
+                "g_values": [0.5, 1.0, 2.0],
+            }
+        }
+        code, out_dir = run_cli(tmp_path, payload)
+        assert code == 0
+        assert (out_dir / "scan.csv").read_text() == (
+            "chi,g,b_eff\n"
+            "0,0.5,1\n"
+            "0,1,1\n"
+            "0,2,1\n"
+            "0.66666666666666663,0.5,0.11111111111111116\n"
+            "0.66666666666666663,1,0.55555555555555558\n"
+            "0.66666666666666663,2,0.77777777777777779\n"
+            "1.3333333333333333,0.5,-2.5555555555555554\n"
+            "1.3333333333333333,1,-0.77777777777777768\n"
+            "1.3333333333333333,2,0.11111111111111116\n"
+            "2,0.5,-7\n"
+            "2,1,-3\n"
+            "2,2,-1\n"
+        )
 
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")
@@ -362,6 +406,48 @@ class TestReconstructCommand:
         assert manifest["summary"]["einstein_residual"] == 0.0
         gamma = np.loadtxt(out_dir / "gamma.csv", delimiter=",")
         np.testing.assert_allclose(gamma, np.eye(2), rtol=1e-10)
+
+    # Exact gamma.csv and g_eff.csv text, recorded at 0.7.0: a 3 x 3 mobility
+    # that does not commute with q_eff under the default diffusion mu / beta,
+    # and a 2 x 2 run with its own d_mat.
+    GOLDEN = {
+        "non-commuting": (
+            {
+                "mu": [[1.0, 0.3, 0.1], [0.3, 0.8, 0.2], [0.1, 0.2, 1.2]],
+                "q_eff": [[1.5, 0.4, 0.0], [0.4, 1.0, -0.3], [0.0, -0.3, 2.0]],
+                "beta": 1.5,
+                "seed": 3,
+            },
+            "0.50032743942370617,-0.20956123117223313,-0.031434184675835017\n"
+            "-0.20956123117223313,0.78585461689587488,0.11787819253438121\n"
+            "-0.031434184675835017,0.11787819253438121,0.35101506221349049\n",
+            "2.3009405870686161,0.48026747518918178,0.065170854628623515\n"
+            "0.48026747518918178,1.7434165833239141,-0.56189597231576993\n"
+            "0.065170854628623515,-0.56189597231576993,3.9122931386406052\n",
+        ),
+        "custom-diffusion": (
+            {
+                "mu": [[0.8, 0.1], [0.1, 0.9]],
+                "q_eff": [[1.0, 0.3], [0.3, 1.5]],
+                "beta": 2.0,
+                "d_mat": [[0.5, 0.1], [0.1, 0.4]],
+                "seed": 7,
+            },
+            "0.63547744539829731,-0.07037507610406829\n"
+            "-0.07037507610406829,0.30872375228877202\n",
+            "1.5273958038745692,-0.30689551840505086\n"
+            "-0.30689551840505086,3.6316237822554931\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_csv_matches_golden_text(self, tmp_path, case):
+        options, gamma_text, g_eff_text = self.GOLDEN[case]
+        payload = {"reconstruct": {**options, "n_steps": 2000, "burn_in": 100}}
+        code, out_dir = run_cli(tmp_path, payload)
+        assert code == 0
+        assert (out_dir / "gamma.csv").read_text() == gamma_text
+        assert (out_dir / "g_eff.csv").read_text() == g_eff_text
 
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")

@@ -109,6 +109,8 @@ class TestGridSpec:
     def test_scalar_validation(self):
         with pytest.raises(ValueError, match="n_traj"):
             GridSpec([0.0], [0.0], n_traj=0, master_seed=0)
+        with pytest.raises(ValueError, match="n_traj"):
+            GridSpec([0.0], [0.0], n_traj=True, master_seed=0)
         with pytest.raises(ValueError, match="master_seed"):
             GridSpec([0.0], [0.0], n_traj=1, master_seed=-1)
         with pytest.raises(TypeError, match="base_config"):

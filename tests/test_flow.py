@@ -590,12 +590,16 @@ class TestFlowConfigValidation:
             FlowConfig(d_tan=0)
         with pytest.raises(ValueError, match="k_max"):
             FlowConfig(k_max=0)
+        with pytest.raises(ValueError, match="k_max"):
+            FlowConfig(k_max=True)
         with pytest.raises(ValueError, match="zeta"):
             FlowConfig(zeta=-0.1)
         with pytest.raises(ValueError, match="a0"):
             FlowConfig(a0=float("inf"))
         with pytest.raises(ValueError, match="q_n"):
             FlowConfig(q_n=0.0)
+        with pytest.raises(ValueError, match="q_n"):
+            FlowConfig(q_n=True)
         with pytest.raises(ValueError, match="anisotropy requires"):
             FlowConfig(a0=0.5, d_tan=1, target_n_minus=1)
         with pytest.raises(ValueError, match="target_n_minus"):

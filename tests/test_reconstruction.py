@@ -322,3 +322,7 @@ class TestReconstruct:
     def test_invalid_beta(self):
         with pytest.raises(ValueError, match="beta"):
             reconstruct(np.eye(2), np.eye(2), beta=0.0)
+
+    def test_shape_mismatch_names_q_eff(self):
+        with pytest.raises(ValueError, match=r"^q_eff: expected shape \(2, 2\), got \(3, 3\)"):
+            reconstruct(np.eye(2), np.eye(3), beta=1.0)

@@ -21,7 +21,9 @@ from schurflow import (
     stability_margin,
     symmetrize,
 )
-from schurflow.tensor import ARRAY_BUDGET, SIGNATURE_TOL, check_budget, embedded_inertia
+from schurflow.tensor import (
+    ARRAY_BUDGET, SIGNATURE_TOL, check_budget, check_pd, count_inertia, embedded_inertia
+)
 
 
 def dense_schur_oracle(a, b, c):
@@ -143,6 +145,47 @@ class TestCheckSymmetric:
         with pytest.raises(ValueError):
             check_symmetric(np.ones(3))
 
+    def test_shape_is_checked_under_its_name(self):
+        with pytest.raises(ValueError, match=r"^x: expected shape \(2, 2\), got \(3, 3\)$"):
+            check_symmetric(np.eye(3), "x", shape=(2, 2))
+        np.testing.assert_array_equal(check_symmetric(np.eye(2), "x", (2, 2)), np.eye(2))
+
+
+class TestSymmetrize:
+    @pytest.mark.parametrize("batch", [(7,), (2, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_stack_equals_per_slice(self, batch, d):
+        stack = np.random.default_rng(d).standard_normal((*batch, d, d))
+        slices = np.stack([0.5 * (m + m.T) for m in stack.reshape(-1, d, d)])
+        assert symmetrize(stack).tobytes() == slices.tobytes()
+
+
+@st.composite
+def spectra_near_band(draw):
+    """Eigenvalues of scale up to ``10**12``, one of them a few band widths
+    either side of ``+band`` or ``-band``, ``band = SIGNATURE_TOL * max(1,
+    max |w|)``."""
+    scale = 10.0 ** draw(st.floats(-3.0, 12.0))
+    rest = draw(st.lists(st.floats(-0.2, 1.0), min_size=0, max_size=4))
+    w = [scale] + [scale * u for u in rest]
+    band = SIGNATURE_TOL * max(1.0, scale)
+    edge = draw(st.sampled_from([1.0, -1.0])) * band
+    offset = draw(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]))
+    w.insert(draw(st.integers(0, len(w))), edge + offset * band)
+    return np.array(w)
+
+
+class TestCheckPD:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(w=spectra_near_band())
+    def test_fails_exactly_where_inertia_finds_a_non_positive(self, w):
+        try:
+            check_pd(w, "w")
+            raised = False
+        except ValueError:
+            raised = True
+        assert raised == (count_inertia(w)[0] < len(w))
+
 
 class TestSignature:
     def test_zero_matrix(self):
@@ -197,10 +240,6 @@ def embedded_states(draw):
     return symmetrize((v * lam) @ v.T), q_n
 
 
-def symmetrize_stack(m):
-    return 0.5 * (m + m.swapaxes(-1, -2))
-
-
 def full_signature(states, q_n):
     return tuple(
         np.array(c) for c in zip(*(signature(embed_full(q, q_n)) for q in states))
@@ -230,7 +269,7 @@ class TestEmbeddedInertia:
                         [1.0, 1.0, -0.5], [-1.0, 2 * band, -3 * band],
                         [1e12, -5e11, 3e11]])
         v, _ = np.linalg.qr(rng.standard_normal((len(lam), 3, 3)))
-        states = symmetrize_stack((v * lam[:, None, :]) @ v.transpose(0, 2, 1))
+        states = symmetrize((v * lam[:, None, :]) @ v.transpose(0, 2, 1))
         got = embedded_inertia(states, q_n)
         # Uncertified: an eigenvalue at band/2 or 0, and two eigenvalues so
         # small that |det| / ||q||_F**2 no longer bounds them off the band.
@@ -248,7 +287,7 @@ class TestEmbeddedInertia:
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_other_dimensions_use_eigvalsh(self, d):
         rng = np.random.default_rng(d)
-        states = symmetrize_stack(rng.standard_normal((6, d, d)))
+        states = symmetrize(rng.standard_normal((6, d, d)))
         got = embedded_inertia(states, 0.5)
         for g, e in zip(got, full_signature(states, 0.5)):
             np.testing.assert_array_equal(g, e)
