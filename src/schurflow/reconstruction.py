@@ -40,6 +40,8 @@ LYAPUNOV_RTOL = 1e-10
 STEP_GUARD = 0.1
 # Condition-number ceiling beyond which a sample covariance is singular.
 CONDITION_CEILING = 1e12
+# Rows per block of the linear scan in simulate_sde.
+SCAN_BLOCK = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,16 +132,58 @@ def stationary_gaussian(mu, q_eff, beta: float) -> np.ndarray:
     return beta * q_arr
 
 
+def _linear_scan(a: np.ndarray, kicks: np.ndarray) -> np.ndarray:
+    """States of ``p[k] = a @ p[k-1] + kicks[k]`` from ``p[-1] = 0``.
+
+    A blocked prefix scan (Blelloch, CMU-CS-90-190, 1990) of the affine
+    recursion.  ``kicks`` has a multiple of ``B = SCAN_BLOCK`` rows; each
+    block of ``B`` rows first answers its own kicks with one matmul against
+    the lower block-Toeplitz matrix of ``a^(n-k)``, ``k <= n``.  The states
+    entering the blocks follow the same recursion with ``a^B`` on the
+    blocks' last rows, and block row ``n`` then adds ``a^(n+1)`` times its
+    entering state.  Only products of ``a`` are formed, no eigen- or Schur
+    decomposition, so the scan holds for any ``a``, defective or strongly
+    non-normal ones included.  ``kicks`` is overwritten; the states come
+    back in a new array of its shape.
+    """
+    rows, dim = kicks.shape
+    n_blocks, width = rows // SCAN_BLOCK, SCAN_BLOCK * dim
+    powers = np.empty((SCAN_BLOCK + 1, dim, dim))
+    powers[0] = np.eye(dim)
+    for n in range(SCAN_BLOCK):
+        powers[n + 1] = powers[n] @ a
+    # In row layout, x_k.T a^(n-k).T, the block (k, n) of the Toeplitz
+    # matrix is powers[n - k].T for n >= k and zero below the diagonal.
+    ahead = np.arange(SCAN_BLOCK) - np.arange(SCAN_BLOCK)[:, None]
+    toeplitz = powers[np.maximum(ahead, 0)] * (ahead >= 0)[:, :, None, None]
+    toeplitz = toeplitz.transpose(0, 3, 1, 2).reshape(width, width)
+    states = np.empty_like(kicks)
+    blocks = states.reshape(n_blocks, width)
+    np.matmul(kicks.reshape(n_blocks, width), toeplitz, out=blocks)
+    if n_blocks > 1:
+        # Block j enters with sum_{i<j} (a^B)^(j-1-i) end_i: the scan of the
+        # block ends shifted down one row.
+        shifted = np.zeros((-(-n_blocks // SCAN_BLOCK) * SCAN_BLOCK, dim))
+        shifted[1:n_blocks] = blocks[:-1, -dim:]
+        entering = _linear_scan(powers[SCAN_BLOCK], shifted)[:n_blocks]
+        carry = powers[1:].transpose(2, 0, 1).reshape(dim, width)
+        np.matmul(entering, carry, out=kicks.reshape(n_blocks, width))
+        states += kicks
+    return states
+
+
 def simulate_sde(
     sde: LinearSDE, dt: float, n_steps: int, burn_in: int = 0, seed=0
 ) -> np.ndarray:
     """Sample the Langevin model with explicit Euler steps.
 
-    Iterates ``p <- p - m p dt + sqrt(2 dt) L z`` from the origin, discards
+    Runs ``p <- (I - m dt) p + sqrt(2 dt) L z`` from the origin, discards
     ``burn_in`` steps and returns the following ``n_steps`` states as an
-    ``(n_steps, dim)`` array.  Each state overwrites the kick that made it,
-    so the run holds one ``(burn_in + n_steps, dim)`` buffer, which must fit
-    in ``ARRAY_BUDGET``.
+    ``(n_steps, dim)`` array.  The steps are not taken one by one: the
+    kicks, zero-padded to a multiple of ``SCAN_BLOCK`` rows, go through a
+    blocked linear scan that takes a handful of matmuls.  The run holds two
+    such padded ``(burn_in + n_steps, dim)`` buffers, the kicks (reused as
+    scratch) and the states; one must fit in ``ARRAY_BUDGET``.
 
     Raises
     ------
@@ -152,7 +196,9 @@ def simulate_sde(
     check_scalar(dt, "dt")
     check_int(n_steps, "n_steps")
     check_int(burn_in, "burn_in", low=0)
-    check_budget((burn_in + n_steps, sde.dim), "n_steps, burn_in")
+    total = burn_in + int(n_steps)
+    padded = -(-total // SCAN_BLOCK) * SCAN_BLOCK
+    check_budget((padded, sde.dim), "n_steps, burn_in")
     if not sde.is_stable():
         raise UnstableDrift("decay matrix has an eigenvalue with Re <= 0")
     opnorm = np.linalg.norm(sde.m, 2)
@@ -170,16 +216,13 @@ def simulate_sde(
     sqrt_d = v * np.sqrt(np.clip(w, 0.0, None))
 
     rng = np.random.default_rng(seed)
-    total = burn_in + int(n_steps)
-    # Row-major states: the sums of np.cov, so g_eff's bytes, follow the layout.
-    kicks = np.empty((total, sde.dim))
-    np.matmul(sqrt_d, rng.standard_normal((total, sde.dim)).T, out=kicks.T)
+    kicks = np.empty((padded, sde.dim))
+    np.matmul(sqrt_d, rng.standard_normal((total, sde.dim)).T, out=kicks[:total].T)
+    kicks[total:] = 0.0
     kicks *= np.sqrt(2.0 * dt)
-    p = np.zeros(sde.dim)
-    for step in range(total):
-        p = p - (sde.m @ p) * dt + kicks[step]
-        kicks[step] = p
-    return kicks[burn_in:]
+    # Row-major states: the sums of np.cov, so g_eff's bytes, follow the layout.
+    states = _linear_scan(np.eye(sde.dim) - sde.m * dt, kicks)
+    return states[burn_in:total]
 
 
 def estimate_log_curvature(samples) -> np.ndarray:

@@ -29,7 +29,8 @@ SIGNATURE_TOL = 1e-10
 # a 3 x 3 state; a few multiples of the worst-case error of their formulas.
 _COEFF_RTOL = 8.0 * np.finfo(float).eps
 # Bytes of float64 arrays one computation may hold at once: a grid cell's
-# (counted by flow.check_batch_budget), or the one buffer of an SDE run.
+# (counted by flow.check_batch_budget), or each of the two padded buffers
+# of an SDE run.
 ARRAY_BUDGET = 2**30
 
 
@@ -114,11 +115,17 @@ def check_int(value, name: str, low: int = 1, high: int | None = None) -> None:
 
 def check_scalar(value, name: str, positive: bool = True) -> None:
     """Raise ``ValueError`` unless ``value`` is a finite, positive (with
-    ``positive=False``, non-negative) number, not a boolean."""
-    number = not isinstance(value, (bool, np.bool_)) and np.isfinite(value)
+    ``positive=False``, non-negative) scalar number, not a boolean."""
+    try:
+        number = (
+            np.ndim(value) == 0 and not isinstance(value, (bool, np.bool_))
+            and np.isfinite(value)
+        )
+    except TypeError:  # a string, None or another non-number
+        number = False
     if not (number and (value > 0 if positive else value >= 0)):
         sign = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be finite and {sign}, got {value}")
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 def check_budget(shape, keys: str) -> None:

@@ -7,7 +7,9 @@ asserted at the byte level.
 """
 
 import json
+import os
 import runpy
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -19,6 +21,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import schurflow
 import schurflow.cli as cli_mod
 import schurflow.ensemble as ensemble_mod
 from schurflow import FlowConfig, __version__, run_trajectory
@@ -407,9 +410,12 @@ class TestReconstructCommand:
         gamma = np.loadtxt(out_dir / "gamma.csv", delimiter=",")
         np.testing.assert_allclose(gamma, np.eye(2), rtol=1e-10)
 
-    # Exact gamma.csv and g_eff.csv text, recorded at 0.7.0: a 3 x 3 mobility
-    # that does not commute with q_eff under the default diffusion mu / beta,
-    # and a 2 x 2 run with its own d_mat.
+    # Exact gamma.csv text, recorded at 0.7.0, and g_eff.csv text, recorded
+    # at 0.8.0 (blocked-scan sampler): a 3 x 3 mobility that does not commute
+    # with q_eff under the default diffusion mu / beta, and a 2 x 2 run with
+    # its own d_mat.  The last entry is g_eff as the step-by-step Euler loop
+    # of 0.7.1 wrote it; the scan sums in another order and may move it by
+    # rounding only.
     GOLDEN = {
         "non-commuting": (
             {
@@ -421,9 +427,14 @@ class TestReconstructCommand:
             "0.50032743942370617,-0.20956123117223313,-0.031434184675835017\n"
             "-0.20956123117223313,0.78585461689587488,0.11787819253438121\n"
             "-0.031434184675835017,0.11787819253438121,0.35101506221349049\n",
-            "2.3009405870686161,0.48026747518918178,0.065170854628623515\n"
-            "0.48026747518918178,1.7434165833239141,-0.56189597231576993\n"
-            "0.065170854628623515,-0.56189597231576993,3.9122931386406052\n",
+            "2.3009405870686139,0.48026747518918,0.065170854628623417\n"
+            "0.48026747518918,1.7434165833239168,-0.56189597231577104\n"
+            "0.065170854628623417,-0.56189597231577104,3.9122931386406061\n",
+            [
+                [2.3009405870686161, 0.48026747518918178, 0.065170854628623515],
+                [0.48026747518918178, 1.7434165833239141, -0.56189597231576993],
+                [0.065170854628623515, -0.56189597231576993, 3.9122931386406052],
+            ],
         ),
         "custom-diffusion": (
             {
@@ -435,19 +446,46 @@ class TestReconstructCommand:
             },
             "0.63547744539829731,-0.07037507610406829\n"
             "-0.07037507610406829,0.30872375228877202\n",
-            "1.5273958038745692,-0.30689551840505086\n"
-            "-0.30689551840505086,3.6316237822554931\n",
+            "1.5273958038745696,-0.3068955184050508\n"
+            "-0.3068955184050508,3.6316237822554904\n",
+            [
+                [1.5273958038745692, -0.30689551840505086],
+                [-0.30689551840505086, 3.6316237822554931],
+            ],
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_csv_matches_golden_text(self, tmp_path, case):
-        options, gamma_text, g_eff_text = self.GOLDEN[case]
+        options, gamma_text, g_eff_text, g_eff_loop = self.GOLDEN[case]
         payload = {"reconstruct": {**options, "n_steps": 2000, "burn_in": 100}}
         code, out_dir = run_cli(tmp_path, payload)
         assert code == 0
         assert (out_dir / "gamma.csv").read_text() == gamma_text
         assert (out_dir / "g_eff.csv").read_text() == g_eff_text
+        g_eff = np.loadtxt(out_dir / "g_eff.csv", delimiter=",")
+        np.testing.assert_allclose(g_eff, g_eff_loop, rtol=1e-12)
+
+    def test_loads_no_scipy_subpackage_but_linalg(self, tmp_path):
+        # Import cost is part of every run's start-up: scipy.signal alone
+        # would add about 0.9 s and 47 MB.  A fresh interpreter shows what
+        # a reconstruct run really imports.
+        cfg = write_config(tmp_path, self.payload)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "from schurflow.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(n for n, m in sys.modules.items() if n.startswith('scipy.')\n"
+            "             and n.count('.') == 1 and hasattr(m, '__path__')\n"
+            "             and not n.startswith('scipy._')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(schurflow.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "['scipy.linalg']"
 
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")

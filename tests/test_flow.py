@@ -600,6 +600,16 @@ class TestFlowConfigValidation:
             FlowConfig(q_n=0.0)
         with pytest.raises(ValueError, match="q_n"):
             FlowConfig(q_n=True)
+        # Non-numbers fail with the named ValueError, not numpy's TypeError.
+        not_a_number = [
+            ("zeta", "0.1", "non-negative, got '0.1'"),
+            ("q_n", None, "positive, got None"),
+            ("a0", [0.1], r"non-negative, got \[0.1\]"),
+            ("q_n", np.array([1.0]), r"positive, got array\(\[1.\]\)"),
+        ]
+        for key, value, message in not_a_number:
+            with pytest.raises(ValueError, match=f"^{key} must be finite and {message}$"):
+                FlowConfig(**{key: value})
         with pytest.raises(ValueError, match="anisotropy requires"):
             FlowConfig(a0=0.5, d_tan=1, target_n_minus=1)
         with pytest.raises(ValueError, match="target_n_minus"):

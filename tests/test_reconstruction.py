@@ -10,6 +10,8 @@ loudly rather than within tolerance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurflow import (
     LinearSDE,
@@ -24,6 +26,8 @@ from schurflow import (
     solve_lyapunov,
     stationary_gaussian,
 )
+from schurflow.reconstruction import SCAN_BLOCK
+from schurflow.tensor import ARRAY_BUDGET
 
 
 def random_decay(rng, d, scale=1.0):
@@ -128,6 +132,94 @@ class TestSdeIntegrationOracle:
         assert err < 0.03
 
 
+def euler_loop(m, d_mat, dt, n_steps, burn_in, seed):
+    """Sequential Euler steps ``p <- p - m p dt + kick`` on the kicks that
+    ``simulate_sde`` draws for ``seed``, one step at a time."""
+    w, v = np.linalg.eigh(d_mat)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    total = burn_in + n_steps
+    z = np.random.default_rng(seed).standard_normal((total, len(m)))
+    kicks = np.sqrt(2.0 * dt) * (z @ root.T)
+    states = np.empty((total, len(m)))
+    p = np.zeros(len(m))
+    for k in range(total):
+        p = p - (m @ p) * dt + kicks[k]
+        states[k] = p
+    return states[burn_in:]
+
+
+def decay_of_kind(kind, dim, rng):
+    """A stable decay matrix: diagonalisable with real spectrum, with
+    complex eigenvalues, a single Jordan block, or strongly non-normal."""
+    rates = rng.uniform(0.2, 2.0, dim)
+    if kind == "similar-to-symmetric":
+        basis = np.eye(dim) + 0.4 * rng.standard_normal((dim, dim))
+        return basis @ np.diag(rates) @ np.linalg.inv(basis)
+    if kind == "rotation":
+        m = np.diag(rates)
+        for i in range(0, dim - 1, 2):
+            m[i, i + 1], m[i + 1, i] = -3.0 * rates[i], 3.0 * rates[i]
+            m[i + 1, i + 1] = rates[i]
+        return m
+    if kind == "jordan":
+        return rates[0] * np.eye(dim) + np.eye(dim, k=1)
+    # Upper triangular with off-diagonal entries of 50 to 100.
+    return np.diag(rates) + np.triu(rng.uniform(50.0, 100.0, (dim, dim)), k=1)
+
+
+DECAY_KINDS = ["similar-to-symmetric", "rotation", "jordan", "non-normal"]
+
+
+class TestBlockedScanMatchesEulerLoop:
+    """simulate_sde's blocked scan against the step-by-step loop.
+
+    The scan sums the same terms in another order, so the two agree to
+    rounding, set beforehand at 1e-12 * max(1, max |p|).  Run lengths
+    straddle one block, where the carries between blocks start, and one
+    block of blocks, where the carries need carries of their own.
+    """
+
+    def assert_matches_loop(self, kind, dim, n_steps, burn_in, step_fraction, seed):
+        rng = np.random.default_rng(seed)
+        m = decay_of_kind(kind, dim, rng)
+        g = rng.standard_normal((dim, dim))
+        d_mat = g @ g.T
+        dt = step_fraction * 0.1 / np.linalg.norm(m, 2)
+        sde = LinearSDE(m=m, d_mat=d_mat)
+        got = simulate_sde(sde, dt=dt, n_steps=n_steps, burn_in=burn_in, seed=seed)
+        want = euler_loop(sde.m, sde.d_mat, dt, n_steps, burn_in, seed)
+        assert got.shape == (n_steps, dim)
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(DECAY_KINDS),
+        dim=st.integers(1, 4),
+        total=st.sampled_from(
+            [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+             SCAN_BLOCK**2 - 1, SCAN_BLOCK**2 + 1]
+        ) | st.integers(1, 3 * SCAN_BLOCK**2),
+        burn_fraction=st.floats(0.0, 0.5),
+        step_fraction=st.floats(0.05, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_length_and_decay(
+        self, kind, dim, total, burn_fraction, step_fraction, seed
+    ):
+        burn_in = int(burn_fraction * (total - 1))
+        self.assert_matches_loop(
+            kind, dim, total - burn_in, burn_in, step_fraction, seed
+        )
+
+    @pytest.mark.parametrize("kind", DECAY_KINDS)
+    def test_four_nested_scans(self, kind):
+        # Past SCAN_BLOCK**3 rows the scan nests four levels deep.
+        self.assert_matches_loop(
+            kind, 3, SCAN_BLOCK**3 + 5, 1_000, step_fraction=0.9, seed=11
+        )
+
+
 class TestSimulateSde:
     def test_scalar_variance(self):
         # Stationary variance of dp = -2 p dt + sqrt(3) dW is 1.5 / 2.
@@ -171,12 +263,21 @@ class TestSimulateSde:
             simulate_sde(sde, dt=0.01, n_steps=0)
         with pytest.raises(ValueError, match="burn_in"):
             simulate_sde(sde, dt=0.01, n_steps=10, burn_in=-1)
+        with pytest.raises(ValueError, match="^dt must be finite and positive, got None$"):
+            simulate_sde(sde, dt=None, n_steps=10)
 
     def test_buffers_are_budgeted_before_allocation(self):
         # One (burn_in + n_steps, 1) buffer of 8 PB: refused unallocated.
         sde = LinearSDE(m=np.eye(1), d_mat=np.eye(1))
         with pytest.raises(ValueError, match="n_steps, burn_in ask for"):
             simulate_sde(sde, dt=0.01, n_steps=10**15)
+        # The longest 3-column run that fits unpadded is over the budget
+        # once padded to whole scan blocks: refused as well.
+        rows = ARRAY_BUDGET // (8 * 3)
+        assert -(-rows // SCAN_BLOCK) * SCAN_BLOCK * 3 * 8 > ARRAY_BUDGET
+        sde = LinearSDE(m=np.eye(3), d_mat=np.eye(3))
+        with pytest.raises(ValueError, match="n_steps, burn_in ask for"):
+            simulate_sde(sde, dt=0.01, n_steps=rows)
 
     def test_linear_sde_validation(self):
         with pytest.raises(ValueError, match="d_mat"):
