@@ -218,11 +218,12 @@ def _cmd_flow(payload, args, out_dir):
     serialize.write_records_jsonl(out_dir / "record.jsonl", [record])
     files = ["record.jsonl"]
     if args.fmt == "csv":
-        header, rows = serialize.record_steps_rows(record)
-        serialize.write_csv(out_dir / "steps.csv", header, rows)
+        arrays = {k: v for k, v in vars(record).items() if isinstance(v, np.ndarray)}
+        columns = {"step": np.arange(record.n_steps + 1), **arrays}
+        serialize.write_csv(out_dir / "steps.csv", columns)
         files.append("steps.csv")
     else:
-        serialize.dump_json(out_dir / "record.json", serialize.record_to_dict(record))
+        serialize.dump_json(out_dir / "record.json", dataclasses.asdict(record))
         files.append("record.json")
     summary = {
         "first_passage": record.first_passage,
@@ -242,10 +243,8 @@ def _cmd_grid(payload, args, out_dir):
     else:
         fields = {f"P{m}": result.p_sector[..., m] for m in range(result.n_sectors)}
         fields.update(mean_fpt=result.mean_fpt, censored_fraction=result.censored_fraction)
-        header, rows = serialize.field_rows(
-            {"a0": result.a0_values, "zeta": result.zeta_values}, fields
-        )
-        serialize.write_csv(out_dir / "grid.csv", header, rows)
+        axes = {"a0": result.a0_values, "zeta": result.zeta_values}
+        serialize.write_csv(out_dir / "grid.csv", serialize.field_columns(axes, fields))
         files = ["grid.csv"]
     summary = {
         "n_cells": spec.n_cells,
@@ -269,10 +268,10 @@ def _cmd_minimal_scan(payload, args, out_dir):
         serialize.dump_json(out_dir / "scan.json", dataclasses.asdict(result))
         files = ["scan.json"]
     else:
-        header, rows = serialize.field_rows(
+        columns = serialize.field_columns(
             {"chi": result.chi_values, "g": result.g_values}, {"b_eff": result.b_eff}
         )
-        serialize.write_csv(out_dir / "scan.csv", header, rows)
+        serialize.write_csv(out_dir / "scan.csv", columns)
         files = ["scan.csv"]
     summary = {
         "n_polylines": result.contour.n_components,

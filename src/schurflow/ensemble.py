@@ -188,8 +188,7 @@ def extract_boundary(
     """
     if sector is None:
         sector = result.d_tan
-    if not 0 <= sector < result.n_sectors:
-        raise ValueError(f"sector must lie in [0, {result.d_tan}], got {sector}")
+    check_int(sector, "sector", low=0, high=result.d_tan)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
     if result.a0_values.size < 2 or result.zeta_values.size < 2:

@@ -1,10 +1,11 @@
 """Deterministic result serialization.
 
-CSV files are written with 17-significant-digit floats (full float64
-round-trip precision), comma separators and ``\n`` line endings, so
-identical results serialize to identical bytes on every platform.  JSON
-files use sorted keys and two-space indentation; NaN values are emitted as
-``null`` to stay inside strict JSON.
+CSV tables are written by ``numpy.savetxt``: floats with 17 significant
+digits (``%.17g``, full float64 round-trip precision), integer and boolean
+columns as ``%d``, comma separators and ``\n`` line endings, so identical
+results serialize to identical bytes on every platform.  JSON files use
+sorted keys and two-space indentation; NaN values are emitted as ``null``
+to stay inside strict JSON.
 """
 
 from __future__ import annotations
@@ -14,28 +15,36 @@ import json
 
 import numpy as np
 
-from .flow import TrajectoryRecord
 
-
-def format_float(x: float) -> str:
-    """Format a float with 17 significant digits (lossless for float64)."""
-    return f"{float(x):.17g}"
-
-
-def write_csv(path, header: str, rows) -> None:
-    """Write pre-formatted rows under a single header line."""
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
+def _savetxt(path, table, fmt, header="") -> None:
+    # Given a path, savetxt would write "\r\n" line endings on Windows.
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
+
+
+def write_csv(path, columns: dict) -> None:
+    """Write named 1-D columns under a header of their names: floats as
+    ``%.17g``, integers and booleans (counts, far below 2**53) as ``%d``."""
+    arrays = [np.asarray(column) for column in columns.values()]
+    fmt = ["%.17g" if a.dtype.kind == "f" else "%d" for a in arrays]
+    _savetxt(path, np.column_stack(arrays).astype(float), fmt, ",".join(columns))
 
 
 def write_matrix_csv(path, matrix) -> None:
     """Write a matrix as bare CSV rows of 17-digit floats."""
-    arr = np.asarray(matrix, dtype=float)
-    rows = [",".join(format_float(x) for x in row) for row in np.atleast_2d(arr)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)), "%.17g")
+
+
+def field_columns(axes: dict, fields: dict) -> dict:
+    """CSV columns of fields on a rectilinear grid, one row per node: ``axes``
+    maps the two axis names to 1-D values, outer axis first, and ``fields``
+    maps column names to ``(n_outer, n_inner)`` arrays."""
+    (x_name, x_values), (y_name, y_values) = axes.items()
+    return {
+        x_name: np.repeat(x_values, len(y_values)),
+        y_name: np.tile(y_values, len(x_values)),
+        **{name: np.ravel(field) for name, field in fields.items()},
+    }
 
 
 def to_builtin(obj):
@@ -66,50 +75,9 @@ def dump_json(path, payload) -> None:
         fh.write(text + "\n")
 
 
-def record_to_dict(record: TrajectoryRecord) -> dict:
-    """JSON-safe dictionary for one trajectory record, keyed by field."""
-    return to_builtin(dataclasses.asdict(record))
-
-
 def write_records_jsonl(path, records) -> None:
     """Write trajectory records as JSON lines, one record per line."""
     with open(path, "w", newline="\n") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True))
-            fh.write("\n")
-
-
-def record_steps_rows(record: TrajectoryRecord):
-    """Per-step CSV rows for a trajectory record, one column per array
-    field; floats get 17 digits, counts and flags are written as integers."""
-    names = [
-        f.name
-        for f in dataclasses.fields(record)
-        if isinstance(getattr(record, f.name), np.ndarray)
-    ]
-    columns = [getattr(record, name) for name in names]
-    rows = [
-        [str(k)]
-        + [format_float(c[k]) if c.dtype.kind == "f" else str(int(c[k])) for c in columns]
-        for k in range(record.n_steps + 1)
-    ]
-    header = ",".join(["step", *names])
-    return header, rows
-
-
-def field_rows(axes: dict, fields: dict):
-    """CSV header and rows of fields sampled on a rectilinear grid.
-
-    ``axes`` maps the two axis names to their 1-D values, outer axis first;
-    ``fields`` maps column names to ``(n_outer, n_inner)`` arrays.  One row
-    per node, outer axis outer, every value with 17 digits.
-    """
-    (x_name, x_values), (y_name, y_values) = axes.items()
-    header = ",".join([x_name, y_name, *fields])
-    rows = [
-        [format_float(x), format_float(y)]
-        + [format_float(field[i, j]) for field in fields.values()]
-        for i, x in enumerate(x_values)
-        for j, y in enumerate(y_values)
-    ]
-    return header, rows
+            fields = to_builtin(dataclasses.asdict(record))
+            fh.write(json.dumps(fields, sort_keys=True) + "\n")

@@ -91,6 +91,20 @@ class TestSchurCommand:
             "0.22054794520547943,0.83013698630136989\n"
         )
 
+    # Exact q_eff.csv text of tiny, huge and negative-zero entries, recorded
+    # at 0.8.0: %.17g writes exponent notation and keeps the sign of zero.
+    def test_exponent_and_negative_zero_match_golden_text(self, tmp_path):
+        payload = {
+            "schur": {
+                "a": [[1e-20, -0.0], [-0.0, 3e22]],
+                "b": [[0.0, 0.0], [0.0, 0.0]],
+                "c": [[1.0, 0.0], [0.0, 1.0]],
+            }
+        }
+        code, out_dir = run_cli(tmp_path, payload)
+        assert code == 0
+        assert (out_dir / "q_eff.csv").read_text() == "9.9999999999999995e-21,-0\n-0,3e+22\n"
+
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")
         assert code == 0
@@ -379,6 +393,19 @@ class TestMinimalScanCommand:
             "2,0.5,-7\n"
             "2,1,-3\n"
             "2,2,-1\n"
+        )
+
+    # Exact scan.csv text of axes in exponent notation, recorded at 0.8.0.
+    def test_exponent_axes_match_golden_text(self, tmp_path):
+        payload = {"minimal-scan": {"chi_values": [0.0, 1e-20], "g_values": [0.5, 1e30]}}
+        code, out_dir = run_cli(tmp_path, payload)
+        assert code == 0
+        assert (out_dir / "scan.csv").read_text() == (
+            "chi,g,b_eff\n"
+            "0,0.5,1\n"
+            "0,1e+30,1\n"
+            "9.9999999999999995e-21,0.5,1\n"
+            "9.9999999999999995e-21,1e+30,1\n"
         )
 
     def test_json_output(self, tmp_path):

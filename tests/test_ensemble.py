@@ -319,8 +319,9 @@ class TestBoundary:
 
     def test_validation(self):
         result = linear_field_result()
-        with pytest.raises(ValueError, match="sector"):
-            extract_boundary(result, sector=4)
+        for sector in (4, -1, True, 1.0):
+            with pytest.raises(ValueError, match="sector"):
+                extract_boundary(result, sector=sector)
         with pytest.raises(ValueError, match="level"):
             extract_boundary(result, level=0.0)
         tiny = linear_field_result(n=2)

@@ -111,6 +111,83 @@ class TestSlowFastOracle:
         assert err < 5e-4
 
 
+PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def qubit_bloch_generator(hamiltonian, jumps):
+    """Real generator ``G`` of ``dr/dt = G r`` for the Bloch vector
+    ``r_a = tr(sigma_a rho)`` of a qubit GKSL master equation
+    ``drho/dt = -i[H, rho] + sum_j (L_j rho L_j^+ - {L_j^+ L_j, rho} / 2)``.
+
+    The Liouvillian acts on column-stacked matrices,
+    ``vec(A X B) = (B^T kron A) vec(X)``; the generator must be unital, so
+    that the Bloch dynamics is linear without an inhomogeneous term.
+    """
+    eye = np.eye(2)
+    liouvillian = -1j * (np.kron(eye, hamiltonian) - np.kron(hamiltonian.T, eye))
+    for jump in jumps:
+        decay = jump.conj().T @ jump
+        liouvillian += np.kron(jump.conj(), jump)
+        liouvillian -= 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye))
+
+    def apply(rho):
+        return (liouvillian @ rho.reshape(-1, order="F")).reshape(2, 2, order="F")
+
+    assert np.allclose(apply(eye), 0.0)
+    basis = [PAULI[axis] for axis in "xyz"]
+    g = np.array([[np.trace(sa @ apply(sb)) / 2 for sb in basis] for sa in basis])
+    assert np.allclose(g.imag, 0.0)
+    return g.real
+
+
+class TestDrivenDephasedQubit:
+    """Zeno elimination of a Rabi-driven qubit under sigma_z dephasing.
+
+    ``H = (omega / 2) sigma_x`` and ``L = sqrt(gamma / 2) sigma_z``: the
+    coherences ``(x, y)`` decay at rate ``gamma`` and are fast, the
+    population ``z`` is slow.  Eliminating the coherences gives the Zeno
+    rate ``-omega**2 / gamma``; the exact slow eigenvalue
+    ``(-gamma + sqrt(gamma**2 - 4 omega**2)) / 2`` lies below it by a
+    relative ``(omega / gamma)**2`` to leading order.
+    """
+
+    OMEGA = 1.0
+    GAMMAS = (10.0, 100.0, 1000.0)
+
+    def bloch_generator(self, gamma):
+        return qubit_bloch_generator(
+            0.5 * self.OMEGA * PAULI["x"], [np.sqrt(gamma / 2) * PAULI["z"]]
+        )
+
+    def reduced_rate(self, g):
+        slow, fast = [2], [0, 1]
+        k = BlockGenerator(
+            k_ss=g[np.ix_(slow, slow)],
+            k_sf=g[np.ix_(slow, fast)],
+            k_fs=g[np.ix_(fast, slow)],
+            k_ff=g[np.ix_(fast, fast)],
+        )
+        return eliminate_fast(k)[0, 0]
+
+    def test_elimination_gives_zeno_rate(self):
+        for gamma in self.GAMMAS:
+            rate = self.reduced_rate(self.bloch_generator(gamma))
+            np.testing.assert_allclose(rate, -self.OMEGA**2 / gamma, rtol=1e-12)
+
+    def test_slow_eigenvalue_correction_scales_as_rate_ratio_squared(self):
+        ratios = []
+        for gamma in self.GAMMAS:
+            g = self.bloch_generator(gamma)
+            reduced = self.reduced_rate(g)
+            exact = np.linalg.eigvals(g).real.max()  # the slowest mode
+            ratios.append((exact - reduced) / reduced / (self.OMEGA / gamma) ** 2)
+        assert all(0.9 <= ratio <= 1.1 for ratio in ratios), ratios
+
+
 class TestFastSlave:
     def test_slaved_state_is_stationary(self):
         rng = np.random.default_rng(33)
