@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -437,12 +436,13 @@ class TestReconstructCommand:
         gamma = np.loadtxt(out_dir / "gamma.csv", delimiter=",")
         np.testing.assert_allclose(gamma, np.eye(2), rtol=1e-10)
 
-    # Exact gamma.csv text, recorded at 0.7.0, and g_eff.csv text, recorded
-    # at 0.8.0 (blocked-scan sampler): a 3 x 3 mobility that does not commute
-    # with q_eff under the default diffusion mu / beta, and a 2 x 2 run with
-    # its own d_mat.  The last entry is g_eff as the step-by-step Euler loop
-    # of 0.7.1 wrote it; the scan sums in another order and may move it by
-    # rounding only.
+    # Exact gamma.csv text, recorded at 0.9.0 (Kronecker-form balance
+    # solve), and g_eff.csv text, recorded at 0.8.0 (blocked-scan sampler):
+    # a 3 x 3 mobility that does not commute with q_eff under the default
+    # diffusion mu / beta, and a 2 x 2 run with its own d_mat.  The last two
+    # entries are gamma as scipy's Lyapunov solver of 0.8.1 wrote it and
+    # g_eff as the step-by-step Euler loop of 0.7.1 wrote it; the new
+    # routes sum in another order and may move them by rounding only.
     GOLDEN = {
         "non-commuting": (
             {
@@ -451,12 +451,17 @@ class TestReconstructCommand:
                 "beta": 1.5,
                 "seed": 3,
             },
-            "0.50032743942370617,-0.20956123117223313,-0.031434184675835017\n"
-            "-0.20956123117223313,0.78585461689587488,0.11787819253438121\n"
-            "-0.031434184675835017,0.11787819253438121,0.35101506221349049\n",
+            "0.5003274394237065,-0.20956123117223313,-0.031434184675834961\n"
+            "-0.20956123117223313,0.78585461689587432,0.11787819253438112\n"
+            "-0.031434184675834961,0.11787819253438112,0.35101506221349044\n",
             "2.3009405870686139,0.48026747518918,0.065170854628623417\n"
             "0.48026747518918,1.7434165833239168,-0.56189597231577104\n"
             "0.065170854628623417,-0.56189597231577104,3.9122931386406061\n",
+            [
+                [0.50032743942370617, -0.20956123117223313, -0.031434184675835017],
+                [-0.20956123117223313, 0.78585461689587488, 0.11787819253438121],
+                [-0.031434184675835017, 0.11787819253438121, 0.35101506221349049],
+            ],
             [
                 [2.3009405870686161, 0.48026747518918178, 0.065170854628623515],
                 [0.48026747518918178, 1.7434165833239141, -0.56189597231576993],
@@ -471,10 +476,14 @@ class TestReconstructCommand:
                 "d_mat": [[0.5, 0.1], [0.1, 0.4]],
                 "seed": 7,
             },
-            "0.63547744539829731,-0.07037507610406829\n"
-            "-0.07037507610406829,0.30872375228877202\n",
+            "0.63547744539829698,-0.070375076104068304\n"
+            "-0.070375076104068304,0.30872375228877191\n",
             "1.5273958038745696,-0.3068955184050508\n"
             "-0.3068955184050508,3.6316237822554904\n",
+            [
+                [0.63547744539829731, -0.07037507610406829],
+                [-0.07037507610406829, 0.30872375228877202],
+            ],
             [
                 [1.5273958038745692, -0.30689551840505086],
                 [-0.30689551840505086, 3.6316237822554931],
@@ -484,35 +493,16 @@ class TestReconstructCommand:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_csv_matches_golden_text(self, tmp_path, case):
-        options, gamma_text, g_eff_text, g_eff_loop = self.GOLDEN[case]
+        options, gamma_text, g_eff_text, gamma_scipy, g_eff_loop = self.GOLDEN[case]
         payload = {"reconstruct": {**options, "n_steps": 2000, "burn_in": 100}}
         code, out_dir = run_cli(tmp_path, payload)
         assert code == 0
         assert (out_dir / "gamma.csv").read_text() == gamma_text
         assert (out_dir / "g_eff.csv").read_text() == g_eff_text
+        gamma = np.loadtxt(out_dir / "gamma.csv", delimiter=",")
+        np.testing.assert_allclose(gamma, gamma_scipy, rtol=1e-12)
         g_eff = np.loadtxt(out_dir / "g_eff.csv", delimiter=",")
         np.testing.assert_allclose(g_eff, g_eff_loop, rtol=1e-12)
-
-    def test_loads_no_scipy_subpackage_but_linalg(self, tmp_path):
-        # Import cost is part of every run's start-up: scipy.signal alone
-        # would add about 0.9 s and 47 MB.  A fresh interpreter shows what
-        # a reconstruct run really imports.
-        cfg = write_config(tmp_path, self.payload)
-        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
-        script = (
-            "import sys\n"
-            "from schurflow.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(sorted(n for n, m in sys.modules.items() if n.startswith('scipy.')\n"
-            "             and n.count('.') == 1 and hasattr(m, '__path__')\n"
-            "             and not n.startswith('scipy._')))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(schurflow.__file__).parents[1])}
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-            timeout=120, check=True,
-        )
-        assert result.stdout.splitlines()[-1] == "['scipy.linalg']"
 
     def test_json_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--format", "json")
@@ -596,6 +586,30 @@ class TestManifestRoundTrip:
 
 
 class TestModuleEntryPoints:
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the only runtime dependency.  A None entry in sys.modules
+        # makes any import of scipy fail, so a fresh interpreter with it set
+        # shows that no command needs scipy and that none loads it.
+        runs = []
+        for command, payload in sorted(ROUND_TRIP_PAYLOADS.items()):
+            cfg = write_config(tmp_path, payload, name=f"{command}.json")
+            runs.append(["--config", str(cfg), "--out", str(tmp_path / command)])
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from schurflow.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])\n"
+            "print(sorted(n for n, m in sys.modules.items()\n"
+            "             if n.split('.')[0] == 'scipy' and m is not None))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(schurflow.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-2:] == [str([0] * len(runs)), "[]"]
+
     @pytest.mark.parametrize("module", ["schurflow", "schurflow.cli"])
     def test_help_exits_zero(self, module, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", [module, "--help"])
@@ -806,13 +820,10 @@ class TestErrorHandling:
         assert read_manifest(tmp_path / "out")["command"] == command
 
     def test_balance_residual_exits_one(self, tmp_path, capsys, monkeypatch):
-        # A Lyapunov solver that returns a perturbed gamma makes the
+        # A balance solve that returns a perturbed gamma makes the
         # fluctuation-balance residual miss its tolerance.
-        solve = scipy.linalg.solve_continuous_lyapunov
-        monkeypatch.setattr(
-            scipy.linalg, "solve_continuous_lyapunov",
-            lambda a, q: solve(a, q) + 1e-6,
-        )
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
         payload = {"reconstruct": {
             "mu": [[0.8, 0.0], [0.0, 0.8]],
             "q_eff": [[1.0, 0.3], [0.3, 1.5]],

@@ -72,6 +72,13 @@ class TestSolveLyapunov:
         np.testing.assert_allclose(gamma, expected, rtol=1e-12, atol=1e-14)
         assert gamma[0, 1] < 0.0
 
+    def test_closed_form_jordan_block(self):
+        # The defective m = [[1, 1], [0, 1]] with d = I has the closed form
+        # gamma = [[1, -1/2], [-1/2, 3/2]]; a solve through an eigenbasis of
+        # m has none to use here.
+        gamma = solve_lyapunov(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+        np.testing.assert_allclose(gamma, [[1.0, -0.5], [-0.5, 1.5]], rtol=1e-12)
+
     def test_residual_property_on_random_systems(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -106,6 +113,16 @@ class TestSolveLyapunov:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             solve_lyapunov(np.eye(2), np.eye(3))
+
+    def test_system_is_budgeted_before_allocation(self):
+        # d = 1000: one d**2 x d**2 system of 8 TB, refused unallocated.
+        with pytest.raises(ValueError, match="^m ask for"):
+            solve_lyapunov(np.eye(1000), np.eye(1000))
+        # d = 82: one system fits, the three held at once do not.
+        d2 = 82 * 82
+        assert 8 * d2 * d2 < ARRAY_BUDGET < 3 * 8 * d2 * d2
+        with pytest.raises(ValueError, match="^m ask for"):
+            solve_lyapunov(np.eye(82), np.eye(82))
 
 
 class TestSdeIntegrationOracle:

@@ -118,16 +118,36 @@ PAULI = {
 }
 
 
-def qubit_bloch_generator(hamiltonian, jumps):
-    """Real generator ``G`` of ``dr/dt = G r`` for the Bloch vector
-    ``r_a = tr(sigma_a rho)`` of a qubit GKSL master equation
+def gell_mann(n):
+    """Traceless Hermitian basis of ``n x n`` matrices with
+    ``tr(l_a l_b) = 2 delta_ab``: for each pair ``j < k`` the real and
+    imaginary off-diagonal matrices, then the ``n - 1`` diagonal ones.  For
+    ``n = 2`` it is ``(sigma_x, sigma_y, sigma_z)``."""
+    basis = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            for entry in (1.0, -1j):
+                off = np.zeros((n, n), dtype=complex)
+                off[j, k], off[k, j] = entry, np.conj(entry)
+                basis.append(off)
+    for level in range(1, n):
+        diag = np.r_[np.ones(level), -level, np.zeros(n - level - 1)]
+        basis.append(np.diag(diag * np.sqrt(2.0 / (level * (level + 1)))) + 0j)
+    return basis
+
+
+def bloch_generator(hamiltonian, jumps):
+    """Real generator ``G`` of ``dr/dt = G r`` for the generalized Bloch
+    vector ``r_a = tr(l_a rho)`` (``l_a`` from :func:`gell_mann`) of a GKSL
+    master equation
     ``drho/dt = -i[H, rho] + sum_j (L_j rho L_j^+ - {L_j^+ L_j, rho} / 2)``.
 
     The Liouvillian acts on column-stacked matrices,
     ``vec(A X B) = (B^T kron A) vec(X)``; the generator must be unital, so
     that the Bloch dynamics is linear without an inhomogeneous term.
     """
-    eye = np.eye(2)
+    n = len(hamiltonian)
+    eye = np.eye(n)
     liouvillian = -1j * (np.kron(eye, hamiltonian) - np.kron(hamiltonian.T, eye))
     for jump in jumps:
         decay = jump.conj().T @ jump
@@ -135,13 +155,22 @@ def qubit_bloch_generator(hamiltonian, jumps):
         liouvillian -= 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye))
 
     def apply(rho):
-        return (liouvillian @ rho.reshape(-1, order="F")).reshape(2, 2, order="F")
+        return (liouvillian @ rho.reshape(-1, order="F")).reshape(n, n, order="F")
 
     assert np.allclose(apply(eye), 0.0)
-    basis = [PAULI[axis] for axis in "xyz"]
+    basis = gell_mann(n)
     g = np.array([[np.trace(sa @ apply(sb)) / 2 for sb in basis] for sa in basis])
     assert np.allclose(g.imag, 0.0)
     return g.real
+
+
+def split_generator(g, slow, fast):
+    return BlockGenerator(
+        k_ss=g[np.ix_(slow, slow)],
+        k_sf=g[np.ix_(slow, fast)],
+        k_fs=g[np.ix_(fast, slow)],
+        k_ff=g[np.ix_(fast, fast)],
+    )
 
 
 class TestDrivenDephasedQubit:
@@ -159,19 +188,12 @@ class TestDrivenDephasedQubit:
     GAMMAS = (10.0, 100.0, 1000.0)
 
     def bloch_generator(self, gamma):
-        return qubit_bloch_generator(
+        return bloch_generator(
             0.5 * self.OMEGA * PAULI["x"], [np.sqrt(gamma / 2) * PAULI["z"]]
         )
 
     def reduced_rate(self, g):
-        slow, fast = [2], [0, 1]
-        k = BlockGenerator(
-            k_ss=g[np.ix_(slow, slow)],
-            k_sf=g[np.ix_(slow, fast)],
-            k_fs=g[np.ix_(fast, slow)],
-            k_ff=g[np.ix_(fast, fast)],
-        )
-        return eliminate_fast(k)[0, 0]
+        return eliminate_fast(split_generator(g, slow=[2], fast=[0, 1]))[0, 0]
 
     def test_elimination_gives_zeno_rate(self):
         for gamma in self.GAMMAS:
@@ -186,6 +208,64 @@ class TestDrivenDephasedQubit:
             exact = np.linalg.eigvals(g).real.max()  # the slowest mode
             ratios.append((exact - reduced) / reduced / (self.OMEGA / gamma) ** 2)
         assert all(0.9 <= ratio <= 1.1 for ratio in ratios), ratios
+
+
+class TestMonitoredLambdaSystem:
+    """Zeno elimination in a Lambda system whose excited level is monitored.
+
+    Ground levels ``|0>``, ``|1>`` are split by a detuning ``delta`` and
+    driven to the excited level ``|2>`` with Rabi frequencies ``omega`` and
+    ``0.7 omega``; the monitoring ``L = sqrt(gamma) |2><2|`` damps the four
+    coherences between ``|2>`` and the ground levels at ``gamma / 2``.
+    Those Bloch components (``gell_mann`` indices 2-5) are fast; the
+    ground-state coherence and the two populations (indices 0, 1, 6, 7) are
+    undamped and form the 4-D slow sector.  The detuning leaves no dark
+    state, so every slow eigenvalue is nonzero: a coherence pair near
+    ``+-i delta`` and two Zeno rates of order ``omega**2 / gamma``.
+    Eliminating the fast sector neglects the slow eigenvalue against
+    ``k_ff``, an error of relative order ``(omega / gamma)**2``.
+    """
+
+    OMEGA, DELTA = 1.0, 0.5
+    GAMMAS = (10.0, 100.0, 1000.0)
+    SLOW, FAST = [0, 1, 6, 7], [2, 3, 4, 5]
+
+    def bloch_generator(self, gamma):
+        hamiltonian = np.diag([0.5 * self.DELTA, -0.5 * self.DELTA, 0.0]) + 0j
+        hamiltonian[0, 2] = hamiltonian[2, 0] = 0.5 * self.OMEGA
+        hamiltonian[1, 2] = hamiltonian[2, 1] = 0.35 * self.OMEGA
+        g = bloch_generator(hamiltonian, [np.sqrt(gamma) * np.diag([0, 0, 1 + 0j])])
+        # The Hamiltonian adds nothing to the diagonal, so it shows the split.
+        np.testing.assert_allclose(np.diag(g)[self.FAST], -0.5 * gamma, rtol=1e-12)
+        np.testing.assert_allclose(np.diag(g)[self.SLOW], 0.0, atol=1e-12)
+        return g
+
+    def test_slow_eigenvalue_error_scales_as_rate_ratio_squared(self):
+        ratios = []
+        for gamma in self.GAMMAS:
+            g = self.bloch_generator(gamma)
+            exact = np.linalg.eigvals(g)
+            exact = np.sort_complex(exact[np.argsort(exact.real)[-4:]])  # the slow four
+            k_eff = eliminate_fast(split_generator(g, self.SLOW, self.FAST))
+            reduced = np.sort_complex(np.linalg.eigvals(k_eff))
+            rel_err = np.abs(reduced - exact) / np.abs(exact)
+            ratios.append(rel_err / (self.OMEGA / gamma) ** 2)
+        # 1.2-1.3 and 4.7-6.0 for the Zeno rates, 1.4-1.5 for the pair.
+        assert np.all((np.array(ratios) >= 1.0) & (np.array(ratios) <= 8.0)), ratios
+
+    def test_slaved_slow_dynamics_match_reduced_propagator(self):
+        x_s0 = np.array([0.3, -0.2, 0.5, -0.4])
+        t_end = 5.0
+        for gamma in self.GAMMAS:
+            g = self.bloch_generator(gamma)
+            k = split_generator(g, self.SLOW, self.FAST)
+            x0 = np.zeros(8)
+            x0[self.SLOW], x0[self.FAST] = x_s0, fast_slave(k, x_s0)
+            exact = (scipy.linalg.expm(g * t_end) @ x0)[self.SLOW]
+            reduced = scipy.linalg.expm(eliminate_fast(k) * t_end) @ x_s0
+            err = np.linalg.norm(exact - reduced) / np.linalg.norm(x_s0)
+            # About 1.2, 2.1 and 2.3 times (omega / gamma)**2.
+            assert err <= 4.0 * (self.OMEGA / gamma) ** 2, (gamma, err)
 
 
 class TestFastSlave:
