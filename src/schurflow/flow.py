@@ -28,6 +28,17 @@ The evolution itself draws nothing.  Batched runs over many trajectories
 give each trajectory its own generator and call each sampler once for the
 whole batch; every generator still draws in the order above, so a batch is
 bitwise identical to the corresponding sequence of single-trajectory runs.
+
+:func:`evolve_batch` holds a batch in the packed layout of
+:mod:`schurflow.tensor`: step ``k`` is one contiguous ``(n_comp, n)`` array
+of the ``d (d + 1) / 2`` components (diagonal, then upper off-diagonal
+entries row by row) of ``n`` trajectories.  The Frobenius norm counts the
+off-diagonal squares twice; the trace sums the first ``d`` components.  The
+samplers stay dense and are packed once per batch: numpy's batched
+``matmul`` rounds unlike any elementwise sum of the same products, so
+packed sampler arithmetic would move load bytes, and trace normalization
+amplifies that into changed counts.  :func:`flow_step`, the one-step
+oracle, stays dense and apart from the kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +50,8 @@ import numpy as np
 
 from .errors import DegenerateDraw, NonFiniteState, ZeroTensor
 from .tensor import (
-    check_budget, check_int, check_scalar, check_symmetric, embedded_inertia, symmetrize
+    check_budget, check_int, check_scalar, check_symmetric, embedded_inertia,
+    packed_index, symmetrize, unpack_symmetric,
 )
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
@@ -195,27 +207,30 @@ def check_batch_budget(config: FlowConfig, n: int, keys: str) -> None:
     """Refuse, naming the config ``keys``, a batch of ``n`` trajectories
     whose arrays would exceed ``ARRAY_BUDGET``; allocates nothing.
 
-    Per trajectory :func:`evolve_batch` holds its states, loads and
-    anisotropies, counted as three ``(k_max + 1, d_tan, d_tan)`` arrays, and
-    :func:`sample_sigma_batch` its draws: for :class:`LognormalGaussian` the
-    rotation seed with its two QR factors, ``(k_max, d_fast, d_fast)`` each,
-    and the coupling ``(k_max, d_tan, d_fast)``; for :class:`Wishart` the
-    factor ``(k_max, d_tan, rank)``.
+    Per trajectory :func:`evolve_batch` holds the samplers' dense loads and
+    anisotropies, ``(k_max, d_tan, d_tan)`` each, their packed copies and
+    the packed states, ``k_max`` and ``k_max + 1`` times ``n_comp``, and
+    ``k_max`` update norms; :func:`sample_sigma_batch` its draws: for
+    :class:`LognormalGaussian` the rotation seed with its two QR factors,
+    ``(k_max, d_fast, d_fast)`` each, and the coupling ``(k_max, d_tan,
+    d_fast)``; for :class:`Wishart` the factor ``(k_max, d_tan, rank)``.
     """
     d, k, model = int(config.d_tan), int(config.k_max), config.schur_model
+    n_comp = d * (d + 1) // 2
     if isinstance(model, LognormalGaussian):
         d_fast = model.d_fast or d
         draws = 3 * d_fast * d_fast + d * d_fast
     else:
         draws = d * (model.rank or d)
-    check_budget((n, 3 * (k + 1) * d * d + k * draws), keys)
+    per_step = 2 * d * d + 3 * n_comp + 1 + draws
+    check_budget((n, k * per_step + n_comp), keys)
 
 
 def _standard_normal(rngs, shape) -> np.ndarray:
     """``rng.standard_normal(shape)`` of each generator, stacked in order."""
     out = np.empty((len(rngs), *shape))
     for i, rng in enumerate(rngs):
-        out[i] = rng.standard_normal(shape)
+        rng.standard_normal(out=out[i])
     return out
 
 
@@ -286,42 +301,18 @@ def anisotropy_strength(a0: float, beta_decay: float, k):
     return float(out) if np.isscalar(k) else out
 
 
-def _scale_factors(upd: np.ndarray, mode: NormMode):
-    """Per-slice normalization scale, zero-collapse mask and finite mask.
-
-    ``upd`` has shape ``(n, d, d)``.  Frobenius mode rescales to unit
-    Frobenius norm.  Trace mode rescales so ``|trace| == d`` whenever the
-    trace magnitude is at least ``TRACE_FLOOR``, falling back to Frobenius
-    below that.  Slices with Frobenius norm below ``ZERO_FLOOR`` are flagged
-    and assigned unit scale.  A slice whose Frobenius norm is not finite
-    (an entry is, or the norm overflowed) is flagged in the finite mask;
-    its scale is meaningless.
-    """
-    d = upd.shape[-1]
-    fro = np.sqrt(np.einsum("kij,kij->k", upd, upd))
-    finite = np.isfinite(fro)
-    zero = fro < ZERO_FLOOR
-    safe_fro = np.where(zero, 1.0, fro)
-    fro_scale = 1.0 / safe_fro
-    if mode is NormMode.TRACE:
-        tr = np.trace(upd, axis1=1, axis2=2)
-        tr_ok = np.abs(tr) >= TRACE_FLOOR
-        safe_tr = np.where(tr_ok, np.abs(tr), 1.0)
-        scale = np.where(tr_ok, d / safe_tr, fro_scale)
-    else:
-        scale = fro_scale
-    return np.where(zero, 1.0, scale), zero, finite
-
-
 def _normalized(q: np.ndarray, mode: NormMode, what: str) -> np.ndarray:
-    """``q`` rescaled as :func:`_scale_factors` says; a failure names ``what``."""
-    scale, zero, finite = _scale_factors(q[None], NormMode(mode))
-    if not finite[0]:
+    """``q`` rescaled to unit Frobenius norm or, in trace mode, to ``|trace|
+    == d`` when ``|trace| >= TRACE_FLOOR``; a failure names ``what``."""
+    fro = float(np.sqrt(np.einsum("ij,ij->", q, q)))
+    if not np.isfinite(fro):
         raise NonFiniteState(f"{what} or its Frobenius norm is not finite")
-    if zero[0]:
-        norm = np.linalg.norm(q)
-        raise ZeroTensor(f"{what} has norm {norm:.3e} below floor {ZERO_FLOOR}")
-    return q * scale[0]
+    if fro < ZERO_FLOOR:
+        raise ZeroTensor(f"{what} has norm {fro:.3e} below floor {ZERO_FLOOR}")
+    tr = abs(float(np.trace(q)))
+    if NormMode(mode) is NormMode.TRACE and tr >= TRACE_FLOOR:
+        return q * (len(q) / tr)
+    return q * (1.0 / fro)
 
 
 def normalize(q_t, mode: NormMode = NormMode.FROBENIUS) -> np.ndarray:
@@ -375,57 +366,83 @@ def embed_full(q_t, q_n: float) -> np.ndarray:
     return full
 
 
+def _packed_batch(m: np.ndarray) -> np.ndarray:
+    """``(n, k, d, d)`` symmetric matrices as a contiguous packed ``(k,
+    n_comp, n)`` array."""
+    n, k, d = m.shape[:3]
+    return np.take(m.reshape(n, k, d * d).transpose(1, 2, 0), packed_index(d), axis=1)
+
+
+def _row_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 into ``out`` in an order that does not depend on the
+    batch size: numpy adds fewer than eight terms in order, and more
+    pairwise where they are contiguous, as in a batch of one."""
+    np.add.reduce(rows[:7], axis=0, out=out)
+    for start in range(7, len(rows), 7):
+        out += np.add.reduce(rows[start:start + 7], axis=0)
+    return out
+
+
 def evolve_batch(config: FlowConfig, rngs):
     """Sample, evolve and classify one trajectory per generator, vectorized
     across the batch with one call of each sampler; each trajectory consumes
     only its own generator, in the documented order, so it is bitwise
     identical to a single run.  Returns ``(states, counts, n_valid)``: the
-    ``(n, k_max + 1, d, d)`` states, the inertia ``(n_plus, n_minus,
-    n_zero)`` of their full tensors ``diag(q_n, q_t)`` as ``(n, k_max + 1)``
-    arrays, counted by :func:`~schurflow.tensor.embedded_inertia` (a
-    certified closed form for ``d_tan = 3``, ``eigvalsh`` otherwise; no
-    spectra are returned), and per trajectory the count of valid states,
-    those before the first below the zero floor.  A non-finite update raises
-    :class:`NonFiniteState` naming the step and the trajectory's index in
-    ``rngs``.
+    packed states as one ``(k_max + 1, n_comp, n)`` array, the inertia
+    ``(n_plus, n_minus, n_zero)`` of their full tensors ``diag(q_n, q_t)``
+    as ``(n, k_max + 1)`` arrays, counted by
+    :func:`~schurflow.tensor.embedded_inertia` (a certified closed form for
+    ``d_tan = 3``, ``eigvalsh`` otherwise; no spectra are returned), and per
+    trajectory the count of valid states, those before the first below the
+    zero floor.  A non-finite update raises :class:`NonFiniteState` naming
+    the first step that has one and the first trajectory, by index in
+    ``rngs``, with one at that step.
     """
-    n = len(rngs)
-    d = config.d_tan
-    k_max = config.k_max
-    annealed = config.disorder is Disorder.ANNEALED
-
-    a_all = None
+    n, d, k_max = len(rngs), config.d_tan, config.k_max
+    check_batch_budget(config, n, "rngs, k_max, d_tan, schur_model")
+    states = np.empty((k_max + 1, d * (d + 1) // 2, n))
+    # An absent term adds -0.0, which leaves every value, -0.0 included, as is.
+    drive = loads = np.broadcast_to(-0.0, (k_max, *states.shape[1:]))
     if config.a0 > 0:
-        a_all = sample_anisotropy_batch(d, k_max if annealed else 1, rngs)
-    sig_all = None
+        n_draws = k_max if config.disorder is Disorder.ANNEALED else 1
+        a_k = anisotropy_strength(config.a0, config.beta_decay, np.arange(k_max))
+        drive = a_k[:, None, None] * _packed_batch(sample_anisotropy_batch(d, n_draws, rngs))
     if config.zeta > 0:
-        sig_all = sample_sigma_batch(config.schur_model, d, k_max, rngs)
+        loads = _packed_batch(sample_sigma_batch(config.schur_model, d, k_max, rngs))
+        loads *= -config.zeta  # adding -zeta * sigma subtracts zeta * sigma exactly
+    states[0] = _packed_batch(config.initial_state()[None, None])[0]
+    norms = np.zeros((k_max, n))
+    square, scale, trace = np.empty_like(states[0]), np.empty(n), np.empty(n)
+    use_trace = np.empty(n, dtype=bool)
+    # A state below the zero floor is scaled as if its norm were the floor,
+    # so it stays finite; n_valid drops it and what follows.  A non-finite
+    # update spreads along its own trajectory only and is reported after.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            q, norm = states[k + 1], norms[k]
+            np.add(states[k], loads[k], out=q)
+            q += drive[k]
+            np.multiply(q, q, out=square)
+            square[d:] *= 2.0  # an off-diagonal component stands for two entries
+            np.sqrt(_row_sum(square, norm), out=norm)
+            np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=scale), out=scale)
+            if config.norm_mode is NormMode.TRACE:
+                np.abs(_row_sum(q[:d], trace), out=trace)
+                np.greater_equal(trace, TRACE_FLOOR, out=use_trace)
+                np.divide(d, trace, out=scale, where=use_trace)
+            q *= scale
 
-    a_k = anisotropy_strength(config.a0, config.beta_decay, np.arange(k_max))
-    states = np.empty((n, k_max + 1, d, d))
-    q = np.broadcast_to(config.initial_state(), (n, d, d)).copy()
-    states[:, 0] = q
-    n_valid = np.full(n, k_max + 1)
-
-    for k in range(k_max):
-        upd = q
-        if sig_all is not None:
-            upd = upd - config.zeta * sig_all[:, k]
-        if a_all is not None:
-            upd = upd + a_k[k] * a_all[:, k if annealed else 0]
-        # Not symmetrized: the initial state, the loads and the anisotropies
-        # are exactly symmetric and the update is elementwise, so it is too.
-        scale, zero, finite = _scale_factors(upd, config.norm_mode)
-        if not finite.all():
-            raise NonFiniteState(
-                f"trajectory {int(np.argmin(finite))}, step {k + 1}: "
-                "the update or its Frobenius norm is not finite"
-            )
-        n_valid[zero & (n_valid == k_max + 1)] = k + 1
-        q = upd * scale[:, None, None]
-        states[:, k + 1] = q
-
-    return states, embedded_inertia(states, config.q_n), n_valid
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        k = int(bad.any(axis=1).argmax())
+        raise NonFiniteState(
+            f"trajectory {int(bad[k].argmax())}, step {k + 1}: "
+            "the update or its Frobenius norm is not finite"
+        )
+    zero = norms < ZERO_FLOOR
+    n_valid = np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, k_max + 1)
+    counts = embedded_inertia(states.swapaxes(0, 1), config.q_n)
+    return states, tuple(c.T for c in counts), n_valid
 
 
 def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
@@ -454,10 +471,10 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     """
     states, counts, n_valid = evolve_batch(config, [np.random.default_rng(seed)])
     valid = slice(0, int(n_valid[0]))
-    states = states[0, valid]
+    states = states[valid, :, 0].T
     n_plus, n_minus, n_zero = (c[0, valid] for c in counts)
-    eigs = np.linalg.eigvalsh(states)
-    q_iso = np.trace(states, axis1=1, axis2=2) / config.d_tan
+    eigs = np.linalg.eigvalsh(unpack_symmetric(states))
+    q_iso = states[:config.d_tan].sum(axis=0) / config.d_tan
     s_opnorm = np.maximum(np.abs(eigs[:, 0] - q_iso), np.abs(eigs[:, -1] - q_iso))
     first = int(first_passage_steps(n_minus, config.target_n_minus))
     return TrajectoryRecord(

@@ -9,6 +9,12 @@ package (:func:`check_matrix`, :func:`check_axis`, :func:`check_int`,
 :func:`check_scalar`, :func:`check_pd`, :func:`check_budget`) and the one
 inertia count (:func:`count_inertia`, with its certified closed-form fast
 path for stacks of states, :func:`embedded_inertia`) live here too.
+
+Stacks of symmetric states can be held packed (LAPACK's packed symmetric
+storage, Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999, sec.
+5.3.2, in another order): ``d (d + 1) / 2`` components along axis 0, the
+diagonal first, then the upper off-diagonal entries in row-major order,
+``(q00, q11, q22, q01, q02, q12)`` for ``d = 3`` (:func:`packed_index`).
 """
 
 from __future__ import annotations
@@ -140,28 +146,10 @@ def check_budget(shape, keys: str) -> None:
 
 
 def check_symmetric(m, name: str = "matrix", shape=None) -> np.ndarray:
-    """Validate a square symmetric matrix and return a symmetrized copy.
-
-    Parameters
-    ----------
-    m : array_like
-        Candidate matrix.  Must be 2-D, square, finite, and symmetric up to
-        a relative tolerance of ``SYMMETRY_RTOL * (1 + max |m|)``.
-    name : str
-        Label used in error messages.
-    shape : tuple of int, optional
-        Exact shape required, as in :func:`check_matrix`.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(m + m.T) / 2`` as a float array, exactly symmetric.
-
-    Raises
-    ------
-    ValueError
-        If the shape is wrong, an entry is not finite or the asymmetry too large.
-    """
+    """Return ``(m + m.T) / 2``, exactly symmetric, of a finite square
+    matrix ``m`` (of ``shape`` if given, as in :func:`check_matrix`) that is
+    symmetric within ``SYMMETRY_RTOL * (1 + max |m|)``; otherwise raise
+    ``ValueError`` labelled ``name``."""
     arr = check_matrix(m, name, shape)
     scale = 1.0 + np.abs(arr).max()
     asym = np.abs(arr - arr.T).max()
@@ -187,17 +175,10 @@ def check_pd(w, name: str, error=ValueError) -> None:
 
 
 def count_inertia(eigs):
-    """Count eigenvalues by sign over the last axis of ``eigs``.
-
+    """Count eigenvalues by sign over the last axis of ``eigs``, as integer
+    arrays ``(n_plus, n_minus, n_zero)`` over the leading (batch) axes.
     Eigenvalues within ``SIGNATURE_TOL * max(1, max |eigs|)`` of zero, the
-    scale taken over the same last axis, count as zero.  Leading axes are a
-    batch.
-
-    Returns
-    -------
-    tuple of numpy.ndarray
-        Integer arrays ``(n_plus, n_minus, n_zero)`` over the batch axes.
-    """
+    scale taken over the same last axis, count as zero."""
     eigs = np.asarray(eigs, dtype=float)
     band = _zero_band(np.abs(eigs).max(axis=-1, keepdims=True))
     n_plus = np.count_nonzero(eigs > band, axis=-1)
@@ -210,8 +191,25 @@ def _zero_band(scale):
     return SIGNATURE_TOL * np.maximum(1.0, scale)
 
 
+def packed_index(d: int) -> np.ndarray:
+    """Flat row-major indices of the packed components of a ``d x d`` matrix."""
+    upper = [i * d + j for i in range(d) for j in range(i + 1, d)]
+    return np.array([i * (d + 1) for i in range(d)] + upper)
+
+
+def unpack_symmetric(p) -> np.ndarray:
+    """Dense ``(..., d, d)`` matrices of packed components ``(n_comp, ...)``."""
+    p = np.moveaxis(np.asarray(p, dtype=float), 0, -1)
+    d = math.isqrt(2 * p.shape[-1])
+    rows, cols = np.divmod(packed_index(d), d)
+    out = np.empty((*p.shape[:-1], d, d))
+    out[..., rows, cols] = out[..., cols, rows] = p
+    return out
+
+
 def embedded_inertia(q_t, q_n: float):
-    """Inertia of ``diag(q_n, q_t)`` for a stack of symmetric states.
+    """Inertia of ``diag(q_n, q_t)`` for a stack of packed symmetric states
+    ``q_t``, of shape ``(n_comp, ...)``.
 
     Equals ``count_inertia`` of ``q_n`` joined to ``eigvalsh(q_t)``, the
     band ``SIGNATURE_TOL * max(1, q_n, ||q_t||_op)`` included, without
@@ -237,8 +235,7 @@ def embedded_inertia(q_t, q_n: float):
     terms of each coefficient sum to at most ``sqrt(3) F``, ``F**2`` and
     ``F**3``.  The factor two in the band keeps ``eigvalsh`` rounding from
     crossing it.  Other states, and every state of another dimension, are
-    counted from ``eigvalsh``.  Only the lower triangle is read, as
-    ``eigvalsh`` does.
+    unpacked and counted from ``eigvalsh``.
 
     Returns
     -------
@@ -246,15 +243,14 @@ def embedded_inertia(q_t, q_n: float):
         Integer arrays ``(n_plus, n_minus, n_zero)`` over the batch axes.
     """
     q_t = np.asarray(q_t, dtype=float)
-    d = q_t.shape[-1]
-    if d == 3:
+    if len(q_t) == 6:  # d = 3
         certified, counts = _closed_form_counts(q_t, q_n)
     else:
-        certified = np.zeros(q_t.shape[:-2], dtype=bool)
+        certified = np.zeros(q_t.shape[1:], dtype=bool)
         counts = np.zeros((3, *certified.shape), dtype=np.intp)
     rest = ~certified
     if rest.any():
-        eigs = np.linalg.eigvalsh(q_t[rest])
+        eigs = np.linalg.eigvalsh(unpack_symmetric(q_t[:, rest]))
         full = np.concatenate([np.full((len(eigs), 1), q_n), eigs], axis=-1)
         counts[:, rest] = count_inertia(full)
     return tuple(counts)
@@ -262,9 +258,8 @@ def embedded_inertia(q_t, q_n: float):
 
 def _closed_form_counts(q, q_n: float):
     """Certified mask and stacked counts ``(n_plus, n_minus, n_zero)``, valid
-    where certified, of ``diag(q_n, q)`` for ``3 x 3`` states ``q``."""
-    a, d, f = q[..., 0, 0], q[..., 1, 1], q[..., 2, 2]
-    b, c, e = q[..., 1, 0], q[..., 2, 0], q[..., 2, 1]
+    where certified, of ``diag(q_n, q)`` for packed ``3 x 3`` states ``q``."""
+    a, d, f, b, c, e = q
     # A state too large for these products fails the certificate through
     # its non-finite terms and is counted from eigvalsh instead.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -335,26 +330,12 @@ class BlockQuadratic:
 
 
 def schur_complement(q: BlockQuadratic) -> np.ndarray:
-    """Eliminate the fast sector of a block quadratic form.
+    """Eliminate the fast sector of a block quadratic form: the symmetric
+    effective retained-sector tensor ``a - b c^{-1} b.T``, of size ``d_s``.
 
-    Returns the effective retained-sector tensor ``a - b c^{-1} b.T``.  The
-    inverse is taken through the eigendecomposition of ``c``, which doubles
-    as the positive-definiteness check.
-
-    Parameters
-    ----------
-    q : BlockQuadratic
-        Block form whose fast block ``c`` must be positive definite.
-
-    Returns
-    -------
-    numpy.ndarray
-        Symmetric effective tensor of size ``d_s``.
-
-    Raises
-    ------
-    FastSectorNotPD
-        If ``c`` fails :func:`check_pd`.
+    The inverse is taken through the eigendecomposition of ``c``, which
+    doubles as the positive-definiteness check: :class:`FastSectorNotPD` if
+    ``c`` fails :func:`check_pd`.
     """
     w, v = np.linalg.eigh(q.c)
     check_pd(w, "fast block", FastSectorNotPD)
@@ -364,21 +345,9 @@ def schur_complement(q: BlockQuadratic) -> np.ndarray:
 
 
 def signature(m) -> Signature:
-    """Count eigenvalues by sign with a spectral-scale zero band.
-
-    Eigenvalues within ``SIGNATURE_TOL * max(1, ||m||_op)`` of zero count
-    as zero.
-
-    Parameters
-    ----------
-    m : array_like
-        Symmetric matrix.
-
-    Returns
-    -------
-    Signature
-        ``(n_plus, n_minus, n_zero)`` summing to the dimension.
-    """
+    """Inertia ``(n_plus, n_minus, n_zero)`` of a symmetric matrix: its
+    eigenvalues counted by sign, those within ``SIGNATURE_TOL * max(1,
+    ||m||_op)`` of zero as zero."""
     counts = count_inertia(np.linalg.eigvalsh(check_symmetric(m)))
     return Signature(*(int(c) for c in counts))
 

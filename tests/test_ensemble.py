@@ -118,10 +118,11 @@ class TestGridSpec:
 
     def test_cell_arrays_are_budgeted(self):
         # Sizes only: a spec allocates nothing.  A trajectory of the default
-        # flow holds states, loads and anisotropies of 101 x 3 x 3 floats, and
-        # its load sampler a rotation seed, two QR factors and a coupling of
-        # 100 x 3 x 3 floats each.
-        per_traj = (3 * 101 * 9 + 4 * 100 * 9) * 8
+        # flow holds dense loads and anisotropies of 100 x 3 x 3 floats, their
+        # packed copies of 100 x 6, packed states of 101 x 6 and 100 update
+        # norms, and its load sampler a rotation seed, two QR factors and a
+        # coupling of 100 x 3 x 3 floats each.
+        per_traj = (100 * (2 * 9 + 2 * 6 + 1 + 4 * 9) + 101 * 6) * 8
         GridSpec(n_traj=ARRAY_BUDGET // per_traj)
         keys = (r"^n_traj, base_config\.k_max, base_config\.d_tan, "
                 r"base_config\.schur_model ask for .* budget$")
@@ -246,6 +247,10 @@ class TestRunGrid:
         )
         result = run_grid(spec)
         config = spec.cell_config(0)
+        # The valid-state counts of 0.9.0, which checked the floor every step.
+        rngs = [np.random.default_rng([1, 0, t]) for t in range(spec.n_traj)]
+        n_valid = flow_mod.evolve_batch(config, rngs)[2]
+        assert n_valid.tolist() == [21, 21, 1, 1, 1, 1, 21, 1]
         records = [run_trajectory(config, [1, 0, t]) for t in range(spec.n_traj)]
         valid = [r for r in records if not r.collapsed]
         assert 0 < len(valid) < spec.n_traj

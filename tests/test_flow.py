@@ -34,7 +34,7 @@ from schurflow import (
     sample_sigma_batch,
     signature,
 )
-from schurflow.tensor import ARRAY_BUDGET, count_inertia
+from schurflow.tensor import ARRAY_BUDGET, count_inertia, unpack_symmetric
 
 
 class TestSigmaSamplers:
@@ -120,9 +120,14 @@ class TestAnisotropySampler:
         class ZeroRng:
             calls = 0
 
-            def standard_normal(self, shape):
+            def standard_normal(self, size=None, out=None):
+                # Generator.standard_normal's signature: the samplers draw
+                # straight into their batch array through ``out``.
                 self.calls += 1
-                return np.zeros(shape)
+                if out is None:
+                    return np.zeros(size)
+                out[...] = 0.0
+                return out
 
         zero_rng = ZeroRng()
         with pytest.raises(DegenerateDraw, match="norm below"):
@@ -481,6 +486,9 @@ class TestTrajectories:
         assert record.collapsed
         assert record.n_steps == 0
         np.testing.assert_array_equal(record.n_minus, [0])
+        # The valid-state count of 0.9.0, which checked the floor every step.
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        assert flow_mod.evolve_batch(config, rngs)[2].tolist() == [1, 1]
 
 
 class TestClassificationContract:
@@ -515,8 +523,10 @@ class TestClassificationContract:
 
 
 class TestEvolveBatch:
-    # evolve_batch does not symmetrize its updates; this is the premise:
-    # every state it returns equals its transpose bit for bit.
+    # The packed kernel against the dense flow_step oracle: every unpacked
+    # state equals the replayed one up to the rounding of the Frobenius
+    # norm, which the kernel sums over packed components; and each
+    # trajectory equals its single-generator run bit for bit.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         model=st.sampled_from([LognormalGaussian(), Wishart()]),
@@ -524,26 +534,75 @@ class TestEvolveBatch:
         disorder=st.sampled_from(list(Disorder)),
         zeta=st.floats(0.0, 1.0),
         a0=st.floats(0.0, 1.5),
-        log_q_n=st.floats(-3.0, 9.0),
         d_tan=st.sampled_from([2, 3, 4]),
         init_seed=st.none() | st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_states_are_exactly_symmetric(
-        self, model, norm_mode, disorder, zeta, a0, log_q_n, d_tan, init_seed, seed
+    def test_states_match_flow_step_replay(
+        self, model, norm_mode, disorder, zeta, a0, d_tan, init_seed, seed
     ):
         q_init = None
         if init_seed is not None:
             g = np.random.default_rng(init_seed).standard_normal((d_tan, d_tan))
             q_init = g + g.T
         config = FlowConfig(
-            zeta=zeta, a0=a0, d_tan=d_tan, q_n=10.0**log_q_n, k_max=30,
-            norm_mode=norm_mode, schur_model=model, disorder=disorder, q_init=q_init,
+            zeta=zeta, a0=a0, d_tan=d_tan, k_max=30, norm_mode=norm_mode,
+            schur_model=model, disorder=disorder, q_init=q_init,
         )
         rngs = [np.random.default_rng([seed, t]) for t in range(3)]
-        states = flow_mod.evolve_batch(config, rngs)[0]
-        assert np.array_equal(states, states.swapaxes(-1, -2))
+        states, _, n_valid = flow_mod.evolve_batch(config, rngs)
+        assert states.shape == (31, d_tan * (d_tan + 1) // 2, 3)
+        assert n_valid.tolist() == [31] * 3
+        for t, got in enumerate(unpack_symmetric(states.transpose(1, 2, 0))):
+            single = flow_mod.evolve_batch(config, [np.random.default_rng([seed, t])])[0]
+            np.testing.assert_array_equal(states[..., t], single[..., 0])
+            expected = np.array(replay_trajectory(config, [seed, t]))
+            scale = np.maximum(1.0, np.abs(expected).max(axis=(1, 2)))
+            deviation = np.abs(got - expected).max(axis=(1, 2))
+            assert (deviation <= 1e-14 * scale).all()
 
+    def test_first_non_finite_update_is_named(self, monkeypatch):
+        # Trajectory 0 cancels to zero at step 1 and stays there; the loads
+        # of trajectories 2 and 1 overflow their update norms at steps 4 and
+        # 6.  The norms are checked once the loop is done: the error names
+        # the first step with a non-finite update and its trajectory.
+        def loads(model, d_tan, n, rngs):
+            for rng in rngs:
+                rng.standard_normal((n, d_tan, d_tan))
+            out = np.zeros((len(rngs), n, d_tan, d_tan))
+            out[0, 0] = np.eye(d_tan) / 0.25
+            out[2, 3] = out[1, 5] = 1e300 * np.eye(d_tan)
+            return out
+
+        monkeypatch.setattr(flow_mod, "sample_sigma_batch", loads)
+        config = FlowConfig(zeta=0.25, k_max=8)
+        with pytest.raises(NonFiniteState, match=r"^trajectory 2, step 4: .* not finite$"):
+            flow_mod.evolve_batch(config, batch_rngs()[:4])
+
+    def test_batch_is_budgeted_before_allocation(self, monkeypatch):
+        # Sizes only.  Per trajectory a Wishart/trace/quenched cell holds the
+        # dense loads and anisotropies (100 x 3 x 3 floats each), their
+        # packed copies (100 x 6 each), the packed states (101 x 6), the 100
+        # update norms and the Wishart factors (100 x 3 x 3).  The largest
+        # batch that fits reaches the first sampler; one more trajectory is
+        # refused before it.
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(flow_mod, "sample_anisotropy_batch", started)
+        config = FlowConfig(
+            zeta=0.4, a0=0.5, schur_model=Wishart(), norm_mode="trace",
+            disorder="quenched",
+        )
+        per_traj = 8 * (100 * (2 * 9 + 2 * 6 + 6 + 1 + 9) + 6)
+        fits = ARRAY_BUDGET // per_traj
+        with pytest.raises(Started):
+            flow_mod.evolve_batch(config, [None] * fits)
+        with pytest.raises(ValueError, match=r"^rngs, k_max, d_tan, schur_model ask for"):
+            flow_mod.evolve_batch(config, [None] * (fits + 1))
 
     # The two benchmark grids: the reference grid at the CLI defaults and
     # the Wishart/trace/quenched grid over zeta in [0, 0.8], where trace
@@ -565,7 +624,7 @@ class TestEvolveBatch:
                 np.random.default_rng([master_seed, cell, t]) for t in range(20)
             ]
             states, counts, _ = flow_mod.evolve_batch(config, rngs)
-            eigs = np.linalg.eigvalsh(states)
+            eigs = np.linalg.eigvalsh(unpack_symmetric(states.transpose(1, 2, 0)))
             full = np.concatenate(
                 [np.full(eigs.shape[:-1] + (1,), config.q_n), eigs], axis=-1
             )
@@ -633,11 +692,11 @@ class TestFlowConfigValidation:
 
     def test_trajectory_arrays_are_budgeted(self):
         # Sizes only: a config allocates nothing.  Each step of a d_tan = 3
-        # trajectory holds a state, a load and an anisotropy of 3 x 3 floats,
+        # trajectory holds a dense load and anisotropy of 3 x 3 floats, their
+        # packed copies and a packed state of 6 floats each, an update norm,
         # and its load sampler a rotation seed, two QR factors and a
-        # coupling of 3 x 3 floats each; the first three count k_max + 1
-        # steps.
-        fits = (ARRAY_BUDGET // 8 - 3 * 9) // (7 * 9)
+        # coupling of 3 x 3 floats each; the initial state adds 6 floats.
+        fits = (ARRAY_BUDGET // 8 - 6) // (2 * 9 + 3 * 6 + 1 + 4 * 9)
         FlowConfig(k_max=fits)
         keys = r"^k_max, d_tan, schur_model ask for .* budget$"
         with pytest.raises(ValueError, match=keys):

@@ -22,7 +22,8 @@ from schurflow import (
     symmetrize,
 )
 from schurflow.tensor import (
-    ARRAY_BUDGET, SIGNATURE_TOL, check_budget, check_pd, count_inertia, embedded_inertia
+    ARRAY_BUDGET, SIGNATURE_TOL, check_budget, check_pd, count_inertia, embedded_inertia,
+    packed_index, unpack_symmetric,
 )
 
 
@@ -240,6 +241,30 @@ def embedded_states(draw):
     return symmetrize((v * lam) @ v.T), q_n
 
 
+def pack(states):
+    """Packed components, along a new first axis, of a stack of symmetric
+    states: the diagonal, then the upper off-diagonal entries row by row."""
+    states = np.asarray(states, dtype=float)
+    d = states.shape[-1]
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return np.stack([states[..., i, j] for i, j in [(i, i) for i in range(d)] + upper])
+
+
+class TestPackedLayout:
+    def test_component_order(self):
+        q = np.array([[1.0, 4.0, 5.0], [4.0, 2.0, 6.0], [5.0, 6.0, 3.0]])
+        np.testing.assert_array_equal(pack(q), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(packed_index(3), [0, 4, 8, 1, 2, 5])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_unpack_inverts_pack(self, d):
+        states = symmetrize(np.random.default_rng(d).standard_normal((2, 4, d, d)))
+        p = pack(states)
+        assert p.shape == (d * (d + 1) // 2, 2, 4)
+        np.testing.assert_array_equal(unpack_symmetric(p), states)
+        np.testing.assert_array_equal(np.ravel(states[1, 2])[packed_index(d)], p[:, 1, 2])
+
+
 def full_signature(states, q_n):
     return tuple(
         np.array(c) for c in zip(*(signature(embed_full(q, q_n)) for q in states))
@@ -251,7 +276,7 @@ class TestEmbeddedInertia:
     @given(case=embedded_states())
     def test_matches_full_tensor_signature(self, case):
         q, q_n = case
-        got = embedded_inertia(q[None], q_n)
+        got = embedded_inertia(pack(q[None]), q_n)
         for g, e in zip(got, full_signature([q], q_n)):
             np.testing.assert_array_equal(g, e)
 
@@ -270,7 +295,7 @@ class TestEmbeddedInertia:
                         [1e12, -5e11, 3e11]])
         v, _ = np.linalg.qr(rng.standard_normal((len(lam), 3, 3)))
         states = symmetrize((v * lam[:, None, :]) @ v.transpose(0, 2, 1))
-        got = embedded_inertia(states, q_n)
+        got = embedded_inertia(pack(states), q_n)
         # Uncertified: an eigenvalue at band/2 or 0, and two eigenvalues so
         # small that |det| / ||q||_F**2 no longer bounds them off the band.
         # Certified: q_n = 1 inside the band of the state of norm 1e12.
@@ -281,14 +306,14 @@ class TestEmbeddedInertia:
     def test_zero_state_falls_back_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = embedded_inertia(np.zeros((2, 3, 3)), 1.0)
+            counts = embedded_inertia(pack(np.zeros((2, 3, 3))), 1.0)
         assert [c.tolist() for c in counts] == [[1, 1], [0, 0], [3, 3]]
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_other_dimensions_use_eigvalsh(self, d):
         rng = np.random.default_rng(d)
         states = symmetrize(rng.standard_normal((6, d, d)))
-        got = embedded_inertia(states, 0.5)
+        got = embedded_inertia(pack(states), 0.5)
         for g, e in zip(got, full_signature(states, 0.5)):
             np.testing.assert_array_equal(g, e)
 
