@@ -29,7 +29,7 @@ from .errors import ConfigInvalid, SchurFlowError
 from .flow import FlowConfig, LognormalGaussian, Wishart, run_trajectory
 from .minimal import MinimalModelSpec, scan
 from .reconstruction import reconstruct
-from .tensor import BlockQuadratic, schur_complement, signature
+from .tensor import BlockQuadratic, check_matrix, schur_complement, signature
 
 # Payload key that --seed overrides, per command.
 _SEED_KEYS = {"flow": "seed", "grid": "master_seed", "reconstruct": "seed"}
@@ -193,7 +193,11 @@ def _seeded(command: str, payload: dict, flag_seed) -> dict:
 
 
 def _cmd_schur(payload, args, out_dir):
-    blocks = _build(BlockQuadratic, payload, "schur")
+    kwargs = _kwargs(inspect.signature(BlockQuadratic), payload, "schur")
+    # The command reports one form's signature, so it refuses the leading
+    # axes of a that would make BlockQuadratic a stack of forms.
+    _call(check_matrix, {"m": kwargs["a"], "name": "a"}, "schur")
+    blocks = _call(BlockQuadratic, kwargs, "schur")
     q_eff = schur_complement(blocks)
     sig = signature(q_eff)
     summary = {"n_plus": sig.n_plus, "n_minus": sig.n_minus, "n_zero": sig.n_zero}

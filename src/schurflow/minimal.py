@@ -17,6 +17,7 @@ from .contour import BoundaryCurve, find_contour
 from .tensor import (
     BlockQuadratic,
     check_axis,
+    check_budget,
     check_int,
     check_matrix,
     check_scalar,
@@ -52,11 +53,7 @@ class MinimalModelSpec:
 
 def build_blocks(spec: MinimalModelSpec) -> BlockQuadratic:
     """Assemble the block form ``[[I, chi b0], [chi b0.T, g I]]``."""
-    return BlockQuadratic(
-        a=np.eye(spec.d_s),
-        b=spec.chi * spec.coupling(),
-        c=spec.g * np.eye(spec.d_f),
-    )
+    return _blocks(spec.chi, spec.g, spec.coupling())
 
 
 def b_eff_final(spec: MinimalModelSpec) -> float:
@@ -65,8 +62,24 @@ def b_eff_final(spec: MinimalModelSpec) -> float:
     Positive means the retained sector survives elimination; the zero
     crossing marks the sensitivity threshold.
     """
-    q_eff = schur_complement(build_blocks(spec))
-    return float(np.linalg.eigvalsh(q_eff)[0])
+    return float(_b_eff(build_blocks(spec)))
+
+
+def _blocks(chi, g, b0: np.ndarray) -> BlockQuadratic:
+    """Block forms ``[[I, chi b0], [chi b0.T, g I]]`` stacked over the
+    broadcast shape of ``chi`` and ``g`` (one form for scalars)."""
+    chi, g = np.broadcast_arrays(np.asarray(chi, dtype=float), np.asarray(g, dtype=float))
+    d_s, d_f = b0.shape
+    return BlockQuadratic(
+        a=np.broadcast_to(np.eye(d_s), (*chi.shape, d_s, d_s)),
+        b=chi[..., None, None] * b0,
+        c=g[..., None, None] * np.eye(d_f),
+    )
+
+
+def _b_eff(blocks: BlockQuadratic) -> np.ndarray:
+    """Smallest eigenvalue of each eliminated retained-sector tensor."""
+    return np.linalg.eigvalsh(schur_complement(blocks))[..., 0]
 
 
 @dataclasses.dataclass(eq=False)
@@ -86,19 +99,28 @@ def scan(
 ) -> ScanResult:
     """Evaluate ``b_eff_final`` on a grid and trace its zero contour.
 
-    Both axes need at least two finite, strictly increasing values.
-    ``template`` fixes everything except ``chi`` and ``g``, which are
-    overridden cell by cell.
+    Both axes need at least two finite, strictly increasing values; ``chi``
+    must be non-negative and ``g`` positive, as in :class:`MinimalModelSpec`.
+    ``template`` fixes everything except ``chi`` and ``g``, which the axes
+    supply cell by cell.  The whole grid is one stacked elimination, one
+    :func:`~schurflow.tensor.schur_complement` call on ``(n_chi, n_g)``
+    stacks of blocks, whose cells equal ``b_eff_final`` of each cell's
+    spec bit for bit.  Its arrays must fit ``tensor.ARRAY_BUDGET``
+    (:func:`~schurflow.tensor.check_budget`), checked before any is built.
     """
     chi = check_axis(chi_values, "chi_values", min_size=2)
     g = check_axis(g_values, "g_values", min_size=2)
+    # The axes increase, so their first values are the ones a cell's spec
+    # would refuse first.
+    check_scalar(float(chi[0]), "chi", positive=False)
+    check_scalar(float(g[0]), "g")
     if template is None:
         template = MinimalModelSpec()
-    b_eff = np.empty((chi.size, g.size))
-    for i, chi_i in enumerate(chi):
-        for j, g_j in enumerate(g):
-            b_eff[i, j] = b_eff_final(
-                dataclasses.replace(template, chi=float(chi_i), g=float(g_j))
-            )
+    b0 = template.coupling()
+    d_s, d_f = b0.shape
+    # Per cell: a, b, c, the eigenpairs of c, b v, the correction and q_eff.
+    per_cell = 3 * d_s * d_s + 2 * d_s * d_f + 2 * d_f * d_f + d_f
+    check_budget((chi.size, g.size, per_cell), "chi_values, g_values")
+    b_eff = _b_eff(_blocks(chi[:, None], g[None, :], b0))
     contour = find_contour(chi, g, b_eff, 0.0)
     return ScanResult(chi_values=chi, g_values=g, b_eff=b_eff, contour=contour)

@@ -69,11 +69,12 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def check_matrix(m, name: str = "matrix", shape=None) -> np.ndarray:
+def check_matrix(m, name: str = "matrix", shape=None, batch=()) -> np.ndarray:
     """Validate a finite 2-D matrix and return it as a float array.
 
-    ``shape=None`` requires a non-empty square matrix; otherwise the shape
-    must equal ``shape`` exactly.
+    ``shape=None`` requires a non-empty square matrix, or with ``batch`` a
+    stack of them over exactly those leading axes; otherwise the shape must
+    equal ``shape`` exactly.
 
     Raises
     ------
@@ -82,9 +83,13 @@ def check_matrix(m, name: str = "matrix", shape=None) -> np.ndarray:
     """
     arr = np.asarray(m, dtype=float)
     if shape is None:
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"{name}: expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] == 0:
+        if (
+            arr.ndim != len(batch) + 2 or arr.shape[:-2] != batch
+            or arr.shape[-1] != arr.shape[-2]
+        ):
+            what = f"square matrices over leading axes {batch}" if batch else "a square matrix"
+            raise ValueError(f"{name}: expected {what}, got shape {arr.shape}")
+        if arr.shape[-1] == 0:
             raise ValueError(f"{name}: dimension must be at least 1")
     elif arr.shape != shape:
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
@@ -145,33 +150,51 @@ def check_budget(shape, keys: str) -> None:
         )
 
 
-def check_symmetric(m, name: str = "matrix", shape=None) -> np.ndarray:
+def check_symmetric(m, name: str = "matrix", shape=None, batch=()) -> np.ndarray:
     """Return ``(m + m.T) / 2``, exactly symmetric, of a finite square
-    matrix ``m`` (of ``shape`` if given, as in :func:`check_matrix`) that is
-    symmetric within ``SYMMETRY_RTOL * (1 + max |m|)``; otherwise raise
-    ``ValueError`` labelled ``name``."""
-    arr = check_matrix(m, name, shape)
-    scale = 1.0 + np.abs(arr).max()
-    asym = np.abs(arr - arr.T).max()
-    if asym > SYMMETRY_RTOL * scale:
+    matrix ``m`` (of ``shape``, or a stack over ``batch``, as in
+    :func:`check_matrix`) that is symmetric within ``SYMMETRY_RTOL * (1 +
+    max |m|)``, the maximum taken per matrix; otherwise raise ``ValueError``
+    labelled ``name`` and, for a stack, the first failing member's index."""
+    arr = check_matrix(m, name, shape, batch)
+    scale = 1.0 + np.abs(arr).max(axis=(-2, -1))
+    asym = np.abs(arr - np.swapaxes(arr, -1, -2)).max(axis=(-2, -1))
+    index, label = _first_member(asym > SYMMETRY_RTOL * scale, name)
+    if index is not None:
         raise ValueError(
-            f"{name}: asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_RTOL * scale:.3e}"
+            f"{label}: asymmetry {asym[index]:.3e} exceeds tolerance "
+            f"{SYMMETRY_RTOL * scale[index]:.3e}"
         )
     return symmetrize(arr)
 
 
 def check_pd(w, name: str, error=ValueError) -> None:
-    """Raise ``error`` unless the eigenvalues ``w`` are positive definite.
+    """Raise ``error`` unless the eigenvalues ``w``, a spectrum over the
+    last axis or a stack of them, are positive definite.
 
-    An eigenvalue counts as positive above :func:`count_inertia`'s zero band,
-    ``SIGNATURE_TOL * max(1, max |w|)``; ``name`` labels the matrix.
+    An eigenvalue counts as positive above :func:`count_inertia`'s zero band
+    of its own spectrum, ``SIGNATURE_TOL * max(1, max |w|)``, so one large
+    member of a stack widens no other member's band.  ``name`` labels the
+    matrix and, for a stack, the first failing member's index.
     """
-    tol = _zero_band(float(np.abs(w).max()))
-    if w.min() <= tol:
+    low = np.min(w, axis=-1)
+    tol = _zero_band(np.abs(w).max(axis=-1))
+    index, label = _first_member(low <= tol, name)
+    if index is not None:
         raise error(
-            f"{name} has eigenvalue {w.min():.3e} <= tolerance {tol:.3e}; "
+            f"{label} has eigenvalue {low[index]:.3e} <= tolerance {tol[index]:.3e}; "
             "it must be positive definite"
         )
+
+
+def _first_member(bad, name: str):
+    """``(index, label)`` of the first true entry of the mask ``bad``, over
+    a stack's leading axes, or ``(None, None)`` if none is true; the label
+    is ``name`` with the index, bare for a single matrix."""
+    if not bad.any():
+        return None, None
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    return index, f"{name}{list(index)}" if index else name
 
 
 def count_inertia(eigs):
@@ -293,13 +316,17 @@ def _closed_form_counts(q, q_n: float):
 
 @dataclasses.dataclass(frozen=True)
 class BlockQuadratic:
-    """Quadratic form split into retained and fast sectors.
+    """Quadratic form split into retained and fast sectors, or a stack of
+    such forms over leading batch axes.
 
     The full matrix is ``[[a, b], [b.T, c]]`` with ``a`` the retained
     (slow) block of size ``d_s``, ``c`` the fast block of size ``d_f`` and
-    ``b`` the ``(d_s, d_f)`` coupling.  ``a`` and ``c`` are symmetrized on
-    construction; positive definiteness of ``c`` is checked only where it
-    is actually required (:func:`schur_complement`).
+    ``b`` the ``(d_s, d_f)`` coupling.  The leading axes of ``a``, if any,
+    are the batch axes: ``c`` and ``b`` must carry the same ones, with
+    shapes ``(..., d_f, d_f)`` and ``(..., d_s, d_f)``.  ``a`` and ``c`` are
+    symmetrized on construction, each member within its own tolerance
+    (:func:`check_symmetric`); positive definiteness of ``c`` is checked
+    only where it is actually required (:func:`schur_complement`).
     """
 
     a: np.ndarray
@@ -307,40 +334,44 @@ class BlockQuadratic:
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        a = check_symmetric(self.a, name="a")
-        c = check_symmetric(self.c, name="c")
-        b = check_matrix(self.b, "b", shape=(a.shape[0], c.shape[0]))
+        batch = np.shape(self.a)[:-2]
+        a = check_symmetric(self.a, "a", batch=batch)
+        c = check_symmetric(self.c, "c", batch=batch)
+        b = check_matrix(self.b, "b", shape=(*a.shape[:-1], c.shape[-1]))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
     @property
     def d_s(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     @property
     def d_f(self) -> int:
-        return self.c.shape[0]
+        return self.c.shape[-1]
 
     def full(self) -> np.ndarray:
-        """Assemble the full ``(d_s + d_f)``-dimensional symmetric matrix."""
-        top = np.hstack([self.a, self.b])
-        bottom = np.hstack([self.b.T, self.c])
-        return np.vstack([top, bottom])
+        """Assemble the full ``(d_s + d_f)``-dimensional symmetric matrix
+        (a stack of them over the batch axes)."""
+        return np.block([[self.a, self.b], [np.swapaxes(self.b, -1, -2), self.c]])
 
 
 def schur_complement(q: BlockQuadratic) -> np.ndarray:
     """Eliminate the fast sector of a block quadratic form: the symmetric
-    effective retained-sector tensor ``a - b c^{-1} b.T``, of size ``d_s``.
+    effective retained-sector tensor ``a - b c^{-1} b.T``, of size ``d_s``,
+    over the batch axes of ``q`` if it is a stack.
 
     The inverse is taken through the eigendecomposition of ``c``, which
     doubles as the positive-definiteness check: :class:`FastSectorNotPD` if
-    ``c`` fails :func:`check_pd`.
+    ``c`` fails :func:`check_pd`, whose zero band is set per member of a
+    stack by that member's own spectrum; the message names the first
+    failing member.  Each member of a stack gets the bytes a call on that
+    member alone would give.
     """
     w, v = np.linalg.eigh(q.c)
     check_pd(w, "fast block", FastSectorNotPD)
     bv = q.b @ v
-    correction = (bv / w) @ bv.T
+    correction = (bv / w[..., None, :]) @ np.swapaxes(bv, -1, -2)
     return symmetrize(q.a - correction)
 
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import schurflow
 import schurflow.cli as cli_mod
 import schurflow.ensemble as ensemble_mod
+import schurflow.minimal as minimal_mod
 from schurflow import FlowConfig, __version__, run_trajectory
 from schurflow.cli import main
 
@@ -733,6 +734,36 @@ class TestErrorHandling:
             tmp_path, cfg, "chi_values: values must be strictly increasing", capsys
         )
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"chi_values": [-1.0, 1.0]}, "chi must be finite and non-negative, got -1.0"),
+            ({"g_values": [0.0, 1.0]}, "g must be finite and positive, got 0.0"),
+        ],
+        ids=["negative-chi", "zero-g"],
+    )
+    def test_scan_axis_out_of_the_spec_range(self, tmp_path, capsys, axes, message):
+        cfg = write_config(tmp_path, {"minimal-scan": axes})
+        self.assert_error_run(tmp_path, cfg, f"minimal-scan: {message}", capsys)
+
+    STACK = [[[1.0, 0.0], [0.0, 1.0]]] * 3
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ({"a": STACK, "b": STACK, "c": STACK},
+             "schur: a: expected a square matrix, got shape (3, 2, 2)"),
+            ({"a": STACK[0], "b": STACK[0], "c": STACK},
+             "schur: c: expected a square matrix, got shape (3, 2, 2)"),
+            ({"a": STACK[0], "b": STACK, "c": STACK[0]},
+             "schur: b: expected shape (2, 2), got (3, 2, 2)"),
+        ],
+        ids=["all", "c", "b"],
+    )
+    def test_schur_refuses_a_stack_of_forms(self, tmp_path, capsys, blocks, message):
+        cfg = write_config(tmp_path, {"schur": blocks})
+        self.assert_error_run(tmp_path, cfg, message, capsys)
+
     # Fast-block eigenvalues reach ~1e302 and the update norm overflows; the
     # run must fail rather than record a zero tensor.
     OVERFLOWING = {
@@ -787,6 +818,20 @@ class TestErrorHandling:
         cfg = write_config(tmp_path, payload)
         self.assert_error_run(tmp_path, cfg, keys, capsys)
         assert "budget" in read_manifest(tmp_path / "out")["error"]
+
+    def test_oversized_scan_is_refused_before_it_starts(self, tmp_path, capsys, monkeypatch):
+        def started(q):
+            raise AssertionError("the elimination started")
+
+        monkeypatch.setattr(minimal_mod, "schur_complement", started)
+        axis = {"start": 0.5, "stop": 2.0, "num": 3000}
+        cfg = write_config(tmp_path, {"minimal-scan": {"chi_values": axis, "g_values": axis}})
+        self.assert_error_run(
+            tmp_path, cfg,
+            "minimal-scan: chi_values, g_values ask for 2059 MiB of arrays, "
+            "over the 1024 MiB budget",
+            capsys,
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(

@@ -9,12 +9,33 @@ output is checked against that closed form through an SVD oracle.
 import numpy as np
 import pytest
 
+import schurflow.minimal as minimal_mod
+import schurflow.tensor as tensor_mod
 from schurflow import MinimalModelSpec, b_eff_final, build_blocks, minimal_scan
 
 
 def closed_form_b_eff(spec: MinimalModelSpec) -> float:
     sigma_max = np.linalg.svd(spec.coupling(), compute_uv=False)[0]
     return 1.0 - spec.chi**2 * sigma_max**2 / spec.g
+
+
+def per_cell_b_eff(chi, g, b0):
+    """``b_eff`` of every ``(chi, g)`` cell, one 2-D elimination per cell in
+    the order of operations the scan has always used: symmetrized blocks,
+    ``eigh`` of the fast block, ``b v``, the correction ``(b v / w) (b v).T``
+    and the symmetrized difference.  Written here, apart from the library."""
+    d_s, d_f = b0.shape
+    out = np.empty((chi.size, g.size))
+    for i, chi_i in enumerate(chi):
+        for j, g_j in enumerate(g):
+            a = np.eye(d_s)
+            b = float(chi_i) * b0
+            c = float(g_j) * np.eye(d_f)
+            w, v = np.linalg.eigh(0.5 * (c + c.T))
+            bv = b @ v
+            q_eff = 0.5 * (a + a.T) - (bv / w) @ bv.T
+            out[i, j] = np.linalg.eigvalsh(0.5 * (q_eff + q_eff.T))[0]
+    return out
 
 
 class TestBEffFinal:
@@ -122,3 +143,56 @@ class TestScan:
         # sigma_max(b0) = 2 moves the threshold to chi = sqrt(g) / 2.
         for x, y in result.contour.points():
             assert abs(x - 0.5 * np.sqrt(y)) <= half_cell_chi
+
+    # The CLI's default axes.
+    CHI = np.linspace(0.0, 2.0, 50)
+    G = np.linspace(0.5, 2.0, 50)
+
+    @pytest.mark.parametrize(
+        "b0",
+        [None, np.array([[1.0, 0.5], [0.2, 0.8]]),
+         np.random.default_rng(5).standard_normal((3, 4))],
+        ids=["default", "2x2", "3x4"],
+    )
+    def test_equals_per_cell_loop_bitwise(self, b0):
+        template = MinimalModelSpec() if b0 is None else MinimalModelSpec(
+            d_s=b0.shape[0], d_f=b0.shape[1], b0=b0
+        )
+        result = minimal_scan(self.CHI, self.G, template=template)
+        expected = per_cell_b_eff(self.CHI, self.G, template.coupling())
+        assert result.b_eff.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "chi, g, message",
+        [
+            ([-1.0, 1.0], [0.5, 1.0], "chi must be finite and non-negative, got -1.0"),
+            ([0.0, 1.0], [0.0, 1.0], "g must be finite and positive, got 0.0"),
+            ([0.0, 1.0], [-2.0, 1.0], "g must be finite and positive, got -2.0"),
+            ([-1.0, 1.0], [0.0, 1.0], "chi must be finite and non-negative, got -1.0"),
+        ],
+        ids=["negative-chi", "zero-g", "negative-g", "both"],
+    )
+    def test_axes_are_refused_as_a_cell_spec_refuses_them(self, chi, g, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            minimal_scan(chi, g)
+
+    def test_one_elimination_within_the_budget(self, monkeypatch):
+        calls = []
+        schur = minimal_mod.schur_complement
+        monkeypatch.setattr(
+            minimal_mod, "schur_complement", lambda q: calls.append(q) or schur(q)
+        )
+        # 30 floats per cell of the 2 x 2 default: a, b, c, w, v, b v, the
+        # correction and q_eff.
+        monkeypatch.setattr(tensor_mod, "ARRAY_BUDGET", 8 * 30 * 50 * 50)
+        minimal_scan(self.CHI, self.G)
+        assert len(calls) == 1
+
+    def test_over_budget_is_refused_before_elimination(self, monkeypatch):
+        def eliminated(q):
+            raise AssertionError("schur_complement was called")
+
+        monkeypatch.setattr(minimal_mod, "schur_complement", eliminated)
+        monkeypatch.setattr(tensor_mod, "ARRAY_BUDGET", 8 * 30 * 50 * 50 - 1)
+        with pytest.raises(ValueError, match=r"^chi_values, g_values ask for .* budget$"):
+            minimal_scan(self.CHI, self.G)

@@ -444,3 +444,10 @@ class TestReconstruct:
     def test_shape_mismatch_names_q_eff(self):
         with pytest.raises(ValueError, match=r"^q_eff: expected shape \(2, 2\), got \(3, 3\)"):
             reconstruct(np.eye(2), np.eye(3), beta=1.0)
+
+    def test_stack_of_q_eff_is_refused(self):
+        # Only BlockQuadratic and schur_complement take leading axes.
+        with pytest.raises(
+            ValueError, match=r"^q_eff: expected shape \(2, 2\), got \(3, 2, 2\)$"
+        ):
+            reconstruct(np.eye(2), np.tile(np.eye(2), (3, 1, 1)), beta=1.0)

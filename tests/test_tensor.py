@@ -109,6 +109,86 @@ class TestSchurComplement:
             schur_complement(BlockQuadratic(a=np.eye(2), b=np.zeros((2, 2)), c=c))
 
 
+@st.composite
+def block_stacks(draw):
+    """Stacked block forms over batch shapes ``(n,)`` and ``(n, m)``, with
+    ``d_s`` and ``d_f`` drawn apart and each member at its own scale, so
+    that members' zero bands differ by up to twelve decades."""
+    batch = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    d_s, d_f = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, (*batch, 1, 1))
+    a = symmetrize(rng.standard_normal((*batch, d_s, d_s))) * scale
+    b = rng.standard_normal((*batch, d_s, d_f)) * scale
+    g = rng.standard_normal((*batch, d_f, d_f))
+    c = (g @ np.swapaxes(g, -1, -2) + 0.5 * np.eye(d_f)) * scale
+    return a, b, c
+
+
+class TestStackedSchurComplement:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(blocks=block_stacks())
+    def test_equals_loop_of_single_calls_bitwise(self, blocks):
+        a, b, c = blocks
+        stacked = BlockQuadratic(a=a, b=b, c=c)
+        batch = a.shape[:-2]
+        singles = [BlockQuadratic(a=a[i], b=b[i], c=c[i]) for i in np.ndindex(batch)]
+        loop = np.stack([schur_complement(q) for q in singles]).reshape(*batch, a.shape[-1], -1)
+        assert schur_complement(stacked).tobytes() == loop.tobytes()
+        full = np.stack([q.full() for q in singles]).reshape(stacked.full().shape)
+        assert stacked.full().tobytes() == full.tobytes()
+        assert (stacked.d_s, stacked.d_f) == (singles[0].d_s, singles[0].d_f)
+
+    def test_non_pd_member_is_named(self):
+        c = np.tile(np.eye(2), (2, 3, 1, 1))
+        c[1, 2] = np.diag([1.0, -0.5])
+        c[1, 0] = np.diag([1.0, -0.25])
+        q = BlockQuadratic(a=np.tile(np.eye(2), (2, 3, 1, 1)), b=np.zeros((2, 3, 2, 2)), c=c)
+        with pytest.raises(
+            FastSectorNotPD,
+            match=r"^fast block\[1, 0\] has eigenvalue -2\.500e-01 <= tolerance 1\.000e-10;",
+        ):
+            schur_complement(q)
+
+    def test_pd_band_is_set_per_member(self):
+        # The large member's band is 1e-10 * 1e12 = 100.  The small member's
+        # eigenvalue 1e-5 clears its own band, 1e-10, so the stack is accepted
+        # as each member is alone; one band over the stack would refuse it.
+        c = np.stack([1e12 * np.eye(2), np.diag([1.0, 1e-5])])
+        q = BlockQuadratic(a=np.tile(np.eye(2), (2, 1, 1)), b=np.ones((2, 2, 2)), c=c)
+        single = BlockQuadratic(a=np.eye(2), b=np.ones((2, 2)), c=c[1])
+        assert schur_complement(q)[1].tobytes() == schur_complement(single).tobytes()
+
+    @pytest.mark.parametrize("block", ["a", "c"])
+    def test_asymmetric_member_is_refused(self, block):
+        blocks = {"a": np.tile(np.eye(2), (3, 1, 1)), "b": np.zeros((3, 2, 2)),
+                  "c": np.tile(np.eye(2), (3, 1, 1))}
+        blocks[block][2, 0, 1] = 1.0
+        with pytest.raises(
+            ValueError, match=rf"^{block}\[2\]: asymmetry 1\.000e\+00 exceeds tolerance"
+        ):
+            BlockQuadratic(**blocks)
+
+    def test_symmetry_tolerance_is_set_per_member(self):
+        # Asymmetry 1e-6 is roundoff next to 1e12 but not next to 1.
+        a = np.stack([1e12 * np.eye(2), np.eye(2)])
+        a[1, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match=r"^a\[1\]: asymmetry"):
+            BlockQuadratic(a=a, b=np.zeros((2, 2, 2)), c=np.tile(np.eye(2), (2, 1, 1)))
+
+    def test_leading_axes_of_a_fix_those_of_b_and_c(self):
+        stack = np.tile(np.eye(2), (3, 1, 1))
+        with pytest.raises(
+            ValueError,
+            match=r"^c: expected square matrices over leading axes \(3,\), got shape \(2, 2\)$",
+        ):
+            BlockQuadratic(a=stack, b=np.zeros((3, 2, 2)), c=np.eye(2))
+        with pytest.raises(ValueError, match=r"^b: expected shape \(3, 2, 2\), got \(2, 2\)$"):
+            BlockQuadratic(a=stack, b=np.zeros((2, 2)), c=stack)
+        with pytest.raises(ValueError, match=r"^c: expected a square matrix, got shape \(3, 2, 2\)$"):
+            BlockQuadratic(a=np.eye(2), b=np.zeros((2, 2)), c=stack)
+
+
 class TestBlockQuadratic:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -207,6 +287,13 @@ class TestSignature:
             m = symmetrize(rng.standard_normal((4, 4)))
             scale = float(rng.uniform(0.1, 100.0))
             assert signature(m) == signature(scale * m)
+
+    def test_refuses_a_stack(self):
+        # Only BlockQuadratic and schur_complement take leading axes.
+        with pytest.raises(
+            ValueError, match=r"^matrix: expected a square matrix, got shape \(2, 2, 2\)$"
+        ):
+            signature(np.zeros((2, 2, 2)))
 
     def test_counts_sum_to_dimension(self):
         rng = np.random.default_rng(22)
