@@ -22,7 +22,9 @@ reproducible and replayable through the public samplers:
    with ``n_draws = 1`` (quenched, the single matrix is reused every step)
    or ``k_max`` (annealed, one matrix per step);
 2. elimination-load draws, skipped entirely when ``zeta == 0``: the
-   ``k_max`` loads of :func:`sample_sigma_batch`.
+   ``k_max`` loads of :func:`sample_sigma_batch`; for
+   :class:`LognormalGaussian` the ``(k_max, d_fast)`` fast-block
+   log-eigenvalues, then the ``(k_max, d_tan, d_fast)`` coupling.
 
 The evolution itself draws nothing.  Batched runs over many trajectories
 give each trajectory its own generator and call each sampler once for the
@@ -78,14 +80,14 @@ class Disorder(str, enum.Enum):
 class LognormalGaussian:
     """Elimination load from a Gaussian coupling and a lognormal fast block.
 
-    The fast block is ``r diag(exp(sigma_log * z)) r.T`` with a random
-    rotation ``r`` and standard normal ``z``; the coupling is an i.i.d.
-    Gaussian ``(d_tan, d_fast)`` matrix scaled by ``1 / sqrt(d_fast)``.  The
-    load is the Schur-complement correction ``b C^{-1} b.T``, evaluated in
-    the eigenbasis of the fast block.  ``r`` is the Q factor of a Gaussian
-    matrix, Haar up to the signs of its columns, which the load does not
-    depend on: the load has the law it would have under an exactly Haar
-    ``r``.
+    The fast block is ``r diag(exp(sigma_log * z)) r.T`` with a Haar
+    rotation ``r`` and standard normal ``z``; the coupling ``b`` is an
+    i.i.d. Gaussian ``(d_tan, d_fast)`` matrix scaled by ``1 / sqrt(d_fast)``.
+    The load is the Schur-complement correction ``b C^{-1} b.T``, evaluated
+    in the eigenbasis of the fast block as ``w diag(exp(-sigma_log * z))
+    w.T`` with ``w = b r``.  ``b`` is independent of ``r`` and its law is
+    invariant under rotations, so ``w`` has the law of ``b`` and is drawn
+    as such: no rotation is drawn (Mezzadri, arXiv:math-ph/0609050).
     """
 
     sigma_log: float = 1.0
@@ -211,15 +213,15 @@ def check_batch_budget(config: FlowConfig, n: int, keys: str) -> None:
     anisotropies, ``(k_max, d_tan, d_tan)`` each, their packed copies and
     the packed states, ``k_max`` and ``k_max + 1`` times ``n_comp``, and
     ``k_max`` update norms; :func:`sample_sigma_batch` its draws: for
-    :class:`LognormalGaussian` the rotation seed with its two QR factors,
-    ``(k_max, d_fast, d_fast)`` each, and the coupling ``(k_max, d_tan,
-    d_fast)``; for :class:`Wishart` the factor ``(k_max, d_tan, rank)``.
+    :class:`LognormalGaussian` the log-eigenvalues ``(k_max, d_fast)`` and
+    the coupling ``(k_max, d_tan, d_fast)``; for :class:`Wishart` the factor
+    ``(k_max, d_tan, rank)``.
     """
     d, k, model = int(config.d_tan), int(config.k_max), config.schur_model
     n_comp = d * (d + 1) // 2
     if isinstance(model, LognormalGaussian):
         d_fast = model.d_fast or d
-        draws = 3 * d_fast * d_fast + d * d_fast
+        draws = d_fast + d * d_fast
     else:
         draws = d * (model.rank or d)
     per_step = 2 * d * d + 3 * n_comp + 1 + draws
@@ -239,8 +241,8 @@ def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rngs) -> np.ndarra
     d_tan, d_tan)`` array; row ``i`` equals a call with ``[rngs[i]]`` alone.
 
     Draw order of each generator for :class:`LognormalGaussian`: fast-block
-    log-eigenvalues ``z`` with shape ``(n, d_fast)``, then the rotation seed
-    ``(n, d_fast, d_fast)``, then the coupling ``(n, d_tan, d_fast)``.  For
+    log-eigenvalues ``z`` with shape ``(n, d_fast)``, then the coupling
+    ``(n, d_tan, d_fast)``, in the fast block's eigenbasis.  For
     :class:`Wishart`: a single ``(n, d_tan, rank)`` draw.  The transforms
     then run once over the stacked draws.
     """
@@ -249,12 +251,7 @@ def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rngs) -> np.ndarra
     if isinstance(model, LognormalGaussian):
         d_fast = model.d_fast if model.d_fast is not None else int(d_tan)
         z = _standard_normal(rngs, (n, d_fast))
-        # The QR rotation is Haar up to the signs of its columns.  The load
-        # does not see them: flipping a column of rot negates a column of w
-        # exactly, and the load takes the product of two entries of it.
-        rot = np.linalg.qr(_standard_normal(rngs, (n, d_fast, d_fast)))[0]
-        w = _standard_normal(rngs, (n, d_tan, d_fast)) / np.sqrt(d_fast) @ rot
-        del rot
+        w = _standard_normal(rngs, (n, d_tan, d_fast)) / np.sqrt(d_fast)
         sigma = (w * np.exp(-model.sigma_log * z)[..., None, :]) @ w.swapaxes(-1, -2)
     elif isinstance(model, Wishart):
         rank = model.rank if model.rank is not None else int(d_tan)

@@ -120,9 +120,9 @@ class TestGridSpec:
         # Sizes only: a spec allocates nothing.  A trajectory of the default
         # flow holds dense loads and anisotropies of 100 x 3 x 3 floats, their
         # packed copies of 100 x 6, packed states of 101 x 6 and 100 update
-        # norms, and its load sampler a rotation seed, two QR factors and a
-        # coupling of 100 x 3 x 3 floats each.
-        per_traj = (100 * (2 * 9 + 2 * 6 + 1 + 4 * 9) + 101 * 6) * 8
+        # norms, and its load sampler 100 x 3 log-eigenvalues and a coupling
+        # of 100 x 3 x 3 floats.
+        per_traj = (100 * (2 * 9 + 2 * 6 + 1 + 3 + 9) + 101 * 6) * 8
         GridSpec(n_traj=ARRAY_BUDGET // per_traj)
         keys = (r"^n_traj, base_config\.k_max, base_config\.d_tan, "
                 r"base_config\.schur_model ask for .* budget$")
@@ -130,9 +130,9 @@ class TestGridSpec:
             GridSpec(n_traj=ARRAY_BUDGET // per_traj + 1)
         with pytest.raises(ValueError, match=keys):
             GridSpec(n_traj=int(1e300))
-        # One trajectory of each fits, a cell of 100 does not: the QR arrays
-        # of d_fast = 400 alone take 36 GiB, the Wishart factors 22 GiB.
-        for model in (LognormalGaussian(d_fast=400), Wishart(rank=10**5)):
+        # One trajectory of each fits, a cell of 100 does not: the
+        # d_fast = 10**4 draws take 3.0 GiB, the Wishart factors 22 GiB.
+        for model in (LognormalGaussian(d_fast=10**4), Wishart(rank=10**5)):
             base = FlowConfig(schur_model=model)
             with pytest.raises(ValueError, match=keys):
                 GridSpec(base_config=base)

@@ -5,6 +5,8 @@ rules, single flow steps, and full trajectories.  The batched samplers are
 cross-checked against each generator's documented draws replayed from raw
 ``standard_normal`` calls, and trajectory evolution by replaying the
 documented draw order through the public samplers and stepping by hand.
+The lognormal loads are checked by law against a reference sampler that
+rotates the fast block by an explicit Haar rotation.
 """
 
 import dataclasses
@@ -73,6 +75,25 @@ class TestSigmaSamplers:
         load = sample_sigma_batch(LognormalGaussian(d_fast=2), 4, 1, [rng])[0, 0]
         assert signature(load) == (2, 0, 2)
 
+    # The sampler draws the coupling in the fast block's eigenbasis.  Its
+    # loads must have the law of the loads of a Haar-rotated fast block:
+    # two-sample KS on trace, extreme eigenvalues and entry (0, 1), N =
+    # 20,000 a side.  Margins at these seeds: equal laws give p >= 0.17 on
+    # every statistic (0.28 for the default model) against the 0.0025
+    # bound, and sigma_log 1.1 against 1.0 gives trace p = 5.5e-11 and
+    # lambda_max p = 2.3e-12 against the 1e-6 bound.
+    @pytest.mark.parametrize("model, d_tan", [
+        (LognormalGaussian(), 3),
+        (LognormalGaussian(d_fast=5, sigma_log=0.7), 4),
+    ])
+    def test_lognormal_loads_have_the_law_of_a_haar_rotated_block(self, model, d_tan):
+        p = load_law_p_values(model, model, d_tan)
+        assert min(p.values()) > 0.01 / 4, p
+
+    def test_load_law_check_flags_a_changed_sigma_log(self):
+        p = load_law_p_values(LognormalGaussian(sigma_log=1.1), LognormalGaussian(), 3)
+        assert min(p.values()) < 1e-6, p
+
     def test_invalid_arguments(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="d_tan"):
@@ -140,21 +161,43 @@ def replay_sigma(model, d_tan, n, rng):
     if isinstance(model, LognormalGaussian):
         d_fast = model.d_fast or d_tan
         z = rng.standard_normal((n, d_fast))
-        seed = rng.standard_normal((n, d_fast, d_fast))
-        b = rng.standard_normal((n, d_tan, d_fast)) / np.sqrt(d_fast)
-        loads = []
-        for k in range(n):
-            rot, r = np.linalg.qr(seed[k])
-            # The sampler skips this sign fix; equal loads pin that the
-            # load does not depend on the signs of the columns of rot.
-            rot = rot * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-            w = b[k] @ rot
-            loads.append((w * np.exp(-model.sigma_log * z[k])) @ w.T)
+        w = rng.standard_normal((n, d_tan, d_fast)) / np.sqrt(d_fast)
+        loads = [(wk * np.exp(-model.sigma_log * zk)) @ wk.T for zk, wk in zip(z, w)]
     else:
         rank = model.rank or d_tan
         g = rng.standard_normal((n, d_tan, rank)) / np.sqrt(rank)
         loads = [gk @ gk.T for gk in g]
     return np.array([0.5 * (s + s.T) for s in loads])
+
+
+def haar_sigma(model, d_tan, n, rng):
+    """Lognormal loads of an explicitly rotated fast block: the rotation is
+    the Q factor of a Gaussian matrix with its column signs fixed, which
+    makes it exactly Haar (Mezzadri, arXiv:math-ph/0609050)."""
+    d_fast = model.d_fast or d_tan
+    z = rng.standard_normal((n, d_fast))
+    rot, r = np.linalg.qr(rng.standard_normal((n, d_fast, d_fast)))
+    rot *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    w = rng.standard_normal((n, d_tan, d_fast)) / np.sqrt(d_fast) @ rot
+    return (w * np.exp(-model.sigma_log * z)[:, None, :]) @ w.transpose(0, 2, 1)
+
+
+def load_law_p_values(model, reference, d_tan, n=20_000):
+    """Two-sample KS p-values of four load statistics: ``n`` sampler loads
+    of ``model`` against ``n`` Haar-rotated loads of ``reference``."""
+    from scipy.stats import ks_2samp  # tests only: scipy is no runtime dependency
+
+    loads = {
+        "sampler": sample_sigma_batch(model, d_tan, n, [np.random.default_rng(21)])[0],
+        "haar": haar_sigma(reference, d_tan, n, np.random.default_rng(22)),
+    }
+    stats = {}
+    for side, sig in loads.items():
+        eigs = np.linalg.eigvalsh(sig)
+        stats[side] = {"trace": np.trace(sig, axis1=1, axis2=2), "lambda_min": eigs[:, 0],
+                       "lambda_max": eigs[:, -1], "q01": sig[:, 0, 1]}
+    return {key: ks_2samp(stats["sampler"][key], stats["haar"][key]).pvalue
+            for key in stats["haar"]}
 
 
 def replay_anisotropy(d_tan, n, rng):
@@ -175,8 +218,8 @@ def batch_rngs():
 
 class TestBatchedSamplers:
     # Row i of a batched call equals the replay of generator i alone, bit for
-    # bit, and equals a call with that generator alone: the stacked qr and
-    # matmul do not depend on the stack size.
+    # bit, and equals a call with that generator alone: the stacked matmul
+    # does not depend on the stack size.
     @pytest.mark.parametrize("model, d_tan", [
         (LognormalGaussian(), 3),
         (LognormalGaussian(d_fast=5, sigma_log=0.7), 4),
@@ -694,9 +737,9 @@ class TestFlowConfigValidation:
         # Sizes only: a config allocates nothing.  Each step of a d_tan = 3
         # trajectory holds a dense load and anisotropy of 3 x 3 floats, their
         # packed copies and a packed state of 6 floats each, an update norm,
-        # and its load sampler a rotation seed, two QR factors and a
-        # coupling of 3 x 3 floats each; the initial state adds 6 floats.
-        fits = (ARRAY_BUDGET // 8 - 6) // (2 * 9 + 3 * 6 + 1 + 4 * 9)
+        # and its load sampler 3 log-eigenvalues and a coupling of 3 x 3
+        # floats; the initial state adds 6 floats.
+        fits = (ARRAY_BUDGET // 8 - 6) // (2 * 9 + 3 * 6 + 1 + 3 + 9)
         FlowConfig(k_max=fits)
         keys = r"^k_max, d_tan, schur_model ask for .* budget$"
         with pytest.raises(ValueError, match=keys):
