@@ -17,10 +17,11 @@ Randomness contract
 A trajectory consumes its generator in a documented order so runs are
 reproducible and replayable through the public samplers:
 
-1. anisotropy draws, skipped entirely when ``a0 == 0``: one
-   ``(n_draws, d_tan, d_tan)`` draw of :func:`sample_anisotropy_batch`
-   with ``n_draws = 1`` (quenched, the single matrix is reused every step)
-   or ``k_max`` (annealed, one matrix per step);
+1. anisotropy draws, skipped entirely when ``a0 == 0``: one ``(n_draws,
+   n_comp)`` draw of :func:`sample_anisotropy_batch`, the packed components
+   of a symmetric Gaussian matrix, with ``n_draws = 1`` (quenched, the
+   single matrix is reused every step) or ``k_max`` (annealed, one matrix
+   per step);
 2. elimination-load draws, skipped entirely when ``zeta == 0``: the
    ``k_max`` loads of :func:`sample_sigma_batch`; for
    :class:`LognormalGaussian` the ``(k_max, d_fast)`` fast-block
@@ -33,14 +34,13 @@ bitwise identical to the corresponding sequence of single-trajectory runs.
 
 :func:`evolve_batch` holds a batch in the packed layout of
 :mod:`schurflow.tensor`: step ``k`` is one contiguous ``(n_comp, n)`` array
-of the ``d (d + 1) / 2`` components (diagonal, then upper off-diagonal
-entries row by row) of ``n`` trajectories.  The Frobenius norm counts the
-off-diagonal squares twice; the trace sums the first ``d`` components.  The
-samplers stay dense and are packed once per batch: numpy's batched
-``matmul`` rounds unlike any elementwise sum of the same products, so
-packed sampler arithmetic would move load bytes, and trace normalization
-amplifies that into changed counts.  :func:`flow_step`, the one-step
-oracle, stays dense and apart from the kernel.
+of the ``n_comp = d (d + 1) / 2`` components (diagonal, then upper
+off-diagonal entries row by row) of ``n`` trajectories.  The Frobenius norm
+counts the off-diagonal squares twice; the trace sums the first ``d``
+components.  Both samplers return this layout, computed elementwise from
+the draws, and sum over fast modes in an order that does not depend on the
+batch size (:func:`_row_sum`).  :func:`flow_step`, the one-step oracle,
+stays dense and apart from the kernel.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ class LognormalGaussian:
     rotation ``r`` and standard normal ``z``; the coupling ``b`` is an
     i.i.d. Gaussian ``(d_tan, d_fast)`` matrix scaled by ``1 / sqrt(d_fast)``.
     The load is the Schur-complement correction ``b C^{-1} b.T``, evaluated
-    in the eigenbasis of the fast block as ``w diag(exp(-sigma_log * z))
-    w.T`` with ``w = b r``.  ``b`` is independent of ``r`` and its law is
-    invariant under rotations, so ``w`` has the law of ``b`` and is drawn
-    as such: no rotation is drawn (Mezzadri, arXiv:math-ph/0609050).
+    in the eigenbasis of the fast block: with ``w = sqrt(d_fast) b r``, its
+    ``(i, j)`` component is ``sum_f w_if w_jf exp(-sigma_log * z_f) /
+    d_fast``.  ``b`` is independent of ``r`` and its law is invariant under
+    rotations, so ``w`` is standard Gaussian and is drawn as such: no
+    rotation is drawn (Mezzadri, arXiv:math-ph/0609050).
     """
 
     sigma_log: float = 1.0
@@ -209,22 +210,23 @@ def check_batch_budget(config: FlowConfig, n: int, keys: str) -> None:
     """Refuse, naming the config ``keys``, a batch of ``n`` trajectories
     whose arrays would exceed ``ARRAY_BUDGET``; allocates nothing.
 
-    Per trajectory :func:`evolve_batch` holds the samplers' dense loads and
-    anisotropies, ``(k_max, d_tan, d_tan)`` each, their packed copies and
-    the packed states, ``k_max`` and ``k_max + 1`` times ``n_comp``, and
-    ``k_max`` update norms; :func:`sample_sigma_batch` its draws: for
-    :class:`LognormalGaussian` the log-eigenvalues ``(k_max, d_fast)`` and
-    the coupling ``(k_max, d_tan, d_fast)``; for :class:`Wishart` the factor
-    ``(k_max, d_tan, rank)``.
+    Per step and trajectory :func:`evolve_batch` holds the packed loads,
+    anisotropies and states, ``n_comp`` each (the states once more for the
+    initial one), and an update norm; :func:`sample_sigma_batch` holds its
+    draws and works on a transposed copy of the factor and one scratch
+    row per fast mode.  For :class:`LognormalGaussian` the draws are the
+    log-eigenvalues ``z``, ``d_fast``, and the coupling, ``d_tan * d_fast``;
+    for :class:`Wishart` the factor, ``d_tan * rank``.
     """
     d, k, model = int(config.d_tan), int(config.k_max), config.schur_model
     n_comp = d * (d + 1) // 2
     if isinstance(model, LognormalGaussian):
-        d_fast = model.d_fast or d
-        draws = d_fast + d * d_fast
+        modes = model.d_fast or d
+        draws = modes + d * modes
     else:
-        draws = d * (model.rank or d)
-    per_step = 2 * d * d + 3 * n_comp + 1 + draws
+        modes = model.rank or d
+        draws = d * modes
+    per_step = 3 * n_comp + 1 + draws + d * modes + modes
     check_budget((n, k * per_step + n_comp), keys)
 
 
@@ -237,49 +239,72 @@ def _standard_normal(rngs, shape) -> np.ndarray:
 
 
 def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rngs) -> np.ndarray:
-    """Draw ``n`` elimination loads per generator as a ``(len(rngs), n,
-    d_tan, d_tan)`` array; row ``i`` equals a call with ``[rngs[i]]`` alone.
+    """Draw ``n`` elimination loads per generator as packed components, a
+    ``(n, n_comp, len(rngs))`` array; column ``i`` equals a call with
+    ``[rngs[i]]`` alone.
 
     Draw order of each generator for :class:`LognormalGaussian`: fast-block
     log-eigenvalues ``z`` with shape ``(n, d_fast)``, then the coupling
-    ``(n, d_tan, d_fast)``, in the fast block's eigenbasis.  For
-    :class:`Wishart`: a single ``(n, d_tan, rank)`` draw.  The transforms
-    then run once over the stacked draws.
+    ``w`` ``(n, d_tan, d_fast)``, in the fast block's eigenbasis, and the
+    weight of mode ``f`` is ``exp(-sigma_log * z_f) / d_fast``.  For
+    :class:`Wishart`: a single ``(n, d_tan, rank)`` factor ``w``, each mode
+    weighted ``1 / rank``.  Component ``(i, j)`` is ``sum_f (w_if * w_jf) *
+    weight_f``, summed over modes by :func:`_row_sum`.
     """
     check_int(d_tan, "d_tan")
     check_int(n, "n")
     if isinstance(model, LognormalGaussian):
-        d_fast = model.d_fast if model.d_fast is not None else int(d_tan)
-        z = _standard_normal(rngs, (n, d_fast))
-        w = _standard_normal(rngs, (n, d_tan, d_fast)) / np.sqrt(d_fast)
-        sigma = (w * np.exp(-model.sigma_log * z)[..., None, :]) @ w.swapaxes(-1, -2)
+        modes = model.d_fast if model.d_fast is not None else int(d_tan)
+        z = _standard_normal(rngs, (n, modes)).transpose(2, 1, 0)
+        weight = np.multiply(z, -model.sigma_log, order="C")
+        del z
+        np.exp(weight, out=weight)
+        weight /= modes
     elif isinstance(model, Wishart):
-        rank = model.rank if model.rank is not None else int(d_tan)
-        g = _standard_normal(rngs, (n, d_tan, rank)) / np.sqrt(rank)
-        sigma = g @ g.swapaxes(-1, -2)
+        modes = model.rank if model.rank is not None else int(d_tan)
+        weight = 1.0 / modes
     else:
         raise TypeError(f"unknown elimination-load model: {model!r}")
-    return symmetrize(sigma)
+    # Axes (mode, row, draw, generator): a component's products are contiguous.
+    factor = _standard_normal(rngs, (n, d_tan, modes)).transpose(3, 2, 1, 0)
+    factor = np.ascontiguousarray(factor)
+    out = np.empty((n, d_tan * (d_tan + 1) // 2, len(rngs)))
+    scratch = np.empty((modes, n, len(rngs)))
+    rows, cols = np.divmod(packed_index(d_tan), d_tan)
+    for c, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(factor[:, i], factor[:, j], out=scratch)
+        scratch *= weight
+        _row_sum(scratch, out[:, c])
+    return out
 
 
 def sample_anisotropy_batch(d_tan: int, n: int, rngs) -> np.ndarray:
     """Draw ``n`` traceless unit-Frobenius symmetric anisotropies per
-    generator as a ``(len(rngs), n, d_tan, d_tan)`` array.
+    generator as packed components, a ``(n, n_comp, len(rngs))`` array.
 
-    Each generator makes one ``(n, d_tan, d_tan)`` Gaussian draw; the stacked
-    draws are symmetrized, their traces projected out and their norms made
-    one.  A projected norm below the zero floor, which a Gaussian draw
-    reaches with probability below 1e-28, raises :class:`DegenerateDraw`;
-    nothing is redrawn.
+    Each generator makes one ``(n, n_comp)`` standard normal draw, the
+    packed components of a GOE matrix, the law of ``(g + g.T) / 2``: the
+    off-diagonal components are scaled by ``sqrt(1/2)``, the diagonal mean
+    is subtracted from the diagonal, and each draw is divided by its
+    Frobenius norm, whose sum of squares counts the off-diagonal squares
+    twice.  Both sums run over components by :func:`_row_sum`.  A projected
+    norm below the zero floor, which a Gaussian draw reaches with
+    probability below 1e-28, raises :class:`DegenerateDraw`; nothing is
+    redrawn.
     """
     check_int(d_tan, "d_tan", low=2)
     check_int(n, "n")
-    s = symmetrize(_standard_normal(rngs, (n, d_tan, d_tan)))
-    s -= (np.trace(s, axis1=-2, axis2=-1) / d_tan)[..., None, None] * np.eye(d_tan)
-    norm = np.sqrt(np.einsum("...ij,...ij->...", s, s))
+    s = _standard_normal(rngs, (n, d_tan * (d_tan + 1) // 2)).transpose(1, 2, 0)
+    s = np.ascontiguousarray(s)
+    s[:, d_tan:] *= np.sqrt(0.5)
+    diagonal = s[:, :d_tan].swapaxes(0, 1)
+    diagonal -= _row_sum(diagonal, np.empty_like(s[:, 0])) / d_tan
+    square = s * s
+    square[:, d_tan:] *= 2.0
+    norm = np.sqrt(_row_sum(square.swapaxes(0, 1), np.empty_like(s[:, 0])))
     if np.any(norm < ZERO_FLOOR):
         raise DegenerateDraw(f"an anisotropy draw has norm below {ZERO_FLOOR}")
-    s /= norm[..., None, None]
+    s /= norm[:, None]
     return s
 
 
@@ -363,13 +388,6 @@ def embed_full(q_t, q_n: float) -> np.ndarray:
     return full
 
 
-def _packed_batch(m: np.ndarray) -> np.ndarray:
-    """``(n, k, d, d)`` symmetric matrices as a contiguous packed ``(k,
-    n_comp, n)`` array."""
-    n, k, d = m.shape[:3]
-    return np.take(m.reshape(n, k, d * d).transpose(1, 2, 0), packed_index(d), axis=1)
-
-
 def _row_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sum over axis 0 into ``out`` in an order that does not depend on the
     batch size: numpy adds fewer than eight terms in order, and more
@@ -403,11 +421,11 @@ def evolve_batch(config: FlowConfig, rngs):
     if config.a0 > 0:
         n_draws = k_max if config.disorder is Disorder.ANNEALED else 1
         a_k = anisotropy_strength(config.a0, config.beta_decay, np.arange(k_max))
-        drive = a_k[:, None, None] * _packed_batch(sample_anisotropy_batch(d, n_draws, rngs))
+        drive = a_k[:, None, None] * sample_anisotropy_batch(d, n_draws, rngs)
     if config.zeta > 0:
-        loads = _packed_batch(sample_sigma_batch(config.schur_model, d, k_max, rngs))
+        loads = sample_sigma_batch(config.schur_model, d, k_max, rngs)
         loads *= -config.zeta  # adding -zeta * sigma subtracts zeta * sigma exactly
-    states[0] = _packed_batch(config.initial_state()[None, None])[0]
+    states[0] = config.initial_state().ravel()[packed_index(d), None]
     norms = np.zeros((k_max, n))
     square, scale, trace = np.empty_like(states[0]), np.empty(n), np.empty(n)
     use_trace = np.empty(n, dtype=bool)

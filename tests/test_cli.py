@@ -132,8 +132,8 @@ class TestFlowCommand:
     STEPS_HEADER = "step,n_plus,n_minus,n_zero,q,s_opnorm,separation_holds\n"
     # Exact record.jsonl and steps.csv text, recorded at 0.4.0: the default
     # config (no load, no anisotropy: the state only renormalizes), a
-    # driven config (re-recorded at 0.12.0, whose lognormal load draws no
-    # rotation) and a zero initial state that
+    # driven config (re-recorded at 0.13.0, whose samplers draw packed
+    # anisotropies and sum packed loads) and a zero initial state that
     # collapses at step 1.
     GOLDEN = {
         "default": (
@@ -149,36 +149,36 @@ class TestFlowCommand:
         ),
         "driven": (
             {"zeta": 0.15, "a0": 0.5, "k_max": 12, "seed": 7},
-            '{"censored": false, "collapsed": false, "first_passage": 7, '
-            '"n_minus": [0, 0, 1, 1, 1, 1, 2, 3, 2, 3, 3, 3, 3], '
-            '"n_plus": [4, 4, 3, 3, 3, 3, 2, 1, 2, 1, 1, 1, 1], '
+            '{"censored": false, "collapsed": false, "first_passage": 11, '
+            '"n_minus": [0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3], '
+            '"n_plus": [4, 4, 4, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1], '
             '"n_zero": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
-            '"q": [1.0, 0.5587031434502281, 0.4305879165899215, '
-            "0.12980772879952138, 0.0202721118900047, -0.03759128535805153, "
-            "-0.3704546949606347, -0.47212483072423583, -0.44284022454279875, "
-            "-0.4897448417820926, -0.5622752074453262, -0.5345001576716822, "
-            '-0.4922543268727007], '
-            '"s_opnorm": [0.0, 0.19865299491517874, 0.5382580944016905, '
-            "0.7792965954095297, 0.7903733986945745, 0.7964479154455266, "
-            "0.5498880417073855, 0.41221539323856676, 0.453727759919843, "
-            "0.37895150010468864, 0.16766670091545388, 0.30169332784883396, "
-            '0.39111534085870797], '
+            '"q": [1.0, 0.5454838565448724, 0.42865131366296644, '
+            "0.22615221325186807, 0.12200304135917765, -0.05344348641580382, "
+            "-0.14033289550612296, -0.19933541690069, -0.26189801615285774, "
+            "-0.2859811298104045, -0.38563941645965083, -0.4876322983924581, "
+            '-0.4537730158520413], '
+            '"s_opnorm": [0.0, 0.2558337107669377, 0.5203631818080434, '
+            "0.7403279183694185, 0.7770623892909136, 0.7852162151366824, "
+            "0.7862631331389094, 0.7618658766725388, 0.713772761183233, "
+            "0.6896466330579658, 0.5555623866474948, 0.4343889226810985, "
+            '0.4439608273625591], '
             '"separation_holds": [true, true, false, false, false, false, false, '
-            'true, false, true, true, true, true]}\n',
+            'false, false, false, false, true, true]}\n',
             STEPS_HEADER
             + "0,4,0,0,1,0,1\n"
-            "1,4,0,0,0.55870314345022809,0.19865299491517874,1\n"
-            "2,3,1,0,0.43058791658992152,0.53825809440169048,0\n"
-            "3,3,1,0,0.12980772879952138,0.77929659540952967,0\n"
-            "4,3,1,0,0.020272111890004701,0.79037339869457446,0\n"
-            "5,3,1,0,-0.037591285358051528,0.79644791544552662,0\n"
-            "6,2,2,0,-0.37045469496063471,0.54988804170738548,0\n"
-            "7,1,3,0,-0.47212483072423583,0.41221539323856676,1\n"
-            "8,2,2,0,-0.44284022454279875,0.45372775991984299,0\n"
-            "9,1,3,0,-0.4897448417820926,0.37895150010468864,1\n"
-            "10,1,3,0,-0.56227520744532622,0.16766670091545388,1\n"
-            "11,1,3,0,-0.53450015767168224,0.30169332784883396,1\n"
-            "12,1,3,0,-0.49225432687270071,0.39111534085870797,1\n",
+            "1,4,0,0,0.54548385654487241,0.25583371076693773,1\n"
+            "2,4,0,0,0.42865131366296644,0.52036318180804342,0\n"
+            "3,2,2,0,0.22615221325186807,0.74032791836941847,0\n"
+            "4,2,2,0,0.12200304135917765,0.77706238929091365,0\n"
+            "5,2,2,0,-0.05344348641580382,0.78521621513668238,0\n"
+            "6,2,2,0,-0.14033289550612296,0.78626313313890939,0\n"
+            "7,2,2,0,-0.19933541690069001,0.7618658766725388,0\n"
+            "8,2,2,0,-0.26189801615285774,0.71377276118323296,0\n"
+            "9,2,2,0,-0.28598112981040452,0.68964663305796581,0\n"
+            "10,2,2,0,-0.38563941645965083,0.5555623866474948,0\n"
+            "11,1,3,0,-0.48763229839245809,0.43438892268109852,1\n"
+            "12,1,3,0,-0.45377301585204127,0.4439608273625591,1\n",
         ),
         "collapsing": (
             {"q_init": [[0.0] * 3] * 3},
@@ -303,18 +303,19 @@ class TestGridCommand:
         assert read_manifest(out_many)["summary"]["workers"] == 6
         assert (out_serial / "grid.csv").read_bytes() == (out_many / "grid.csv").read_bytes()
 
-    # Exact grid.csv text of two 2 x 2 grids, recorded at 0.3.0 (the
-    # lognormal one re-recorded at 0.12.0, whose load draws no rotation).  Every
+    # Exact grid.csv text of two 2 x 2 grids, recorded at 0.3.0 (both
+    # re-recorded at 0.13.0, whose samplers draw packed anisotropies and sum
+    # packed loads).  Every
     # value is a ratio of small trajectory counts, so a refactor of the
     # evolution or the aggregation must reproduce it byte for byte.
     GOLDEN = {
         "lognormal": (
             {"a0_values": [0.3, 1.0], "zeta_values": [0.03, 0.08], "base_config": {}},
             "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
-            "0.29999999999999999,0.029999999999999999,0,0,0.625,0.375,26.399999999999999,0.375\n"
-            "0.29999999999999999,0.080000000000000002,0,0,0,1,14.5,0\n"
-            "1,0.029999999999999999,0,0,0.125,0.875,23.5,0\n"
-            "1,0.080000000000000002,0,0,0,1,14.125,0\n",
+            "0.29999999999999999,0.029999999999999999,0,0,0.5,0.5,28.833333333333332,0.25\n"
+            "0.29999999999999999,0.080000000000000002,0,0,0,1,13.125,0\n"
+            "1,0.029999999999999999,0,0,0.375,0.625,24.833333333333332,0.25\n"
+            "1,0.080000000000000002,0,0,0,1,14.375,0\n",
         ),
         "wishart": (
             {
@@ -327,10 +328,10 @@ class TestGridCommand:
                 },
             },
             "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
-            "0.20000000000000001,0.20000000000000001,0,0.5,0.5,0,nan,1\n"
-            "0.20000000000000001,0.5,0,1,0,0,nan,1\n"
-            "0.90000000000000002,0.20000000000000001,0,0.25,0.75,0,nan,1\n"
-            "0.90000000000000002,0.5,0,0.375,0.5,0.125,16,0.875\n",
+            "0.20000000000000001,0.20000000000000001,0,0.625,0.375,0,nan,1\n"
+            "0.20000000000000001,0.5,0,0.75,0.25,0,nan,1\n"
+            "0.90000000000000002,0.20000000000000001,0,0.625,0.375,0,nan,1\n"
+            "0.90000000000000002,0.5,0,0.625,0.25,0.125,19,0.875\n",
         ),
     }
 

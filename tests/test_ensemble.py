@@ -77,8 +77,8 @@ def cancelling_batch(model, d_tan, n, rngs):
     """Loads whose first step, at zeta = 0.25, cancels the identity exactly."""
     for rng in rngs:
         rng.standard_normal((n, d_tan, d_tan))
-    out = np.zeros((len(rngs), n, d_tan, d_tan))
-    out[:, 0] = np.eye(d_tan) / 0.25
+    out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(rngs)))
+    out[0, :d_tan] = 1.0 / 0.25
     return out
 
 
@@ -118,11 +118,11 @@ class TestGridSpec:
 
     def test_cell_arrays_are_budgeted(self):
         # Sizes only: a spec allocates nothing.  A trajectory of the default
-        # flow holds dense loads and anisotropies of 100 x 3 x 3 floats, their
-        # packed copies of 100 x 6, packed states of 101 x 6 and 100 update
-        # norms, and its load sampler 100 x 3 log-eigenvalues and a coupling
-        # of 100 x 3 x 3 floats.
-        per_traj = (100 * (2 * 9 + 2 * 6 + 1 + 3 + 9) + 101 * 6) * 8
+        # flow holds packed loads and anisotropies of 100 x 6 floats, packed
+        # states of 101 x 6 and 100 update norms, and its load sampler 100 x
+        # 3 log-eigenvalues, a coupling of 100 x 3 x 3 floats, its transposed
+        # copy and 100 x 3 scratch floats.
+        per_traj = (100 * (2 * 6 + 1 + 3 + 2 * 9 + 3) + 101 * 6) * 8
         GridSpec(n_traj=ARRAY_BUDGET // per_traj)
         keys = (r"^n_traj, base_config\.k_max, base_config\.d_tan, "
                 r"base_config\.schur_model ask for .* budget$")
@@ -131,7 +131,7 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=keys):
             GridSpec(n_traj=int(1e300))
         # One trajectory of each fits, a cell of 100 does not: the
-        # d_fast = 10**4 draws take 3.0 GiB, the Wishart factors 22 GiB.
+        # d_fast = 10**4 sampler arrays take 6.0 GiB, the Wishart ones 52 GiB.
         for model in (LognormalGaussian(d_fast=10**4), Wishart(rank=10**5)):
             base = FlowConfig(schur_model=model)
             with pytest.raises(ValueError, match=keys):
@@ -239,7 +239,7 @@ class TestRunGrid:
                 cancelling_batch(model, d_tan, n, [rng]) if rng.random() < 0.5
                 else sample(model, d_tan, n, [rng])
                 for rng in rngs
-            ])
+            ], axis=-1)
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", sometimes_cancelling)
         spec = GridSpec(

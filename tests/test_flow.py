@@ -6,7 +6,8 @@ cross-checked against each generator's documented draws replayed from raw
 ``standard_normal`` calls, and trajectory evolution by replaying the
 documented draw order through the public samplers and stepping by hand.
 The lognormal loads are checked by law against a reference sampler that
-rotates the fast block by an explicit Haar rotation.
+rotates the fast block by an explicit Haar rotation, and the anisotropies
+against dense GOE matrices built in the test.
 """
 
 import dataclasses
@@ -36,23 +37,28 @@ from schurflow import (
     sample_sigma_batch,
     signature,
 )
-from schurflow.tensor import ARRAY_BUDGET, count_inertia, unpack_symmetric
+from schurflow.tensor import (
+    ARRAY_BUDGET, count_inertia, packed_index, unpack_symmetric,
+)
+
+
+def dense(packed):
+    """A sampler's packed ``(n, n_comp, len(rngs))`` output as dense
+    ``(len(rngs), n, d, d)`` matrices."""
+    return unpack_symmetric(packed.transpose(1, 2, 0))
 
 
 class TestSigmaSamplers:
     def test_lognormal_loads_are_symmetric_psd(self):
         rng = np.random.default_rng(11)
-        loads = sample_sigma_batch(LognormalGaussian(), 4, 50, [rng])[0]
-        assert loads.shape == (50, 4, 4)
-        assert np.allclose(loads, loads.transpose(0, 2, 1))
-        eigs = np.linalg.eigvalsh(loads)
+        packed = sample_sigma_batch(LognormalGaussian(), 4, 50, [rng])
+        assert packed.shape == (50, 10, 1)
+        eigs = np.linalg.eigvalsh(dense(packed)[0])
         assert eigs.min() >= -1e-12 * max(1.0, abs(eigs).max())
 
     def test_wishart_loads_are_symmetric_psd(self):
         rng = np.random.default_rng(12)
-        loads = sample_sigma_batch(Wishart(), 3, 50, [rng])[0]
-        assert np.allclose(loads, loads.transpose(0, 2, 1))
-        eigs = np.linalg.eigvalsh(loads)
+        eigs = np.linalg.eigvalsh(dense(sample_sigma_batch(Wishart(), 3, 50, [rng]))[0])
         assert eigs.min() >= -1e-12 * max(1.0, abs(eigs).max())
 
     def test_wishart_mean_load_is_identity(self):
@@ -60,19 +66,19 @@ class TestSigmaSamplers:
         # Margin at this seed: 0.13% against the 1% bound.
         d = 3
         rng = np.random.default_rng(0)
-        loads = sample_sigma_batch(Wishart(), d, 100_000, [rng])[0]
-        mean_trace = np.trace(loads, axis1=1, axis2=2).mean()
+        loads = sample_sigma_batch(Wishart(), d, 100_000, [rng])
+        mean_trace = loads[:, :d].sum(axis=1).mean()
         assert abs(mean_trace - d) / d < 0.01
 
     def test_wishart_rank_one_signature(self):
         rng = np.random.default_rng(5)
-        load = sample_sigma_batch(Wishart(rank=1), 3, 1, [rng])[0, 0]
+        load = dense(sample_sigma_batch(Wishart(rank=1), 3, 1, [rng]))[0, 0]
         assert signature(load) == (1, 0, 2)
 
     def test_lognormal_low_rank_coupling(self):
         # d_fast < d_tan caps the load rank at d_fast.
         rng = np.random.default_rng(6)
-        load = sample_sigma_batch(LognormalGaussian(d_fast=2), 4, 1, [rng])[0, 0]
+        load = dense(sample_sigma_batch(LognormalGaussian(d_fast=2), 4, 1, [rng]))[0, 0]
         assert signature(load) == (2, 0, 2)
 
     # The sampler draws the coupling in the fast block's eigenbasis.  Its
@@ -117,9 +123,9 @@ class TestSigmaSamplers:
 class TestAnisotropySampler:
     def test_draws_are_traceless_symmetric_unit_norm(self):
         rng = np.random.default_rng(3)
-        draws = sample_anisotropy_batch(4, 200, [rng])[0]
-        assert draws.shape == (200, 4, 4)
-        assert np.allclose(draws, draws.transpose(0, 2, 1))
+        packed = sample_anisotropy_batch(4, 200, [rng])
+        assert packed.shape == (200, 10, 1)
+        draws = dense(packed)[0]
         assert np.abs(np.trace(draws, axis1=1, axis2=2)).max() < 1e-12
         norms = np.sqrt(np.einsum("kij,kij->k", draws, draws))
         assert np.abs(norms - 1.0).max() < 1e-12
@@ -128,7 +134,7 @@ class TestAnisotropySampler:
         # Entrywise sample means sit within 3 standard errors of zero.
         # Margin at this seed: worst ratio 1.89 against the 3.0 bound.
         rng = np.random.default_rng(0)
-        draws = sample_anisotropy_batch(3, 20_000, [rng])[0]
+        draws = dense(sample_anisotropy_batch(3, 20_000, [rng]))[0]
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.abs(mean / se).max() < 3.0
@@ -155,19 +161,80 @@ class TestAnisotropySampler:
             sample_anisotropy_batch(3, 2, [zero_rng])
         assert zero_rng.calls == 1
 
+    # The sampler draws the packed components of a GOE matrix directly.
+    # Its draws must have the law of (g + g.T) / 2 with the trace removed
+    # and the Frobenius norm made one: two-sample KS on entries (0, 0) and
+    # (0, 1) and the extreme eigenvalues, N = 20,000 a side.  Margins at
+    # these seeds: equal laws give p >= 0.087 on every statistic against the
+    # 0.0025 bound, and off-diagonal variance 1 instead of 1/2 gives entry
+    # (0, 0) p = 3.1e-30 (d_tan 3) and 1.2e-39 (d_tan 4) against the 1e-6
+    # bound.
+    @pytest.mark.parametrize("d_tan", [3, 4])
+    def test_draws_have_the_goe_law(self, d_tan):
+        p = anisotropy_law_p_values(d_tan, lambda g: 0.5 * (g + g.swapaxes(1, 2)))
+        assert min(p.values()) > 0.01 / 4, p
+
+    @pytest.mark.parametrize("d_tan", [3, 4])
+    def test_goe_law_check_flags_a_doubled_off_diagonal_variance(self, d_tan):
+        p = anisotropy_law_p_values(d_tan, lambda g: np.triu(g) + np.triu(g, 1).swapaxes(1, 2))
+        assert min(p.values()) < 1e-6, p
+
+
+def anisotropy_law_p_values(d_tan, symmetric, n=20_000):
+    """Two-sample KS p-values of four anisotropy statistics: ``n`` sampler
+    draws against ``n`` dense references, the traceless unit-Frobenius
+    parts of ``symmetric(g)`` for standard Gaussian ``(n, d_tan, d_tan)``
+    stacks ``g``."""
+    from scipy.stats import ks_2samp  # tests only: scipy is no runtime dependency
+
+    ref = symmetric(np.random.default_rng(24).standard_normal((n, d_tan, d_tan)))
+    ref -= (np.trace(ref, axis1=1, axis2=2) / d_tan)[:, None, None] * np.eye(d_tan)
+    ref /= np.linalg.norm(ref, axis=(1, 2))[:, None, None]
+    draws = {
+        "sampler": dense(sample_anisotropy_batch(d_tan, n, [np.random.default_rng(23)]))[0],
+        "reference": ref,
+    }
+    stats = {}
+    for side, a in draws.items():
+        eigs = np.linalg.eigvalsh(a)
+        stats[side] = {"a00": a[:, 0, 0], "a01": a[:, 0, 1],
+                       "lambda_min": eigs[:, 0], "lambda_max": eigs[:, -1]}
+    return {key: ks_2samp(stats["sampler"][key], stats["reference"][key]).pvalue
+            for key in stats["reference"]}
+
+
+def in_order_sum(terms):
+    """``terms[0] + terms[1] + ...``, left to right."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def chunked_sum(terms):
+    """The in-order sums of chunks of seven terms, added in order."""
+    return in_order_sum([in_order_sum(terms[i:i + 7]) for i in range(0, len(terms), 7)])
+
 
 def replay_sigma(model, d_tan, n, rng):
-    """One generator's documented load draws, transformed one matrix at a time."""
+    """One generator's documented load draws as packed ``(n, n_comp)``
+    components, one load and one component at a time: the products ``(w_if
+    * w_jf) * weight_f`` are summed over modes by :func:`chunked_sum`."""
     if isinstance(model, LognormalGaussian):
-        d_fast = model.d_fast or d_tan
-        z = rng.standard_normal((n, d_fast))
-        w = rng.standard_normal((n, d_tan, d_fast)) / np.sqrt(d_fast)
-        loads = [(wk * np.exp(-model.sigma_log * zk)) @ wk.T for zk, wk in zip(z, w)]
+        modes = model.d_fast or d_tan
+        weight = np.exp(-model.sigma_log * rng.standard_normal((n, modes))) / modes
     else:
-        rank = model.rank or d_tan
-        g = rng.standard_normal((n, d_tan, rank)) / np.sqrt(rank)
-        loads = [gk @ gk.T for gk in g]
-    return np.array([0.5 * (s + s.T) for s in loads])
+        modes = model.rank or d_tan
+        weight = np.full((n, modes), 1.0 / modes)
+    w = rng.standard_normal((n, d_tan, modes))
+    rows, cols = np.divmod(packed_index(d_tan), d_tan)
+    out = np.empty((n, len(rows)))
+    for k in range(n):
+        for c, (i, j) in enumerate(zip(rows, cols)):
+            out[k, c] = chunked_sum(
+                [w[k, i, f] * w[k, j, f] * weight[k, f] for f in range(modes)]
+            )
+    return out
 
 
 def haar_sigma(model, d_tan, n, rng):
@@ -188,7 +255,7 @@ def load_law_p_values(model, reference, d_tan, n=20_000):
     from scipy.stats import ks_2samp  # tests only: scipy is no runtime dependency
 
     loads = {
-        "sampler": sample_sigma_batch(model, d_tan, n, [np.random.default_rng(21)])[0],
+        "sampler": dense(sample_sigma_batch(model, d_tan, n, [np.random.default_rng(21)]))[0],
         "haar": haar_sigma(reference, d_tan, n, np.random.default_rng(22)),
     }
     stats = {}
@@ -201,14 +268,16 @@ def load_law_p_values(model, reference, d_tan, n=20_000):
 
 
 def replay_anisotropy(d_tan, n, rng):
-    """One generator's documented anisotropy draws, one matrix at a time."""
+    """One generator's documented anisotropy draws as packed ``(n, n_comp)``
+    components, one matrix at a time, summed over components by
+    :func:`chunked_sum`."""
     out = []
-    for g in rng.standard_normal((n, d_tan, d_tan)):
-        s = 0.5 * (g + g.T)
-        s = s - np.trace(s) / d_tan * np.eye(d_tan)
-        # The sampler's einsum sum of squares; another summation order
-        # moves the last bit of the norm.
-        out.append(s / np.sqrt(np.einsum("ij,ij->", s, s)))
+    for s in rng.standard_normal((n, d_tan * (d_tan + 1) // 2)):
+        s[d_tan:] *= np.sqrt(0.5)
+        s[:d_tan] -= chunked_sum(s[:d_tan]) / d_tan
+        square = s * s
+        square[d_tan:] *= 2.0
+        out.append(s / np.sqrt(chunked_sum(square)))
     return np.array(out)
 
 
@@ -217,32 +286,40 @@ def batch_rngs():
 
 
 class TestBatchedSamplers:
-    # Row i of a batched call equals the replay of generator i alone, bit for
-    # bit, and equals a call with that generator alone: the stacked matmul
-    # does not depend on the stack size.
+    # Column i of a batched call equals the replay of generator i alone, bit
+    # for bit, and equals a call with that generator alone: no sum depends
+    # on the batch size.  d_fast = 10 and rank = 9 sum more than seven modes.
     @pytest.mark.parametrize("model, d_tan", [
         (LognormalGaussian(), 3),
         (LognormalGaussian(d_fast=5, sigma_log=0.7), 4),
         (Wishart(), 3),
         (Wishart(rank=2), 3),
+        (LognormalGaussian(d_fast=10), 4),
+        (Wishart(rank=9), 4),
     ])
     def test_sigma_matches_per_generator_replay(self, model, d_tan):
         n = FlowConfig().k_max
         loads = sample_sigma_batch(model, d_tan, n, batch_rngs())
-        assert loads.shape == (7, n, d_tan, d_tan)
+        assert loads.shape == (n, d_tan * (d_tan + 1) // 2, 7)
         expected = [replay_sigma(model, d_tan, n, rng) for rng in batch_rngs()]
-        np.testing.assert_array_equal(loads, expected)
-        singles = [sample_sigma_batch(model, d_tan, n, [rng])[0] for rng in batch_rngs()]
-        np.testing.assert_array_equal(loads, singles)
+        np.testing.assert_array_equal(loads, np.stack(expected, axis=-1))
+        singles = [sample_sigma_batch(model, d_tan, n, [rng]) for rng in batch_rngs()]
+        np.testing.assert_array_equal(loads, np.concatenate(singles, axis=-1))
+        one_draw = [sample_sigma_batch(model, d_tan, 1, [rng]) for rng in batch_rngs()]
+        np.testing.assert_array_equal(
+            sample_sigma_batch(model, d_tan, 1, batch_rngs()),
+            np.concatenate(one_draw, axis=-1),
+        )
 
     @pytest.mark.parametrize("n", [FlowConfig().k_max, 1])
     def test_anisotropy_matches_per_generator_replay(self, n):
-        draws = sample_anisotropy_batch(3, n, batch_rngs())
-        assert draws.shape == (7, n, 3, 3)
-        expected = [replay_anisotropy(3, n, rng) for rng in batch_rngs()]
-        np.testing.assert_array_equal(draws, expected)
-        singles = [sample_anisotropy_batch(3, n, [rng])[0] for rng in batch_rngs()]
-        np.testing.assert_array_equal(draws, singles)
+        for d_tan in (3, 4):
+            draws = sample_anisotropy_batch(d_tan, n, batch_rngs())
+            assert draws.shape == (n, d_tan * (d_tan + 1) // 2, 7)
+            expected = [replay_anisotropy(d_tan, n, rng) for rng in batch_rngs()]
+            np.testing.assert_array_equal(draws, np.stack(expected, axis=-1))
+            singles = [sample_anisotropy_batch(d_tan, n, [rng]) for rng in batch_rngs()]
+            np.testing.assert_array_equal(draws, np.concatenate(singles, axis=-1))
 
     @pytest.mark.parametrize("zeta, a0, disorder", [
         (0.2, 0.5, Disorder.ANNEALED),
@@ -343,8 +420,8 @@ class TestFlowStep:
     def test_matches_manual_formula(self):
         rng = np.random.default_rng(31)
         q = np.eye(3)
-        sigma = sample_sigma_batch(LognormalGaussian(), 3, 1, [rng])[0, 0]
-        a = sample_anisotropy_batch(3, 1, [rng])[0, 0]
+        sigma = dense(sample_sigma_batch(LognormalGaussian(), 3, 1, [rng]))[0, 0]
+        a = dense(sample_anisotropy_batch(3, 1, [rng]))[0, 0]
         out = flow_step(q, sigma, a, 0.4, 0.2, NormMode.FROBENIUS)
         upd = q - 0.2 * sigma + 0.4 * a
         upd = 0.5 * (upd + upd.T)
@@ -355,10 +432,10 @@ class TestFlowStep:
         # trace; only the elimination load compresses it.
         rng = np.random.default_rng(32)
         q = np.eye(3)
-        a = sample_anisotropy_batch(3, 1, [rng])[0, 0]
+        a = dense(sample_anisotropy_batch(3, 1, [rng]))[0, 0]
         upd = q + 0.9 * a
         assert abs(np.trace(upd) - np.trace(q)) < 1e-12
-        sigma = sample_sigma_batch(Wishart(), 3, 1, [rng])[0, 0]
+        sigma = dense(sample_sigma_batch(Wishart(), 3, 1, [rng]))[0, 0]
         compressed = q - 0.3 * sigma
         assert np.trace(compressed) < np.trace(q)
 
@@ -418,12 +495,12 @@ def replay_trajectory(config: FlowConfig, seed):
     a_batch = None
     if config.a0 > 0:
         n_draws = config.k_max if annealed else 1
-        a_batch = sample_anisotropy_batch(config.d_tan, n_draws, [rng])[0]
+        a_batch = dense(sample_anisotropy_batch(config.d_tan, n_draws, [rng]))[0]
     sig_batch = None
     if config.zeta > 0:
-        sig_batch = sample_sigma_batch(
+        sig_batch = dense(sample_sigma_batch(
             config.schur_model, config.d_tan, config.k_max, [rng]
-        )[0]
+        ))[0]
     zero = np.zeros((config.d_tan, config.d_tan))
     q = config.initial_state()
     states = [q.copy()]
@@ -519,8 +596,8 @@ class TestTrajectories:
         def cancelling_batch(model, d_tan, n, rngs):
             for rng in rngs:
                 rng.standard_normal((n, d_tan, d_tan))
-            out = np.zeros((len(rngs), n, d_tan, d_tan))
-            out[:, 0] = np.eye(d_tan) / 0.25
+            out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(rngs)))
+            out[0, :d_tan] = 1.0 / 0.25
             return out
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", cancelling_batch)
@@ -612,9 +689,9 @@ class TestEvolveBatch:
         def loads(model, d_tan, n, rngs):
             for rng in rngs:
                 rng.standard_normal((n, d_tan, d_tan))
-            out = np.zeros((len(rngs), n, d_tan, d_tan))
-            out[0, 0] = np.eye(d_tan) / 0.25
-            out[2, 3] = out[1, 5] = 1e300 * np.eye(d_tan)
+            out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(rngs)))
+            out[0, :d_tan, 0] = 1.0 / 0.25
+            out[3, :d_tan, 2] = out[5, :d_tan, 1] = 1e300
             return out
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", loads)
@@ -624,11 +701,11 @@ class TestEvolveBatch:
 
     def test_batch_is_budgeted_before_allocation(self, monkeypatch):
         # Sizes only.  Per trajectory a Wishart/trace/quenched cell holds the
-        # dense loads and anisotropies (100 x 3 x 3 floats each), their
-        # packed copies (100 x 6 each), the packed states (101 x 6), the 100
-        # update norms and the Wishart factors (100 x 3 x 3).  The largest
-        # batch that fits reaches the first sampler; one more trajectory is
-        # refused before it.
+        # packed loads and anisotropies (100 x 6 floats each), the packed
+        # states (101 x 6), the 100 update norms, the Wishart factor and its
+        # transposed copy (100 x 3 x 3 each) and the sampler's scratch rows
+        # (100 x 3).  The largest batch that fits reaches the first sampler;
+        # one more trajectory is refused before it.
         class Started(Exception):
             pass
 
@@ -640,7 +717,7 @@ class TestEvolveBatch:
             zeta=0.4, a0=0.5, schur_model=Wishart(), norm_mode="trace",
             disorder="quenched",
         )
-        per_traj = 8 * (100 * (2 * 9 + 2 * 6 + 6 + 1 + 9) + 6)
+        per_traj = 8 * (100 * (3 * 6 + 1 + 2 * 9 + 3) + 6)
         fits = ARRAY_BUDGET // per_traj
         with pytest.raises(Started):
             flow_mod.evolve_batch(config, [None] * fits)
@@ -735,11 +812,11 @@ class TestFlowConfigValidation:
 
     def test_trajectory_arrays_are_budgeted(self):
         # Sizes only: a config allocates nothing.  Each step of a d_tan = 3
-        # trajectory holds a dense load and anisotropy of 3 x 3 floats, their
-        # packed copies and a packed state of 6 floats each, an update norm,
-        # and its load sampler 3 log-eigenvalues and a coupling of 3 x 3
+        # trajectory holds a packed load, anisotropy and state of 6 floats
+        # each, an update norm, and its load sampler 3 log-eigenvalues, a
+        # coupling of 3 x 3 floats, its transposed copy and 3 scratch
         # floats; the initial state adds 6 floats.
-        fits = (ARRAY_BUDGET // 8 - 6) // (2 * 9 + 3 * 6 + 1 + 3 + 9)
+        fits = (ARRAY_BUDGET // 8 - 6) // (3 * 6 + 1 + 3 + 2 * 9 + 3)
         FlowConfig(k_max=fits)
         keys = r"^k_max, d_tan, schur_model ask for .* budget$"
         with pytest.raises(ValueError, match=keys):
