@@ -11,7 +11,7 @@ Core pieces:
 - :mod:`schurflow.cli` -- batch command-line runner.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 import types
 
@@ -36,7 +36,6 @@ from .errors import (
     ResponseNotPD,
     SchurFlowError,
     SingularCovariance,
-    StepTooLarge,
     UnstableDrift,
     ZeroTensor,
 )

@@ -47,10 +47,6 @@ class BalanceResidual(SchurFlowError, ArithmeticError):
     """A fluctuation-balance solution misses its residual tolerance."""
 
 
-class StepTooLarge(SchurFlowError):
-    """Integration step violates the explicit-scheme stability guard."""
-
-
 class SingularCovariance(SchurFlowError):
     """Sample covariance is numerically singular; inverse is unreliable."""
 

@@ -23,9 +23,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import (
-    BalanceResidual, ResponseNotPD, SingularCovariance, StepTooLarge, UnstableDrift
-)
+from .errors import BalanceResidual, ResponseNotPD, SingularCovariance, UnstableDrift
 from .reduction import check_mobility, m_from_q, strictly_decaying
 from .tensor import (
     check_budget, check_int, check_matrix, check_pd, check_scalar, check_symmetric,
@@ -34,8 +32,6 @@ from .tensor import (
 
 # Relative residual allowed on the fluctuation-balance solution.
 LYAPUNOV_RTOL = 1e-10
-# Explicit Euler steps must satisfy dt * ||m||_2 < this bound.
-STEP_GUARD = 0.1
 # Condition-number ceiling beyond which a sample covariance is singular.
 CONDITION_CEILING = 1e12
 # Rows per block of the linear scan in simulate_sde.
@@ -177,26 +173,72 @@ def _linear_scan(a: np.ndarray, kicks: np.ndarray) -> np.ndarray:
     return states
 
 
+def _exact_transition(m: np.ndarray, d_mat: np.ndarray, dt: float):
+    """``A = exp(-m dt)`` and the kick covariance ``C = int_0^dt e^{-m s}
+    2 d_mat e^{-m.T s} ds``, which equals ``gamma - A gamma A.T``.
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005):
+    18-term Taylor series of both at ``t = dt / 2**s``, ``||m t||_1 <= 1/2``,
+    then ``s`` doublings ``A(2t) = A(t)**2``, ``C(2t) = C(t) + A(t) C(t)
+    A(t).T``.  Only products of ``m`` are formed, so defective and non-normal
+    ``m`` need no other path, and the doublings add PSD terms, where
+    ``gamma - A gamma A.T`` cancels for a small ``dt`` on an ill-conditioned
+    ``gamma``.
+    """
+    s = max(0, int(np.frexp(dt * np.linalg.norm(m, 1))[1]) + 1)
+    t = float(np.ldexp(dt, -s))
+    x = -t * m
+    term_a = a = np.eye(len(m))
+    term_c = c = 2.0 * t * d_mat
+    for k in range(1, 19):
+        term_a = term_a @ x / k
+        a = a + term_a
+        y = x @ term_c
+        term_c = (y + y.T) / (k + 1)
+        c = c + term_c
+    for _ in range(s):
+        c = c + a @ c @ a.T
+        a = a @ a
+    return a, symmetrize(c)
+
+
+def _psd_root(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``w`` of a symmetric ``s`` and its symmetric square root,
+    eigenvalues below zero clipped; unlike ``v * sqrt(w)`` it does not
+    depend on the signs of the eigenvectors ``eigh`` picks."""
+    w, v = np.linalg.eigh(s)
+    return w, (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
 def simulate_sde(
     sde: LinearSDE, dt: float, n_steps: int, burn_in: int = 0, seed=0
 ) -> np.ndarray:
-    """Sample the Langevin model with explicit Euler steps.
+    """Sample the Langevin model at spacing ``dt`` with its exact transition.
 
-    Runs ``p <- (I - m dt) p + sqrt(2 dt) L z`` from the origin, discards
-    ``burn_in`` steps and returns the following ``n_steps`` states as an
-    ``(n_steps, dim)`` array.  The steps are not taken one by one: the
-    kicks, zero-padded to a multiple of ``SCAN_BLOCK`` rows, go through a
-    blocked linear scan that takes a handful of matmuls.  The run holds two
-    such padded ``(burn_in + n_steps, dim)`` buffers, the kicks (reused as
-    scratch) and the states; one must fit in ``ARRAY_BUDGET``.
+    The states ``p_k = p(k dt)`` follow ``p_k = A p_{k-1} + xi_k`` with ``A =
+    exp(-m dt)`` and Gaussian kicks of covariance ``gamma - A gamma A.T``,
+    where ``gamma = solve_lyapunov(m.T, d_mat)`` (Gillespie, Phys. Rev. E
+    54, 2084, 1996).  The chain starts from ``p_0 ~ N(0, gamma)``, so it is
+    stationary from its first state and exact for any ``dt > 0``; a larger
+    ``dt`` only makes the states less correlated.  The first ``burn_in``
+    states are dropped (none by default) and the next ``n_steps`` returned
+    as an ``(n_steps, dim)`` array.
+
+    One ``(burn_in + n_steps, dim)`` standard-normal draw feeds the chain:
+    row 0 becomes ``p_0`` through the symmetric square root of ``gamma``,
+    row ``k >= 1`` the kick ``xi_k`` through that of the kick covariance.
+    The steps are not taken one by one: the kicks, zero-padded to a multiple
+    of ``SCAN_BLOCK`` rows, go through a blocked linear scan that takes a
+    handful of matmuls.  The run holds two such padded buffers, the kicks
+    (reused as scratch) and the states; one must fit in ``ARRAY_BUDGET``.
+    The covariance solve limits ``dim`` to about 80 (:func:`solve_lyapunov`).
 
     Raises
     ------
     UnstableDrift
         If the decay matrix is not strictly stable.
-    StepTooLarge
-        If ``dt * ||m||_2 >= 0.1``; larger steps make the explicit scheme
-        inaccurate or divergent.
+    ValueError
+        If ``d_mat`` is not positive semidefinite, or ``m dt`` overflows.
     """
     check_scalar(dt, "dt")
     check_int(n_steps, "n_steps")
@@ -204,29 +246,27 @@ def simulate_sde(
     total = burn_in + int(n_steps)
     padded = -(-total // SCAN_BLOCK) * SCAN_BLOCK
     check_budget((padded, sde.dim), "n_steps, burn_in")
-    if not sde.is_stable():
-        raise UnstableDrift("decay matrix has an eigenvalue with Re <= 0")
-    opnorm = np.linalg.norm(sde.m, 2)
-    if dt * opnorm >= STEP_GUARD:
-        raise StepTooLarge(
-            f"dt * ||m||_2 = {dt * opnorm:.3e} >= {STEP_GUARD}; reduce dt"
-        )
-
-    w, v = np.linalg.eigh(sde.d_mat)
+    # Python floats overflow to inf without a warning.
+    if not np.isfinite(float(dt) * float(np.linalg.norm(sde.m, 1))):
+        raise ValueError(f"dt = {dt:.3e} overflows m dt; reduce dt")
+    w = _psd_root(sde.d_mat)[0]
     floor = -1e-12 * max(1.0, float(np.abs(w).max()))
     if w.min() < floor:
         raise ValueError(
             f"d_mat eigenvalue {w.min():.3e} below PSD tolerance {floor:.3e}"
         )
-    sqrt_d = v * np.sqrt(np.clip(w, 0.0, None))
+    gamma = solve_lyapunov(sde.m.T, sde.d_mat)
+    a, kick_cov = _exact_transition(sde.m, sde.d_mat, dt)
+    root_xi = _psd_root(kick_cov)[1]
 
-    rng = np.random.default_rng(seed)
+    z = np.random.default_rng(seed).standard_normal((total, sde.dim))
     kicks = np.empty((padded, sde.dim))
-    np.matmul(sqrt_d, rng.standard_normal((total, sde.dim)).T, out=kicks[:total].T)
+    kicks[0] = _psd_root(gamma)[1] @ z[0]
+    np.matmul(z[1:], root_xi.T, out=kicks[1:total])
     kicks[total:] = 0.0
-    kicks *= np.sqrt(2.0 * dt)
+    del z  # freed before the scan allocates the states: one buffer less at peak
     # Row-major states: the sums of np.cov, so g_eff's bytes, follow the layout.
-    states = _linear_scan(np.eye(sde.dim) - sde.m * dt, kicks)
+    states = _linear_scan(a, kicks)
     return states[burn_in:total]
 
 
@@ -287,20 +327,23 @@ def reconstruct(
     q_eff: np.ndarray,
     beta: float,
     d_mat: np.ndarray | None = None,
-    dt: float | None = None,
     n_steps: int = 100_000,
-    burn_in: int = 1_000,
     seed: int = 0,
 ) -> ReconstructionReport:
     """Recover the response tensor from simulated fluctuations.
 
     Builds the Langevin model with decay ``mu q_eff`` and diffusion
     ``d_mat`` (default ``mu / beta``), solves the fluctuation balance for
-    the stationary covariance, samples the dynamics and estimates the
-    log-density curvature from the samples.  With the default diffusion the
-    curvature estimate converges to ``beta * q_eff``.
+    the stationary covariance, samples ``n_steps`` states of the dynamics
+    with :func:`simulate_sde` and estimates the log-density curvature from
+    the samples.  With the default diffusion the curvature estimate
+    converges to ``beta * q_eff``.
 
-    ``dt`` defaults to half the step guard, ``0.05 / ||m||_2``.
+    The samples are spaced by the slowest decay time, ``dt = 1 /
+    lambda_min`` with ``lambda_min = min Re eig(mu q_eff)``: the exact
+    transition has no step bias to trade against, so the run spans
+    ``n_steps`` slowest decay times whatever the stiffness, and the slowest
+    mode's lag-one correlation is ``exp(-1)``.
 
     Raises
     ------
@@ -316,10 +359,9 @@ def reconstruct(
     # The sampled drift is -m p, whose covariance balance is
     # m gamma + gamma m.T = 2 diffusion: solve_lyapunov with m.T.
     gamma = solve_lyapunov(m.T, diffusion)
-    if dt is None:
-        dt = 0.5 * STEP_GUARD / np.linalg.norm(m, 2)
+    dt = 1.0 / np.linalg.eigvals(m).real.min()
     sde = LinearSDE(m=m, d_mat=diffusion)
-    samples = simulate_sde(sde, dt=dt, n_steps=n_steps, burn_in=burn_in, seed=seed)
+    samples = simulate_sde(sde, dt=dt, n_steps=n_steps, seed=seed)
     g_eff = estimate_log_curvature(samples)
     return ReconstructionReport(
         gamma=gamma,

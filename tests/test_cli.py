@@ -428,7 +428,6 @@ class TestReconstructCommand:
             "q_eff": [[1.0, 0.0], [0.0, 1.0]],
             "beta": 1.0,
             "n_steps": 2000,
-            "burn_in": 100,
         }
     }
 
@@ -442,12 +441,14 @@ class TestReconstructCommand:
         np.testing.assert_allclose(gamma, np.eye(2), rtol=1e-10)
 
     # Exact gamma.csv text, recorded at 0.9.0 (Kronecker-form balance
-    # solve), and g_eff.csv text, recorded at 0.8.0 (blocked-scan sampler):
-    # a 3 x 3 mobility that does not commute with q_eff under the default
-    # diffusion mu / beta, and a 2 x 2 run with its own d_mat.  The last two
-    # entries are gamma as scipy's Lyapunov solver of 0.8.1 wrote it and
-    # g_eff as the step-by-step Euler loop of 0.7.1 wrote it; the new
-    # routes sum in another order and may move them by rounding only.
+    # solve), and g_eff.csv text, recorded at 0.14.0 (exact transition in
+    # place of Euler steps, which changes every sample): a 3 x 3 mobility
+    # that does not commute with q_eff under the default diffusion mu /
+    # beta, and a 2 x 2 run with its own d_mat.  The last two entries are
+    # gamma as scipy's Lyapunov solver of 0.8.1 wrote it and g_eff as the
+    # step-by-step exact loop of tests/test_reconstruction.py gives it; the
+    # library's routes sum in another order and may move them by rounding
+    # only.
     GOLDEN = {
         "non-commuting": (
             {
@@ -459,18 +460,18 @@ class TestReconstructCommand:
             "0.5003274394237065,-0.20956123117223313,-0.031434184675834961\n"
             "-0.20956123117223313,0.78585461689587432,0.11787819253438112\n"
             "-0.031434184675834961,0.11787819253438112,0.35101506221349044\n",
-            "2.3009405870686139,0.48026747518918,0.065170854628623417\n"
-            "0.48026747518918,1.7434165833239168,-0.56189597231577104\n"
-            "0.065170854628623417,-0.56189597231577104,3.9122931386406061\n",
+            "2.2066797330933285,0.56321492581085031,0.007764814961031946\n"
+            "0.56321492581085031,1.4730116583637036,-0.50811613704456948\n"
+            "0.007764814961031946,-0.50811613704456948,3.0184810644443325\n",
             [
                 [0.50032743942370617, -0.20956123117223313, -0.031434184675835017],
                 [-0.20956123117223313, 0.78585461689587488, 0.11787819253438121],
                 [-0.031434184675835017, 0.11787819253438121, 0.35101506221349049],
             ],
             [
-                [2.3009405870686161, 0.48026747518918178, 0.065170854628623515],
-                [0.48026747518918178, 1.7434165833239141, -0.56189597231576993],
-                [0.065170854628623515, -0.56189597231576993, 3.9122931386406052],
+                [2.20667973309333, 0.5632149258108499, 0.007764814961031978],
+                [0.5632149258108499, 1.473011658363703, -0.508116137044569],
+                [0.007764814961031978, -0.508116137044569, 3.018481064444331],
             ],
         ),
         "custom-diffusion": (
@@ -483,15 +484,15 @@ class TestReconstructCommand:
             },
             "0.63547744539829698,-0.070375076104068304\n"
             "-0.070375076104068304,0.30872375228877191\n",
-            "1.5273958038745696,-0.3068955184050508\n"
-            "-0.3068955184050508,3.6316237822554904\n",
+            "1.6238442289962192,0.27499797910332235\n"
+            "0.27499797910332235,3.3632240724610143\n",
             [
                 [0.63547744539829731, -0.07037507610406829],
                 [-0.07037507610406829, 0.30872375228877202],
             ],
             [
-                [1.5273958038745692, -0.30689551840505086],
-                [-0.30689551840505086, 3.6316237822554931],
+                [1.6238442289962203, 0.2749979791033218],
+                [0.2749979791033218, 3.363224072461018],
             ],
         ),
     }
@@ -499,7 +500,7 @@ class TestReconstructCommand:
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_csv_matches_golden_text(self, tmp_path, case):
         options, gamma_text, g_eff_text, gamma_scipy, g_eff_loop = self.GOLDEN[case]
-        payload = {"reconstruct": {**options, "n_steps": 2000, "burn_in": 100}}
+        payload = {"reconstruct": {**options, "n_steps": 2000}}
         code, out_dir = run_cli(tmp_path, payload)
         assert code == 0
         assert (out_dir / "gamma.csv").read_text() == gamma_text
@@ -583,7 +584,7 @@ class TestManifestRoundTrip:
         code, out_dir = run_cli(tmp_path, ROUND_TRIP_PAYLOADS["reconstruct"])
         assert code == 0
         echo = read_manifest(out_dir)["config"]["reconstruct"]
-        assert echo["burn_in"] == 1000
+        assert sorted(echo) == ["beta", "d_mat", "mu", "n_steps", "q_eff", "seed"]
         code, out_dir = run_cli(tmp_path, ROUND_TRIP_PAYLOADS["minimal-scan"], out="scan")
         assert code == 0
         echo = read_manifest(out_dir)["config"]["minimal-scan"]
@@ -666,6 +667,16 @@ class TestErrorHandling:
     def test_unknown_payload_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"flow": {"zeta": 0.1, "zap": 1}})
         self.assert_error_run(tmp_path, cfg, "unknown key(s) ['zap']", capsys)
+
+    @pytest.mark.parametrize("key, value", [("burn_in", 1000), ("dt", 0.01)])
+    def test_retired_reconstruct_keys_are_unknown(self, tmp_path, capsys, key, value):
+        # The exact sampler has no burn-in and picks its own spacing; a
+        # config written for 0.13.0 fails validation, not with a traceback.
+        payload = {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0, key: value}
+        with pytest.raises(schurflow.ConfigInvalid, match="unknown key"):
+            cli_mod._kwargs(cli_mod._RECONSTRUCT, payload, "reconstruct")
+        cfg = write_config(tmp_path, {"reconstruct": payload})
+        self.assert_error_run(tmp_path, cfg, f"unknown key(s) ['{key}']", capsys)
 
     def test_invalid_flow_parameter(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"flow": {"zeta": -1.0}})
@@ -961,8 +972,6 @@ _FUZZ_KEYS = {
         },
         {
             "d_mat": _MATRICES,
-            "dt": st.floats(0.0, 0.2),
-            "burn_in": st.integers(0, 50),
             "seed": st.integers(0, 5),
         },
     ),

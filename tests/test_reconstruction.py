@@ -10,6 +10,7 @@ loudly rather than within tolerance.
 
 import numpy as np
 import pytest
+import scipy.linalg  # tests only: scipy is no runtime dependency
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from schurflow import (
     LinearSDE,
     ResponseNotPD,
     SingularCovariance,
-    StepTooLarge,
     UnstableDrift,
     einstein_check,
     estimate_log_curvature,
@@ -26,7 +26,8 @@ from schurflow import (
     solve_lyapunov,
     stationary_gaussian,
 )
-from schurflow.reconstruction import SCAN_BLOCK
+from schurflow import reconstruction
+from schurflow.reconstruction import SCAN_BLOCK, _exact_transition
 from schurflow.tensor import ARRAY_BUDGET
 
 
@@ -101,7 +102,7 @@ class TestSolveLyapunov:
                           [0.48692332851528214, 0.6136014337454961]])
         gamma = solve_lyapunov((mu @ q_eff).T, mu)
         np.testing.assert_allclose(np.linalg.inv(gamma), q_eff, rtol=1e-8)
-        report = reconstruct(mu, q_eff, beta=1.0, n_steps=2_000, burn_in=0)
+        report = reconstruct(mu, q_eff, beta=1.0, n_steps=2_000)
         np.testing.assert_array_equal(report.gamma, gamma)
 
     def test_unstable_decay_raises(self):
@@ -149,18 +150,55 @@ class TestSdeIntegrationOracle:
         assert err < 0.03
 
 
-def euler_loop(m, d_mat, dt, n_steps, burn_in, seed):
-    """Sequential Euler steps ``p <- p - m p dt + kick`` on the kicks that
-    ``simulate_sde`` draws for ``seed``, one step at a time."""
-    w, v = np.linalg.eigh(d_mat)
-    root = v * np.sqrt(np.clip(w, 0.0, None))
+def van_loan(m, d_mat, dt):
+    """The kick covariance ``int_0^dt e^{-m s} 2 d_mat e^{-m.T s} ds`` of
+    ``dp = -m p dt + sqrt(2) L dW`` from a block exponential (Van Loan, IEEE
+    Trans. Autom. Control 23, 395, 1978).
+
+    The block is exponentiated at ``t = dt / 2**s`` with ``||m t||_1 < 1``
+    and doubled back by ``cov(2t) = cov(t) + a(t) cov(t) a(t).T``, which adds
+    only PSD terms: one block exponential at a large ``||m dt||`` cancels
+    ``e^{+m dt}`` against ``e^{-m dt}`` and lost 2e-4 of a strongly non-normal
+    ``m``'s kick covariance against a 50-digit reference.
+    """
+    dim = len(m)
+    s = max(0, int(np.frexp(dt * np.linalg.norm(m, 1))[1]))
+    block = np.zeros((2 * dim, 2 * dim))
+    block[:dim, :dim] = m
+    block[:dim, dim:] = 2.0 * d_mat
+    block[dim:, dim:] = -m.T
+    exp = scipy.linalg.expm(block * (dt / 2**s))
+    a = exp[dim:, dim:].T
+    cov = a @ exp[:dim, dim:]
+    for _ in range(s):
+        cov = cov + a @ cov @ a.T
+        a = a @ a
+    return cov
+
+
+def symmetric_root(s):
+    w, v = np.linalg.eigh((s + s.T) / 2.0)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def exact_loop(m, d_mat, dt, n_steps, burn_in, seed):
+    """The exact transition taken one state at a time on the draws that
+    ``simulate_sde`` documents for ``seed``: row 0 of one ``(burn_in +
+    n_steps, dim)`` standard-normal draw starts the chain from the
+    stationary law, row ``k`` is the kick of step ``k``.  The transition,
+    the kick covariance and the stationary covariance come from scipy
+    (``expm`` and ``solve_continuous_lyapunov``), not from the library."""
+    a = scipy.linalg.expm(-m * dt)
+    kick_cov = van_loan(m, d_mat, dt)
+    gamma = scipy.linalg.solve_continuous_lyapunov(m, 2.0 * d_mat)
     total = burn_in + n_steps
     z = np.random.default_rng(seed).standard_normal((total, len(m)))
-    kicks = np.sqrt(2.0 * dt) * (z @ root.T)
+    kicks = z @ symmetric_root(kick_cov)
     states = np.empty((total, len(m)))
-    p = np.zeros(len(m))
-    for k in range(total):
-        p = p - (m @ p) * dt + kicks[k]
+    p = symmetric_root(gamma) @ z[0]
+    states[0] = p
+    for k in range(1, total):
+        p = a @ p + kicks[k]
         states[k] = p
     return states[burn_in:]
 
@@ -187,60 +225,93 @@ def decay_of_kind(kind, dim, rng):
 DECAY_KINDS = ["similar-to-symmetric", "rotation", "jordan", "non-normal"]
 
 
-class TestBlockedScanMatchesEulerLoop:
-    """simulate_sde's blocked scan against the step-by-step loop.
+class TestExactTransition:
+    """``_exact_transition`` against scipy: ``A`` against ``expm`` and the
+    kick covariance against Van Loan's block exponential, neither of them
+    through ``solve_lyapunov``.  Both sides are accurate to a few ulps of
+    the largest entry met on the way, so the bounds are set at 1e-12 of the
+    largest entry of ``A`` and 1e-10 of the largest entry of the covariance,
+    which the doublings sum from up to a few hundred terms."""
 
-    The scan sums the same terms in another order, so the two agree to
-    rounding, set beforehand at 1e-12 * max(1, max |p|).  Run lengths
-    straddle one block, where the carries between blocks start, and one
-    block of blocks, where the carries need carries of their own.
+    @pytest.mark.parametrize("kind", DECAY_KINDS)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
+    def test_matches_scipy(self, kind, scale):
+        rng = np.random.default_rng(12)
+        m = decay_of_kind(kind, 4, rng)
+        d_mat = random_diffusion(rng, 4)
+        dt = scale / np.linalg.norm(m, 2)
+        a, kick_cov = _exact_transition(m, d_mat, dt)
+        want_a = scipy.linalg.expm(-m * dt)
+        want_cov = van_loan(m, d_mat, dt)
+        assert np.abs(a - want_a).max() <= 1e-12 * np.abs(want_a).max()
+        assert np.abs(kick_cov - want_cov).max() <= 1e-10 * np.abs(want_cov).max()
+
+    def test_extreme_spacings(self):
+        m, d_mat = np.diag([1.0, 2.0]), np.eye(2)
+        # m = 0: A = I and the kicks are 2 d_mat dt, exactly.
+        a, kick_cov = _exact_transition(np.zeros((2, 2)), d_mat, 0.3)
+        np.testing.assert_array_equal(a, np.eye(2))
+        np.testing.assert_array_equal(kick_cov, 0.6 * d_mat)
+        # ||m dt||_1 near the float maximum: scaled by 2**-1025 and doubled
+        # back, A vanishes and the kicks carry the whole stationary law.
+        a, kick_cov = _exact_transition(m, d_mat, 1e308 / 2.0)
+        np.testing.assert_array_equal(a, np.zeros((2, 2)))
+        np.testing.assert_allclose(kick_cov, np.diag([1.0, 0.5]), rtol=1e-14)
+
+
+class TestBlockedScanMatchesEulerLoop:
+    """simulate_sde's exact chain against the step-by-step exact loop.
+
+    The loop builds its transition, kick covariance and starting law with
+    scipy, so it checks the library's ``A``, ``gamma - A gamma A.T`` and the
+    ``p_0`` draw as well as the blocked scan.  The two sides agree to
+    rounding in those inputs, amplified by the square roots; the bound is
+    set beforehand at 1e-8 * max(1, max |p|), far below the 1e-3 or more
+    that an Euler transition ``I - m dt`` or a chain started at the origin
+    leaves.  Run lengths straddle one block, where the carries between
+    blocks start, and one block of blocks, where the carries need carries
+    of their own.
     """
 
-    def assert_matches_loop(self, kind, dim, n_steps, burn_in, step_fraction, seed):
+    def assert_matches_loop(self, kind, dim, n_steps, burn_in, step, seed):
         rng = np.random.default_rng(seed)
         m = decay_of_kind(kind, dim, rng)
         g = rng.standard_normal((dim, dim))
         d_mat = g @ g.T
-        dt = step_fraction * 0.1 / np.linalg.norm(m, 2)
+        dt = step / np.linalg.eigvals(m).real.min()
         sde = LinearSDE(m=m, d_mat=d_mat)
         got = simulate_sde(sde, dt=dt, n_steps=n_steps, burn_in=burn_in, seed=seed)
-        want = euler_loop(sde.m, sde.d_mat, dt, n_steps, burn_in, seed)
+        want = exact_loop(sde.m, sde.d_mat, dt, n_steps, burn_in, seed)
         assert got.shape == (n_steps, dim)
         scale = max(1.0, np.abs(want).max())
-        assert np.abs(got - want).max() <= 1e-12 * scale
+        assert np.abs(got - want).max() <= 1e-8 * scale
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         kind=st.sampled_from(DECAY_KINDS),
         dim=st.integers(1, 4),
         total=st.sampled_from(
-            [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+            [1, 2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
              SCAN_BLOCK**2 - 1, SCAN_BLOCK**2 + 1]
         ) | st.integers(1, 3 * SCAN_BLOCK**2),
         burn_fraction=st.floats(0.0, 0.5),
-        step_fraction=st.floats(0.05, 0.99),
+        step=st.floats(0.01, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_any_length_and_decay(
-        self, kind, dim, total, burn_fraction, step_fraction, seed
-    ):
+    def test_any_length_and_decay(self, kind, dim, total, burn_fraction, step, seed):
         burn_in = int(burn_fraction * (total - 1))
-        self.assert_matches_loop(
-            kind, dim, total - burn_in, burn_in, step_fraction, seed
-        )
+        self.assert_matches_loop(kind, dim, total - burn_in, burn_in, step, seed)
 
     @pytest.mark.parametrize("kind", DECAY_KINDS)
     def test_four_nested_scans(self, kind):
         # Past SCAN_BLOCK**3 rows the scan nests four levels deep.
-        self.assert_matches_loop(
-            kind, 3, SCAN_BLOCK**3 + 5, 1_000, step_fraction=0.9, seed=11
-        )
+        self.assert_matches_loop(kind, 3, SCAN_BLOCK**3 + 5, 1_000, step=0.9, seed=11)
 
 
 class TestSimulateSde:
     def test_scalar_variance(self):
         # Stationary variance of dp = -2 p dt + sqrt(3) dW is 1.5 / 2.
-        # Margin at this seed: 0.5% against the 2% bound.
+        # Margin at this seed: 0.6% against the 2% bound.
         sde = LinearSDE(m=np.array([[2.0]]), d_mat=np.array([[1.5]]))
         samples = simulate_sde(sde, dt=1e-3, n_steps=1_000_000, burn_in=10_000, seed=0)
         assert samples.shape == (1_000_000, 1)
@@ -257,10 +328,30 @@ class TestSimulateSde:
         b = simulate_sde(sde, dt=0.01, n_steps=500, seed=42)
         np.testing.assert_array_equal(a, b)
 
-    def test_step_guard(self):
-        sde = LinearSDE(m=np.array([[10.0]]), d_mat=np.array([[1.0]]))
-        with pytest.raises(StepTooLarge, match="reduce dt"):
-            simulate_sde(sde, dt=0.02, n_steps=10)
+    def test_any_spacing_is_exact(self):
+        # dt = 50 / ||m||_2 was refused by the Euler step guard; the exact
+        # chain takes it, and its states are then nearly independent draws
+        # of the stationary law N(0, 1.5 / 10).  Margin at this seed: 0.03%
+        # against the 2% bound.
+        sde = LinearSDE(m=np.array([[10.0]]), d_mat=np.array([[1.5]]))
+        samples = simulate_sde(sde, dt=5.0, n_steps=100_000, seed=0)
+        assert abs(samples.var(ddof=1) - 0.15) / 0.15 < 0.02
+
+    def test_first_state_is_a_stationary_draw(self):
+        # Row 0 of the draw through the root of gamma = 1.5 / 2: the chain
+        # starts in its stationary law, not at the origin.
+        sde = LinearSDE(m=np.array([[2.0]]), d_mat=np.array([[1.5]]))
+        z = np.random.default_rng(5).standard_normal((3, 1))
+        got = simulate_sde(sde, dt=0.1, n_steps=3, seed=5)
+        np.testing.assert_allclose(got[0], np.sqrt(0.75) * z[0], rtol=1e-14)
+
+    def test_overflowing_step_is_refused_before_allocation(self):
+        sde = LinearSDE(m=np.diag([1.0, 2.0]), d_mat=np.eye(2))
+        with pytest.raises(ValueError, match=r"^dt = 1\.000e\+308 overflows m dt"):
+            simulate_sde(sde, dt=1e308, n_steps=100)
+        # Refused before the buffers: a run far over no budget still names dt.
+        with pytest.raises(ValueError, match="^dt = "):
+            simulate_sde(sde, dt=1e308, n_steps=10**6)
 
     def test_unstable_drift_raises(self):
         sde = LinearSDE(m=np.array([[-1.0]]), d_mat=np.array([[1.0]]))
@@ -400,7 +491,8 @@ class TestEinsteinCheck:
 
 class TestReconstruct:
     def test_end_to_end_recovers_curvature(self):
-        # Margin at this seed: 2.9% against the 5% bound.
+        # Margin at this seed: 0.6% against the 5% bound (2.9% with the
+        # Euler chain of 0.13.0).
         q_eff = np.array([[1.0, 0.3], [0.3, 1.5]])
         mu = 0.8 * np.eye(2)
         report = reconstruct(mu, q_eff, beta=2.0)
@@ -414,6 +506,29 @@ class TestReconstruct:
         )
         assert report.beta == 2.0
 
+    def test_stiff_system_relaxes_at_the_defaults(self, monkeypatch):
+        # Eigenvalues {1e-3, 1} of mu and {1e-6, 1} of q_eff: the slowest
+        # decay rate of mu q_eff is 1e-9.  The Euler chain of 0.13.0 covered
+        # 5e-6 slowest decay times and missed beta * q_eff by 231% at this
+        # seed without a word; spaced by 1 / lambda_min, the run spans
+        # n_steps of them.  Margin at this seed: 0.4% against the 5% bound.
+        mu = np.array([[0.20654369193095476, 0.40384395370788523],
+                       [0.40384395370788523, 0.7944563080690453]])
+        q_eff = np.array([[0.3863995662545038, 0.48692332851528214],
+                          [0.48692332851528214, 0.6136014337454961]])
+        spans = []
+
+        def spy(sde, dt, n_steps, **kwargs):
+            spans.append(n_steps * dt * np.linalg.eigvals(sde.m).real.min())
+            return simulate_sde(sde, dt, n_steps, **kwargs)
+
+        monkeypatch.setattr(reconstruction, "simulate_sde", spy)
+        report = reconstruct(mu, q_eff, beta=1.0, seed=0)
+        assert spans == [pytest.approx(100_000, rel=1e-9)]
+        target = report.curvature_target
+        err = np.linalg.norm(report.g_eff - target) / np.linalg.norm(target)
+        assert err < 0.05
+
     def test_indefinite_response_fails_as_unstable(self):
         with pytest.raises(UnstableDrift):
             reconstruct(np.eye(2), np.diag([1.0, -0.5]), beta=1.0)
@@ -421,9 +536,7 @@ class TestReconstruct:
     def test_custom_diffusion_reports_einstein_residual(self):
         q_eff = np.eye(2)
         mu = np.eye(2)
-        report = reconstruct(
-            mu, q_eff, beta=1.0, d_mat=1.2 * np.eye(2), n_steps=2_000, burn_in=100
-        )
+        report = reconstruct(mu, q_eff, beta=1.0, d_mat=1.2 * np.eye(2), n_steps=2_000)
         assert report.einstein_residual == pytest.approx(0.2)
 
     def test_gamma_is_covariance_of_sampled_process_for_any_mobility(self):
@@ -432,7 +545,7 @@ class TestReconstruct:
         # mobility, here one that does not commute with q_eff.
         mu = np.diag([0.5, 0.9, 1.4])
         q_eff = np.array([[1.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 0.8]])
-        report = reconstruct(mu, q_eff, beta=1.3, n_steps=1_000, burn_in=0)
+        report = reconstruct(mu, q_eff, beta=1.3, n_steps=1_000)
         target = 1.3 * q_eff
         err = np.linalg.norm(np.linalg.inv(report.gamma) - target)
         assert err / np.linalg.norm(target) <= 1e-10
