@@ -29,7 +29,7 @@ from .errors import ConfigInvalid, SchurFlowError
 from .flow import FlowConfig, LognormalGaussian, Wishart, run_trajectory
 from .minimal import MinimalModelSpec, scan
 from .reconstruction import reconstruct
-from .tensor import BlockQuadratic, check_matrix, schur_complement, signature
+from .tensor import BlockQuadratic, check_budget, check_matrix, schur_complement, signature
 
 # Payload key that --seed overrides, per command.
 _SEED_KEYS = {"flow": "seed", "grid": "master_seed", "reconstruct": "seed"}
@@ -66,7 +66,9 @@ def _as_number(value, path: str) -> float:
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
-    """Evenly spaced values; the signature is the ``{start, stop, num}`` key set."""
+    """Evenly spaced values; the signature is the ``{start, stop, num}`` key set.
+    ``num`` is checked against the array budget before anything is allocated."""
+    check_budget((num,), "num")
     return np.linspace(start, stop, num)
 
 

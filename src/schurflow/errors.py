@@ -16,7 +16,8 @@ class FastSectorNotPD(SchurFlowError):
 
 
 class FastSectorUnstable(SchurFlowError):
-    """Fast-sector generator has an eigenvalue with non-negative real part."""
+    """Fast-sector generator is not strictly stable: an eigenvalue's real
+    part is not below minus the Hurwitz margin."""
 
 
 class ZeroTensor(SchurFlowError):

@@ -12,9 +12,10 @@ fluctuation balance
     m gamma + gamma m.T = 2 d_mat,
 
 which is ``solve_lyapunov(m.T, d_mat)``, one ``O(d**6)`` linear solve in
-numpy.  For every symmetric positive definite mobility it equals
-``(beta q_eff)^{-1}``: the log-density curvature of the stationary Gaussian
-reproduces ``beta q_eff``, closing the loop between response and fluctuations.
+numpy, made once when the model (:class:`LinearSDE`) is built.  For every
+symmetric positive definite mobility it equals ``(beta q_eff)^{-1}``: the
+log-density curvature of the stationary Gaussian reproduces ``beta q_eff``,
+closing the loop between response and fluctuations.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import dataclasses
 import numpy as np
 
 from .errors import BalanceResidual, ResponseNotPD, SingularCovariance, UnstableDrift
-from .reduction import check_mobility, m_from_q, strictly_decaying
+from .reduction import check_decaying, check_mobility, m_from_q
 from .tensor import (
     check_budget, check_int, check_matrix, check_pd, check_scalar, check_symmetric,
-    symmetrize,
+    count_inertia, symmetrize,
 )
 
 # Relative residual allowed on the fluctuation-balance solution.
@@ -40,23 +41,37 @@ SCAN_BLOCK = 32
 
 @dataclasses.dataclass(frozen=True)
 class LinearSDE:
-    """Damped linear Langevin model ``dp = -m p dt + sqrt(2) L dW``."""
+    """Stationary damped linear Langevin model ``dp = -m p dt + sqrt(2) L dW``.
+
+    Built once per system: ``d_mat`` must be PSD (``signature`` counts no
+    eigenvalue negative) and ``gamma = solve_lyapunov(m.T, d_mat)``, which
+    raises ``UnstableDrift`` unless ``m`` is a strict decay matrix and
+    limits ``dim`` to about 80, is solved and stored.  A ``LinearSDE`` that
+    exists is therefore stationary.
+    """
 
     m: np.ndarray
     d_mat: np.ndarray
+    gamma: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = check_matrix(self.m, "m")
         d_mat = check_symmetric(self.d_mat, "d_mat", m.shape)
+        w = np.linalg.eigvalsh(d_mat)
+        if count_inertia(w)[1]:
+            raise ValueError(
+                f"d_mat has eigenvalue {w[0]:.3e} below the zero band; "
+                "a diffusion must be positive semidefinite (PSD)"
+            )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "d_mat", d_mat)
+        # The drift is -m p, whose balance m gamma + gamma m.T = 2 d_mat is
+        # solve_lyapunov with m.T.
+        object.__setattr__(self, "gamma", solve_lyapunov(m.T, d_mat))
 
     @property
     def dim(self) -> int:
         return self.m.shape[0]
-
-    def is_stable(self) -> bool:
-        return strictly_decaying(self.m)
 
 
 def solve_lyapunov(m, d_mat) -> np.ndarray:
@@ -94,10 +109,7 @@ def solve_lyapunov(m, d_mat) -> np.ndarray:
     m_arr = check_matrix(m, "m")
     d_arr = check_symmetric(d_mat, "d_mat", m_arr.shape)
     check_budget((3, m_arr.size, m_arr.size), "m")  # both kron terms and their sum
-    if not strictly_decaying(m_arr):
-        raise UnstableDrift(
-            "decay matrix has an eigenvalue with Re <= 0; no stationary state exists"
-        )
+    check_decaying(m_arr, "decay matrix", UnstableDrift)
     eye = np.eye(len(m_arr))
     system = np.kron(m_arr.T, eye) + np.kron(eye, m_arr.T)
     gamma = symmetrize(np.linalg.solve(system, 2.0 * d_arr.ravel()).reshape(eye.shape))
@@ -202,12 +214,12 @@ def _exact_transition(m: np.ndarray, d_mat: np.ndarray, dt: float):
     return a, symmetrize(c)
 
 
-def _psd_root(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ``w`` of a symmetric ``s`` and its symmetric square root,
-    eigenvalues below zero clipped; unlike ``v * sqrt(w)`` it does not
-    depend on the signs of the eigenvectors ``eigh`` picks."""
+def _psd_root(s: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric ``s``, eigenvalues below zero
+    clipped; unlike ``v * sqrt(w)`` it does not depend on the signs of the
+    eigenvectors ``eigh`` picks."""
     w, v = np.linalg.eigh(s)
-    return w, (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 def simulate_sde(
@@ -217,12 +229,12 @@ def simulate_sde(
 
     The states ``p_k = p(k dt)`` follow ``p_k = A p_{k-1} + xi_k`` with ``A =
     exp(-m dt)`` and Gaussian kicks of covariance ``gamma - A gamma A.T``,
-    where ``gamma = solve_lyapunov(m.T, d_mat)`` (Gillespie, Phys. Rev. E
-    54, 2084, 1996).  The chain starts from ``p_0 ~ N(0, gamma)``, so it is
-    stationary from its first state and exact for any ``dt > 0``; a larger
-    ``dt`` only makes the states less correlated.  The first ``burn_in``
-    states are dropped (none by default) and the next ``n_steps`` returned
-    as an ``(n_steps, dim)`` array.
+    where ``gamma`` is the model's stationary covariance ``sde.gamma``
+    (Gillespie, Phys. Rev. E 54, 2084, 1996).  The chain starts from ``p_0
+    ~ N(0, gamma)``, so it is stationary from its first state and exact for
+    any ``dt > 0``; a larger ``dt`` only makes the states less correlated.
+    The first ``burn_in`` states are dropped (none by default) and the next
+    ``n_steps`` returned as an ``(n_steps, dim)`` array.
 
     One ``(burn_in + n_steps, dim)`` standard-normal draw feeds the chain:
     row 0 becomes ``p_0`` through the symmetric square root of ``gamma``,
@@ -231,14 +243,12 @@ def simulate_sde(
     of ``SCAN_BLOCK`` rows, go through a blocked linear scan that takes a
     handful of matmuls.  The run holds two such padded buffers, the kicks
     (reused as scratch) and the states; one must fit in ``ARRAY_BUDGET``.
-    The covariance solve limits ``dim`` to about 80 (:func:`solve_lyapunov`).
 
     Raises
     ------
-    UnstableDrift
-        If the decay matrix is not strictly stable.
     ValueError
-        If ``d_mat`` is not positive semidefinite, or ``m dt`` overflows.
+        If ``dt``, ``n_steps`` or ``burn_in`` is invalid, the buffers exceed
+        the budget, or ``m dt`` overflows.
     """
     check_scalar(dt, "dt")
     check_int(n_steps, "n_steps")
@@ -249,19 +259,12 @@ def simulate_sde(
     # Python floats overflow to inf without a warning.
     if not np.isfinite(float(dt) * float(np.linalg.norm(sde.m, 1))):
         raise ValueError(f"dt = {dt:.3e} overflows m dt; reduce dt")
-    w = _psd_root(sde.d_mat)[0]
-    floor = -1e-12 * max(1.0, float(np.abs(w).max()))
-    if w.min() < floor:
-        raise ValueError(
-            f"d_mat eigenvalue {w.min():.3e} below PSD tolerance {floor:.3e}"
-        )
-    gamma = solve_lyapunov(sde.m.T, sde.d_mat)
     a, kick_cov = _exact_transition(sde.m, sde.d_mat, dt)
-    root_xi = _psd_root(kick_cov)[1]
+    root_xi = _psd_root(kick_cov)
 
     z = np.random.default_rng(seed).standard_normal((total, sde.dim))
     kicks = np.empty((padded, sde.dim))
-    kicks[0] = _psd_root(gamma)[1] @ z[0]
+    kicks[0] = _psd_root(sde.gamma) @ z[0]
     np.matmul(z[1:], root_xi.T, out=kicks[1:total])
     kicks[total:] = 0.0
     del z  # freed before the scan allocates the states: one buffer less at peak
@@ -332,9 +335,10 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Recover the response tensor from simulated fluctuations.
 
-    Builds the Langevin model with decay ``mu q_eff`` and diffusion
-    ``d_mat`` (default ``mu / beta``), solves the fluctuation balance for
-    the stationary covariance, samples ``n_steps`` states of the dynamics
+    Builds the stationary Langevin model (:class:`LinearSDE`) with decay
+    ``mu q_eff`` and diffusion ``d_mat`` (default ``mu / beta``), whose
+    construction solves the fluctuation balance for the stationary
+    covariance ``gamma`` once, samples ``n_steps`` states of the dynamics
     with :func:`simulate_sde` and estimates the log-density curvature from
     the samples.  With the default diffusion the curvature estimate
     converges to ``beta * q_eff``.
@@ -347,6 +351,8 @@ def reconstruct(
 
     Raises
     ------
+    ValueError
+        If ``d_mat`` is not PSD, checked before the Hurwitz test.
     UnstableDrift
         If ``q_eff`` is not positive definite, so the decay matrix fails
         the Hurwitz test and no stationary state exists.
@@ -354,19 +360,15 @@ def reconstruct(
     mu_arr = check_mobility(mu)
     q_arr = check_symmetric(q_eff, "q_eff", mu_arr.shape)
     check_scalar(beta, "beta")
-    m = m_from_q(mu_arr, q_arr)
-    diffusion = mu_arr / beta if d_mat is None else check_symmetric(d_mat, "d_mat")
-    # The sampled drift is -m p, whose covariance balance is
-    # m gamma + gamma m.T = 2 diffusion: solve_lyapunov with m.T.
-    gamma = solve_lyapunov(m.T, diffusion)
-    dt = 1.0 / np.linalg.eigvals(m).real.min()
-    sde = LinearSDE(m=m, d_mat=diffusion)
+    # Built before dt, so a q_eff that is not PD fails the Hurwitz test first.
+    sde = LinearSDE(m_from_q(mu_arr, q_arr), mu_arr / beta if d_mat is None else d_mat)
+    dt = 1.0 / np.linalg.eigvals(sde.m).real.min()
     samples = simulate_sde(sde, dt=dt, n_steps=n_steps, seed=seed)
     g_eff = estimate_log_curvature(samples)
     return ReconstructionReport(
-        gamma=gamma,
+        gamma=sde.gamma,
         g_eff=g_eff,
         curvature_target=beta * q_arr,
-        einstein_residual=einstein_check(diffusion, mu_arr, beta),
+        einstein_residual=einstein_check(sde.d_mat, mu_arr, beta),
         beta=float(beta),
     )

@@ -825,6 +825,26 @@ class TestErrorHandling:
             capsys,
         )
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("minimal-scan", "chi_values"), ("grid", "a0_values")],
+    )
+    def test_oversized_axis_is_refused_before_allocation(
+        self, tmp_path, capsys, monkeypatch, command, key
+    ):
+        # num = 2**40 asks numpy for 8 TiB; the budget refuses it first.
+        def allocated(*args, **kwargs):
+            raise AssertionError("the axis was allocated")
+
+        monkeypatch.setattr(np, "linspace", allocated)
+        axis = {"start": 0.0, "stop": 2.0, "num": 2**40}
+        refusal = (f"{command}.{key}: num ask for 8388608 MiB of arrays, "
+                   "over the 1024 MiB budget")
+        with pytest.raises(schurflow.ConfigInvalid, match=f"^{refusal}$"):
+            cli_mod._array(axis, f"{command}.{key}")
+        cfg = write_config(tmp_path, {command: {key: axis}})
+        self.assert_error_run(tmp_path, cfg, refusal, capsys)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "payload",

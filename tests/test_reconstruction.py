@@ -28,7 +28,7 @@ from schurflow import (
 )
 from schurflow import reconstruction
 from schurflow.reconstruction import SCAN_BLOCK, _exact_transition
-from schurflow.tensor import ARRAY_BUDGET
+from schurflow.tensor import ARRAY_BUDGET, SIGNATURE_TOL, signature
 
 
 def random_decay(rng, d, scale=1.0):
@@ -354,14 +354,26 @@ class TestSimulateSde:
             simulate_sde(sde, dt=1e308, n_steps=10**6)
 
     def test_unstable_drift_raises(self):
-        sde = LinearSDE(m=np.array([[-1.0]]), d_mat=np.array([[1.0]]))
-        with pytest.raises(UnstableDrift):
-            simulate_sde(sde, dt=0.01, n_steps=10)
+        # Refused when the model is built: a LinearSDE that exists is stationary.
+        with pytest.raises(UnstableDrift, match=r"Re = -1\.000e\+00"):
+            LinearSDE(m=np.array([[-1.0]]), d_mat=np.array([[1.0]]))
 
     def test_indefinite_diffusion_raises(self):
-        sde = LinearSDE(m=np.eye(2), d_mat=np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError, match="PSD"):
-            simulate_sde(sde, dt=0.01, n_steps=10)
+        with pytest.raises(ValueError, match=r"eigenvalue -1\.000e\+00 .*PSD"):
+            LinearSDE(m=np.eye(2), d_mat=np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_diffusion_is_psd_on_the_zero_band(self, factor, accepted):
+        # d_mat = diag(100, -factor * band), band = SIGNATURE_TOL * 100: an
+        # eigenvalue inside the band counts as zero, as in signature.
+        d_mat = np.diag([100.0, -factor * SIGNATURE_TOL * 100.0])
+        assert (signature(d_mat).n_minus == 0) == accepted
+        if accepted:
+            sde = LinearSDE(m=np.eye(2), d_mat=d_mat)
+            assert simulate_sde(sde, dt=0.1, n_steps=10).shape == (10, 2)
+        else:
+            with pytest.raises(ValueError, match=r"eigenvalue -2\.000e-08 .*PSD"):
+                LinearSDE(m=np.eye(2), d_mat=d_mat)
 
     def test_argument_validation(self):
         sde = LinearSDE(m=np.eye(1), d_mat=np.eye(1))
@@ -390,8 +402,11 @@ class TestSimulateSde:
     def test_linear_sde_validation(self):
         with pytest.raises(ValueError, match="d_mat"):
             LinearSDE(m=np.eye(2), d_mat=np.eye(3))
-        assert LinearSDE(m=np.eye(2), d_mat=np.eye(2)).is_stable()
-        assert not LinearSDE(m=-np.eye(2), d_mat=np.eye(2)).is_stable()
+        sde = LinearSDE(m=np.diag([1.0, 4.0]), d_mat=np.eye(2))
+        np.testing.assert_array_equal(sde.gamma, np.diag([1.0, 0.25]))
+        assert "gamma" not in repr(sde)
+        with pytest.raises(UnstableDrift):
+            LinearSDE(m=-np.eye(2), d_mat=np.eye(2))
 
 
 class TestEstimateLogCurvature:
@@ -532,6 +547,38 @@ class TestReconstruct:
     def test_indefinite_response_fails_as_unstable(self):
         with pytest.raises(UnstableDrift):
             reconstruct(np.eye(2), np.diag([1.0, -0.5]), beta=1.0)
+
+    @pytest.mark.parametrize(
+        "mu, q_eff, rate, margin",
+        [
+            # Decay rates 1 and 1e12: the margin 1e-12 * 1e12 refuses the
+            # slow mode, though no eigenvalue has Re <= 0.
+            (np.eye(2), np.diag([1.0, 1e12]), "1.000e+00", "1.000e+00"),
+            (np.eye(1), [[1e-300]], "1.000e-300", "1.000e-12"),
+        ],
+        ids=["stiff", "tiny"],
+    )
+    def test_hurwitz_failure_names_real_part_and_margin(self, mu, q_eff, rate, margin):
+        with pytest.raises(UnstableDrift) as info:
+            reconstruct(mu, q_eff, beta=1.0)
+        assert f"Re = {rate}, not above the margin {margin}" in str(info.value)
+
+    def test_one_covariance_solve_per_reconstruction(self, monkeypatch):
+        calls = []
+
+        def spy(m, d_mat):
+            calls.append(m)
+            return solve_lyapunov(m, d_mat)
+
+        monkeypatch.setattr(reconstruction, "solve_lyapunov", spy)
+        mu, q_eff = 0.8 * np.eye(2), np.array([[1.0, 0.3], [0.3, 1.5]])
+        report = reconstruct(mu, q_eff, beta=2.0, n_steps=2_000)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(report.gamma, solve_lyapunov(calls[0], mu / 2.0))
+        # The sampler reads the model's gamma and solves nothing itself.
+        sde = LinearSDE(m=mu @ q_eff, d_mat=mu / 2.0)
+        simulate_sde(sde, dt=0.1, n_steps=100)
+        assert len(calls) == 2
 
     def test_custom_diffusion_reports_einstein_residual(self):
         q_eff = np.eye(2)

@@ -62,6 +62,17 @@ class TestEliminateFast:
         with pytest.raises(FastSectorUnstable):
             eliminate_fast(k)
 
+    def test_failure_names_real_part_and_margin(self):
+        # k_ff = -1e-13 has a negative real part, but it is inside the
+        # Hurwitz margin 1e-12: the message names both, not a sign.
+        k = BlockGenerator(k_ss=[[-1.0]], k_sf=[[1.0]], k_fs=[[1.0]], k_ff=[[-1e-13]])
+        message = (r"-k_ff has an eigenvalue with Re = 1\.000e-13, "
+                   r"not above the margin 1\.000e-12")
+        with pytest.raises(FastSectorUnstable, match=message):
+            eliminate_fast(k)
+        with pytest.raises(FastSectorUnstable, match=message):
+            fast_slave(k, np.ones(1))
+
     def test_matches_quadratic_elimination(self):
         # For K = -mu Q with block mobility diag(mu_s, mu_f I), scalar mu_f,
         # eliminating the fast dynamics equals -mu_s times the eliminated tensor.
