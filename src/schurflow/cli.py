@@ -27,7 +27,7 @@ from . import __version__, serialize
 from .ensemble import GridSpec, run_grid
 from .errors import ConfigInvalid, SchurFlowError
 from .flow import FlowConfig, LognormalGaussian, Wishart, run_trajectory
-from .minimal import MinimalModelSpec, scan
+from .minimal import MinimalModelSpec, check_scan_budget, scan
 from .reconstruction import reconstruct
 from .tensor import BlockQuadratic, check_budget, check_matrix, schur_complement, signature
 
@@ -70,6 +70,17 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
     ``num`` is checked against the array budget before anything is allocated."""
     check_budget((num,), "num")
     return np.linspace(start, stop, num)
+
+
+def _axis_size(node, path: str) -> int:
+    """Length of the axis :func:`_array` builds from ``node``, found without
+    building it: ``num`` of ``{start, stop, num}`` within the array budget,
+    or a list's length.  Other nodes count 0, and their build says why."""
+    if isinstance(node, dict):
+        num = _kwargs(inspect.signature(_linspace), node, path)["num"]
+        _call(check_budget, {"shape": (num,), "keys": "num"}, path)
+        return max(num, 0)
+    return len(node) if isinstance(node, list) else 0
 
 
 def _array(node, path: str) -> np.ndarray:
@@ -268,6 +279,11 @@ def _cmd_minimal_scan(payload, args, out_dir):
     axes = {**_SCAN_AXES, **{k: v for k, v in payload.items() if k in _SCAN_AXES}}
     options = {k: v for k, v in payload.items() if k not in _SCAN_AXES}
     template = _build(MinimalModelSpec, options, "minimal-scan", ("chi", "g"))
+    # The scan's budget is checked on the axis lengths, before either axis
+    # is built.
+    sizes = [_axis_size(axes[key], f"minimal-scan.{key}") for key in _SCAN_AXES]
+    _call(check_scan_budget, {"n_chi": sizes[0], "n_g": sizes[1], "template": template},
+          "minimal-scan")
     kwargs = _kwargs(_SCAN, axes, "minimal-scan", ("template",))
     result = _call(scan, {**kwargs, "template": template}, "minimal-scan")
     if args.fmt == "json":

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import DegenerateDraw, NonFiniteState, ZeroTensor
 from .tensor import (
     check_budget, check_int, check_scalar, check_symmetric, embedded_inertia,
-    packed_index, symmetrize, unpack_symmetric,
+    fields_equal, packed_index, symmetrize, unpack_symmetric,
 )
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
@@ -142,6 +142,8 @@ class FlowConfig:
     target_n_minus: int | None = None
     q_init: np.ndarray | None = None
 
+    __eq__ = fields_equal
+
     def __post_init__(self) -> None:
         check_int(self.d_tan, "d_tan")
         check_int(self.k_max, "k_max")
@@ -168,7 +170,7 @@ class FlowConfig:
         return np.eye(self.d_tan) if self.q_init is None else self.q_init.copy()
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass
 class TrajectoryRecord:
     """Per-step classification of one flow trajectory.
 
@@ -193,17 +195,11 @@ class TrajectoryRecord:
     censored: bool
     collapsed: bool
 
+    __eq__ = fields_equal
+
     @property
     def n_steps(self) -> int:
         return len(self.q) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrajectoryRecord):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in dataclasses.fields(self)
-        )
 
 
 def check_batch_budget(config: FlowConfig, n: int, keys: str) -> None:

@@ -21,6 +21,7 @@ from .tensor import (
     check_int,
     check_matrix,
     check_scalar,
+    fields_equal,
     schur_complement,
 )
 
@@ -35,6 +36,8 @@ class MinimalModelSpec:
     d_s: int = 2
     d_f: int = 2
     b0: np.ndarray | None = None
+
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         check_scalar(self.chi, "chi", positive=False)
@@ -92,6 +95,16 @@ class ScanResult:
     contour: BoundaryCurve
 
 
+def check_scan_budget(n_chi: int, n_g: int, template: MinimalModelSpec) -> None:
+    """Refuse, naming the two axes, a scan of ``n_chi x n_g`` cells of
+    ``template``'s shape whose arrays would exceed ``tensor.ARRAY_BUDGET``;
+    allocates nothing, so a caller can check before building the axes."""
+    d_s, d_f = template.d_s, template.d_f
+    # Per cell: a, b, c, the eigenpairs of c, b v, the correction and q_eff.
+    per_cell = 3 * d_s * d_s + 2 * d_s * d_f + 2 * d_f * d_f + d_f
+    check_budget((n_chi, n_g, per_cell), "chi_values, g_values")
+
+
 def scan(
     chi_values: np.ndarray,
     g_values: np.ndarray,
@@ -106,7 +119,7 @@ def scan(
     :func:`~schurflow.tensor.schur_complement` call on ``(n_chi, n_g)``
     stacks of blocks, whose cells equal ``b_eff_final`` of each cell's
     spec bit for bit.  Its arrays must fit ``tensor.ARRAY_BUDGET``
-    (:func:`~schurflow.tensor.check_budget`), checked before any is built.
+    (:func:`check_scan_budget`), checked before any is built.
     """
     chi = check_axis(chi_values, "chi_values", min_size=2)
     g = check_axis(g_values, "g_values", min_size=2)
@@ -116,11 +129,7 @@ def scan(
     check_scalar(float(g[0]), "g")
     if template is None:
         template = MinimalModelSpec()
-    b0 = template.coupling()
-    d_s, d_f = b0.shape
-    # Per cell: a, b, c, the eigenpairs of c, b v, the correction and q_eff.
-    per_cell = 3 * d_s * d_s + 2 * d_s * d_f + 2 * d_f * d_f + d_f
-    check_budget((chi.size, g.size, per_cell), "chi_values, g_values")
-    b_eff = _b_eff(_blocks(chi[:, None], g[None, :], b0))
+    check_scan_budget(chi.size, g.size, template)
+    b_eff = _b_eff(_blocks(chi[:, None], g[None, :], template.coupling()))
     contour = find_contour(chi, g, b_eff, 0.0)
     return ScanResult(chi_values=chi, g_values=g, b_eff=b_eff, contour=contour)

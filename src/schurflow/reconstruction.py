@@ -28,7 +28,7 @@ from .errors import BalanceResidual, ResponseNotPD, SingularCovariance, Unstable
 from .reduction import check_decaying, check_mobility, m_from_q
 from .tensor import (
     check_budget, check_int, check_matrix, check_pd, check_scalar, check_symmetric,
-    count_inertia, symmetrize,
+    count_inertia, fields_equal, symmetrize,
 )
 
 # Relative residual allowed on the fluctuation-balance solution.
@@ -53,6 +53,8 @@ class LinearSDE:
     m: np.ndarray
     d_mat: np.ndarray
     gamma: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         m = check_matrix(self.m, "m")

@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from .errors import FastSectorUnstable
-from .tensor import check_matrix, check_pd, check_symmetric
+from .tensor import check_matrix, check_pd, check_symmetric, fields_equal
 
 # Relative margin of the Hurwitz test in strictly_decaying.
 STABILITY_RTOL = 1e-12
@@ -57,6 +57,8 @@ class BlockGenerator:
     k_sf: np.ndarray
     k_fs: np.ndarray
     k_ff: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         k_ss = check_matrix(self.k_ss, "k_ss")

@@ -150,6 +150,19 @@ def check_budget(shape, keys: str) -> None:
         )
 
 
+def fields_equal(self, other) -> bool:
+    """The ``__eq__`` of the dataclasses with array fields: instances of one
+    class are equal when ``np.array_equal`` holds for every compared field,
+    so arrays compare by shape and values.  A frozen class keeps the
+    generated ``__hash__``, defined while its array fields are ``None``."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name))
+        for f in dataclasses.fields(self) if f.compare
+    )
+
+
 def check_symmetric(m, name: str = "matrix", shape=None, batch=()) -> np.ndarray:
     """Return ``(m + m.T) / 2``, exactly symmetric, of a finite square
     matrix ``m`` (of ``shape``, or a stack over ``batch``, as in
@@ -332,6 +345,8 @@ class BlockQuadratic:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         batch = np.shape(self.a)[:-2]

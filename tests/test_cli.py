@@ -845,6 +845,28 @@ class TestErrorHandling:
         cfg = write_config(tmp_path, {command: {key: axis}})
         self.assert_error_run(tmp_path, cfg, refusal, capsys)
 
+    @pytest.mark.parametrize("g_values", [None, [0.5, 1.0, 2.0]], ids=["default", "list"])
+    def test_oversized_scan_is_refused_before_either_axis_is_built(
+        self, tmp_path, capsys, monkeypatch, g_values
+    ):
+        # Each axis fits the budget alone; the scan of both does not.
+        def allocated(*args, **kwargs):
+            raise AssertionError("an axis was allocated")
+
+        monkeypatch.setattr(np, "linspace", allocated)
+        monkeypatch.setattr(np, "asarray", allocated)
+        payload = {"chi_values": {"start": 0, "stop": 2, "num": 4_000_000}}
+        if g_values is not None:
+            payload["g_values"] = g_values
+        mib = 4_000_000 * len(g_values or range(50)) * 30 * 8 >> 20
+        cfg = write_config(tmp_path, {"minimal-scan": payload})
+        self.assert_error_run(
+            tmp_path, cfg,
+            f"minimal-scan: chi_values, g_values ask for {mib} MiB of arrays, "
+            "over the 1024 MiB budget",
+            capsys,
+        )
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "payload",

@@ -1,13 +1,15 @@
 """Tests for grid ensembles, aggregation and boundary extraction.
 
 Aggregation formulas are checked on hand-built negative-count histories,
-the seeding contract is checked against single-trajectory replays, and
-boundary extraction is checked on a synthetic probability field with a
-known contour.
+the seeding contract is checked against single-trajectory replays and
+numpy's own ``default_rng``, and boundary extraction is checked on a
+synthetic probability field with a known contour.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schurflow.ensemble as ensemble_mod
 import schurflow.flow as flow_mod
@@ -271,6 +273,78 @@ class TestRunGrid:
             NonFiniteState, match=r"cell \(a0=0.0, zeta=0.1\): trajectory 1, step 3"
         ):
             run_grid(spec)
+
+
+def same_as_default_rng(master, cell, n_traj):
+    """Whether every generator of the cell equals ``default_rng([master,
+    cell, t])`` in its full state and in its first 8 normal draws."""
+    for t, rng in enumerate(ensemble_mod._cell_generators(master, cell, n_traj)):
+        oracle = np.random.default_rng([master, cell, t])
+        if rng.bit_generator.state != oracle.bit_generator.state:
+            return False
+        if not np.array_equal(rng.standard_normal(8), oracle.standard_normal(8)):
+            return False
+    return True
+
+
+# Seeds of one to four 32-bit words: below, at and above 2**32 and 2**64.
+SEEDS = st.one_of(
+    st.just(0),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**128),
+    st.sampled_from([2**32, 2**64]),
+)
+
+
+class TestCellGenerators:
+    """A cell's generators are hashed together; numpy's ``default_rng``
+    is the oracle, so a numpy that changes ``SeedSequence`` fails here."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(master=SEEDS, cell=SEEDS, n_traj=st.integers(1, 5))
+    def test_generators_equal_default_rng(self, master, cell, n_traj):
+        assert same_as_default_rng(master, cell, n_traj)
+
+    def test_a_full_cell_of_100_trajectories(self):
+        assert same_as_default_rng(12345678901234567890, 399, 100)
+
+    @pytest.mark.parametrize(
+        "name", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_L", "_MIX_R", "_XSHIFT"]
+    )
+    def test_any_changed_hash_constant_fails_the_comparison(self, monkeypatch, name):
+        monkeypatch.setattr(ensemble_mod, name, getattr(ensemble_mod, name) ^ 1)
+        # The second seed has 5 entropy words, so it runs every mixing round.
+        assert not same_as_default_rng(0, 0, 3)
+        assert not same_as_default_rng(2**64 + 5, 2**33, 3)
+
+    def test_large_master_cells_replay_each_trajectory(self, monkeypatch):
+        # 2**64 + 5 is 3 words: with the cell and t, more than the pool's 4.
+        master = 2**64 + 5
+        histories = {}
+        evolve = ensemble_mod.evolve_batch
+
+        def recording(config, rngs):
+            out = evolve(config, rngs)
+            histories[config.a0, config.zeta] = out[1][1]
+            return out
+
+        monkeypatch.setattr(ensemble_mod, "evolve_batch", recording)
+        spec = GridSpec(
+            a0_values=[0.2, 0.8],
+            zeta_values=[0.1],
+            n_traj=4,
+            master_seed=master,
+            base_config=FlowConfig(k_max=15),
+        )
+        run_grid(spec)
+        for cell_index in range(spec.n_cells):
+            config = spec.cell_config(cell_index)
+            n_minus = histories[config.a0, config.zeta]
+            for t in range(spec.n_traj):
+                record = run_trajectory(config, [master, cell_index, t])
+                assert not record.collapsed
+                assert n_minus[t, -1] == record.n_minus[-1]
 
 
 def linear_field_result(n=10):

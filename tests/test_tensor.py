@@ -8,13 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurflow import (
+    BlockGenerator,
     BlockQuadratic,
     FastSectorNotPD,
+    FlowConfig,
+    GridSpec,
+    LinearSDE,
+    MinimalModelSpec,
     check_symmetric,
     embed_full,
     iso_traceless,
     operator_norm,
     perturbation_preserves_signature,
+    run_trajectory,
     schur_complement,
     separation_check,
     signature,
@@ -488,3 +494,75 @@ class TestCheckBudget:
     def test_sizes_beyond_the_float_range(self):
         with pytest.raises(ValueError, match="n_traj ask for"):
             check_budget((3, 10**300, 101, 3, 3), "n_traj")
+
+
+# Two factories per dataclass with array fields: equal instances come from
+# one factory called twice, an unequal one from the other.
+EQUALITY_CASES = {
+    "FlowConfig": (
+        lambda: FlowConfig(q_init=np.eye(3)),
+        lambda: FlowConfig(q_init=np.diag([1.0, 1.0, -1.0])),
+    ),
+    "LinearSDE": (
+        lambda: LinearSDE(np.eye(2), np.eye(2)),
+        lambda: LinearSDE(np.eye(2), 2.0 * np.eye(2)),
+    ),
+    "BlockGenerator": (
+        lambda: BlockGenerator(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.eye(1)),
+        lambda: BlockGenerator(np.eye(2), np.zeros((2, 1)), np.ones((1, 2)), np.eye(1)),
+    ),
+    "BlockQuadratic": (
+        lambda: BlockQuadratic(np.eye(2), np.ones((2, 1)), np.eye(1)),
+        lambda: BlockQuadratic(np.eye(2), np.ones((2, 3)), np.eye(3)),
+    ),
+    "GridSpec": (
+        lambda: GridSpec([0.0, 1.0], [0.0, 0.3]),
+        lambda: GridSpec([0.0, 0.5, 1.0], [0.0, 0.3]),
+    ),
+    "MinimalModelSpec": (
+        lambda: MinimalModelSpec(b0=np.eye(2)),
+        lambda: MinimalModelSpec(b0=2.0 * np.eye(2)),
+    ),
+    "TrajectoryRecord": (
+        lambda: run_trajectory(FlowConfig(zeta=0.1, k_max=5), [0, 0, 0]),
+        lambda: run_trajectory(FlowConfig(zeta=0.1, k_max=5), [0, 0, 1]),
+    ),
+}
+
+
+class TestFieldsEqual:
+    """One array-aware ``__eq__`` serves every dataclass with array fields."""
+
+    @pytest.mark.parametrize("name", list(EQUALITY_CASES))
+    def test_equal_instances(self, name):
+        build, _ = EQUALITY_CASES[name]
+        first, second = build(), build()
+        assert type(first).__name__ == name
+        assert first == second
+        assert not first != second
+
+    @pytest.mark.parametrize("name", list(EQUALITY_CASES))
+    def test_unequal_instances(self, name):
+        build, build_other = EQUALITY_CASES[name]
+        first, other = build(), build_other()
+        assert first != other
+        assert not first == other
+        assert first != "not a dataclass"
+
+    def test_default_flow_configs_stay_equal_and_hashable(self):
+        assert FlowConfig() == FlowConfig()
+        assert hash(FlowConfig()) == hash(FlowConfig())
+        assert FlowConfig(q_init=np.eye(3)) != FlowConfig()
+
+    def test_nested_configs_compare_by_their_arrays(self):
+        def spec(q_init):
+            return GridSpec([0.0, 1.0], [0.0, 0.3], base_config=FlowConfig(q_init=q_init))
+
+        assert spec(np.eye(3)) == spec(np.eye(3))
+        assert spec(np.eye(3)) != spec(2.0 * np.eye(3))
+
+    def test_uncompared_fields_are_skipped(self):
+        # gamma is derived from m and d_mat and declared compare=False.
+        first, second = LinearSDE(np.eye(2), np.eye(2)), LinearSDE(np.eye(2), np.eye(2))
+        object.__setattr__(second, "gamma", np.zeros((2, 2)))
+        assert first == second
