@@ -11,7 +11,7 @@ Core pieces:
 - :mod:`schurflow.cli` -- batch command-line runner.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 import types
 
@@ -49,7 +49,6 @@ from .flow import (
     anisotropy_strength,
     embed_full,
     flow_step,
-    normalize,
     run_trajectory,
     sample_anisotropy_batch,
     sample_sigma_batch,
@@ -73,24 +72,18 @@ from .reconstruction import (
 )
 from .reduction import (
     BlockGenerator,
-    check_fast_stable,
     check_mobility,
     eliminate_fast,
     fast_slave,
-    k_from_q,
     m_from_q,
 )
 from .tensor import (
     BlockQuadratic,
-    IsoTracelessSplit,
-    SeparationResult,
     Signature,
     check_symmetric,
-    iso_traceless,
     operator_norm,
     perturbation_preserves_signature,
     schur_complement,
-    separation_check,
     signature,
     stability_margin,
     symmetrize,

@@ -22,7 +22,7 @@ import numpy as np
 from .contour import BoundaryCurve, find_contour
 from .errors import NonFiniteState, NoValidRecords
 from .flow import FlowConfig, check_batch_budget, evolve_batch, first_passage_steps
-from .tensor import check_axis, check_int, check_scalar, fields_equal
+from .tensor import check_axis, check_budget, check_int, check_scalar, fields_equal
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,7 +32,8 @@ class GridSpec:
     The defaults are the reference grid: 20 x 20 cells over moderate
     anisotropy and elimination strength, 100 trajectories per cell.  Axes
     are non-negative as well as finite and strictly increasing.  The arrays
-    of one cell must fit in ``ARRAY_BUDGET``.
+    of one cell, and the results of the whole grid, must each fit in
+    ``ARRAY_BUDGET``.
     """
 
     a0_values: np.ndarray = dataclasses.field(
@@ -60,6 +61,9 @@ class GridSpec:
             self.base_config, self.n_traj,
             "n_traj, base_config.k_max, base_config.d_tan, base_config.schur_model",
         )
+        # Per cell the result holds p_sector (d_tan + 1), mean_fpt,
+        # censored_fraction and n_valid.
+        check_budget((self.n_cells, self.base_config.d_tan + 4), "a0_values, zeta_values")
 
     @property
     def n_cells(self) -> int:

@@ -180,9 +180,12 @@ class TrajectoryRecord:
     within ``SIGNATURE_TOL * max(1, q_n, ||q_t||_op)``, the full tensor's
     band, so a large ``q_n`` widens the band of the tangential eigenvalues.
     ``q`` and ``s_opnorm`` are the isotropic weight and traceless operator
-    norm of the tangential block alone.  ``first_passage`` is the first step
-    whose negative count equals the target, ``None`` when censored.  A
-    collapsed trajectory carries the valid prefix only.
+    norm of the tangential block alone, ``q_t = q I + s``.
+    ``separation_holds`` marks dominance, ``|q| > ||s||_op``, which
+    guarantees that every tangential eigenvalue has the sign of ``q``.
+    ``first_passage`` is the first step whose negative count equals the
+    target, ``None`` when censored.  A collapsed trajectory carries the
+    valid prefix only.
     """
 
     n_plus: np.ndarray
@@ -319,42 +322,17 @@ def anisotropy_strength(a0: float, beta_decay: float, k):
     return float(out) if np.isscalar(k) else out
 
 
-def _normalized(q: np.ndarray, mode: NormMode, what: str) -> np.ndarray:
-    """``q`` rescaled to unit Frobenius norm or, in trace mode, to ``|trace|
-    == d`` when ``|trace| >= TRACE_FLOOR``; a failure names ``what``."""
-    fro = float(np.sqrt(np.einsum("ij,ij->", q, q)))
-    if not np.isfinite(fro):
-        raise NonFiniteState(f"{what} or its Frobenius norm is not finite")
-    if fro < ZERO_FLOOR:
-        raise ZeroTensor(f"{what} has norm {fro:.3e} below floor {ZERO_FLOOR}")
-    tr = abs(float(np.trace(q)))
-    if NormMode(mode) is NormMode.TRACE and tr >= TRACE_FLOOR:
-        return q * (len(q) / tr)
-    return q * (1.0 / fro)
-
-
-def normalize(q_t, mode: NormMode = NormMode.FROBENIUS) -> np.ndarray:
-    """Rescale a symmetric tensor without changing its signature.
-
-    Raises
-    ------
-    ZeroTensor
-        If the Frobenius norm is below ``ZERO_FLOOR``.
-    NonFiniteState
-        If the Frobenius norm overflows.
-    """
-    return _normalized(check_symmetric(q_t, name="q_t"), mode, "q_t")
-
-
 def flow_step(q_t, sigma, a, a_k: float, zeta: float, mode: NormMode) -> np.ndarray:
     """One flow update: subtract the load, add anisotropy, renormalize.
 
     Computes ``N(q_t - zeta * sigma + a_k * a)`` with the symmetric part
-    taken before normalization.  Multiplying by a positive scale never moves
-    eigenvalues across zero, so the signature after the update is decided by
-    the un-normalized combination alone.  Raises :class:`ZeroTensor` below
-    the zero floor and :class:`NonFiniteState` if the update or its norm is
-    not finite.
+    taken before normalization.  ``N`` rescales to unit Frobenius norm or,
+    in trace mode (``mode`` may be a :class:`NormMode` or its string), to
+    ``|trace| == d`` when ``|trace| >= TRACE_FLOOR``.  Multiplying by a
+    positive scale never moves eigenvalues across zero, so the signature
+    after the update is decided by the un-normalized combination alone.
+    Raises :class:`ZeroTensor` below the zero floor and
+    :class:`NonFiniteState` if the update or its norm is not finite.
     """
     q = np.asarray(q_t, dtype=float)
     sig = np.asarray(sigma, dtype=float)
@@ -370,7 +348,15 @@ def flow_step(q_t, sigma, a, a_k: float, zeta: float, mode: NormMode) -> np.ndar
     if not (np.isfinite(a_k) and np.isfinite(zeta)):
         raise ValueError("a_k and zeta must be finite")
     upd = symmetrize(q - zeta * sig + a_k * a_arr)
-    return _normalized(upd, mode, "the update")
+    fro = float(np.sqrt(np.einsum("ij,ij->", upd, upd)))
+    if not np.isfinite(fro):
+        raise NonFiniteState("the update or its Frobenius norm is not finite")
+    if fro < ZERO_FLOOR:
+        raise ZeroTensor(f"the update has norm {fro:.3e} below floor {ZERO_FLOOR}")
+    tr = abs(float(np.trace(upd)))
+    if NormMode(mode) is NormMode.TRACE and tr >= TRACE_FLOOR:
+        return upd * (len(upd) / tr)
+    return upd * (1.0 / fro)
 
 
 def embed_full(q_t, q_n: float) -> np.ndarray:

@@ -19,29 +19,18 @@ import numpy as np
 from .errors import FastSectorUnstable
 from .tensor import check_matrix, check_pd, check_symmetric, fields_equal
 
-# Relative margin of the Hurwitz test in strictly_decaying.
+# Relative margin of the Hurwitz test in check_decaying.
 STABILITY_RTOL = 1e-12
 
 
-def _slowest_decay(m: np.ndarray) -> tuple[float, float]:
-    """``(min Re eig(m), margin)`` of the Hurwitz test in strictly_decaying."""
-    margin = STABILITY_RTOL * max(1.0, float(np.abs(m).max()))
-    return float(np.linalg.eigvals(m).real.min()), margin
-
-
-def strictly_decaying(m: np.ndarray) -> bool:
-    """True if every eigenvalue of the validated square ``m`` has real part
-    above ``STABILITY_RTOL * max(1, max |m_ij|)``, so that ``dx/dt = -m x``
-    decays and roundoff-level marginal modes count as not decaying."""
-    rate, margin = _slowest_decay(m)
-    return rate > margin
-
-
 def check_decaying(m: np.ndarray, name: str, error) -> None:
-    """Raise ``error`` unless the validated square ``m`` is
-    :func:`strictly_decaying`, naming the deciding real part ``min Re
-    eig(m)`` and the margin it must exceed."""
-    rate, margin = _slowest_decay(m)
+    """Raise ``error`` unless every eigenvalue of the validated square ``m``
+    has real part above ``STABILITY_RTOL * max(1, max |m_ij|)``, so that
+    ``dx/dt = -m x`` decays and roundoff-level marginal modes count as not
+    decaying; the message names the deciding real part ``min Re eig(m)``
+    and the margin it must exceed."""
+    rate = float(np.linalg.eigvals(m).real.min())
+    margin = STABILITY_RTOL * max(1.0, float(np.abs(m).max()))
     if not rate > margin:
         raise error(
             f"{name} has an eigenvalue with Re = {rate:.3e}, not above the "
@@ -86,15 +75,6 @@ class BlockGenerator:
         )
 
 
-def check_fast_stable(k_ff) -> bool:
-    """True if every eigenvalue of the fast block has negative real part.
-
-    This is :func:`strictly_decaying` applied to ``-k_ff``, so the same
-    relative margin makes roundoff-level marginal modes count as unstable.
-    """
-    return strictly_decaying(-check_matrix(k_ff, "k_ff"))
-
-
 def eliminate_fast(k: BlockGenerator) -> np.ndarray:
     """Effective slow generator ``k_ss - k_sf k_ff^{-1} k_fs``.
 
@@ -128,13 +108,8 @@ def check_mobility(mu) -> np.ndarray:
     return arr
 
 
-def k_from_q(mu, q) -> np.ndarray:
-    """Relaxation generator ``k = -mu q`` of ``dx/dt = k x``."""
-    mu_arr = check_mobility(mu)
-    q_arr = check_symmetric(q, "q", mu_arr.shape)
-    return -(mu_arr @ q_arr)
-
-
 def m_from_q(mu, q) -> np.ndarray:
     """Decay matrix ``m = mu q`` of the damped form ``dx/dt = -m x``."""
-    return -k_from_q(mu, q)
+    mu_arr = check_mobility(mu)
+    q_arr = check_symmetric(q, "q", mu_arr.shape)
+    return mu_arr @ q_arr

@@ -35,8 +35,8 @@ SIGNATURE_TOL = 1e-10
 # a 3 x 3 state; a few multiples of the worst-case error of their formulas.
 _COEFF_RTOL = 8.0 * np.finfo(float).eps
 # Bytes of float64 arrays one computation may hold at once: a grid cell's
-# (counted by flow.check_batch_budget), or each of the two padded buffers
-# of an SDE run.
+# (counted by flow.check_batch_budget), a grid's results (by GridSpec), or
+# each of the two padded buffers of an SDE run.
 ARRAY_BUDGET = 2**30
 
 
@@ -46,21 +46,6 @@ class Signature(NamedTuple):
     n_plus: int
     n_minus: int
     n_zero: int
-
-
-class IsoTracelessSplit(NamedTuple):
-    """Isotropic weight ``q`` and traceless remainder ``s`` of a tensor."""
-
-    q: float
-    s: np.ndarray
-
-
-class SeparationResult(NamedTuple):
-    """Outcome of the isotropic/traceless dominance test."""
-
-    holds: bool
-    q: float
-    s_opnorm: float
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -398,30 +383,10 @@ def signature(m) -> Signature:
     return Signature(*(int(c) for c in counts))
 
 
-def iso_traceless(m) -> IsoTracelessSplit:
-    """Split ``m = q I + s`` into isotropic weight and traceless part."""
-    arr = check_symmetric(m)
-    q = float(np.trace(arr)) / arr.shape[0]
-    s = arr - q * np.eye(arr.shape[0])
-    return IsoTracelessSplit(q, s)
-
-
 def operator_norm(m) -> float:
     """Spectral norm (largest absolute eigenvalue) of a symmetric matrix."""
     w = np.linalg.eigvalsh(check_symmetric(m))
     return float(max(abs(w[0]), abs(w[-1])))
-
-
-def separation_check(m) -> SeparationResult:
-    """Test whether the isotropic part dominates the traceless remainder.
-
-    With ``m = q I + s``, dominance ``|q| > ||s||_op`` guarantees every
-    eigenvalue of ``m`` shares the sign of ``q``, so the inertia is decided
-    by the isotropic weight alone.
-    """
-    q, s = iso_traceless(m)
-    s_norm = operator_norm(s)
-    return SeparationResult(abs(q) > s_norm, q, s_norm)
 
 
 def stability_margin(m) -> float:

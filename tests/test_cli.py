@@ -792,13 +792,16 @@ class TestErrorHandling:
                 "kind": "lognormal_gaussian", "d_fast": 10**4}}}}, GRID_KEYS),
             ({"grid": {"base_config": {"schur_model": {
                 "kind": "wishart", "rank": 10**5}}}}, GRID_KEYS),
+            ({"grid": {"a0_values": {"start": 0.0, "stop": 1.0, "num": 40_000},
+                       "zeta_values": {"start": 0.0, "stop": 0.3, "num": 40_000}}},
+             "grid: a0_values, zeta_values ask for 85449 MiB"),
             ({"flow": {"a0": 0.1, "k_max": 10**15}},
              "flow: k_max, d_tan, schur_model ask for"),
             ({"reconstruct": {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0,
                               "n_steps": 10**15}},
              "reconstruct: n_steps, burn_in ask for"),
         ],
-        ids=["grid", "grid-lognormal", "grid-wishart", "flow", "reconstruct"],
+        ids=["grid", "grid-lognormal", "grid-wishart", "grid-cells", "flow", "reconstruct"],
     )
     def test_oversized_run_is_refused_before_it_starts(
         self, tmp_path, capsys, monkeypatch, payload, keys

@@ -6,6 +6,8 @@ numpy's own ``default_rng``, and boundary extraction is checked on a
 synthetic probability field with a known contour.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,19 @@ class TestGridSpec:
             base = FlowConfig(schur_model=model)
             with pytest.raises(ValueError, match=keys):
                 GridSpec(base_config=base)
+
+    def test_grid_results_are_budgeted(self):
+        # Each cell's results are d_tan + 4 = 7 floats: p_sector over four
+        # sectors, mean_fpt, censored_fraction and n_valid.
+        max_cells = ARRAY_BUDGET // (7 * 8)
+        side = math.isqrt(max_cells)
+        GridSpec(np.linspace(0.0, 1.0, side), np.linspace(0.0, 0.3, side))
+        keys = r"^a0_values, zeta_values ask for .* budget$"
+        with pytest.raises(ValueError, match=keys):
+            GridSpec(np.linspace(0.0, 1.0, side + 1), np.linspace(0.0, 0.3, side + 1))
+        # 1.6e9 cells, whose results alone would take 83 GiB.
+        with pytest.raises(ValueError, match="ask for 85449 MiB"):
+            GridSpec(np.linspace(0.0, 1.0, 40_000), np.linspace(0.0, 0.3, 40_000))
 
     def test_default_grid_spec(self):
         spec = GridSpec(master_seed=7)

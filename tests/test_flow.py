@@ -31,7 +31,6 @@ from schurflow import (
     anisotropy_strength,
     embed_full,
     flow_step,
-    normalize,
     run_trajectory,
     sample_anisotropy_batch,
     sample_sigma_batch,
@@ -365,21 +364,27 @@ class TestAnisotropyStrength:
             anisotropy_strength(1.0, 0.1, -1)
 
 
+def normalized(q, mode=NormMode.FROBENIUS):
+    """A flow step with no load and no anisotropy: the normalization alone."""
+    zero = np.zeros_like(q)
+    return flow_step(q, zero, zero, 0.0, 0.0, mode)
+
+
 class TestNormalize:
     def test_frobenius_mode(self):
-        out = normalize(2.0 * np.eye(3))
+        out = normalized(2.0 * np.eye(3))
         np.testing.assert_allclose(out, np.eye(3) / np.sqrt(3.0), rtol=1e-15)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_trace_mode_fixes_trace_magnitude(self):
-        out = normalize(np.diag([2.0, 2.0]), NormMode.TRACE)
+        out = normalized(np.diag([2.0, 2.0]), NormMode.TRACE)
         np.testing.assert_allclose(out, np.eye(2), rtol=1e-15)
-        out = normalize(np.diag([-4.0, -4.0]), NormMode.TRACE)
+        out = normalized(np.diag([-4.0, -4.0]), NormMode.TRACE)
         np.testing.assert_allclose(out, -np.eye(2), rtol=1e-15)
 
     def test_trace_mode_falls_back_on_traceless_input(self):
         q = np.diag([1.0, -1.0])
-        out = normalize(q, NormMode.TRACE)
+        out = normalized(q, NormMode.TRACE)
         np.testing.assert_allclose(out, q / np.sqrt(2.0), rtol=1e-15)
 
     def test_signature_is_preserved(self):
@@ -388,19 +393,19 @@ class TestNormalize:
             g = rng.standard_normal((4, 4))
             q = 0.5 * (g + g.T)
             for mode in NormMode:
-                assert signature(normalize(q, mode)) == signature(q)
+                assert signature(normalized(q, mode)) == signature(q)
 
     def test_zero_tensor_raises(self):
         with pytest.raises(ZeroTensor, match="below floor"):
-            normalize(1e-16 * np.eye(3))
+            normalized(1e-16 * np.eye(3))
 
     def test_overflowing_norm_raises(self):
         # Finite entries whose Frobenius norm overflows used to scale to zero.
         with pytest.raises(NonFiniteState, match="not finite"):
-            normalize(1e200 * np.eye(3))
+            normalized(1e200 * np.eye(3))
 
     def test_mode_accepts_string(self):
-        out = normalize(np.diag([3.0, 3.0]), "trace")
+        out = normalized(np.diag([3.0, 3.0]), "trace")
         np.testing.assert_allclose(out, np.eye(2))
 
 

@@ -9,15 +9,14 @@ from schurflow import (
     BlockGenerator,
     BlockQuadratic,
     FastSectorUnstable,
-    check_fast_stable,
     check_mobility,
     eliminate_fast,
     fast_slave,
-    k_from_q,
     m_from_q,
     schur_complement,
     symmetrize,
 )
+from schurflow.reduction import check_decaying
 
 
 def dense_eliminate_oracle(k):
@@ -45,6 +44,12 @@ class TestEliminateFast:
         assert eliminate_fast(k)[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_dense_oracle(self):
+        # A triangular fast block is stable on its diagonal, -1 and -2,
+        # whatever its off-diagonal entry adds to the Hurwitz margin.
+        triangular = BlockGenerator(k_ss=[[-1.0]], k_sf=[[1.0, 1.0]],
+                                    k_fs=[[1.0], [1.0]], k_ff=[[-1.0, 10.0], [0.0, -2.0]])
+        np.testing.assert_allclose(eliminate_fast(triangular),
+                                   dense_eliminate_oracle(triangular), rtol=1e-14)
         rng = np.random.default_rng(31)
         for _ in range(30):
             k = random_generator(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
@@ -58,9 +63,14 @@ class TestEliminateFast:
             eliminate_fast(k)
 
     def test_marginal_fast_block_raises(self):
-        k = BlockGenerator(k_ss=[[-1.0]], k_sf=[[1.0]], k_fs=[[1.0]], k_ff=[[0.0]])
-        with pytest.raises(FastSectorUnstable):
-            eliminate_fast(k)
+        # A zero mode and a rotation block, whose eigenvalues +-i have zero
+        # real part, are marginal, not decaying.
+        for k_ff in ([[0.0]], [[0.0, 1.0], [-1.0, 0.0]]):
+            d_f = len(k_ff)
+            k = BlockGenerator(k_ss=[[-1.0]], k_sf=np.ones((1, d_f)),
+                               k_fs=np.ones((d_f, 1)), k_ff=k_ff)
+            with pytest.raises(FastSectorUnstable):
+                eliminate_fast(k)
 
     def test_failure_names_real_part_and_margin(self):
         # k_ff = -1e-13 has a negative real part, but it is inside the
@@ -300,18 +310,6 @@ class TestFastSlave:
             fast_slave(k, np.ones(1))
 
 
-class TestFastStable:
-    def test_triangular_example(self):
-        assert check_fast_stable([[-1.0, 10.0], [0.0, -2.0]])
-
-    def test_unstable_and_marginal(self):
-        assert not check_fast_stable([[1.0]])
-        assert not check_fast_stable([[0.0]])
-
-    def test_rotation_block_is_marginal(self):
-        assert not check_fast_stable([[0.0, 1.0], [-1.0, 0.0]])
-
-
 class TestMobilityBridges:
     def test_check_mobility_accepts_pd(self):
         out = check_mobility(np.diag([1.0, 2.0]))
@@ -323,16 +321,9 @@ class TestMobilityBridges:
         with pytest.raises(ValueError):
             check_mobility(np.diag([1.0, 0.0]))
 
-    def test_bridges_are_negatives(self):
-        rng = np.random.default_rng(35)
-        mu = np.diag([1.0, 3.0])
-        q = symmetrize(rng.standard_normal((2, 2)))
-        np.testing.assert_array_equal(k_from_q(mu, q), -m_from_q(mu, q))
-        np.testing.assert_allclose(k_from_q(mu, q), -(mu @ q), atol=1e-14)
-
     def test_pd_pair_gives_decaying_generator(self):
-        # mu Q with both PD has spectrum in the right half plane, so the
-        # relaxation generator -mu Q is strictly stable.
+        # mu Q with both PD has spectrum in the right half plane, so
+        # dx/dt = -mu Q x strictly decays.
         rng = np.random.default_rng(36)
         for _ in range(20):
             d = int(rng.integers(1, 5))
@@ -340,4 +331,6 @@ class TestMobilityBridges:
             g2 = rng.standard_normal((d, d))
             mu = g1 @ g1.T + 0.5 * np.eye(d)
             q = g2 @ g2.T + 0.5 * np.eye(d)
-            assert check_fast_stable(k_from_q(mu, q))
+            m = m_from_q(mu, q)
+            np.testing.assert_allclose(m, mu @ q, rtol=1e-14, atol=1e-14 * np.abs(m).max())
+            check_decaying(m, "mu q", AssertionError)

@@ -17,12 +17,10 @@ from schurflow import (
     MinimalModelSpec,
     check_symmetric,
     embed_full,
-    iso_traceless,
     operator_norm,
     perturbation_preserves_signature,
     run_trajectory,
     schur_complement,
-    separation_check,
     signature,
     stability_margin,
     symmetrize,
@@ -411,23 +409,6 @@ class TestEmbeddedInertia:
             np.testing.assert_array_equal(g, e)
 
 
-class TestIsoTraceless:
-    def test_worked_example(self):
-        q, s = iso_traceless(np.diag([-3.0, -2.0, -2.5]))
-        assert q == pytest.approx(-2.5)
-        np.testing.assert_allclose(s, np.diag([-0.5, 0.5, 0.0]), atol=1e-14)
-
-    def test_decomposition_orthogonal(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            m = symmetrize(rng.standard_normal((4, 4)))
-            q, s = iso_traceless(m)
-            assert abs(np.trace(s)) < 1e-12
-            # Frobenius inner product of the two parts vanishes.
-            assert abs(np.sum(q * np.eye(4) * s)) < 1e-12
-            np.testing.assert_allclose(q * np.eye(4) + s, m, atol=1e-14)
-
-
 class TestNormsAndMargins:
     def test_operator_norm_rank_one(self):
         v = np.array([1.0, 2.0, np.sqrt(2.0)])
@@ -439,22 +420,34 @@ class TestNormsAndMargins:
     def test_stability_margin(self):
         assert stability_margin(np.diag([-3.0, 0.5, 2.0])) == pytest.approx(0.5)
 
+    # The separation test is run_trajectory's, over a trajectory's states:
+    # its first record is the initial state, q_t = q I + s.
     def test_separation_example(self):
-        holds, q, s_norm = separation_check(np.diag([-3.0, -2.0, -2.5]))
-        assert holds and q == pytest.approx(-2.5) and s_norm == pytest.approx(0.5)
+        config = FlowConfig(k_max=1, q_init=np.diag([-3.0, -2.0, -2.5]))
+        record = run_trajectory(config, 0)
+        assert record.separation_holds[0]
+        assert record.q[0] == pytest.approx(-2.5)
+        assert record.s_opnorm[0] == pytest.approx(0.5)
 
     def test_separation_failure(self):
-        holds, q, s_norm = separation_check(np.diag([1.0, -1.0]))
-        assert not holds and q == pytest.approx(0.0) and s_norm == pytest.approx(1.0)
+        config = FlowConfig(k_max=1, d_tan=2, q_init=np.diag([1.0, -1.0]))
+        record = run_trajectory(config, 0)
+        assert not record.separation_holds[0]
+        assert record.q[0] == pytest.approx(0.0)
+        assert record.s_opnorm[0] == pytest.approx(1.0)
 
     def test_separation_forces_uniform_sign(self):
-        rng = np.random.default_rng(24)
-        for _ in range(50):
-            m = symmetrize(rng.standard_normal((4, 4)))
-            holds, q, _ = separation_check(m)
-            if holds:
-                expected = (4, 0, 0) if q > 0 else (0, 4, 0)
-                assert signature(m) == expected
+        # Wherever |q| > ||s||_op, every tangential eigenvalue has the sign
+        # of q; the normal sector q_n = 1 adds one positive direction.
+        seen = {-1: 0, 1: 0}
+        for seed in range(10):
+            record = run_trajectory(FlowConfig(zeta=0.3, a0=0.5, d_tan=4), seed)
+            holds = record.separation_holds
+            assert np.all(record.n_plus[holds & (record.q < 0)] == 1)
+            assert np.all(record.n_minus[holds & (record.q > 0)] == 0)
+            for sign in seen:
+                seen[sign] += np.count_nonzero(holds & (np.sign(record.q) == sign))
+        assert min(seen.values()) > 0
 
 
 class TestPerturbationBound:
