@@ -44,12 +44,6 @@ class TestEliminateFast:
         assert eliminate_fast(k)[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_dense_oracle(self):
-        # A triangular fast block is stable on its diagonal, -1 and -2,
-        # whatever its off-diagonal entry adds to the Hurwitz margin.
-        triangular = BlockGenerator(k_ss=[[-1.0]], k_sf=[[1.0, 1.0]],
-                                    k_fs=[[1.0], [1.0]], k_ff=[[-1.0, 10.0], [0.0, -2.0]])
-        np.testing.assert_allclose(eliminate_fast(triangular),
-                                   dense_eliminate_oracle(triangular), rtol=1e-14)
         rng = np.random.default_rng(31)
         for _ in range(30):
             k = random_generator(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
@@ -63,14 +57,9 @@ class TestEliminateFast:
             eliminate_fast(k)
 
     def test_marginal_fast_block_raises(self):
-        # A zero mode and a rotation block, whose eigenvalues +-i have zero
-        # real part, are marginal, not decaying.
-        for k_ff in ([[0.0]], [[0.0, 1.0], [-1.0, 0.0]]):
-            d_f = len(k_ff)
-            k = BlockGenerator(k_ss=[[-1.0]], k_sf=np.ones((1, d_f)),
-                               k_fs=np.ones((d_f, 1)), k_ff=k_ff)
-            with pytest.raises(FastSectorUnstable):
-                eliminate_fast(k)
+        k = BlockGenerator(k_ss=[[-1.0]], k_sf=[[1.0]], k_fs=[[1.0]], k_ff=[[0.0]])
+        with pytest.raises(FastSectorUnstable):
+            eliminate_fast(k)
 
     def test_failure_names_real_part_and_margin(self):
         # k_ff = -1e-13 has a negative real part, but it is inside the
@@ -308,6 +297,27 @@ class TestFastSlave:
         k = BlockGenerator(k_ss=[[-1.0]], k_sf=[[1.0]], k_fs=[[1.0]], k_ff=[[1.0]])
         with pytest.raises(FastSectorUnstable):
             fast_slave(k, np.ones(1))
+
+
+class TestFastStable:
+    """The Hurwitz test of a fast block, seen through eliminate_fast."""
+
+    @staticmethod
+    def generator(k_ff):
+        d_f = len(k_ff)
+        return BlockGenerator(k_ss=[[-1.0]], k_sf=np.ones((1, d_f)),
+                              k_fs=np.ones((d_f, 1)), k_ff=k_ff)
+
+    def test_triangular_example(self):
+        # A triangular fast block is stable on its diagonal, -1 and -2,
+        # whatever its off-diagonal entry adds to the Hurwitz margin.
+        k = self.generator([[-1.0, 10.0], [0.0, -2.0]])
+        np.testing.assert_allclose(eliminate_fast(k), dense_eliminate_oracle(k), rtol=1e-14)
+
+    def test_rotation_block_is_marginal(self):
+        # The eigenvalues +-i have zero real part: marginal, not decaying.
+        with pytest.raises(FastSectorUnstable):
+            eliminate_fast(self.generator([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 class TestMobilityBridges:
