@@ -25,6 +25,10 @@ from .flow import FlowConfig, check_batch_budget, evolve_batch, first_passage_st
 from .tensor import check_axis, check_budget, check_int, check_scalar, fields_equal
 
 
+# The config keys that size a cell's workspace.
+_CELL_KEYS = "n_traj, base_config.k_max, base_config.d_tan, base_config.schur_model"
+
+
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
     """Parameter grid, trajectory count and seeding for an ensemble run.
@@ -57,10 +61,7 @@ class GridSpec:
         check_int(self.master_seed, "master_seed", low=0)
         if not isinstance(self.base_config, FlowConfig):
             raise TypeError("base_config must be a FlowConfig")
-        check_batch_budget(
-            self.base_config, self.n_traj,
-            "n_traj, base_config.k_max, base_config.d_tan, base_config.schur_model",
-        )
+        check_batch_budget(self.base_config, self.n_traj, _CELL_KEYS)
         # Per cell the result holds p_sector (d_tan + 1), mean_fpt,
         # censored_fraction and n_valid.
         check_budget((self.n_cells, self.base_config.d_tan + 4), "a0_values, zeta_values")
@@ -221,13 +222,14 @@ def _cell_generators(master_seed: int, cell_index: int, n_traj: int) -> list:
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
-def _run_cell(args):
-    spec, cell_index = args
+def _run_cell(spec: GridSpec, cell_index: int, workspace=None):
+    """Statistics of one cell; its arrays are views of ``workspace`` if
+    given (see :func:`~schurflow.flow.evolve_batch`), else fresh."""
     config = spec.cell_config(cell_index)
     rngs = _cell_generators(spec.master_seed, cell_index, spec.n_traj)
     cell = f"cell (a0={config.a0}, zeta={config.zeta})"
     try:
-        _, (_, n_minus, _), n_valid = evolve_batch(config, rngs)
+        _, (_, n_minus, _), n_valid = evolve_batch(config, rngs, workspace=workspace)
     except NonFiniteState as exc:
         raise NonFiniteState(f"{cell}: {exc}") from exc
     # Non-collapsed trajectories are valid through all k_max + 1 states.
@@ -239,6 +241,15 @@ def _run_cell(args):
     return p, np.nan if mean_fpt is None else mean_fpt, censored_fraction, len(valid)
 
 
+def _run_cells(task):
+    """Statistics of the cells ``start .. stop - 1`` of ``task = (spec,
+    start, stop)``, which reuse one workspace in turn."""
+    spec, start, stop = task
+    size = check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS)
+    workspace = np.empty(size)
+    return [_run_cell(spec, cell_index, workspace) for cell_index in range(start, stop)]
+
+
 def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     """Run every grid cell and aggregate sector statistics.
 
@@ -248,15 +259,23 @@ def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     ``[master_seed, cell_index, trajectory_index]``.  A cell hashes all its
     seeds at once (:func:`_cell_generators`); each generator equals
     ``np.random.default_rng`` of its seed, as ``run_trajectory`` builds it.
+    A task is a run of consecutive cells, about an eighth of a worker's
+    share so that the pool can balance the load; it allocates one
+    workspace, which its cells reuse.
     """
     check_int(parallelism, "parallelism")
     workers = min(int(parallelism), spec.n_cells)
-    tasks = [(spec, idx) for idx in range(spec.n_cells)]
+    chunk = -(-spec.n_cells // (8 * workers))
+    tasks = [
+        (spec, start, min(start + chunk, spec.n_cells))
+        for start in range(0, spec.n_cells, chunk)
+    ]
     if workers == 1:
-        cell_outputs = [_run_cell(task) for task in tasks]
+        chunk_outputs = [_run_cells(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cell_outputs = list(pool.map(_run_cell, tasks))
+            chunk_outputs = list(pool.map(_run_cells, tasks))
+    cell_outputs = [output for outputs in chunk_outputs for output in outputs]
 
     # Outputs come in flat cell order, a0 outer: reshape them onto the grid.
     shape = (spec.a0_values.size, spec.zeta_values.size)

@@ -41,6 +41,30 @@ components.  Both samplers return this layout, computed elementwise from
 the draws, and sum over fast modes in an order that does not depend on the
 batch size (:func:`_row_sum`).  :func:`flow_step`, the one-step oracle,
 stays dense and apart from the kernel.
+
+Workspace
+---------
+A grid task runs many cells of one shape in turn.  Rather than allocate
+and free a few MB per cell, it allocates one flat float64 workspace of
+:func:`check_batch_budget`'s count and passes it to :func:`evolve_batch`
+for every cell; the budget check and the allocation are one number.  The
+workspace lives as long as the task.  Within a call it holds two parts:
+
+- held, through the whole call: the states, the update norms, the drive
+  (the anisotropies scaled by ``a_k``) and the loads;
+- transient, one region reused in phases that never overlap in time:
+  first the anisotropy draws and their unit output, then the load
+  sampler's weights, draws, transposed factor and scratch, then the flow
+  loop's squares and scales, and last the closed-form classification's
+  temporaries and counts.
+
+Every view is written in full before it is read, so what a workspace held
+before a call never reaches a result.  Aliasing rule: with a workspace, the
+states and the ``d_tan = 3`` counts that :func:`evolve_batch` returns are
+views of it, valid until the workspace is used again; the samplers return
+their ``out`` and share no memory with their ``scratch``.  Without a
+workspace, ``out`` or ``scratch``, every array is fresh, as it is for
+:func:`run_trajectory` and the replay oracles.
 """
 
 from __future__ import annotations
@@ -52,8 +76,9 @@ import numpy as np
 
 from .errors import DegenerateDraw, NonFiniteState, ZeroTensor
 from .tensor import (
-    check_budget, check_int, check_scalar, check_symmetric, embedded_inertia,
-    fields_equal, packed_index, symmetrize, unpack_symmetric,
+    CLOSED_FORM_ROWS, check_budget, check_int, check_scalar, check_symmetric,
+    embedded_inertia, fields_equal, packed_index, scratch_views, symmetrize,
+    unpack_symmetric,
 )
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
@@ -205,17 +230,35 @@ class TrajectoryRecord:
         return len(self.q) - 1
 
 
-def check_batch_budget(config: FlowConfig, n: int, keys: str) -> None:
+def check_batch_budget(config: FlowConfig, n: int, keys: str) -> int:
     """Refuse, naming the config ``keys``, a batch of ``n`` trajectories
-    whose arrays would exceed ``ARRAY_BUDGET``; allocates nothing.
+    whose arrays would exceed ``ARRAY_BUDGET``; allocates nothing.  Returns
+    the size in floats of the batch's workspace (:func:`evolve_batch`), the
+    count the budget checks: ``n`` times the sum of :func:`_batch_floats`.
+    """
+    per_trajectory = sum(_batch_floats(config))
+    check_budget((n, per_trajectory), keys)
+    return n * per_trajectory
 
-    Per step and trajectory :func:`evolve_batch` holds the packed loads,
-    anisotropies and states, ``n_comp`` each (the states once more for the
-    initial one), and an update norm; :func:`sample_sigma_batch` holds its
-    draws and works on a transposed copy of the factor and one scratch
-    row per fast mode.  For :class:`LognormalGaussian` the draws are the
-    log-eigenvalues ``z``, ``d_fast``, and the coupling, ``d_tan * d_fast``;
-    for :class:`Wishart` the factor, ``d_tan * rank``.
+
+def _batch_floats(config: FlowConfig) -> tuple[int, int]:
+    """Floats per trajectory of a batch's workspace: ``(held, transient)``.
+
+    The held part persists through the flow loop: per step the packed
+    loads, anisotropies and states, ``n_comp`` each (the states once more
+    for the initial one), and an update norm.  The transient region is
+    sized for the largest of its uses in turn:
+
+    - :func:`sample_anisotropy_batch`: per step its output and its draws,
+      ``n_comp`` each, and one sum;
+    - :func:`sample_sigma_batch`: per step its draws, a transposed copy of
+      the factor and one scratch row per fast mode.  For
+      :class:`LognormalGaussian` the draws are the log-eigenvalues ``z``,
+      ``d_fast``, and the coupling, ``d_tan * d_fast``, and the weights
+      take the place of ``z``; for :class:`Wishart` the factor, ``d_tan *
+      rank``;
+    - the flow loop: a squared state and three scalars;
+    - the closed-form classification: ``CLOSED_FORM_ROWS`` per state.
     """
     d, k, model = int(config.d_tan), int(config.k_max), config.schur_model
     n_comp = d * (d + 1) // 2
@@ -225,19 +268,43 @@ def check_batch_budget(config: FlowConfig, n: int, keys: str) -> None:
     else:
         modes = model.rank or d
         draws = d * modes
-    per_step = 3 * n_comp + 1 + draws + d * modes + modes
-    check_budget((n, k * per_step + n_comp), keys)
+    transient = max(
+        k * (2 * n_comp + 1),
+        k * (draws + d * modes + modes),
+        n_comp + 3,
+        (k + 1) * CLOSED_FORM_ROWS,
+    )
+    return k * (3 * n_comp + 1) + n_comp, transient
 
 
-def _standard_normal(rngs, shape) -> np.ndarray:
-    """``rng.standard_normal(shape)`` of each generator, stacked in order."""
-    out = np.empty((len(rngs), *shape))
+def _standard_normal(rngs, out: np.ndarray) -> np.ndarray:
+    """``rng.standard_normal(out=out[i])`` of each generator, in order."""
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=out[i])
     return out
 
 
-def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rngs) -> np.ndarray:
+def _split(buffer, shape):
+    """A view of ``shape`` at the head of the flat ``buffer`` and the rest
+    of the buffer; without a buffer, a fresh array and None."""
+    if buffer is None:
+        return np.empty(shape), None
+    head = scratch_views(buffer)(shape)
+    return head, buffer[head.size:]
+
+
+def _output(out, shape) -> np.ndarray:
+    """``out``, checked to have ``shape``, or a fresh array of it."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape:
+        raise ValueError(f"out: expected shape {shape}, got {out.shape}")
+    return out
+
+
+def sample_sigma_batch(
+    model: SchurModel, d_tan: int, n: int, rngs, *, out=None, scratch=None
+) -> np.ndarray:
     """Draw ``n`` elimination loads per generator as packed components, a
     ``(n, n_comp, len(rngs))`` array; column ``i`` equals a call with
     ``[rngs[i]]`` alone.
@@ -249,35 +316,48 @@ def sample_sigma_batch(model: SchurModel, d_tan: int, n: int, rngs) -> np.ndarra
     :class:`Wishart`: a single ``(n, d_tan, rank)`` factor ``w``, each mode
     weighted ``1 / rank``.  Component ``(i, j)`` is ``sum_f (w_if * w_jf) *
     weight_f``, summed over modes by :func:`_row_sum`.
+
+    The loads are written to ``out`` if given, else to a fresh array.  The
+    temporaries are views of ``scratch`` if given, a flat float64 array of
+    at least ``n * len(rngs)`` times ``draws + d_tan * modes + modes``
+    floats (:func:`check_batch_budget`), else fresh arrays; the result
+    shares no memory with ``scratch``.
     """
     check_int(d_tan, "d_tan")
     check_int(n, "n")
-    if isinstance(model, LognormalGaussian):
+    lognormal = isinstance(model, LognormalGaussian)
+    if lognormal:
         modes = model.d_fast if model.d_fast is not None else int(d_tan)
-        z = _standard_normal(rngs, (n, modes)).transpose(2, 1, 0)
-        weight = np.multiply(z, -model.sigma_log, order="C")
-        del z
-        np.exp(weight, out=weight)
-        weight /= modes
     elif isinstance(model, Wishart):
         modes = model.rank if model.rank is not None else int(d_tan)
-        weight = 1.0 / modes
     else:
         raise TypeError(f"unknown elimination-load model: {model!r}")
+    empty, n_rngs = scratch_views(scratch), len(rngs)
+    weight = empty((modes, n, n_rngs)) if lognormal else 1.0 / modes
+    draws = empty((n_rngs * n * d_tan * modes,))
+    if lognormal:
+        z = draws[: n_rngs * n * modes].reshape(n_rngs, n, modes)
+        _standard_normal(rngs, z)
+        np.multiply(z.transpose(2, 1, 0), -model.sigma_log, out=weight)
+        np.exp(weight, out=weight)
+        weight /= modes
     # Axes (mode, row, draw, generator): a component's products are contiguous.
-    factor = _standard_normal(rngs, (n, d_tan, modes)).transpose(3, 2, 1, 0)
-    factor = np.ascontiguousarray(factor)
-    out = np.empty((n, d_tan * (d_tan + 1) // 2, len(rngs)))
-    scratch = np.empty((modes, n, len(rngs)))
+    factor = empty((modes, d_tan, n, n_rngs))
+    w = _standard_normal(rngs, draws.reshape(n_rngs, n, d_tan, modes))
+    np.copyto(factor, w.transpose(3, 2, 1, 0))
+    out = _output(out, (n, d_tan * (d_tan + 1) // 2, n_rngs))
+    products = empty((modes, n, n_rngs))
     rows, cols = np.divmod(packed_index(d_tan), d_tan)
     for c, (i, j) in enumerate(zip(rows, cols)):
-        np.multiply(factor[:, i], factor[:, j], out=scratch)
-        scratch *= weight
-        _row_sum(scratch, out[:, c])
+        np.multiply(factor[:, i], factor[:, j], out=products)
+        products *= weight
+        _row_sum(products, out[:, c])
     return out
 
 
-def sample_anisotropy_batch(d_tan: int, n: int, rngs) -> np.ndarray:
+def sample_anisotropy_batch(
+    d_tan: int, n: int, rngs, *, out=None, scratch=None
+) -> np.ndarray:
     """Draw ``n`` traceless unit-Frobenius symmetric anisotropies per
     generator as packed components, a ``(n, n_comp, len(rngs))`` array.
 
@@ -290,17 +370,24 @@ def sample_anisotropy_batch(d_tan: int, n: int, rngs) -> np.ndarray:
     norm below the zero floor, which a Gaussian draw reaches with
     probability below 1e-28, raises :class:`DegenerateDraw`; nothing is
     redrawn.
+
+    ``out`` and ``scratch`` work as in :func:`sample_sigma_batch`; the
+    scratch needs ``n * len(rngs) * (n_comp + 1)`` floats.
     """
     check_int(d_tan, "d_tan", low=2)
     check_int(n, "n")
-    s = _standard_normal(rngs, (n, d_tan * (d_tan + 1) // 2)).transpose(1, 2, 0)
-    s = np.ascontiguousarray(s)
+    empty, n_rngs, n_comp = scratch_views(scratch), len(rngs), d_tan * (d_tan + 1) // 2
+    draws = _standard_normal(rngs, empty((n_rngs, n, n_comp)))
+    s = _output(out, (n, n_comp, n_rngs))
+    np.copyto(s, draws.transpose(1, 2, 0))
     s[:, d_tan:] *= np.sqrt(0.5)
     diagonal = s[:, :d_tan].swapaxes(0, 1)
-    diagonal -= _row_sum(diagonal, np.empty_like(s[:, 0])) / d_tan
-    square = s * s
+    mean = _row_sum(diagonal, empty((n, n_rngs)))
+    mean /= d_tan
+    diagonal -= mean
+    square = np.multiply(s, s, out=draws.reshape(s.shape))
     square[:, d_tan:] *= 2.0
-    norm = np.sqrt(_row_sum(square.swapaxes(0, 1), np.empty_like(s[:, 0])))
+    norm = np.sqrt(_row_sum(square.swapaxes(0, 1), mean), out=mean)
     if np.any(norm < ZERO_FLOOR):
         raise DegenerateDraw(f"an anisotropy draw has norm below {ZERO_FLOOR}")
     s /= norm[:, None]
@@ -380,7 +467,7 @@ def _row_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve_batch(config: FlowConfig, rngs):
+def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
     """Sample, evolve and classify one trajectory per generator, vectorized
     across the batch with one call of each sampler; each trajectory consumes
     only its own generator, in the documented order, so it is bitwise
@@ -394,23 +481,43 @@ def evolve_batch(config: FlowConfig, rngs):
     zero floor.  A non-finite update raises :class:`NonFiniteState` naming
     the first step that has one and the first trajectory, by index in
     ``rngs``, with one at that step.
+
+    Without ``workspace`` every array is fresh.  With one, a flat float64
+    array of at least :func:`check_batch_budget`'s count, the states and
+    every intermediate are views of it, laid out as the module docstring
+    describes, and for ``d_tan = 3`` so are the counts: they hold until the
+    workspace is used again.  ``n_valid`` is always fresh.
     """
     n, d, k_max = len(rngs), config.d_tan, config.k_max
-    check_batch_budget(config, n, "rngs, k_max, d_tan, schur_model")
-    states = np.empty((k_max + 1, d * (d + 1) // 2, n))
+    n_comp = d * (d + 1) // 2
+    size = check_batch_budget(config, n, "rngs, k_max, d_tan, schur_model")
+    held = scratch = None
+    if workspace is not None:
+        if workspace.size < size:
+            raise ValueError(f"workspace: {size} floats needed, got {workspace.size}")
+        held = workspace[: n * _batch_floats(config)[0]]
+        scratch = workspace[held.size : size]
+    empty = scratch_views(held)
+    states = empty((k_max + 1, n_comp, n))
+    norms = empty((k_max, n))
     # An absent term adds -0.0, which leaves every value, -0.0 included, as is.
     drive = loads = np.broadcast_to(-0.0, (k_max, *states.shape[1:]))
     if config.a0 > 0:
         n_draws = k_max if config.disorder is Disorder.ANNEALED else 1
         a_k = anisotropy_strength(config.a0, config.beta_decay, np.arange(k_max))
-        drive = a_k[:, None, None] * sample_anisotropy_batch(d, n_draws, rngs)
+        drive = empty(drive.shape)
+        unit, rest = _split(scratch, (n_draws, n_comp, n))
+        unit = sample_anisotropy_batch(d, n_draws, rngs, out=unit, scratch=rest)
+        np.multiply(a_k[:, None, None], unit, out=drive)
     if config.zeta > 0:
-        loads = sample_sigma_batch(config.schur_model, d, k_max, rngs)
+        loads = sample_sigma_batch(
+            config.schur_model, d, k_max, rngs, out=empty(loads.shape), scratch=scratch
+        )
         loads *= -config.zeta  # adding -zeta * sigma subtracts zeta * sigma exactly
     states[0] = config.initial_state().ravel()[packed_index(d), None]
-    norms = np.zeros((k_max, n))
-    square, scale, trace = np.empty_like(states[0]), np.empty(n), np.empty(n)
-    use_trace = np.empty(n, dtype=bool)
+    loop = scratch_views(scratch)
+    square, scale, trace = loop(states[0].shape), loop((n,)), loop((n,))
+    use_trace = loop((n,), bool)
     # A state below the zero floor is scaled as if its norm were the floor,
     # so it stays finite; n_valid drops it and what follows.  A non-finite
     # update spreads along its own trajectory only and is reported after.
@@ -438,7 +545,7 @@ def evolve_batch(config: FlowConfig, rngs):
         )
     zero = norms < ZERO_FLOOR
     n_valid = np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, k_max + 1)
-    counts = embedded_inertia(states.swapaxes(0, 1), config.q_n)
+    counts = embedded_inertia(states.swapaxes(0, 1), config.q_n, scratch=scratch)
     return states, tuple(c.T for c in counts), n_valid
 
 

@@ -126,13 +126,45 @@ def check_scalar(value, name: str, positive: bool = True) -> None:
 
 def check_budget(shape, keys: str) -> None:
     """Raise ``ValueError`` naming the config ``keys`` when float64 arrays
-    of ``shape`` in all would exceed ``ARRAY_BUDGET``; allocates nothing."""
+    of ``shape`` in all would exceed ``ARRAY_BUDGET``; allocates nothing.
+    The MiB asked for are rounded up, so a refusal always reads above the
+    budget."""
     n_bytes = 8 * math.prod(int(n) for n in shape)
     if n_bytes > ARRAY_BUDGET:
         raise ValueError(
-            f"{keys} ask for {n_bytes >> 20} MiB of arrays, over the "
+            f"{keys} ask for {-(-n_bytes >> 20)} MiB of arrays, over the "
             f"{ARRAY_BUDGET >> 20} MiB budget"
         )
+
+
+def scratch_views(buffer):
+    """An ``empty(shape, dtype=float)`` that hands out consecutive views of
+    the flat float64 array ``buffer``, each C-contiguous and starting on a
+    float, or ``np.empty`` itself when ``buffer`` is None.
+
+    Views of one call never overlap; what they hold on arrival is whatever
+    the buffer held.  Raises ``ValueError`` when the buffer runs out.
+    """
+    if buffer is None:
+        return np.empty
+    if buffer.dtype != np.float64 or buffer.ndim != 1 or not buffer.flags.c_contiguous:
+        raise ValueError("a workspace must be a contiguous 1-D float64 array")
+    start = 0
+
+    def empty(shape, dtype=float):
+        nonlocal start
+        shape = tuple(shape)
+        size = math.prod(shape)
+        stop = start + -(-size * np.dtype(dtype).itemsize // 8)
+        if stop > buffer.size:
+            raise ValueError(
+                f"a workspace of {buffer.size} floats is too small: {stop} needed"
+            )
+        view = buffer[start:stop].view(dtype)[:size].reshape(shape)
+        start = stop
+        return view
+
+    return empty
 
 
 def fields_equal(self, other) -> bool:
@@ -207,9 +239,9 @@ def count_inertia(eigs):
     return n_plus, n_minus, eigs.shape[-1] - n_plus - n_minus
 
 
-def _zero_band(scale):
+def _zero_band(scale, out=None):
     """Half-width of the zero band of a spectrum of magnitude ``scale``."""
-    return SIGNATURE_TOL * np.maximum(1.0, scale)
+    return np.multiply(SIGNATURE_TOL, np.maximum(1.0, scale, out=out), out=out)
 
 
 def packed_index(d: int) -> np.ndarray:
@@ -228,7 +260,7 @@ def unpack_symmetric(p) -> np.ndarray:
     return out
 
 
-def embedded_inertia(q_t, q_n: float):
+def embedded_inertia(q_t, q_n: float, *, scratch=None):
     """Inertia of ``diag(q_n, q_t)`` for a stack of packed symmetric states
     ``q_t``, of shape ``(n_comp, ...)``.
 
@@ -258,6 +290,11 @@ def embedded_inertia(q_t, q_n: float):
     crossing it.  Other states, and every state of another dimension, are
     unpacked and counted from ``eigvalsh``.
 
+    With ``scratch``, a flat float64 array of at least ``CLOSED_FORM_ROWS``
+    floats per state, the counts of ``3 x 3`` states and the temporaries of
+    the closed form are views of it (:func:`scratch_views`), so the counts
+    are overwritten by the next use of ``scratch``.
+
     Returns
     -------
     tuple of numpy.ndarray
@@ -265,11 +302,11 @@ def embedded_inertia(q_t, q_n: float):
     """
     q_t = np.asarray(q_t, dtype=float)
     if len(q_t) == 6:  # d = 3
-        certified, counts = _closed_form_counts(q_t, q_n)
+        certified, counts = _closed_form_counts(q_t, q_n, scratch_views(scratch))
     else:
         certified = np.zeros(q_t.shape[1:], dtype=bool)
         counts = np.zeros((3, *certified.shape), dtype=np.intp)
-    rest = ~certified
+    rest = np.logical_not(certified, out=certified)
     if rest.any():
         eigs = np.linalg.eigvalsh(unpack_symmetric(q_t[:, rest]))
         full = np.concatenate([np.full((len(eigs), 1), q_n), eigs], axis=-1)
@@ -277,39 +314,91 @@ def embedded_inertia(q_t, q_n: float):
     return tuple(counts)
 
 
-def _closed_form_counts(q, q_n: float):
+# Floats per state that _closed_form_counts takes from its scratch: three
+# integer count rows, nine float rows and four boolean masks, each mask
+# rounded up to a float per state.
+CLOSED_FORM_ROWS = 16
+
+
+def _closed_form_counts(q, q_n: float, empty=np.empty):
     """Certified mask and stacked counts ``(n_plus, n_minus, n_zero)``, valid
-    where certified, of ``diag(q_n, q)`` for packed ``3 x 3`` states ``q``."""
+    where certified, of ``diag(q_n, q)`` for packed ``3 x 3`` states ``q``.
+    Every array, returned or temporary, comes from ``empty`` and is written
+    in full before it is read; each formula keeps the order of operations
+    written beside it."""
     a, d, f, b, c, e = q
+    shape = a.shape
+    counts = empty((3, *shape), np.intp)
+    certified, normal_zero, mask, other = (empty(shape, bool) for _ in range(4))
+    c1, c2, c3, fro2, fro, band, minor_a, x, y = (empty(shape) for _ in range(9))
     # A state too large for these products fails the certificate through
     # its non-finite terms and is counted from eigvalsh instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        minor_a = d * f - e * e
-        c1 = a + d + f
-        c2 = minor_a + (a * f - c * c) + (a * d - b * b)
-        c3 = a * minor_a - b * (b * f - c * e) + c * (b * e - c * d)
-        fro2 = a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)
-        fro = np.sqrt(fro2)
-        band = 2.0 * _zero_band(np.maximum(q_n, fro))
-        normal_zero = q_n < 0.5 * _zero_band(fro / np.sqrt(3.0))
-        t1 = np.where(np.abs(c1) > _COEFF_RTOL * fro, np.sign(c1), 0.0)
-        t2 = np.where(np.abs(c2) > _COEFF_RTOL * fro2, np.sign(c2), 0.0)
-        t3 = np.sign(c3)
-        certified = (
-            (np.abs(c3) - _COEFF_RTOL * fro2 * fro > band * fro2)
-            & ((q_n > band) | normal_zero)
-            & ((t1 != 0) | (t2 < 0))
-            & ((t2 != 0) | (t1 * t3 < 0))
-        )
-    # Sign changes of (1, c1, c2, c3), skipping a zero: once certified, an
-    # uncertain sign sits between two opposite signs and cannot move it.
-    n_minus = np.zeros(certified.shape, dtype=np.intp)
-    prev = np.ones_like(c1)
-    for t in (t1, t2, t3):
-        n_minus += certified & (t * prev < 0)
-        prev = np.where(t != 0, t, prev)
-    n_zero = normal_zero.astype(np.intp)
-    return certified, np.stack([4 - n_minus - n_zero, n_minus, n_zero])
+        # minor_a = d * f - e * e
+        np.subtract(np.multiply(d, f, out=minor_a), np.multiply(e, e, out=x), out=minor_a)
+        # c1 = a + d + f
+        np.add(np.add(a, d, out=c1), f, out=c1)
+        # c2 = minor_a + (a * f - c * c) + (a * d - b * b)
+        np.subtract(np.multiply(a, f, out=x), np.multiply(c, c, out=y), out=x)
+        np.add(minor_a, x, out=c2)
+        np.subtract(np.multiply(a, d, out=x), np.multiply(b, b, out=y), out=x)
+        c2 += x
+        # c3 = a * minor_a - b * (b * f - c * e) + c * (b * e - c * d)
+        np.multiply(a, minor_a, out=c3)
+        np.subtract(np.multiply(b, f, out=x), np.multiply(c, e, out=y), out=x)
+        c3 -= np.multiply(b, x, out=x)
+        np.subtract(np.multiply(b, e, out=x), np.multiply(c, d, out=y), out=x)
+        c3 += np.multiply(c, x, out=x)
+        # fro2 = a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)
+        np.multiply(a, a, out=fro2)
+        fro2 += np.multiply(d, d, out=x)
+        fro2 += np.multiply(f, f, out=x)
+        np.add(np.multiply(b, b, out=x), np.multiply(c, c, out=y), out=x)
+        x += np.multiply(e, e, out=y)
+        fro2 += np.multiply(2.0, x, out=x)
+        np.sqrt(fro2, out=fro)
+        # band = 2.0 * _zero_band(np.maximum(q_n, fro))
+        np.multiply(2.0, _zero_band(np.maximum(q_n, fro, out=band), out=band), out=band)
+        # normal_zero = q_n < 0.5 * _zero_band(fro / np.sqrt(3.0))
+        np.divide(fro, np.sqrt(3.0), out=x)
+        np.less(q_n, np.multiply(0.5, _zero_band(x, out=x), out=x), out=normal_zero)
+        # t_i = np.where(np.abs(c_i) > _COEFF_RTOL * scale_i, np.sign(c_i), 0.0)
+        # with scale_1 = fro and scale_2 = fro2, and t3 = np.sign(c3); each
+        # t_i takes the row of a spent value.
+        t1, t2, t3 = minor_a, c1, c2
+        for t, coeff, scale in ((t1, c1, fro), (t2, c2, fro2)):
+            np.multiply(_COEFF_RTOL, scale, out=y)
+            np.greater(np.abs(coeff, out=x), y, out=mask)
+            np.sign(coeff, out=t, where=mask)
+            np.copyto(t, 0.0, where=np.logical_not(mask, out=mask))
+        np.sign(c3, out=t3)
+        # certified = (np.abs(c3) - _COEFF_RTOL * fro2 * fro > band * fro2)
+        #     & ((q_n > band) | normal_zero) & ((t1 != 0) | (t2 < 0))
+        #     & ((t2 != 0) | (t1 * t3 < 0))
+        np.abs(c3, out=x)
+        x -= np.multiply(np.multiply(_COEFF_RTOL, fro2, out=y), fro, out=y)
+        np.greater(x, np.multiply(band, fro2, out=y), out=certified)
+        certified &= np.logical_or(np.greater(q_n, band, out=mask), normal_zero, out=mask)
+        np.less(t2, 0.0, out=other)
+        certified &= np.logical_or(np.not_equal(t1, 0.0, out=mask), other, out=mask)
+        np.less(np.multiply(t1, t3, out=x), 0.0, out=mask)
+        certified &= np.logical_or(mask, np.not_equal(t2, 0.0, out=other), out=mask)
+        # Sign changes of (1, c1, c2, c3), skipping a zero: once certified,
+        # an uncertain sign sits between two opposite signs and cannot move
+        # it.  n_minus += certified & (t * prev < 0), then prev = t where
+        # t != 0; c3 is spent.
+        n_plus, n_minus, n_zero = counts
+        prev = c3
+        n_minus.fill(0)
+        prev.fill(1.0)
+        for t in (t1, t2, t3):
+            np.less(np.multiply(t, prev, out=x), 0.0, out=mask)
+            n_minus += np.logical_and(mask, certified, out=mask)
+            np.copyto(prev, t, where=np.not_equal(t, 0.0, out=mask))
+    np.copyto(n_zero, normal_zero)
+    np.subtract(4, n_minus, out=n_plus)
+    n_plus -= n_zero
+    return certified, counts
 
 
 @dataclasses.dataclass(frozen=True)

@@ -794,7 +794,7 @@ class TestErrorHandling:
                 "kind": "wishart", "rank": 10**5}}}}, GRID_KEYS),
             ({"grid": {"a0_values": {"start": 0.0, "stop": 1.0, "num": 40_000},
                        "zeta_values": {"start": 0.0, "stop": 0.3, "num": 40_000}}},
-             "grid: a0_values, zeta_values ask for 85449 MiB"),
+             "grid: a0_values, zeta_values ask for 85450 MiB"),
             ({"flow": {"a0": 0.1, "k_max": 10**15}},
              "flow: k_max, d_tan, schur_model ask for"),
             ({"reconstruct": {"mu": [[1.0]], "q_eff": [[1.0]], "beta": 1.0,
@@ -823,7 +823,7 @@ class TestErrorHandling:
         cfg = write_config(tmp_path, {"minimal-scan": {"chi_values": axis, "g_values": axis}})
         self.assert_error_run(
             tmp_path, cfg,
-            "minimal-scan: chi_values, g_values ask for 2059 MiB of arrays, "
+            "minimal-scan: chi_values, g_values ask for 2060 MiB of arrays, "
             "over the 1024 MiB budget",
             capsys,
         )
@@ -861,7 +861,7 @@ class TestErrorHandling:
         payload = {"chi_values": {"start": 0, "stop": 2, "num": 4_000_000}}
         if g_values is not None:
             payload["g_values"] = g_values
-        mib = 4_000_000 * len(g_values or range(50)) * 30 * 8 >> 20
+        mib = -(-4_000_000 * len(g_values or range(50)) * 30 * 8 >> 20)  # rounded up
         cfg = write_config(tmp_path, {"minimal-scan": payload})
         self.assert_error_run(
             tmp_path, cfg,

@@ -6,7 +6,9 @@ numpy's own ``default_rng``, and boundary extraction is checked on a
 synthetic probability field with a known contour.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,7 +79,7 @@ class TestAggregation:
         assert mean_first_passage(records, 3) == (1.0, 0.75)
 
 
-def cancelling_batch(model, d_tan, n, rngs):
+def cancelling_batch(model, d_tan, n, rngs, **_):
     """Loads whose first step, at zeta = 0.25, cancels the identity exactly."""
     for rng in rngs:
         rng.standard_normal((n, d_tan, d_tan))
@@ -151,7 +153,7 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=keys):
             GridSpec(np.linspace(0.0, 1.0, side + 1), np.linspace(0.0, 0.3, side + 1))
         # 1.6e9 cells, whose results alone would take 83 GiB.
-        with pytest.raises(ValueError, match="ask for 85449 MiB"):
+        with pytest.raises(ValueError, match="ask for 85450 MiB"):
             GridSpec(np.linspace(0.0, 1.0, 40_000), np.linspace(0.0, 0.3, 40_000))
 
     def test_default_grid_spec(self):
@@ -250,7 +252,7 @@ class TestRunGrid:
     def test_partial_collapse_aggregates_valid_trajectories(self, monkeypatch):
         sample = flow_mod.sample_sigma_batch
 
-        def sometimes_cancelling(model, d_tan, n, rngs):
+        def sometimes_cancelling(model, d_tan, n, rngs, **_):
             # A coin from each trajectory's own generator picks its loads.
             return np.concatenate([
                 cancelling_batch(model, d_tan, n, [rng]) if rng.random() < 0.5
@@ -339,9 +341,10 @@ class TestCellGenerators:
         histories = {}
         evolve = ensemble_mod.evolve_batch
 
-        def recording(config, rngs):
-            out = evolve(config, rngs)
-            histories[config.a0, config.zeta] = out[1][1]
+        def recording(config, rngs, **kwargs):
+            out = evolve(config, rngs, **kwargs)
+            # A grid cell's counts are views of its workspace: keep a copy.
+            histories[config.a0, config.zeta] = out[1][1].copy()
             return out
 
         monkeypatch.setattr(ensemble_mod, "evolve_batch", recording)
@@ -361,6 +364,116 @@ class TestCellGenerators:
                 assert not record.collapsed
                 assert n_minus[t, -1] == record.n_minus[-1]
 
+
+
+# The two benchmark configs: the reference grid and the Wishart/trace/
+# quenched grid.  WORKSPACE_GRIDS keeps their flows on a 3 x 3 grid of
+# a0, zeta in {0, mid, top}, so a chunk mixes cells with and without
+# loads and anisotropies.
+BENCHMARK_BASES = {
+    "reference": FlowConfig(),
+    "wishart": FlowConfig(schur_model=Wishart(), norm_mode="trace", disorder="quenched"),
+}
+WORKSPACE_GRIDS = {
+    "reference": GridSpec([0.0, 0.5, 1.0], [0.0, 0.15, 0.3], master_seed=3),
+    "wishart": GridSpec(
+        [0.0, 0.5, 1.0], [0.0, 0.4, 0.8], master_seed=3,
+        base_config=BENCHMARK_BASES["wishart"],
+    ),
+}
+
+
+def cell_workspace(spec):
+    """A workspace for the cells of ``spec``, as a run_grid task builds it."""
+    return np.empty(flow_mod.check_batch_budget(spec.base_config, spec.n_traj, "n_traj"))
+
+
+def assert_same_outputs(got, expected):
+    """Cell outputs ``(p, mean_fpt, censored_fraction, n_valid)`` equal bit
+    for bit, NaN included."""
+    for a, b in zip(got, expected):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestWorkspace:
+    """A grid task reuses one workspace for all its cells.  No view may be
+    read before it is written: a workspace full of NaN, or of the previous
+    cell's arrays, must not reach any result."""
+
+    @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
+    def test_stale_workspace_never_reaches_a_result(self, name):
+        spec = WORKSPACE_GRIDS[name]
+        workspace = cell_workspace(spec)
+        for cell_index in reversed(range(spec.n_cells)):
+            workspace.fill(np.nan)
+            assert_same_outputs(
+                ensemble_mod._run_cell(spec, cell_index, workspace),
+                ensemble_mod._run_cell(spec, cell_index),
+            )
+        # Now without the NaN fill: each cell follows another's arrays.
+        for cell_index in (4, 0, 8, 4):
+            assert_same_outputs(
+                ensemble_mod._run_cell(spec, cell_index, workspace),
+                ensemble_mod._run_cell(spec, cell_index),
+            )
+
+    @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
+    def test_cell_after_another_matches_replays(self, name):
+        spec = WORKSPACE_GRIDS[name]
+        workspace = cell_workspace(spec)
+        ensemble_mod._run_cell(spec, 8, workspace)
+        cell_index = 4
+        config = spec.cell_config(cell_index)
+        rngs = ensemble_mod._cell_generators(spec.master_seed, cell_index, spec.n_traj)
+        states, counts, n_valid = flow_mod.evolve_batch(config, rngs, workspace=workspace)
+        assert np.shares_memory(states, workspace)
+        assert all(np.shares_memory(c, workspace) for c in counts)
+        for t in range(0, spec.n_traj, 9):
+            seed = [spec.master_seed, cell_index, t]
+            record = run_trajectory(config, seed)
+            assert not record.collapsed and n_valid[t] == config.k_max + 1
+            expected = (record.n_plus, record.n_minus, record.n_zero)
+            for got, want in zip(counts, expected):
+                np.testing.assert_array_equal(got[t], want)
+            single = flow_mod.evolve_batch(config, [np.random.default_rng(seed)])[0]
+            assert states[..., t].tobytes() == single[..., 0].tobytes()
+
+    @pytest.mark.parametrize("name", list(BENCHMARK_BASES))
+    def test_a_warm_cell_allocates_under_one_mib(self, name):
+        # numpy reports its data buffers to tracemalloc.  A cell without a
+        # workspace allocates and frees about 2.9 MiB, which glibc hands
+        # back to the system and the next cell faults in again.
+        spec = GridSpec(master_seed=1, base_config=BENCHMARK_BASES[name])
+        if name == "wishart":
+            spec = dataclasses.replace(spec, zeta_values=np.linspace(0.0, 0.8, 20))
+        workspace = cell_workspace(spec)
+        ensemble_mod._run_cell(spec, 210, workspace)
+        tracemalloc.start()
+        try:
+            ensemble_mod._run_cell(spec, 210, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    def test_too_small_a_workspace_is_refused(self):
+        spec = WORKSPACE_GRIDS["reference"]
+        small = cell_workspace(spec)[:-1]
+        with pytest.raises(ValueError, match="^workspace: .* floats needed"):
+            ensemble_mod._run_cell(spec, 4, small)
+
+    def test_grid_is_worker_independent_over_partial_tasks(self):
+        # 21 cells: two workers take tasks of 2 cells, the last one of 1;
+        # one worker takes tasks of 3.
+        spec = GridSpec(
+            [0.0, 0.5, 1.0], np.linspace(0.0, 0.3, 7), n_traj=20, master_seed=5,
+            base_config=FlowConfig(k_max=30),
+        )
+        serial, parallel = run_grid(spec, parallelism=1), run_grid(spec, parallelism=2)
+        for field in ("p_sector", "mean_fpt", "censored_fraction", "n_valid"):
+            assert getattr(serial, field).tobytes() == getattr(parallel, field).tobytes()
+        cells = [ensemble_mod._run_cell(spec, i) for i in range(spec.n_cells)]
+        assert serial.p_sector.reshape(spec.n_cells, -1).tolist() == [c[0] for c in cells]
 
 def linear_field_result(n=10):
     """Synthetic result whose sector-3 probability equals the a0 coordinate."""

@@ -331,9 +331,9 @@ class TestBatchedSamplers:
     ):
         calls = {}
         for name in ("sample_sigma_batch", "sample_anisotropy_batch"):
-            def spy(*args, _name=name, _sampler=getattr(flow_mod, name)):
+            def spy(*args, _name=name, _sampler=getattr(flow_mod, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _sampler(*args)
+                return _sampler(*args, **kwargs)
 
             monkeypatch.setattr(flow_mod, name, spy)
         config = FlowConfig(zeta=zeta, a0=a0, k_max=10, disorder=disorder)
@@ -341,6 +341,47 @@ class TestBatchedSamplers:
         assert calls.get("sample_sigma_batch", 0) == (zeta > 0)
         assert calls.get("sample_anisotropy_batch", 0) == (a0 > 0)
 
+
+
+class TestWorkspaceContract:
+    # What a library caller sees.  Without out, scratch or workspace every
+    # call returns fresh arrays; with them, the result is the same bytes,
+    # the samplers return their out and share no memory with their scratch.
+    SAMPLERS = {
+        "lognormal": lambda rngs, **kw: sample_sigma_batch(
+            LognormalGaussian(), 3, 10, rngs, **kw
+        ),
+        "wishart": lambda rngs, **kw: sample_sigma_batch(Wishart(rank=2), 4, 10, rngs, **kw),
+        "anisotropy": lambda rngs, **kw: sample_anisotropy_batch(3, 10, rngs, **kw),
+    }
+
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_sampler_calls_share_no_memory(self, name):
+        first, second = (self.SAMPLERS[name](batch_rngs()) for _ in range(2))
+        np.testing.assert_array_equal(first, second)
+        assert not np.shares_memory(first, second)
+
+    def test_evolve_batch_calls_share_no_memory(self):
+        config = FlowConfig(zeta=0.2, a0=0.5, k_max=10)
+        first, second = (flow_mod.evolve_batch(config, batch_rngs()) for _ in range(2))
+        arrays = lambda out: [out[0], *out[1], out[2]]
+        for a, b in zip(arrays(first), arrays(second)):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_sampler_writes_out_and_borrows_scratch(self, name):
+        fresh = self.SAMPLERS[name](batch_rngs())
+        out = np.full_like(fresh, np.nan)
+        scratch = np.full(10 * 7 * 40, np.nan)
+        got = self.SAMPLERS[name](batch_rngs(), out=out, scratch=scratch)
+        assert got is out
+        assert got.tobytes() == fresh.tobytes()
+        assert not np.shares_memory(got, scratch)
+        with pytest.raises(ValueError, match="too small"):
+            self.SAMPLERS[name](batch_rngs(), scratch=scratch[:10])
+        with pytest.raises(ValueError, match="out: expected shape"):
+            self.SAMPLERS[name](batch_rngs(), out=out[1:])
 
 class TestAnisotropyStrength:
     def test_first_step_uses_full_amplitude(self):
@@ -598,7 +639,7 @@ class TestTrajectories:
     def test_collapse_returns_partial_record(self, monkeypatch):
         # Force the first update to cancel exactly: the trajectory collapses
         # at step 1 and its record holds the one-state prefix.
-        def cancelling_batch(model, d_tan, n, rngs):
+        def cancelling_batch(model, d_tan, n, rngs, **_):
             for rng in rngs:
                 rng.standard_normal((n, d_tan, d_tan))
             out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(rngs)))
@@ -691,7 +732,7 @@ class TestEvolveBatch:
         # of trajectories 2 and 1 overflow their update norms at steps 4 and
         # 6.  The norms are checked once the loop is done: the error names
         # the first step with a non-finite update and its trajectory.
-        def loads(model, d_tan, n, rngs):
+        def loads(model, d_tan, n, rngs, **_):
             for rng in rngs:
                 rng.standard_normal((n, d_tan, d_tan))
             out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(rngs)))
@@ -714,7 +755,7 @@ class TestEvolveBatch:
         class Started(Exception):
             pass
 
-        def started(*args):
+        def started(*args, **kwargs):
             raise Started
 
         monkeypatch.setattr(flow_mod, "sample_anisotropy_batch", started)
