@@ -337,6 +337,8 @@ def _read_config(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigInvalid("config nests too deeply to parse")
 
 
 def _command(data):
@@ -408,17 +410,19 @@ def main(argv=None) -> int:
         return 0
     except (SchurFlowError, ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        manifest = {
+            **run,
+            "status": "error",
+            "error": str(exc),
+            "wall_time_s": time.perf_counter() - started,
+        }
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            serialize.dump_json(
-                out_dir / "manifest.json",
-                {
-                    **run,
-                    "status": "error",
-                    "error": str(exc),
-                    "wall_time_s": time.perf_counter() - started,
-                },
-            )
+            try:
+                serialize.dump_json(out_dir / "manifest.json", manifest)
+            except RecursionError:  # a config nested too deeply to serialize
+                del manifest["config"]
+                serialize.dump_json(out_dir / "manifest.json", manifest)
         except OSError:
             pass
         return 1

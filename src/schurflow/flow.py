@@ -44,27 +44,28 @@ stays dense and apart from the kernel.
 
 Workspace
 ---------
-A grid task runs many cells of one shape in turn.  Rather than allocate
-and free a few MB per cell, it allocates one flat float64 workspace of
-:func:`check_batch_budget`'s count and passes it to :func:`evolve_batch`
-for every cell; the budget check and the allocation are one number.  The
-workspace lives as long as the task.  Within a call it holds two parts:
+:func:`evolve_batch` works in one flat float64 workspace of
+:func:`check_batch_budget`'s count, so the budget check and the allocation
+are one number.  A grid task runs many cells of one shape in turn: it
+allocates the workspace once and passes it for every cell, rather than
+allocate and free a few MB per cell; without one, the call allocates its
+own.  Within a call the workspace holds two parts:
 
-- held, through the whole call: the states, the update norms, the drive
-  (the anisotropies scaled by ``a_k``) and the loads;
+- held, through the whole call: the states, the update norms and the
+  drive (the anisotropies scaled by ``a_k``);
 - transient, one region reused in phases that never overlap in time:
-  first the anisotropy draws and their unit output, then the load
-  sampler's weights, draws, transposed factor and scratch, then the flow
-  loop's squares and scales, and last the closed-form classification's
+  first the anisotropy sampler, then the load sampler, whose loads stay at
+  the head of the region through the flow loop with the loop's squares
+  and scales after them, and last the closed-form classification's
   temporaries and counts.
 
 Every view is written in full before it is read, so what a workspace held
-before a call never reaches a result.  Aliasing rule: with a workspace, the
-states and the ``d_tan = 3`` counts that :func:`evolve_batch` returns are
-views of it, valid until the workspace is used again; the samplers return
-their ``out`` and share no memory with their ``scratch``.  Without a
-workspace, ``out`` or ``scratch``, every array is fresh, as it is for
-:func:`run_trajectory` and the replay oracles.
+before a call never reaches a result.  Aliasing rule: the states and the
+``d_tan = 3`` counts that :func:`evolve_batch` returns are views of its
+workspace, valid until the workspace is used again.  Given ``scratch``, a
+sampler returns the first view it takes from it, the head of the scratch,
+and lays out its temporaries after it.  Without ``workspace`` or
+``scratch`` no returned array shares memory with another call's.
 """
 
 from __future__ import annotations
@@ -245,36 +246,22 @@ def _batch_floats(config: FlowConfig) -> tuple[int, int]:
     """Floats per trajectory of a batch's workspace: ``(held, transient)``.
 
     The held part persists through the flow loop: per step the packed
-    loads, anisotropies and states, ``n_comp`` each (the states once more
-    for the initial one), and an update norm.  The transient region is
-    sized for the largest of its uses in turn:
-
-    - :func:`sample_anisotropy_batch`: per step its output and its draws,
-      ``n_comp`` each, and one sum;
-    - :func:`sample_sigma_batch`: per step its draws, a transposed copy of
-      the factor and one scratch row per fast mode.  For
-      :class:`LognormalGaussian` the draws are the log-eigenvalues ``z``,
-      ``d_fast``, and the coupling, ``d_tan * d_fast``, and the weights
-      take the place of ``z``; for :class:`Wishart` the factor, ``d_tan *
-      rank``;
-    - the flow loop: a squared state and three scalars;
-    - the closed-form classification: ``CLOSED_FORM_ROWS`` per state.
+    anisotropies and states, ``n_comp`` each (the states once more for the
+    initial one), and an update norm.  The transient region is sized for
+    the largest of its uses in turn: each sampler's scratch for ``k_max``
+    draws, the loads with the flow loop's squared state and three scalars
+    after them, and the closed-form classification's ``CLOSED_FORM_ROWS``
+    per state.
     """
-    d, k, model = int(config.d_tan), int(config.k_max), config.schur_model
+    d, k = int(config.d_tan), int(config.k_max)
     n_comp = d * (d + 1) // 2
-    if isinstance(model, LognormalGaussian):
-        modes = model.d_fast or d
-        draws = modes + d * modes
-    else:
-        modes = model.rank or d
-        draws = d * modes
     transient = max(
-        k * (2 * n_comp + 1),
-        k * (draws + d * modes + modes),
-        n_comp + 3,
+        k * _anisotropy_floats(d),
+        k * _sigma_floats(config.schur_model, d)[1],
+        k * n_comp + n_comp + 3,
         (k + 1) * CLOSED_FORM_ROWS,
     )
-    return k * (3 * n_comp + 1) + n_comp, transient
+    return k * (2 * n_comp + 1) + n_comp, transient
 
 
 def _standard_normal(rngs, out: np.ndarray) -> np.ndarray:
@@ -284,26 +271,29 @@ def _standard_normal(rngs, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(buffer, shape):
-    """A view of ``shape`` at the head of the flat ``buffer`` and the rest
-    of the buffer; without a buffer, a fresh array and None."""
-    if buffer is None:
-        return np.empty(shape), None
-    head = scratch_views(buffer)(shape)
-    return head, buffer[head.size:]
+def _sigma_floats(model: SchurModel, d_tan: int) -> tuple[int, int]:
+    """``(modes, floats)`` of :func:`sample_sigma_batch`: the fast modes a
+    load sums over, and the scratch it takes per draw, in order the packed
+    load, ``n_comp``, then per mode the lognormal weight, the draws and
+    their transposed copy, ``d_tan`` each, and the products.  Raises
+    ``TypeError`` for another model."""
+    if isinstance(model, LognormalGaussian):
+        modes, per_mode = model.d_fast or d_tan, 2 * d_tan + 2
+    elif isinstance(model, Wishart):
+        modes, per_mode = model.rank or d_tan, 2 * d_tan + 1
+    else:
+        raise TypeError(f"unknown elimination-load model: {model!r}")
+    return modes, d_tan * (d_tan + 1) // 2 + per_mode * modes
 
 
-def _output(out, shape) -> np.ndarray:
-    """``out``, checked to have ``shape``, or a fresh array of it."""
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape:
-        raise ValueError(f"out: expected shape {shape}, got {out.shape}")
-    return out
+def _anisotropy_floats(d_tan: int) -> int:
+    """Scratch floats per draw of :func:`sample_anisotropy_batch`: in order
+    the unit anisotropy and its draws, ``n_comp`` each, and one sum."""
+    return d_tan * (d_tan + 1) + 1
 
 
 def sample_sigma_batch(
-    model: SchurModel, d_tan: int, n: int, rngs, *, out=None, scratch=None
+    model: SchurModel, d_tan: int, n: int, rngs, *, scratch=None
 ) -> np.ndarray:
     """Draw ``n`` elimination loads per generator as packed components, a
     ``(n, n_comp, len(rngs))`` array; column ``i`` equals a call with
@@ -317,22 +307,16 @@ def sample_sigma_batch(
     weighted ``1 / rank``.  Component ``(i, j)`` is ``sum_f (w_if * w_jf) *
     weight_f``, summed over modes by :func:`_row_sum`.
 
-    The loads are written to ``out`` if given, else to a fresh array.  The
-    temporaries are views of ``scratch`` if given, a flat float64 array of
-    at least ``n * len(rngs)`` times ``draws + d_tan * modes + modes``
-    floats (:func:`check_batch_budget`), else fresh arrays; the result
-    shares no memory with ``scratch``.
+    Given ``scratch``, a flat float64 array of at least ``n * len(rngs)``
+    times :func:`_sigma_floats`' count, the loads are its head and the
+    temporaries follow them; without it every array is fresh.
     """
     check_int(d_tan, "d_tan")
     check_int(n, "n")
+    modes, _ = _sigma_floats(model, int(d_tan))
     lognormal = isinstance(model, LognormalGaussian)
-    if lognormal:
-        modes = model.d_fast if model.d_fast is not None else int(d_tan)
-    elif isinstance(model, Wishart):
-        modes = model.rank if model.rank is not None else int(d_tan)
-    else:
-        raise TypeError(f"unknown elimination-load model: {model!r}")
     empty, n_rngs = scratch_views(scratch), len(rngs)
+    out = empty((n, d_tan * (d_tan + 1) // 2, n_rngs))
     weight = empty((modes, n, n_rngs)) if lognormal else 1.0 / modes
     draws = empty((n_rngs * n * d_tan * modes,))
     if lognormal:
@@ -345,7 +329,6 @@ def sample_sigma_batch(
     factor = empty((modes, d_tan, n, n_rngs))
     w = _standard_normal(rngs, draws.reshape(n_rngs, n, d_tan, modes))
     np.copyto(factor, w.transpose(3, 2, 1, 0))
-    out = _output(out, (n, d_tan * (d_tan + 1) // 2, n_rngs))
     products = empty((modes, n, n_rngs))
     rows, cols = np.divmod(packed_index(d_tan), d_tan)
     for c, (i, j) in enumerate(zip(rows, cols)):
@@ -355,9 +338,7 @@ def sample_sigma_batch(
     return out
 
 
-def sample_anisotropy_batch(
-    d_tan: int, n: int, rngs, *, out=None, scratch=None
-) -> np.ndarray:
+def sample_anisotropy_batch(d_tan: int, n: int, rngs, *, scratch=None) -> np.ndarray:
     """Draw ``n`` traceless unit-Frobenius symmetric anisotropies per
     generator as packed components, a ``(n, n_comp, len(rngs))`` array.
 
@@ -371,14 +352,14 @@ def sample_anisotropy_batch(
     probability below 1e-28, raises :class:`DegenerateDraw`; nothing is
     redrawn.
 
-    ``out`` and ``scratch`` work as in :func:`sample_sigma_batch`; the
-    scratch needs ``n * len(rngs) * (n_comp + 1)`` floats.
+    ``scratch`` works as in :func:`sample_sigma_batch`, with
+    :func:`_anisotropy_floats`' count per draw.
     """
     check_int(d_tan, "d_tan", low=2)
     check_int(n, "n")
     empty, n_rngs, n_comp = scratch_views(scratch), len(rngs), d_tan * (d_tan + 1) // 2
+    s = empty((n, n_comp, n_rngs))
     draws = _standard_normal(rngs, empty((n_rngs, n, n_comp)))
-    s = _output(out, (n, n_comp, n_rngs))
     np.copyto(s, draws.transpose(1, 2, 0))
     s[:, d_tan:] *= np.sqrt(0.5)
     diagonal = s[:, :d_tan].swapaxes(0, 1)
@@ -482,22 +463,21 @@ def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
     the first step that has one and the first trajectory, by index in
     ``rngs``, with one at that step.
 
-    Without ``workspace`` every array is fresh.  With one, a flat float64
-    array of at least :func:`check_batch_budget`'s count, the states and
-    every intermediate are views of it, laid out as the module docstring
-    describes, and for ``d_tan = 3`` so are the counts: they hold until the
+    The states, every intermediate and, for ``d_tan = 3``, the counts are
+    views of ``workspace``, a flat float64 array of at least
+    :func:`check_batch_budget`'s count laid out as the module docstring
+    describes, or of a fresh one when none is given: they hold until the
     workspace is used again.  ``n_valid`` is always fresh.
     """
     n, d, k_max = len(rngs), config.d_tan, config.k_max
     n_comp = d * (d + 1) // 2
     size = check_batch_budget(config, n, "rngs, k_max, d_tan, schur_model")
-    held = scratch = None
-    if workspace is not None:
-        if workspace.size < size:
-            raise ValueError(f"workspace: {size} floats needed, got {workspace.size}")
-        held = workspace[: n * _batch_floats(config)[0]]
-        scratch = workspace[held.size : size]
-    empty = scratch_views(held)
+    if workspace is None:
+        workspace = np.empty(size)
+    elif workspace.size < size:
+        raise ValueError(f"workspace: {size} floats needed, got {workspace.size}")
+    held = n * _batch_floats(config)[0]
+    empty, scratch = scratch_views(workspace[:held]), workspace[held:size]
     states = empty((k_max + 1, n_comp, n))
     norms = empty((k_max, n))
     # An absent term adds -0.0, which leaves every value, -0.0 included, as is.
@@ -506,16 +486,13 @@ def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
         n_draws = k_max if config.disorder is Disorder.ANNEALED else 1
         a_k = anisotropy_strength(config.a0, config.beta_decay, np.arange(k_max))
         drive = empty(drive.shape)
-        unit, rest = _split(scratch, (n_draws, n_comp, n))
-        unit = sample_anisotropy_batch(d, n_draws, rngs, out=unit, scratch=rest)
+        unit = sample_anisotropy_batch(d, n_draws, rngs, scratch=scratch)
         np.multiply(a_k[:, None, None], unit, out=drive)
     if config.zeta > 0:
-        loads = sample_sigma_batch(
-            config.schur_model, d, k_max, rngs, out=empty(loads.shape), scratch=scratch
-        )
+        loads = sample_sigma_batch(config.schur_model, d, k_max, rngs, scratch=scratch)
         loads *= -config.zeta  # adding -zeta * sigma subtracts zeta * sigma exactly
     states[0] = config.initial_state().ravel()[packed_index(d), None]
-    loop = scratch_views(scratch)
+    loop = scratch_views(scratch[loads.size:])
     square, scale, trace = loop(states[0].shape), loop((n,)), loop((n,))
     use_trace = loop((n,), bool)
     # A state below the zero floor is scaled as if its norm were the floor,
@@ -576,7 +553,8 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     states, counts, n_valid = evolve_batch(config, [np.random.default_rng(seed)])
     valid = slice(0, int(n_valid[0]))
     states = states[valid, :, 0].T
-    n_plus, n_minus, n_zero = (c[0, valid] for c in counts)
+    # Copied, so that a record does not keep the call's workspace alive.
+    n_plus, n_minus, n_zero = (c[0, valid].copy() for c in counts)
     eigs = np.linalg.eigvalsh(unpack_symmetric(states))
     q_iso = states[:config.d_tan].sum(axis=0) / config.d_tan
     s_opnorm = np.maximum(np.abs(eigs[:, 0] - q_iso), np.abs(eigs[:, -1] - q_iso))

@@ -688,6 +688,18 @@ class TestErrorHandling:
         )
         self.assert_error_run(tmp_path, cfg, "unknown model kind", capsys)
 
+    @pytest.mark.parametrize(
+        "depth, match", [(800, "flow.q_init"), (100_000, "nests too deeply")]
+    )
+    def test_deeply_nested_config(self, tmp_path, capsys, depth, match):
+        # 100,000 levels are past the JSON parser's nesting limit.  800 parse
+        # and fail validation, but nest too deeply to serialize: the error
+        # manifest leaves the config out.
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"flow": {"q_init": ' + "[" * depth + "]" * depth + "}}")
+        self.assert_error_run(tmp_path, cfg, match, capsys)
+        assert "config" not in read_manifest(tmp_path / "out")
+
     def test_invalid_workers_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"flow": {}})
         out_dir = tmp_path / "out"

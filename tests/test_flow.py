@@ -344,9 +344,9 @@ class TestBatchedSamplers:
 
 
 class TestWorkspaceContract:
-    # What a library caller sees.  Without out, scratch or workspace every
-    # call returns fresh arrays; with them, the result is the same bytes,
-    # the samplers return their out and share no memory with their scratch.
+    # What a library caller sees.  Without scratch or workspace every call
+    # returns fresh arrays; with them, the result is the same bytes, and a
+    # sampler returns the head of its scratch.
     SAMPLERS = {
         "lognormal": lambda rngs, **kw: sample_sigma_batch(
             LognormalGaussian(), 3, 10, rngs, **kw
@@ -369,19 +369,56 @@ class TestWorkspaceContract:
             np.testing.assert_array_equal(a, b)
             assert not np.shares_memory(a, b)
 
+    def test_record_counts_own_their_memory(self):
+        # evolve_batch's counts are views of its workspace; a record copies
+        # them rather than keep the whole workspace alive.
+        record = run_trajectory(FlowConfig(zeta=0.2, a0=0.5, k_max=10), 0)
+        for counts in (record.n_plus, record.n_minus, record.n_zero):
+            assert counts.flags.owndata
+
     @pytest.mark.parametrize("name", list(SAMPLERS))
-    def test_sampler_writes_out_and_borrows_scratch(self, name):
+    def test_sampler_returns_the_head_of_its_scratch(self, name):
         fresh = self.SAMPLERS[name](batch_rngs())
-        out = np.full_like(fresh, np.nan)
         scratch = np.full(10 * 7 * 40, np.nan)
-        got = self.SAMPLERS[name](batch_rngs(), out=out, scratch=scratch)
-        assert got is out
+        got = self.SAMPLERS[name](batch_rngs(), scratch=scratch)
+        assert got.ctypes.data == scratch.ctypes.data
+        assert got.flags.c_contiguous
         assert got.tobytes() == fresh.tobytes()
-        assert not np.shares_memory(got, scratch)
         with pytest.raises(ValueError, match="too small"):
             self.SAMPLERS[name](batch_rngs(), scratch=scratch[:10])
-        with pytest.raises(ValueError, match="out: expected shape"):
-            self.SAMPLERS[name](batch_rngs(), out=out[1:])
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("d_tan", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "model",
+        [LognormalGaussian(), LognormalGaussian(d_fast=1), LognormalGaussian(d_fast=10),
+         Wishart(), Wishart(rank=1), Wishart(rank=9), None],
+        ids=["lognormal", "lognormal-1", "lognormal-10", "wishart", "wishart-1",
+             "wishart-9", "anisotropy"],
+    )
+    def test_stated_scratch_count_is_exact(self, model, d_tan, n):
+        # Each sampler takes exactly its stated count per draw.
+        if model is None:
+            sample = lambda **kw: sample_anisotropy_batch(d_tan, n, batch_rngs(), **kw)
+            per_draw = flow_mod._anisotropy_floats(d_tan)
+        else:
+            sample = lambda **kw: sample_sigma_batch(model, d_tan, n, batch_rngs(), **kw)
+            per_draw = flow_mod._sigma_floats(model, d_tan)[1]
+        floats = n * len(batch_rngs()) * per_draw
+        sample(scratch=np.empty(floats))
+        with pytest.raises(ValueError, match="too small"):
+            sample(scratch=np.empty(floats - 1))
+
+    @pytest.mark.parametrize(
+        "config, floats",
+        [
+            (FlowConfig(), 4306),
+            (FlowConfig(schur_model=Wishart(), norm_mode="trace", disorder="quenched"), 4006),
+        ],
+        ids=["reference", "wishart-trace-quenched"],
+    )
+    def test_benchmark_grids_keep_their_workspace_size(self, config, floats):
+        assert flow_mod.check_batch_budget(config, 100, "n_traj") == 100 * floats
 
 class TestAnisotropyStrength:
     def test_first_step_uses_full_amplitude(self):

@@ -394,6 +394,30 @@ class TestEmbeddedInertia:
         for g, e in zip(got, full_signature(states, q_n)):
             np.testing.assert_array_equal(g, e)
 
+    @pytest.mark.parametrize("q_n", [1.0, 1e-13])
+    def test_near_zero_coefficients_match_eigvalsh(self, monkeypatch, q_n):
+        # Rotated s diag(1, 1, -2) has a trace that is zero up to rounding,
+        # and s diag(1, 2, -2/3) and s diag(3, -1, 3/2) a sum of 2 x 2 minors
+        # that is.  The closed form certifies them all with an uncertain sign.
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a)
+        )
+        rng = np.random.default_rng(8)
+        s = np.outer([1.0, -1.0], 10.0 ** np.arange(-4, 9, 2)).ravel()
+        lam = np.concatenate([
+            s[:, None] * spectrum
+            for spectrum in ([1.0, 1.0, -2.0], [1.0, 2.0, -2.0 / 3.0], [3.0, -1.0, 1.5])
+        ])
+        v, _ = np.linalg.qr(rng.standard_normal((len(lam), 3, 3)))
+        states = symmetrize((v * lam[:, None, :]) @ v.transpose(0, 2, 1))
+        got = embedded_inertia(pack(states), q_n)
+        monkeypatch.undo()
+        assert seen == []
+        for g, e in zip(got, full_signature(states, q_n)):
+            np.testing.assert_array_equal(g, e)
+
     def test_zero_state_falls_back_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

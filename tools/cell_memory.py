@@ -8,7 +8,9 @@ every cell reusing one workspace, and prints per grid:
   7th cell of the grid after one warm-up cell;
 - the ``tracemalloc`` peak of one warm cell, cell 210, in MiB.  numpy
   reports its data buffers to ``tracemalloc``, so this is what a cell
-  allocates beyond its workspace.
+  allocates beyond its workspace;
+- the size of the workspace itself in MiB, ``check_batch_budget``'s count
+  of floats times 8 bytes.
 
     PYTHONPATH=src python tools/cell_memory.py
 
@@ -43,8 +45,9 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(spec: GridSpec) -> tuple[float, float]:
-    """(minor faults per warm cell, traced peak of one warm cell in MiB)."""
+def measure(spec: GridSpec) -> tuple[float, float, float]:
+    """(minor faults per warm cell, traced peak of one warm cell in MiB,
+    workspace in MiB)."""
     workspace = np.empty(check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS))
     cells = range(0, spec.n_cells, 7)
     _run_cell(spec, cells[-1], workspace)  # warm-up
@@ -58,15 +61,15 @@ def measure(spec: GridSpec) -> tuple[float, float]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return faults, peak / 2**20
+    return faults, peak / 2**20, workspace.nbytes / 2**20
 
 
 def main() -> int:
     for name, spec in GRIDS.items():
-        faults, peak = measure(spec)
+        faults, peak, size = measure(spec)
         print(
             f"{name} grid: {faults:.1f} minor faults per warm cell, "
-            f"traced peak {peak:.2f} MiB per warm cell"
+            f"traced peak {peak:.2f} MiB per warm cell, workspace {size:.2f} MiB"
         )
     return 0
 
