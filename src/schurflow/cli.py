@@ -17,6 +17,7 @@ import dataclasses
 import enum
 import inspect
 import json
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__, serialize
 from .ensemble import GridSpec, run_grid
 from .errors import ConfigInvalid, SchurFlowError
-from .flow import FlowConfig, LognormalGaussian, Wishart, run_trajectory
+from .flow import Disorder, FlowConfig, LognormalGaussian, NormMode, Wishart, run_trajectory
 from .minimal import MinimalModelSpec, check_scan_budget, scan
 from .reconstruction import reconstruct
 from .tensor import BlockQuadratic, check_budget, check_matrix, schur_complement, signature
@@ -53,16 +54,29 @@ def _as_int(value, path: str) -> int:
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    _fail(path, f"expected an integer, got {value!r}")
+    _fail(path, f"expected an integer, got {reprlib.repr(value)}")
 
 
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
+        _fail(path, f"expected a number, got {reprlib.repr(value)}")
     try:
         return float(value)
     except OverflowError:
         _fail(path, "number out of the float range")
+
+
+def _choice(cls):
+    """Parser of the string enum ``cls``: one of its values, which the
+    library converts."""
+    values = [member.value for member in cls]
+
+    def parse(value, path: str) -> str:
+        if value not in values:
+            _fail(path, f"expected one of {values}, got {reprlib.repr(value)}")
+        return value
+
+    return parse
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -105,7 +119,8 @@ def _schur_model(node, path: str):
     kind = node["kind"]
     if not isinstance(kind, str) or kind not in _MODELS:
         _fail(
-            f"{path}.kind", f"unknown model kind {kind!r}; expected one of {sorted(_MODELS)}"
+            f"{path}.kind",
+            f"unknown model kind {reprlib.repr(kind)}; expected one of {sorted(_MODELS)}",
         )
     options = {key: value for key, value in node.items() if key != "kind"}
     return _build(_MODELS[kind], options, path)
@@ -118,6 +133,8 @@ _PARSERS = {
     "int": _as_int,
     "np.ndarray": _array,
     "SchurModel": _schur_model,
+    "NormMode": _choice(NormMode),
+    "Disorder": _choice(Disorder),
     "FlowConfig": lambda node, path: _build(FlowConfig, node, path, _CELL_PARAMS),
 }
 
@@ -144,7 +161,7 @@ def _kwargs(signature: inspect.Signature, node, path: str, skip=()) -> dict:
     }
     unknown = sorted(set(node) - set(params))
     if unknown:
-        _fail(path, f"unknown key(s) {unknown}; allowed: {sorted(params)}")
+        _fail(path, f"unknown key(s) {reprlib.repr(unknown)}; allowed: {sorted(params)}")
     for name, param in params.items():
         if param.default is param.empty and name not in node:
             _fail(path, f"missing required key {name!r}")
@@ -350,7 +367,7 @@ def _command(data):
     ((command, payload),) = data.items()
     if command not in _DISPATCH:
         raise ConfigInvalid(
-            f"unknown command {command!r}; expected one of {list(_DISPATCH)}"
+            f"unknown command {reprlib.repr(command)}; expected one of {list(_DISPATCH)}"
         )
     if not isinstance(payload, dict):
         raise ConfigInvalid(f"{command}: payload must be an object")

@@ -15,7 +15,6 @@ t])``, which ``run_trajectory`` uses to replay a trajectory.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -273,6 +272,10 @@ def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     if workers == 1:
         chunk_outputs = [_run_cells(task) for task in tasks]
     else:
+        # Imported here, as only a pool needs it: importing the package does
+        # not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_outputs = list(pool.map(_run_cells, tasks))
     cell_outputs = [output for outputs in chunk_outputs for output in outputs]

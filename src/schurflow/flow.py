@@ -57,7 +57,9 @@ own.  Within a call the workspace holds two parts:
   first the anisotropy sampler, then the load sampler, whose loads stay at
   the head of the region through the flow loop with the loop's squares
   and scales after them, and last the closed-form classification's
-  temporaries and counts.
+  temporaries and counts.  In trace mode each step's update overwrites
+  the load it consumed, or that place when there are no loads, and after
+  the loop the updates are squared in place for their norms.
 
 Every view is written in full before it is read, so what a workspace held
 before a call never reaches a result.  Aliasing rule: the states and the
@@ -448,6 +450,14 @@ def _row_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frobenius(q: np.ndarray, d: int, square: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Frobenius norms of packed components ``q`` (components on axis 0)
+    into ``out``, squaring into ``square``, which may be ``q`` itself."""
+    np.multiply(q, q, out=square)
+    square[d:] *= 2.0  # an off-diagonal component stands for two entries
+    return np.sqrt(_row_sum(square, out), out=out)
+
+
 def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
     """Sample, evolve and classify one trajectory per generator, vectorized
     across the batch with one call of each sampler; each trajectory consumes
@@ -494,24 +504,39 @@ def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
     states[0] = config.initial_state().ravel()[packed_index(d), None]
     loop = scratch_views(scratch[loads.size:])
     square, scale, trace = loop(states[0].shape), loop((n,)), loop((n,))
-    use_trace = loop((n,), bool)
+    below = loop((n,), bool)
     # A state below the zero floor is scaled as if its norm were the floor,
     # so it stays finite; n_valid drops it and what follows.  A non-finite
     # update spreads along its own trajectory only and is reported after.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            q, norm = states[k + 1], norms[k]
-            np.add(states[k], loads[k], out=q)
-            q += drive[k]
-            np.multiply(q, q, out=square)
-            square[d:] *= 2.0  # an off-diagonal component stands for two entries
-            np.sqrt(_row_sum(square, norm), out=norm)
-            np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=scale), out=scale)
-            if config.norm_mode is NormMode.TRACE:
-                np.abs(_row_sum(q[:d], trace), out=trace)
-                np.greater_equal(trace, TRACE_FLOOR, out=use_trace)
-                np.divide(d, trace, out=scale, where=use_trace)
-            q *= scale
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if config.norm_mode is NormMode.FROBENIUS:
+            for k in range(k_max):
+                q, norm = states[k + 1], norms[k]
+                np.add(states[k], loads[k], out=q)
+                q += drive[k]
+                _frobenius(q, d, square, norm)
+                np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=scale), out=scale)
+                q *= scale
+        else:
+            # Each update overwrites the load it consumed, or the idle
+            # region of the loads when zeta == 0, and keeps its norm for
+            # after the loop: a step scales by d / |trace| alone unless a
+            # trace falls below the floor.  A NaN trace hides the others
+            # from the minimum, but its update is non-finite and raises after.
+            updates = loads if config.zeta > 0 else scratch[:loads.size].reshape(loads.shape)
+            for k in range(k_max):
+                u = np.add(states[k], loads[k], out=updates[k])
+                u += drive[k]
+                np.abs(_row_sum(u[:d], trace), out=trace)
+                np.divide(d, trace, out=scale)
+                if np.minimum.reduce(trace) < TRACE_FLOOR:
+                    np.less(trace, TRACE_FLOOR, out=below)
+                    norm = _frobenius(u, d, square, norms[k])
+                    np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=trace), out=trace)
+                    np.copyto(scale, trace, where=below)
+                np.multiply(u, scale, out=states[k + 1])
+            swapped = updates.swapaxes(0, 1)
+            _frobenius(swapped, d, swapped, norms)
 
     bad = ~np.isfinite(norms)
     if bad.any():

@@ -6,6 +6,7 @@ contracts (worker count, manifest round trips, seed overrides) are
 asserted at the byte level.
 """
 
+import concurrent.futures
 import json
 import os
 import runpy
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 import schurflow
 import schurflow.cli as cli_mod
-import schurflow.ensemble as ensemble_mod
 import schurflow.minimal as minimal_mod
 from schurflow import FlowConfig, __version__, run_trajectory
 from schurflow.cli import main
@@ -295,7 +295,7 @@ class TestGridCommand:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         _, out_serial = run_cli(tmp_path, self.payload, out="serial")
         _, out_many = run_cli(tmp_path, self.payload, "--workers", "4096", out="many")
         assert pool_sizes == [6]
@@ -616,6 +616,23 @@ class TestModuleEntryPoints:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-2:] == [str([0] * len(runs)), "[]"]
 
+    def test_import_loads_no_process_pool(self):
+        # Only a grid run on more than one worker starts a pool, and it
+        # imports concurrent.futures, with multiprocessing, when it does.
+        script = (
+            "import sys\n"
+            "import schurflow.cli\n"
+            "print(sorted(n for n in sys.modules\n"
+            "             if n.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(schurflow.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]"]
+
     @pytest.mark.parametrize("module", ["schurflow", "schurflow.cli"])
     def test_help_exits_zero(self, module, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", [module, "--help"])
@@ -699,6 +716,18 @@ class TestErrorHandling:
         cfg.write_text('{"flow": {"q_init": ' + "[" * depth + "]" * depth + "}}")
         self.assert_error_run(tmp_path, cfg, match, capsys)
         assert "config" not in read_manifest(tmp_path / "out")
+
+    @pytest.mark.parametrize("key, match", [
+        ("zeta", "flow.zeta: expected a number"),
+        ("target_n_minus", "flow.target_n_minus: expected an integer"),
+        ("norm_mode", "flow.norm_mode: expected one of"),
+    ], ids=["zeta", "target_n_minus", "norm_mode"])
+    def test_error_cuts_the_offending_value(self, tmp_path, capsys, key, match):
+        # An 800-deep list is echoed as a short repr, not 1,600 brackets.
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"flow": {"%s": %s}}' % (key, "[" * 800 + "]" * 800))
+        self.assert_error_run(tmp_path, cfg, match, capsys)
+        assert len(read_manifest(tmp_path / "out")["error"]) < 200
 
     def test_invalid_workers_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"flow": {}})

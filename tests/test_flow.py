@@ -633,6 +633,31 @@ class TestTrajectories:
             assert record.q[k] == pytest.approx(np.trace(q) / config.d_tan, abs=1e-12)
             assert record.n_minus[k] == signature(q).n_minus
 
+    def test_traceless_start_falls_back_every_step(self):
+        # A traceless start with a traceless drive and no load keeps every
+        # update's trace within rounding of zero: each step falls back to
+        # unit Frobenius norm.
+        q_init = np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 1.0]])
+        config = FlowConfig(
+            zeta=0.0, a0=0.8, d_tan=3, k_max=25, norm_mode=NormMode.TRACE,
+            q_init=q_init,
+        )
+        seed = 12
+        record = run_trajectory(config, seed)
+        states = replay_trajectory(config, seed)
+        assert record.n_steps == config.k_max
+        for k, q in enumerate(states[1:], start=1):
+            assert abs(np.trace(q)) < flow_mod.TRACE_FLOOR
+            assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-14)
+            assert record.q[k] == pytest.approx(np.trace(q) / 3, abs=1e-14)
+            assert record.s_opnorm[k] == pytest.approx(
+                np.abs(np.linalg.eigvalsh(q)).max(), abs=1e-12
+            )
+        sigs = [signature(embed_full(q, config.q_n)) for q in states]
+        assert [tuple(s) for s in sigs] == list(
+            zip(record.n_plus, record.n_minus, record.n_zero)
+        )
+
     def test_same_seed_reproduces(self):
         config = FlowConfig(zeta=0.12, a0=0.4, d_tan=3, k_max=20)
         assert run_trajectory(config, 123) == run_trajectory(config, 123)
@@ -767,8 +792,9 @@ class TestEvolveBatch:
     def test_first_non_finite_update_is_named(self, monkeypatch):
         # Trajectory 0 cancels to zero at step 1 and stays there; the loads
         # of trajectories 2 and 1 overflow their update norms at steps 4 and
-        # 6.  The norms are checked once the loop is done: the error names
-        # the first step with a non-finite update and its trajectory.
+        # 6.  The norms are checked once the loop is done, and in trace mode
+        # computed only then: the error names the first step with a
+        # non-finite update and its trajectory.
         def loads(model, d_tan, n, rngs, **_):
             for rng in rngs:
                 rng.standard_normal((n, d_tan, d_tan))
@@ -778,9 +804,44 @@ class TestEvolveBatch:
             return out
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", loads)
-        config = FlowConfig(zeta=0.25, k_max=8)
-        with pytest.raises(NonFiniteState, match=r"^trajectory 2, step 4: .* not finite$"):
-            flow_mod.evolve_batch(config, batch_rngs()[:4])
+        for norm_mode in NormMode:
+            config = FlowConfig(zeta=0.25, k_max=8, norm_mode=norm_mode)
+            with pytest.raises(NonFiniteState, match=r"^trajectory 2, step 4: .* not finite$"):
+                flow_mod.evolve_batch(config, batch_rngs()[:4])
+
+    def test_trace_floor_falls_back_per_trajectory(self, monkeypatch):
+        # At step 1 trajectory 0's update, diag(-1, 0, 1), has a trace of
+        # exactly 0; at step 3 trajectory 1's, diag(1, -1, 2**-30), one below
+        # TRACE_FLOOR; both stay below the floor after.  Trajectory 2's loads
+        # are random and keep its trace above the floor, so it scales by
+        # d / |trace| in the steps where the others fall back.  The dyadic
+        # loads keep every Frobenius norm exact, so each trajectory equals
+        # its dense flow_step replay bit for bit.
+        sigmas = np.zeros((3, 6, 3, 3))
+        sigmas[0, 0] = np.diag([8.0, 4.0, 0.0])
+        sigmas[1, 2] = np.diag([0.0, 8.0, 4.0 - 2.0**-28])
+        g = np.random.default_rng(3).standard_normal((6, 3, 3))
+        sigmas[2] = 0.1 * (g + g.swapaxes(1, 2))
+
+        def loads(model, d_tan, n, rngs, **_):
+            rows, cols = np.divmod(packed_index(d_tan), d_tan)
+            return sigmas[:, :, rows, cols].transpose(1, 2, 0).copy()
+
+        monkeypatch.setattr(flow_mod, "sample_sigma_batch", loads)
+        config = FlowConfig(zeta=0.25, k_max=6, norm_mode=NormMode.TRACE)
+        states, _, n_valid = flow_mod.evolve_batch(config, batch_rngs()[:3])
+        assert n_valid.tolist() == [7] * 3
+        dense_states = unpack_symmetric(states.transpose(1, 2, 0))
+        for t, got in enumerate(dense_states):
+            q, expected = np.eye(3), [np.eye(3)]
+            for sigma in sigmas[t]:
+                q = flow_step(q, sigma, np.zeros((3, 3)), 0.0, 0.25, NormMode.TRACE)
+                expected.append(q)
+            np.testing.assert_array_equal(got, expected)
+        traces = np.abs(np.trace(dense_states, axis1=2, axis2=3))
+        assert (traces[0, 1:] < flow_mod.TRACE_FLOOR).all()
+        assert (traces[1, 3:] < flow_mod.TRACE_FLOOR).all()
+        np.testing.assert_allclose(traces[2], 3.0)
 
     def test_batch_is_budgeted_before_allocation(self, monkeypatch):
         # Sizes only.  Per trajectory a Wishart/trace/quenched cell holds the
