@@ -2,12 +2,12 @@
 
 A run is described by a JSON config file containing exactly one top-level
 key naming the command: ``schur``, ``flow``, ``grid``, ``minimal-scan`` or
-``reconstruct``.  Results are written into ``--out`` together with a
-``manifest.json`` echoing the fully resolved configuration, the applied
-seed and worker count, the library version, wall time and status; a
-failed run's manifest keeps the error and what was known of the run.
-Result files are deterministic for a given config and seed; only the
-manifest wall time varies between reruns.
+``reconstruct``.  A command returns its result files as data, which
+:func:`main` writes into ``--out`` with a ``manifest.json`` echoing the
+fully resolved configuration, the applied seed and worker count, the
+library version, wall time and status; a failed run's manifest keeps the
+error and what was known of the run.  Result files are deterministic for
+a given config and seed; only the manifest wall time varies between reruns.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def _seeded(command: str, payload: dict, flag_seed) -> dict:
     return payload
 
 
-def _cmd_schur(payload, args, out_dir):
+def _cmd_schur(payload, args):
     kwargs = _kwargs(inspect.signature(BlockQuadratic), payload, "schur")
     # The command reports one form's signature, so it refuses the leading
     # axes of a that would make BlockQuadratic a stack of forms.
@@ -232,54 +232,45 @@ def _cmd_schur(payload, args, out_dir):
     sig = signature(q_eff)
     summary = {"n_plus": sig.n_plus, "n_minus": sig.n_minus, "n_zero": sig.n_zero}
     if args.fmt == "json":
-        serialize.dump_json(
-            out_dir / "result.json", {"q_eff": q_eff, "signature": summary}
-        )
-        files = ["result.json"]
+        outputs = {"result.json": (serialize.dump_json, {"q_eff": q_eff, "signature": summary})}
     else:
-        serialize.write_matrix_csv(out_dir / "q_eff.csv", q_eff)
-        files = ["q_eff.csv"]
-    return files, summary, _echo(blocks)
+        outputs = {"q_eff.csv": (serialize.write_matrix_csv, q_eff)}
+    return outputs, summary, _echo(blocks)
 
 
-def _cmd_flow(payload, args, out_dir):
+def _cmd_flow(payload, args):
     options = {key: value for key, value in payload.items() if key != "seed"}
     config = _build(FlowConfig, options, "flow")
     seed = payload.get("seed", 0)
     # The single-trajectory stream matches cell 0, trajectory 0 of a grid
     # run with this master seed.
     record = run_trajectory(config, [seed, 0, 0])
-    serialize.write_records_jsonl(out_dir / "record.jsonl", [record])
-    files = ["record.jsonl"]
+    outputs = {"record.jsonl": (serialize.write_records_jsonl, [record])}
     if args.fmt == "csv":
         arrays = {k: v for k, v in vars(record).items() if isinstance(v, np.ndarray)}
         columns = {"step": np.arange(record.n_steps + 1), **arrays}
-        serialize.write_csv(out_dir / "steps.csv", columns)
-        files.append("steps.csv")
+        outputs["steps.csv"] = (serialize.write_csv, columns)
     else:
-        serialize.dump_json(out_dir / "record.json", dataclasses.asdict(record))
-        files.append("record.json")
+        outputs["record.json"] = (serialize.dump_json, dataclasses.asdict(record))
     summary = {
         "first_passage": record.first_passage,
         "censored": record.censored,
         "collapsed": record.collapsed,
         "n_steps": record.n_steps,
     }
-    return files, summary, {**_echo(config), "seed": seed}
+    return outputs, summary, {**_echo(config), "seed": seed}
 
 
-def _cmd_grid(payload, args, out_dir):
+def _cmd_grid(payload, args):
     spec = _build(GridSpec, payload, "grid")
     result = run_grid(spec, parallelism=args.workers)
     if args.fmt == "json":
-        serialize.dump_json(out_dir / "grid.json", dataclasses.asdict(result))
-        files = ["grid.json"]
+        outputs = {"grid.json": (serialize.dump_json, dataclasses.asdict(result))}
     else:
         fields = {f"P{m}": result.p_sector[..., m] for m in range(result.n_sectors)}
         fields.update(mean_fpt=result.mean_fpt, censored_fraction=result.censored_fraction)
         axes = {"a0": result.a0_values, "zeta": result.zeta_values}
-        serialize.write_csv(out_dir / "grid.csv", serialize.field_columns(axes, fields))
-        files = ["grid.csv"]
+        outputs = {"grid.csv": (serialize.write_csv, serialize.field_columns(axes, fields))}
     summary = {
         "n_cells": spec.n_cells,
         "n_traj": spec.n_traj,
@@ -287,10 +278,10 @@ def _cmd_grid(payload, args, out_dir):
         # run_grid starts no more worker processes than there are cells.
         "workers": min(args.workers, spec.n_cells),
     }
-    return files, summary, _echo(spec)
+    return outputs, summary, _echo(spec)
 
 
-def _cmd_minimal_scan(payload, args, out_dir):
+def _cmd_minimal_scan(payload, args):
     # The axes are arguments of scan; every other key configures the
     # template, whose chi and g the axes supply cell by cell.
     axes = {**_SCAN_AXES, **{k: v for k, v in payload.items() if k in _SCAN_AXES}}
@@ -304,35 +295,33 @@ def _cmd_minimal_scan(payload, args, out_dir):
     kwargs = _kwargs(_SCAN, axes, "minimal-scan", ("template",))
     result = _call(scan, {**kwargs, "template": template}, "minimal-scan")
     if args.fmt == "json":
-        serialize.dump_json(out_dir / "scan.json", dataclasses.asdict(result))
-        files = ["scan.json"]
+        outputs = {"scan.json": (serialize.dump_json, dataclasses.asdict(result))}
     else:
         columns = serialize.field_columns(
             {"chi": result.chi_values, "g": result.g_values}, {"b_eff": result.b_eff}
         )
-        serialize.write_csv(out_dir / "scan.csv", columns)
-        files = ["scan.csv"]
+        outputs = {"scan.csv": (serialize.write_csv, columns)}
     summary = {
         "n_polylines": result.contour.n_components,
         "skipped_cells": result.contour.skipped_cells,
     }
-    return files, summary, {**_echo(kwargs), **_echo(template, ("chi", "g"))}
+    return outputs, summary, {**_echo(kwargs), **_echo(template, ("chi", "g"))}
 
 
-def _cmd_reconstruct(payload, args, out_dir):
+def _cmd_reconstruct(payload, args):
     kwargs = _kwargs(_RECONSTRUCT, payload, "reconstruct")
     report = _call(reconstruct, kwargs, "reconstruct")
     if args.fmt == "json":
-        serialize.dump_json(out_dir / "report.json", dataclasses.asdict(report))
-        files = ["report.json"]
+        outputs = {"report.json": (serialize.dump_json, dataclasses.asdict(report))}
     else:
-        serialize.write_matrix_csv(out_dir / "gamma.csv", report.gamma)
-        serialize.write_matrix_csv(out_dir / "g_eff.csv", report.g_eff)
-        files = ["gamma.csv", "g_eff.csv"]
+        outputs = {
+            "gamma.csv": (serialize.write_matrix_csv, report.gamma),
+            "g_eff.csv": (serialize.write_matrix_csv, report.g_eff),
+        }
     summary = {"einstein_residual": report.einstein_residual, "beta": report.beta}
     resolved = _RECONSTRUCT.bind(**kwargs)
     resolved.apply_defaults()
-    return files, summary, _echo(resolved.arguments)
+    return outputs, summary, _echo(resolved.arguments)
 
 
 _DISPATCH = {
@@ -412,7 +401,9 @@ def main(argv=None) -> int:
             raise ConfigInvalid(f"--seed must be non-negative, got {args.seed}")
         out_dir.mkdir(parents=True, exist_ok=True)
         payload = _seeded(command, payload, args.seed)
-        files, summary, echo = _DISPATCH[command](payload, args, out_dir)
+        outputs, summary, echo = _DISPATCH[command](payload, args)
+        for name, (write, data) in outputs.items():
+            write(out_dir / name, data)
         serialize.dump_json(
             out_dir / "manifest.json",
             {
@@ -420,7 +411,7 @@ def main(argv=None) -> int:
                 "config": {command: echo},
                 "status": "ok",
                 "wall_time_s": time.perf_counter() - started,
-                "outputs": files,
+                "outputs": list(outputs),
                 "summary": summary,
             },
         )

@@ -106,13 +106,21 @@ class GridResult:
         return self.n_sectors - 1
 
 
+def _history(records) -> np.ndarray:
+    """``records`` as an ``(n_traj, n_states)`` history with ``n_states >= 1``."""
+    history = np.asarray(records)
+    if history.ndim != 2 or history.shape[1] == 0:
+        raise ValueError(f"records: expected (n_traj, n_states), got shape {history.shape}")
+    return history
+
+
 def sector_probability(records, n_minus: int) -> float:
     """Fraction of trajectories whose final state carries ``n_minus``
     negative directions.  ``records`` is their ``(n_traj, n_states)``
     negative-count history; filter collapsed ones upstream."""
     if len(records) == 0:
         raise ValueError("records must be non-empty")
-    hits = int(np.count_nonzero(np.asarray(records)[:, -1] == n_minus))
+    hits = int(np.count_nonzero(_history(records)[:, -1] == n_minus))
     return hits / len(records)
 
 
@@ -125,7 +133,7 @@ def mean_first_passage(records, target_n_minus: int):
     """
     if len(records) == 0:
         return None, float("nan")
-    steps = first_passage_steps(records, target_n_minus)
+    steps = first_passage_steps(_history(records), target_n_minus)
     times = steps[steps >= 0]
     mean = float(np.mean(times)) if len(times) else None
     return mean, 1.0 - len(times) / len(records)

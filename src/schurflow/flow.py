@@ -368,9 +368,7 @@ def sample_anisotropy_batch(d_tan: int, n: int, rngs, *, scratch=None) -> np.nda
     mean = _row_sum(diagonal, empty((n, n_rngs)))
     mean /= d_tan
     diagonal -= mean
-    square = np.multiply(s, s, out=draws.reshape(s.shape))
-    square[:, d_tan:] *= 2.0
-    norm = np.sqrt(_row_sum(square.swapaxes(0, 1), mean), out=mean)
+    norm = _frobenius(s.swapaxes(0, 1), d_tan, draws.reshape(s.shape).swapaxes(0, 1), mean)
     if np.any(norm < ZERO_FLOOR):
         raise DegenerateDraw(f"an anisotropy draw has norm below {ZERO_FLOOR}")
     s /= norm[:, None]
@@ -386,7 +384,7 @@ def anisotropy_strength(a0: float, beta_decay: float, k):
     check_scalar(a0, "a0", positive=False)
     check_scalar(beta_decay, "beta_decay", positive=False)
     k_arr = np.asarray(k)
-    if np.any(k_arr < 0):
+    if not np.all(k_arr >= 0):
         raise ValueError("step index k must be non-negative")
     out = a0 * np.exp(-beta_decay * k_arr)
     return float(out) if np.isscalar(k) else out

@@ -297,6 +297,8 @@ def estimate_log_curvature(samples) -> np.ndarray:
         raise ValueError(
             f"need more than {10 * d * d} samples for dimension {d}, got {n}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples: entries must be finite")
     cov = np.atleast_2d(np.cov(arr, rowvar=False))
     w, v = np.linalg.eigh(cov)
     if w.min() <= 0.0 or w.max() / w.min() > CONDITION_CEILING:

@@ -8,6 +8,7 @@ synthetic probability field with a known contour.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,19 @@ class TestAggregation:
     def test_mean_first_passage_partial_censoring(self):
         records = np.array([history(first_passage=1)] + [history() for _ in range(3)])
         assert mean_first_passage(records, 3) == (1.0, 0.75)
+
+    @pytest.mark.parametrize(
+        "records",
+        [np.zeros((2, 3, 4), dtype=int), history(), np.zeros((3, 0), dtype=int)],
+        ids=["3-d", "1-d", "no-states"],
+    )
+    def test_records_must_be_a_trajectory_history(self, records):
+        # Unchecked, a 3-D history gives a censored fraction of -2.0, and a
+        # single 1-D trajectory a fraction over its states.
+        message = f"records: expected (n_traj, n_states), got shape {records.shape}"
+        for aggregate in (sector_probability, mean_first_passage):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                aggregate(records, 3)
 
 
 def cancelling_batch(model, d_tan, n, rngs, **_):

@@ -441,6 +441,11 @@ class TestAnisotropyStrength:
         with pytest.raises(ValueError, match="k must"):
             anisotropy_strength(1.0, 0.1, -1)
 
+    @pytest.mark.parametrize("k", [np.nan, np.array([0.0, np.nan])], ids=["scalar", "array"])
+    def test_nan_step_index_is_refused(self, k):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            anisotropy_strength(1.0, 0.1, k)
+
 
 def normalized(q, mode=NormMode.FROBENIUS):
     """A flow step with no load and no anisotropy: the normalization alone."""

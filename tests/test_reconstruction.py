@@ -435,6 +435,15 @@ class TestEstimateLogCurvature:
         with pytest.raises(ValueError, match="expected"):
             estimate_log_curvature(np.zeros(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_raise(self, bad):
+        # np.cov of such samples has a NaN spectrum, which passes the
+        # singularity test; the curvature would come back all NaN.
+        samples = np.random.default_rng(6).standard_normal((200, 2))
+        samples[17] = bad
+        with pytest.raises(ValueError, match="samples: entries must be finite"):
+            estimate_log_curvature(samples)
+
 
 class TestStationaryGaussian:
     def test_commuting_mobility_returns_beta_q(self):
