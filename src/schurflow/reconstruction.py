@@ -36,7 +36,7 @@ LYAPUNOV_RTOL = 1e-10
 # Condition-number ceiling beyond which a sample covariance is singular.
 CONDITION_CEILING = 1e12
 # Rows per block of the linear scan in simulate_sde.
-SCAN_BLOCK = 32
+SCAN_BLOCK = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,19 +147,22 @@ def stationary_gaussian(mu, q_eff, beta: float) -> np.ndarray:
     return beta * q_arr
 
 
-def _linear_scan(a: np.ndarray, kicks: np.ndarray) -> np.ndarray:
-    """States of ``p[k] = a @ p[k-1] + kicks[k]`` from ``p[-1] = 0``.
+def _linear_scan(a: np.ndarray, kicks: np.ndarray, states: np.ndarray) -> None:
+    """Write the states of ``p[k] = a @ p[k-1] + kicks[k]`` from ``p[-1] =
+    0`` into ``states``, an array of ``kicks``'s shape.
 
     A blocked prefix scan (Blelloch, CMU-CS-90-190, 1990) of the affine
-    recursion.  ``kicks`` has a multiple of ``B = SCAN_BLOCK`` rows; each
-    block of ``B`` rows first answers its own kicks with one matmul against
-    the lower block-Toeplitz matrix of ``a^(n-k)``, ``k <= n``.  The states
-    entering the blocks follow the same recursion with ``a^B`` on the
-    blocks' last rows, and block row ``n`` then adds ``a^(n+1)`` times its
-    entering state.  Only products of ``a`` are formed, no eigen- or Schur
-    decomposition, so the scan holds for any ``a``, defective or strongly
-    non-normal ones included.  ``kicks`` is overwritten; the states come
-    back in a new array of its shape.
+    recursion.  ``kicks`` has a multiple of ``B = SCAN_BLOCK`` rows.  One
+    matmul of the kicks against the last block column of the lower
+    block-Toeplitz matrix of ``a^(n-k)``, ``k <= n``, gives each block's
+    end from a zero start; the same recursion with ``a^B`` on these ends
+    gives the true ends.  Block ``j``'s first kick then takes ``a`` times
+    block ``j - 1``'s end, and one matmul against the whole Toeplitz
+    matrix gives every state.  Only products of ``a`` are formed, no eigen-
+    or Schur decomposition, so the scan holds for any ``a``, defective or
+    strongly non-normal ones included.  ``kicks`` is overwritten, and the
+    scan of the ends runs in ``states`` before the states fill it, so no
+    buffer of the ends' size is allocated.
     """
     rows, dim = kicks.shape
     n_blocks, width = rows // SCAN_BLOCK, SCAN_BLOCK * dim
@@ -167,24 +170,32 @@ def _linear_scan(a: np.ndarray, kicks: np.ndarray) -> np.ndarray:
     powers[0] = np.eye(dim)
     for n in range(SCAN_BLOCK):
         powers[n + 1] = powers[n] @ a
-    # In row layout, x_k.T a^(n-k).T, the block (k, n) of the Toeplitz
-    # matrix is powers[n - k].T for n >= k and zero below the diagonal.
-    ahead = np.arange(SCAN_BLOCK) - np.arange(SCAN_BLOCK)[:, None]
-    toeplitz = powers[np.maximum(ahead, 0)] * (ahead >= 0)[:, :, None, None]
-    toeplitz = toeplitz.transpose(0, 3, 1, 2).reshape(width, width)
-    states = np.empty_like(kicks)
-    blocks = states.reshape(n_blocks, width)
-    np.matmul(kicks.reshape(n_blocks, width), toeplitz, out=blocks)
+    blocks = kicks.reshape(n_blocks, width)
     if n_blocks > 1:
-        # Block j enters with sum_{i<j} (a^B)^(j-1-i) end_i: the scan of the
-        # block ends shifted down one row.
-        shifted = np.zeros((-(-n_blocks // SCAN_BLOCK) * SCAN_BLOCK, dim))
-        shifted[1:n_blocks] = blocks[:-1, -dim:]
-        entering = _linear_scan(powers[SCAN_BLOCK], shifted)[:n_blocks]
-        carry = powers[1:].transpose(2, 0, 1).reshape(dim, width)
-        np.matmul(entering, carry, out=kicks.reshape(n_blocks, width))
-        states += kicks
-    return states
+        # Row layout, x_k.T a^(n-k).T: block row k of the last block column
+        # is powers[B - 1 - k].T, built apart so that no level holds its
+        # Toeplitz matrix through the nested scan.  With SCAN_BLOCK >= 4 the
+        # ends and their scan fit in two regions of at most rows / 2 each of
+        # the states, which are free until the last matmul.
+        last = powers[SCAN_BLOCK - 1::-1].transpose(0, 2, 1).reshape(width, dim)
+        padded = -(-n_blocks // SCAN_BLOCK) * SCAN_BLOCK
+        ends, true_ends = states[:padded], states[padded:2 * padded]
+        np.matmul(blocks, last, out=ends[:n_blocks])
+        ends[n_blocks:] = 0.0
+        _linear_scan(powers[SCAN_BLOCK], ends, true_ends)
+        # A strided in-place add allocates ufunc buffers of 64 KiB each, so
+        # the first kicks are summed on contiguous rows and copied back.
+        carried = ends[:n_blocks - 1]
+        np.matmul(true_ends[:n_blocks - 1], a.T, out=carried)
+        true_ends[:n_blocks - 1] = blocks[1:, :dim]
+        carried += true_ends[:n_blocks - 1]
+        blocks[1:, :dim] = carried
+    # Block (k, n) of the Toeplitz matrix is powers[n - k].T for n >= k and
+    # zero below the diagonal.
+    toeplitz = np.zeros((SCAN_BLOCK, dim, SCAN_BLOCK, dim))
+    for k in range(SCAN_BLOCK):
+        toeplitz[k, :, k:] = powers[:SCAN_BLOCK - k].transpose(2, 0, 1)
+    np.matmul(blocks, toeplitz.reshape(width, width), out=states.reshape(n_blocks, width))
 
 
 def _exact_transition(m: np.ndarray, d_mat: np.ndarray, dt: float):
@@ -238,13 +249,15 @@ def simulate_sde(
     The first ``burn_in`` states are dropped (none by default) and the next
     ``n_steps`` returned as an ``(n_steps, dim)`` array.
 
-    One ``(burn_in + n_steps, dim)`` standard-normal draw feeds the chain:
-    row 0 becomes ``p_0`` through the symmetric square root of ``gamma``,
-    row ``k >= 1`` the kick ``xi_k`` through that of the kick covariance.
-    The steps are not taken one by one: the kicks, zero-padded to a multiple
-    of ``SCAN_BLOCK`` rows, go through a blocked linear scan that takes a
-    handful of matmuls.  The run holds two such padded buffers, the kicks
-    (reused as scratch) and the states; one must fit in ``ARRAY_BUDGET``.
+    One ``(burn_in + n_steps, dim)`` standard-normal draw feeds the chain.
+    It lands in the front of the states buffer, which the scan overwrites
+    later: row 0 becomes ``p_0`` through the symmetric square root of
+    ``gamma``, row ``k >= 1`` the kick ``xi_k`` through that of the kick
+    covariance.  The steps are not taken one by one: the kicks, zero-padded
+    to a multiple of ``SCAN_BLOCK`` rows, go through a blocked linear scan
+    that takes a handful of matmuls.  The run holds two such padded
+    buffers, the kicks (reused as scratch) and the states (first the draw,
+    then the scan's scratch); one must fit in ``ARRAY_BUDGET``.
 
     Raises
     ------
@@ -264,24 +277,28 @@ def simulate_sde(
     a, kick_cov = _exact_transition(sde.m, sde.d_mat, dt)
     root_xi = _psd_root(kick_cov)
 
-    z = np.random.default_rng(seed).standard_normal((total, sde.dim))
-    kicks = np.empty((padded, sde.dim))
+    states = np.empty((padded, sde.dim))
+    z = np.random.default_rng(seed).standard_normal(out=states[:total])
+    kicks = np.empty_like(states)
     kicks[0] = _psd_root(sde.gamma) @ z[0]
     np.matmul(z[1:], root_xi.T, out=kicks[1:total])
     kicks[total:] = 0.0
-    del z  # freed before the scan allocates the states: one buffer less at peak
-    # Row-major states: the sums of np.cov, so g_eff's bytes, follow the layout.
-    states = _linear_scan(a, kicks)
+    _linear_scan(a, kicks, states)
     return states[burn_in:total]
 
 
 def estimate_log_curvature(samples) -> np.ndarray:
     """Inverse sample covariance as the empirical log-density curvature.
 
+    The covariance is the unbiased one (``ddof = 1``), formed in one
+    contiguous pass: the samples are copied once to a ``(d, n)`` array, the
+    row means subtracted, and the product of that array with its transpose
+    divided by ``n - 1``.
+
     Parameters
     ----------
     samples : array_like
-        ``(n, d)`` stationary samples with ``n > 10 * d**2``.
+        ``(n, d)`` stationary samples with ``d >= 1`` and ``n > 10 * d**2``.
 
     Raises
     ------
@@ -290,16 +307,20 @@ def estimate_log_curvature(samples) -> np.ndarray:
         number above ``CONDITION_CEILING``.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ValueError(f"samples: expected (n, d) with n >= 2, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
+        raise ValueError(
+            f"samples: expected (n, d) with n >= 2 and d >= 1, got {arr.shape}"
+        )
     n, d = arr.shape
     if n <= 10 * d * d:
         raise ValueError(
             f"need more than {10 * d * d} samples for dimension {d}, got {n}"
         )
-    if not np.all(np.isfinite(arr)):
+    centred = arr.T.copy()
+    if not np.all(np.isfinite(centred)):
         raise ValueError("samples: entries must be finite")
-    cov = np.atleast_2d(np.cov(arr, rowvar=False))
+    centred -= centred.mean(axis=1, keepdims=True)
+    cov = (centred @ centred.T) / (n - 1)
     w, v = np.linalg.eigh(cov)
     if w.min() <= 0.0 or w.max() / w.min() > CONDITION_CEILING:
         raise SingularCovariance(

@@ -442,7 +442,10 @@ class TestReconstructCommand:
 
     # Exact gamma.csv text, recorded at 0.9.0 (Kronecker-form balance
     # solve), and g_eff.csv text, recorded at 0.14.0 (exact transition in
-    # place of Euler steps, which changes every sample): a 3 x 3 mobility
+    # place of Euler steps, which changes every sample) and re-recorded at
+    # 0.20.0 (contiguous covariance pass and a scan that folds each block's
+    # entering state into its first kick, both moving g_eff by rounding
+    # only, at most 1.8e-15 here): a 3 x 3 mobility
     # that does not commute with q_eff under the default diffusion mu /
     # beta, and a 2 x 2 run with its own d_mat.  The last two entries are
     # gamma as scipy's Lyapunov solver of 0.8.1 wrote it and g_eff as the
@@ -460,9 +463,9 @@ class TestReconstructCommand:
             "0.5003274394237065,-0.20956123117223313,-0.031434184675834961\n"
             "-0.20956123117223313,0.78585461689587432,0.11787819253438112\n"
             "-0.031434184675834961,0.11787819253438112,0.35101506221349044\n",
-            "2.2066797330933285,0.56321492581085031,0.007764814961031946\n"
-            "0.56321492581085031,1.4730116583637036,-0.50811613704456948\n"
-            "0.007764814961031946,-0.50811613704456948,3.0184810644443325\n",
+            "2.2066797330933281,0.56321492581085009,0.0077648149610323692\n"
+            "0.56321492581085009,1.473011658363703,-0.50811613704456915\n"
+            "0.0077648149610323692,-0.50811613704456915,3.0184810644443325\n",
             [
                 [0.50032743942370617, -0.20956123117223313, -0.031434184675835017],
                 [-0.20956123117223313, 0.78585461689587488, 0.11787819253438121],
@@ -484,8 +487,8 @@ class TestReconstructCommand:
             },
             "0.63547744539829698,-0.070375076104068304\n"
             "-0.070375076104068304,0.30872375228877191\n",
-            "1.6238442289962192,0.27499797910332235\n"
-            "0.27499797910332235,3.3632240724610143\n",
+            "1.6238442289962181,0.27499797910332235\n"
+            "0.27499797910332235,3.3632240724610125\n",
             [
                 [0.63547744539829731, -0.07037507610406829],
                 [-0.07037507610406829, 0.30872375228877202],

@@ -8,6 +8,8 @@ convention ``m.T gamma + gamma m = 2 d``, so a flipped convention fails
 loudly rather than within tolerance.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg  # tests only: scipy is no runtime dependency
@@ -399,6 +401,21 @@ class TestSimulateSde:
         with pytest.raises(ValueError, match="n_steps, burn_in ask for"):
             simulate_sde(sde, dt=0.01, n_steps=rows)
 
+    def test_peak_memory_is_two_padded_buffers(self):
+        # The draw lands in the states and the scan of the block ends runs
+        # in them too: the kicks and the states are all that is held.
+        sde = LinearSDE(m=np.diag([1.0, 2.0, 3.0]), d_mat=np.eye(3))
+        simulate_sde(sde, dt=0.5, n_steps=1_000)
+        n_steps = 100_000
+        padded = -(-n_steps // SCAN_BLOCK) * SCAN_BLOCK
+        tracemalloc.start()
+        try:
+            simulate_sde(sde, dt=0.5, n_steps=n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * padded * 3 * 8 + 64 * 1024
+
     def test_linear_sde_validation(self):
         with pytest.raises(ValueError, match="d_mat"):
             LinearSDE(m=np.eye(2), d_mat=np.eye(3))
@@ -434,11 +451,26 @@ class TestEstimateLogCurvature:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="expected"):
             estimate_log_curvature(np.zeros(10))
+        # Zero columns: refused by shape, not by an empty reduction.
+        with pytest.raises(ValueError, match=r"d >= 1, got \(100, 0\)$"):
+            estimate_log_curvature(np.zeros((100, 0)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_inverse_of_np_cov(self, d):
+        # np.cov is the oracle here only.  The common mean of 1e3 makes the
+        # centring count; every other column of a wider array is a strided
+        # input.
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal((2 * d, 2 * d))
+        wide = rng.standard_normal((5_000, 2 * d)) @ (g @ g.T + np.eye(2 * d)) + 1e3
+        for samples in (wide[:, ::2], np.ascontiguousarray(wide[:, ::2])):
+            want = np.linalg.inv(np.atleast_2d(np.cov(samples, rowvar=False)))
+            np.testing.assert_allclose(estimate_log_curvature(samples), want, rtol=1e-10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_raise(self, bad):
-        # np.cov of such samples has a NaN spectrum, which passes the
-        # singularity test; the curvature would come back all NaN.
+        # The covariance of such samples has a NaN spectrum, which passes
+        # the singularity test; the curvature would come back all NaN.
         samples = np.random.default_rng(6).standard_normal((200, 2))
         samples[17] = bad
         with pytest.raises(ValueError, match="samples: entries must be finite"):
