@@ -236,7 +236,7 @@ def _run_cell(spec: GridSpec, cell_index: int, workspace=None):
     rngs = _cell_generators(spec.master_seed, cell_index, spec.n_traj)
     cell = f"cell (a0={config.a0}, zeta={config.zeta})"
     try:
-        _, (_, n_minus, _), n_valid = evolve_batch(config, rngs, workspace=workspace)
+        _, n_minus, n_valid = evolve_batch(config, rngs, workspace=workspace)
     except NonFiniteState as exc:
         raise NonFiniteState(f"{cell}: {exc}") from exc
     # Non-collapsed trajectories are valid through all k_max + 1 states.

@@ -11,6 +11,8 @@ where ``Sigma_k`` is a random positive semidefinite elimination load,
 the overall scale without touching the signature.  The normal sector is a
 fixed positive scalar ``q_n``; records classify the full tensor
 ``diag(q_n, q_t)`` exactly as :func:`~schurflow.tensor.signature` does.
+A grid reads only the negative count, which ``q_n`` never adds to, so the
+batch kernel counts the negative directions alone.
 
 Randomness contract
 -------------------
@@ -56,18 +58,19 @@ own.  Within a call the workspace holds two parts:
 - transient, one region reused in phases that never overlap in time:
   first the anisotropy sampler, then the load sampler, whose loads stay at
   the head of the region through the flow loop with the loop's squares
-  and scales after them, and last the closed-form classification's
-  temporaries and counts.  In trace mode each step's update overwrites
-  the load it consumed, or that place when there are no loads, and after
-  the loop the updates are squared in place for their norms.
+  and scales after them, and last a contiguous copy of the states with
+  the closed-form classification's temporaries and negative counts.  In
+  trace mode each step's update overwrites the load it consumed, or that
+  place when there are no loads, and after the loop the updates are
+  squared in place for their norms.
 
 Every view is written in full before it is read, so what a workspace held
 before a call never reaches a result.  Aliasing rule: the states and the
-``d_tan = 3`` counts that :func:`evolve_batch` returns are views of its
-workspace, valid until the workspace is used again.  Given ``scratch``, a
-sampler returns the first view it takes from it, the head of the scratch,
-and lays out its temporaries after it.  Without ``workspace`` or
-``scratch`` no returned array shares memory with another call's.
+``d_tan = 3`` negative counts that :func:`evolve_batch` returns are views
+of its workspace, valid until the workspace is used again.  Given
+``scratch``, a sampler returns the first view it takes from it, the head of
+the scratch, and lays out its temporaries after it.  Without ``workspace``
+or ``scratch`` no returned array shares memory with another call's.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ import numpy as np
 from .errors import DegenerateDraw, NonFiniteState, ZeroTensor
 from .tensor import (
     CLOSED_FORM_ROWS, check_budget, check_int, check_scalar, check_symmetric,
-    embedded_inertia, fields_equal, packed_index, scratch_views, symmetrize,
-    unpack_symmetric,
+    embedded_counts, embedded_negatives, fields_equal, packed_index, scratch_views,
+    symmetrize, unpack_symmetric,
 )
 
 # Frobenius norm below which a tensor counts as collapsed to zero.
@@ -460,18 +463,18 @@ def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
     """Sample, evolve and classify one trajectory per generator, vectorized
     across the batch with one call of each sampler; each trajectory consumes
     only its own generator, in the documented order, so it is bitwise
-    identical to a single run.  Returns ``(states, counts, n_valid)``: the
-    packed states as one ``(k_max + 1, n_comp, n)`` array, the inertia
-    ``(n_plus, n_minus, n_zero)`` of their full tensors ``diag(q_n, q_t)``
-    as ``(n, k_max + 1)`` arrays, counted by
-    :func:`~schurflow.tensor.embedded_inertia` (a certified closed form for
-    ``d_tan = 3``, ``eigvalsh`` otherwise; no spectra are returned), and per
-    trajectory the count of valid states, those before the first below the
-    zero floor.  A non-finite update raises :class:`NonFiniteState` naming
+    identical to a single run.  Returns ``(states, n_minus, n_valid)``: the
+    packed states as one ``(k_max + 1, n_comp, n)`` array, the negative
+    count of their full tensors ``diag(q_n, q_t)``, the one count a grid
+    reads, as an ``(n, k_max + 1)`` array, counted by
+    :func:`~schurflow.tensor.embedded_negatives` (a certified closed form
+    for ``d_tan = 3``, ``eigvalsh`` otherwise; no spectra are returned),
+    and per trajectory the count of valid states, those before the first
+    below the zero floor.  A non-finite update raises :class:`NonFiniteState` naming
     the first step that has one and the first trajectory, by index in
     ``rngs``, with one at that step.
 
-    The states, every intermediate and, for ``d_tan = 3``, the counts are
+    The states, every intermediate and, for ``d_tan = 3``, ``n_minus`` are
     views of ``workspace``, a flat float64 array of at least
     :func:`check_batch_budget`'s count laid out as the module docstring
     describes, or of a fresh one when none is given: they hold until the
@@ -545,8 +548,8 @@ def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
         )
     zero = norms < ZERO_FLOOR
     n_valid = np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, k_max + 1)
-    counts = embedded_inertia(states.swapaxes(0, 1), config.q_n, scratch=scratch)
-    return states, tuple(c.T for c in counts), n_valid
+    n_minus = embedded_negatives(states.swapaxes(0, 1), config.q_n, scratch=scratch)
+    return states, n_minus.T, n_valid
 
 
 def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
@@ -564,7 +567,8 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     trajectory a batched grid run would produce at that position.  Only
     here are records built, and ``q``, ``s_opnorm`` and the separation flag
     computed: this is the one caller that runs ``eigvalsh``, on the valid
-    prefix only, for the extreme eigenvalues behind ``s_opnorm``.  A
+    prefix only, for the extreme eigenvalues behind ``s_opnorm`` and the
+    signature counts (:func:`~schurflow.tensor.embedded_counts`).  A
     trajectory that collapses below the zero floor mid-run is returned as
     the record of its valid prefix, with ``collapsed`` set.
 
@@ -573,12 +577,11 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     NonFiniteState
         If an update or its norm is not finite.
     """
-    states, counts, n_valid = evolve_batch(config, [np.random.default_rng(seed)])
+    states, _, n_valid = evolve_batch(config, [np.random.default_rng(seed)])
     valid = slice(0, int(n_valid[0]))
     states = states[valid, :, 0].T
-    # Copied, so that a record does not keep the call's workspace alive.
-    n_plus, n_minus, n_zero = (c[0, valid].copy() for c in counts)
     eigs = np.linalg.eigvalsh(unpack_symmetric(states))
+    n_plus, n_minus, n_zero = embedded_counts(eigs, config.q_n)
     q_iso = states[:config.d_tan].sum(axis=0) / config.d_tan
     s_opnorm = np.maximum(np.abs(eigs[:, 0] - q_iso), np.abs(eigs[:, -1] - q_iso))
     first = int(first_passage_steps(n_minus, config.target_n_minus))

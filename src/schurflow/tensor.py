@@ -7,8 +7,8 @@ and returns an exactly symmetrized copy (:func:`symmetrize`, which also takes
 stacks over the last two axes).  The argument checks shared by the whole
 package (:func:`check_matrix`, :func:`check_axis`, :func:`check_int`,
 :func:`check_scalar`, :func:`check_pd`, :func:`check_budget`) and the one
-inertia count (:func:`count_inertia`, with its certified closed-form fast
-path for stacks of states, :func:`embedded_inertia`) live here too.
+inertia count (:func:`count_inertia`, with a certified closed form for the
+negative count of packed states, :func:`embedded_negatives`) live here too.
 
 Stacks of symmetric states can be held packed (LAPACK's packed symmetric
 storage, Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999, sec.
@@ -260,25 +260,31 @@ def unpack_symmetric(p) -> np.ndarray:
     return out
 
 
-def embedded_inertia(q_t, q_n: float, *, scratch=None):
-    """Inertia of ``diag(q_n, q_t)`` for a stack of packed symmetric states
-    ``q_t``, of shape ``(n_comp, ...)``.
+def embedded_counts(eigs, q_n: float):
+    """:func:`count_inertia` of the full tensors ``diag(q_n, q_t)`` from the
+    tangential spectra ``eigs`` (over the last axis) of the states ``q_t``."""
+    normal = np.full((*eigs.shape[:-1], 1), q_n)
+    return count_inertia(np.concatenate([normal, eigs], axis=-1))
 
-    Equals ``count_inertia`` of ``q_n`` joined to ``eigvalsh(q_t)``, the
-    band ``SIGNATURE_TOL * max(1, q_n, ||q_t||_op)`` included, without
-    computing eigenvalues where a certificate decides the count.  For
-    ``3 x 3`` states the signs of ``c1 = tr q``, ``c2`` (the sum of the
-    principal 2 x 2 minors) and ``c3 = det q`` give the negative count as
-    the sign changes of ``(1, c1, c2, c3)``: Descartes' rule of signs is
-    exact for the real-rooted characteristic polynomial.  A state is
-    certified when, with ``F = ||q||_F >= ||q||_op`` and
-    ``band = 2 * _zero_band(max(q_n, F))``,
+
+def embedded_negatives(q_t, q_n: float, *, scratch=None) -> np.ndarray:
+    """Negative count of ``diag(q_n, q_t)`` for a stack of packed symmetric
+    states ``q_t``, of shape ``(n_comp, ...)``, as an integer array over
+    the batch axes.
+
+    Equals the ``n_minus`` of :func:`embedded_counts` of ``eigvalsh(q_t)``,
+    the band ``SIGNATURE_TOL * max(1, q_n, ||q_t||_op)`` included, without
+    computing eigenvalues where a certificate decides the count.  The
+    normal sector ``q_n > 0`` never counts negative, so only the tangential
+    eigenvalues are certified.  For ``3 x 3`` states the signs of ``c1 = tr
+    q``, ``c2`` (the sum of the principal 2 x 2 minors) and ``c3 = det q``
+    give the negative count as the sign changes of ``(1, c1, c2, c3)``:
+    Descartes' rule of signs is exact for the real-rooted characteristic
+    polynomial.  A state is certified when, with ``F = ||q||_F >=
+    ||q||_op`` and ``band = 2 * _zero_band(max(q_n, F))``,
 
     - ``|c3| - err3 > band * F**2``, so ``min |lambda| >= |c3| / F**2``
-      clears twice the band;
-    - ``q_n > band``, or ``q_n < _zero_band(F / sqrt(3)) / 2``: then
-      ``q_n`` lies inside half the band, since ``||q||_op >= F / sqrt(3)``,
-      and counts as zero;
+      clears twice the band, which a large ``q_n`` widens;
     - the signs that decide the count clear their rounding bounds: ``c1``
       unless ``c2 < -err2``, and ``c2`` unless ``c1`` and ``c3`` differ in
       sign.
@@ -290,46 +296,45 @@ def embedded_inertia(q_t, q_n: float, *, scratch=None):
     crossing it.  Other states, and every state of another dimension, are
     unpacked and counted from ``eigvalsh``.
 
-    With ``scratch``, a flat float64 array of at least ``CLOSED_FORM_ROWS``
-    floats per state, the counts of ``3 x 3`` states and the temporaries of
-    the closed form are views of it (:func:`scratch_views`), so the counts
-    are overwritten by the next use of ``scratch``.
-
-    Returns
-    -------
-    tuple of numpy.ndarray
-        Integer arrays ``(n_plus, n_minus, n_zero)`` over the batch axes.
+    ``3 x 3`` states are classified from one contiguous copy.  With
+    ``scratch``, a flat float64 array of at least ``CLOSED_FORM_ROWS``
+    floats per state, that copy, the counts and the temporaries of the
+    closed form are views of it (:func:`scratch_views`), so the counts are
+    overwritten by the next use of ``scratch``.
     """
     q_t = np.asarray(q_t, dtype=float)
     if len(q_t) == 6:  # d = 3
-        certified, counts = _closed_form_counts(q_t, q_n, scratch_views(scratch))
+        empty = scratch_views(scratch)
+        packed = empty(q_t.shape)
+        np.copyto(packed, q_t)
+        certified, n_minus = _closed_form_counts(packed, q_n, empty)
     else:
         certified = np.zeros(q_t.shape[1:], dtype=bool)
-        counts = np.zeros((3, *certified.shape), dtype=np.intp)
+        n_minus = np.zeros(certified.shape, dtype=np.intp)
     rest = np.logical_not(certified, out=certified)
     if rest.any():
         eigs = np.linalg.eigvalsh(unpack_symmetric(q_t[:, rest]))
-        full = np.concatenate([np.full((len(eigs), 1), q_n), eigs], axis=-1)
-        counts[:, rest] = count_inertia(full)
-    return tuple(counts)
+        n_minus[rest] = embedded_counts(eigs, q_n)[1]
+    return n_minus
 
 
-# Floats per state that _closed_form_counts takes from its scratch: three
-# integer count rows, nine float rows and four boolean masks, each mask
-# rounded up to a float per state.
-CLOSED_FORM_ROWS = 16
+# Floats per state that embedded_negatives takes from its scratch: the
+# six-component copy, then _closed_form_counts' integer count row, nine
+# float rows and three boolean masks, each mask rounded up to a float per
+# state.
+CLOSED_FORM_ROWS = 19
 
 
 def _closed_form_counts(q, q_n: float, empty=np.empty):
-    """Certified mask and stacked counts ``(n_plus, n_minus, n_zero)``, valid
-    where certified, of ``diag(q_n, q)`` for packed ``3 x 3`` states ``q``.
-    Every array, returned or temporary, comes from ``empty`` and is written
-    in full before it is read; each formula keeps the order of operations
-    written beside it."""
+    """Certified mask and negative counts, valid where certified, of
+    ``diag(q_n, q)`` for packed ``3 x 3`` states ``q``.  Every array,
+    returned or temporary, comes from ``empty`` and is written in full
+    before it is read; each formula keeps the order of operations written
+    beside it."""
     a, d, f, b, c, e = q
     shape = a.shape
-    counts = empty((3, *shape), np.intp)
-    certified, normal_zero, mask, other = (empty(shape, bool) for _ in range(4))
+    n_minus = empty(shape, np.intp)
+    certified, mask, other = (empty(shape, bool) for _ in range(3))
     c1, c2, c3, fro2, fro, band, minor_a, x, y = (empty(shape) for _ in range(9))
     # A state too large for these products fails the certificate through
     # its non-finite terms and is counted from eigvalsh instead.
@@ -359,9 +364,6 @@ def _closed_form_counts(q, q_n: float, empty=np.empty):
         np.sqrt(fro2, out=fro)
         # band = 2.0 * _zero_band(np.maximum(q_n, fro))
         np.multiply(2.0, _zero_band(np.maximum(q_n, fro, out=band), out=band), out=band)
-        # normal_zero = q_n < 0.5 * _zero_band(fro / np.sqrt(3.0))
-        np.divide(fro, np.sqrt(3.0), out=x)
-        np.less(q_n, np.multiply(0.5, _zero_band(x, out=x), out=x), out=normal_zero)
         # t_i = np.where(np.abs(c_i) > _COEFF_RTOL * scale_i, np.sign(c_i), 0.0)
         # with scale_1 = fro and scale_2 = fro2, and t3 = np.sign(c3); each
         # t_i takes the row of a spent value.
@@ -373,32 +375,26 @@ def _closed_form_counts(q, q_n: float, empty=np.empty):
             np.copyto(t, 0.0, where=np.logical_not(mask, out=mask))
         np.sign(c3, out=t3)
         # certified = (np.abs(c3) - _COEFF_RTOL * fro2 * fro > band * fro2)
-        #     & ((q_n > band) | normal_zero) & ((t1 != 0) | (t2 < 0))
-        #     & ((t2 != 0) | (t1 * t3 < 0))
+        #     & ((t1 != 0) | (t2 < 0)) & ((t2 != 0) | (t1 * t3 < 0))
         np.abs(c3, out=x)
         x -= np.multiply(np.multiply(_COEFF_RTOL, fro2, out=y), fro, out=y)
         np.greater(x, np.multiply(band, fro2, out=y), out=certified)
-        certified &= np.logical_or(np.greater(q_n, band, out=mask), normal_zero, out=mask)
         np.less(t2, 0.0, out=other)
         certified &= np.logical_or(np.not_equal(t1, 0.0, out=mask), other, out=mask)
         np.less(np.multiply(t1, t3, out=x), 0.0, out=mask)
         certified &= np.logical_or(mask, np.not_equal(t2, 0.0, out=other), out=mask)
         # Sign changes of (1, c1, c2, c3), skipping a zero: once certified,
         # an uncertain sign sits between two opposite signs and cannot move
-        # it.  n_minus += certified & (t * prev < 0), then prev = t where
-        # t != 0; c3 is spent.
-        n_plus, n_minus, n_zero = counts
+        # it.  n_minus += t * prev < 0, then prev = t where t != 0; c3 is
+        # spent.
         prev = c3
         n_minus.fill(0)
         prev.fill(1.0)
         for t in (t1, t2, t3):
             np.less(np.multiply(t, prev, out=x), 0.0, out=mask)
-            n_minus += np.logical_and(mask, certified, out=mask)
+            n_minus += mask
             np.copyto(prev, t, where=np.not_equal(t, 0.0, out=mask))
-    np.copyto(n_zero, normal_zero)
-    np.subtract(4, n_minus, out=n_plus)
-    n_plus -= n_zero
-    return certified, counts
+    return certified, n_minus
 
 
 @dataclasses.dataclass(frozen=True)

@@ -358,7 +358,7 @@ class TestCellGenerators:
         def recording(config, rngs, **kwargs):
             out = evolve(config, rngs, **kwargs)
             # A grid cell's counts are views of its workspace: keep a copy.
-            histories[config.a0, config.zeta] = out[1][1].copy()
+            histories[config.a0, config.zeta] = out[1].copy()
             return out
 
         monkeypatch.setattr(ensemble_mod, "evolve_batch", recording)
@@ -439,16 +439,14 @@ class TestWorkspace:
         cell_index = 4
         config = spec.cell_config(cell_index)
         rngs = ensemble_mod._cell_generators(spec.master_seed, cell_index, spec.n_traj)
-        states, counts, n_valid = flow_mod.evolve_batch(config, rngs, workspace=workspace)
+        states, n_minus, n_valid = flow_mod.evolve_batch(config, rngs, workspace=workspace)
         assert np.shares_memory(states, workspace)
-        assert all(np.shares_memory(c, workspace) for c in counts)
+        assert np.shares_memory(n_minus, workspace)
         for t in range(0, spec.n_traj, 9):
             seed = [spec.master_seed, cell_index, t]
             record = run_trajectory(config, seed)
             assert not record.collapsed and n_valid[t] == config.k_max + 1
-            expected = (record.n_plus, record.n_minus, record.n_zero)
-            for got, want in zip(counts, expected):
-                np.testing.assert_array_equal(got[t], want)
+            np.testing.assert_array_equal(n_minus[t], record.n_minus)
             single = flow_mod.evolve_batch(config, [np.random.default_rng(seed)])[0]
             assert states[..., t].tobytes() == single[..., 0].tobytes()
 

@@ -364,14 +364,13 @@ class TestWorkspaceContract:
     def test_evolve_batch_calls_share_no_memory(self):
         config = FlowConfig(zeta=0.2, a0=0.5, k_max=10)
         first, second = (flow_mod.evolve_batch(config, batch_rngs()) for _ in range(2))
-        arrays = lambda out: [out[0], *out[1], out[2]]
-        for a, b in zip(arrays(first), arrays(second)):
+        for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
             assert not np.shares_memory(a, b)
 
     def test_record_counts_own_their_memory(self):
-        # evolve_batch's counts are views of its workspace; a record copies
-        # them rather than keep the whole workspace alive.
+        # evolve_batch's counts are views of its workspace; a record counts
+        # anew rather than keep the whole workspace alive.
         record = run_trajectory(FlowConfig(zeta=0.2, a0=0.5, k_max=10), 0)
         for counts in (record.n_plus, record.n_minus, record.n_zero):
             assert counts.flags.owndata
@@ -724,18 +723,22 @@ class TestTrajectories:
         assert flow_mod.evolve_batch(config, rngs)[2].tolist() == [1, 1]
 
 
+# Trajectory cases of TestClassificationContract.
+TRAJECTORY_CASES = dict(
+    log_q_n=st.floats(-3.0, 9.0),
+    norm_mode=st.sampled_from(list(NormMode)),
+    disorder=st.sampled_from(list(Disorder)),
+    d_tan=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    k_max=st.just(40),
+)
+
+
 class TestClassificationContract:
     # Record counts and first passage are those of signature() on the full
     # tensor diag(q_n, q_t), whose zero band scales with max(q_n, ||q_t||).
     @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(
-        log_q_n=st.floats(-3.0, 9.0),
-        norm_mode=st.sampled_from(list(NormMode)),
-        disorder=st.sampled_from(list(Disorder)),
-        d_tan=st.sampled_from([2, 3, 4]),
-        seed=st.integers(0, 2**32 - 1),
-        k_max=st.just(40),
-    )
+    @given(**TRAJECTORY_CASES)
     @example(log_q_n=8.0, norm_mode=NormMode.FROBENIUS, disorder=Disorder.ANNEALED,
              d_tan=3, seed=1, k_max=180)
     def test_record_counts_match_full_tensor_signature(
@@ -753,6 +756,26 @@ class TestClassificationContract:
         )
         hits = [k for k, s in enumerate(sigs) if s.n_minus == config.target_n_minus]
         assert record.first_passage == (hits[0] if hits else None)
+
+    # The grid kernel's negative count is signature()'s too, on every state.
+    # The example's Wishart/trace states reach ||q||_F = 5.4e9 at step 56,
+    # where the zero band reaches q_n.
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(model=st.sampled_from([LognormalGaussian(), Wishart()]), **TRAJECTORY_CASES)
+    @example(log_q_n=0.0, norm_mode=NormMode.TRACE, disorder=Disorder.QUENCHED,
+             d_tan=3, seed=0, k_max=60, model=Wishart())
+    def test_kernel_negatives_match_full_tensor_signature(
+        self, model, log_q_n, norm_mode, disorder, d_tan, seed, k_max
+    ):
+        config = FlowConfig(
+            zeta=0.3, a0=0.5, d_tan=d_tan, q_n=10.0**log_q_n, k_max=k_max,
+            norm_mode=norm_mode, disorder=disorder, schur_model=model,
+        )
+        _, n_minus, n_valid = flow_mod.evolve_batch(config, [np.random.default_rng(seed)])
+        states = replay_trajectory(config, seed)
+        assert n_valid[0] == len(states)
+        expected = [signature(embed_full(q, config.q_n)).n_minus for q in states]
+        assert n_minus[0].tolist() == expected
 
 
 class TestEvolveBatch:
@@ -892,13 +915,32 @@ class TestEvolveBatch:
             rngs = [
                 np.random.default_rng([master_seed, cell, t]) for t in range(20)
             ]
-            states, counts, _ = flow_mod.evolve_batch(config, rngs)
+            states, n_minus, _ = flow_mod.evolve_batch(config, rngs)
             eigs = np.linalg.eigvalsh(unpack_symmetric(states.transpose(1, 2, 0)))
             full = np.concatenate(
                 [np.full(eigs.shape[:-1] + (1,), config.q_n), eigs], axis=-1
             )
-            for got, expected in zip(counts, count_inertia(full)):
-                np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(n_minus, count_inertia(full)[1])
+
+    def test_wishart_trace_cell_computes_no_eigenvalues(self, monkeypatch):
+        # Trace normalization lets ||q||_F reach 1e10, where the zero band
+        # reaches q_n; the negative count is certified all the same.  Before
+        # 0.21.0 the kernel also certified whether q_n lay inside the band,
+        # and sent 765 of this criterion-7 cell's 10,100 states to eigvalsh.
+        spec = GridSpec(
+            zeta_values=np.linspace(0.0, 0.8, 20), master_seed=0,
+            base_config=FlowConfig(
+                schur_model=Wishart(), norm_mode="trace", disorder="quenched"
+            ),
+        )
+        rngs = [np.random.default_rng([0, 285, t]) for t in range(spec.n_traj)]
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a)
+        )
+        flow_mod.evolve_batch(spec.cell_config(285), rngs)
+        assert seen == []
 
 
 class TestFlowConfigValidation:

@@ -26,7 +26,7 @@ from schurflow import (
     symmetrize,
 )
 from schurflow.tensor import (
-    ARRAY_BUDGET, SIGNATURE_TOL, check_budget, check_pd, count_inertia, embedded_inertia,
+    ARRAY_BUDGET, SIGNATURE_TOL, check_budget, check_pd, count_inertia, embedded_negatives,
     packed_index, unpack_symmetric,
 )
 
@@ -356,10 +356,8 @@ class TestPackedLayout:
         np.testing.assert_array_equal(np.ravel(states[1, 2])[packed_index(d)], p[:, 1, 2])
 
 
-def full_signature(states, q_n):
-    return tuple(
-        np.array(c) for c in zip(*(signature(embed_full(q, q_n)) for q in states))
-    )
+def full_negatives(states, q_n):
+    return np.array([signature(embed_full(q, q_n)).n_minus for q in states])
 
 
 class TestEmbeddedInertia:
@@ -367,9 +365,8 @@ class TestEmbeddedInertia:
     @given(case=embedded_states())
     def test_matches_full_tensor_signature(self, case):
         q, q_n = case
-        got = embedded_inertia(pack(q[None]), q_n)
-        for g, e in zip(got, full_signature([q], q_n)):
-            np.testing.assert_array_equal(g, e)
+        got = embedded_negatives(pack(q[None]), q_n)
+        np.testing.assert_array_equal(got, full_negatives([q], q_n))
 
     def test_hits_closed_form_and_fallback(self, monkeypatch):
         # The fallback is the only eigvalsh call: spy on the states it gets.
@@ -386,13 +383,12 @@ class TestEmbeddedInertia:
                         [1e12, -5e11, 3e11]])
         v, _ = np.linalg.qr(rng.standard_normal((len(lam), 3, 3)))
         states = symmetrize((v * lam[:, None, :]) @ v.transpose(0, 2, 1))
-        got = embedded_inertia(pack(states), q_n)
+        got = embedded_negatives(pack(states), q_n)
         # Uncertified: an eigenvalue at band/2 or 0, and two eigenvalues so
         # small that |det| / ||q||_F**2 no longer bounds them off the band.
-        # Certified: q_n = 1 inside the band of the state of norm 1e12.
+        # Certified: the state of norm 1e12, whose band holds q_n = 1.
         assert seen == [3]
-        for g, e in zip(got, full_signature(states, q_n)):
-            np.testing.assert_array_equal(g, e)
+        np.testing.assert_array_equal(got, full_negatives(states, q_n))
 
     @pytest.mark.parametrize("q_n", [1.0, 1e-13])
     def test_near_zero_coefficients_match_eigvalsh(self, monkeypatch, q_n):
@@ -412,25 +408,23 @@ class TestEmbeddedInertia:
         ])
         v, _ = np.linalg.qr(rng.standard_normal((len(lam), 3, 3)))
         states = symmetrize((v * lam[:, None, :]) @ v.transpose(0, 2, 1))
-        got = embedded_inertia(pack(states), q_n)
+        got = embedded_negatives(pack(states), q_n)
         monkeypatch.undo()
         assert seen == []
-        for g, e in zip(got, full_signature(states, q_n)):
-            np.testing.assert_array_equal(g, e)
+        np.testing.assert_array_equal(got, full_negatives(states, q_n))
 
     def test_zero_state_falls_back_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = embedded_inertia(pack(np.zeros((2, 3, 3))), 1.0)
-        assert [c.tolist() for c in counts] == [[1, 1], [0, 0], [3, 3]]
+            n_minus = embedded_negatives(pack(np.zeros((2, 3, 3))), 1.0)
+        assert n_minus.tolist() == [0, 0]
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_other_dimensions_use_eigvalsh(self, d):
         rng = np.random.default_rng(d)
         states = symmetrize(rng.standard_normal((6, d, d)))
-        got = embedded_inertia(pack(states), 0.5)
-        for g, e in zip(got, full_signature(states, 0.5)):
-            np.testing.assert_array_equal(g, e)
+        got = embedded_negatives(pack(states), 0.5)
+        np.testing.assert_array_equal(got, full_negatives(states, 0.5))
 
 
 class TestNormsAndMargins:
