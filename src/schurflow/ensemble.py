@@ -20,12 +20,17 @@ import numpy as np
 
 from .contour import BoundaryCurve, find_contour
 from .errors import NonFiniteState, NoValidRecords
-from .flow import FlowConfig, check_batch_budget, evolve_batch, first_passage_steps
-from .tensor import check_axis, check_budget, check_int, check_scalar, fields_equal
+from .flow import FlowConfig, check_batch_budget, evolve_batches, first_passage_steps
+from .tensor import (
+    check_axis, check_budget, check_int, check_scalar, embedded_negatives, fields_equal,
+)
 
 
-# The config keys that size a cell's workspace.
+# The config keys that size a task's workspace.
 _CELL_KEYS = "n_traj, base_config.k_max, base_config.d_tan, base_config.schur_model"
+# Cells evolved in one flow loop.  Two share the loop's per-step cost; each
+# more cell holds its draws and states too and raises the peak memory.
+CELLS_PER_LOOP = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,9 +39,9 @@ class GridSpec:
 
     The defaults are the reference grid: 20 x 20 cells over moderate
     anisotropy and elimination strength, 100 trajectories per cell.  Axes
-    are non-negative as well as finite and strictly increasing.  The arrays
-    of one cell, and the results of the whole grid, must each fit in
-    ``ARRAY_BUDGET``.
+    are non-negative as well as finite and strictly increasing.  The
+    workspace of the cells that one flow loop evolves, and the results of
+    the whole grid, must each fit in ``ARRAY_BUDGET``.
     """
 
     a0_values: np.ndarray = dataclasses.field(
@@ -60,7 +65,9 @@ class GridSpec:
         check_int(self.master_seed, "master_seed", low=0)
         if not isinstance(self.base_config, FlowConfig):
             raise TypeError("base_config must be a FlowConfig")
-        check_batch_budget(self.base_config, self.n_traj, _CELL_KEYS)
+        check_batch_budget(
+            self.base_config, self.n_traj, _CELL_KEYS, min(CELLS_PER_LOOP, self.n_cells)
+        )
         # Per cell the result holds p_sector (d_tan + 1), mean_fpt,
         # censored_fraction and n_valid.
         check_budget((self.n_cells, self.base_config.d_tan + 4), "a0_values, zeta_values")
@@ -229,32 +236,46 @@ def _cell_generators(master_seed: int, cell_index: int, n_traj: int) -> list:
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
-def _run_cell(spec: GridSpec, cell_index: int, workspace=None):
-    """Statistics of one cell; its arrays are views of ``workspace`` if
-    given (see :func:`~schurflow.flow.evolve_batch`), else fresh."""
-    config = spec.cell_config(cell_index)
-    rngs = _cell_generators(spec.master_seed, cell_index, spec.n_traj)
-    cell = f"cell (a0={config.a0}, zeta={config.zeta})"
+def _run_cells(spec: GridSpec, cells, workspace=None):
+    """Statistics of the given cells, in order: each cell is drawn on its
+    own, all are evolved in one flow loop, then each is classified and
+    aggregated on its own (:func:`~schurflow.flow.evolve_batches`).  Their
+    arrays are views of ``workspace`` if given, else fresh."""
+    configs = [spec.cell_config(index) for index in cells]
+    rngs = [_cell_generators(spec.master_seed, index, spec.n_traj) for index in cells]
+    names = [f"cell (a0={config.a0}, zeta={config.zeta})" for config in configs]
     try:
-        _, n_minus, n_valid = evolve_batch(config, rngs, workspace=workspace)
+        states, n_valid, scratch = evolve_batches(configs, rngs, workspace=workspace)
     except NonFiniteState as exc:
-        raise NonFiniteState(f"{cell}: {exc}") from exc
-    # Non-collapsed trajectories are valid through all k_max + 1 states.
-    valid = n_minus[n_valid == config.k_max + 1]
-    if not len(valid):
-        raise NoValidRecords(f"{cell}: all {spec.n_traj} trajectories collapsed")
-    p = [sector_probability(valid, m) for m in range(config.d_tan + 1)]
-    mean_fpt, censored_fraction = mean_first_passage(valid, config.target_n_minus)
-    return p, np.nan if mean_fpt is None else mean_fpt, censored_fraction, len(valid)
+        raise NonFiniteState(f"{names[exc.batch]}: {exc}") from exc
+    outputs = []
+    for b, (config, cell) in enumerate(zip(configs, names)):
+        n_minus = embedded_negatives(
+            states[:, :, b].swapaxes(0, 1), config.q_n, scratch=scratch
+        )
+        # Non-collapsed trajectories are valid through all k_max + 1 states.
+        valid = n_minus.T[n_valid[b] == config.k_max + 1]
+        if not len(valid):
+            raise NoValidRecords(f"{cell}: all {spec.n_traj} trajectories collapsed")
+        p = [sector_probability(valid, m) for m in range(config.d_tan + 1)]
+        mean_fpt, censored_fraction = mean_first_passage(valid, config.target_n_minus)
+        outputs.append(
+            (p, np.nan if mean_fpt is None else mean_fpt, censored_fraction, len(valid))
+        )
+    return outputs
 
 
-def _run_cells(task):
+def _run_task(task):
     """Statistics of the cells ``start .. stop - 1`` of ``task = (spec,
-    start, stop)``, which reuse one workspace in turn."""
+    start, stop)``, evolved ``CELLS_PER_LOOP`` at a time in one workspace."""
     spec, start, stop = task
-    size = check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS)
+    size = check_batch_budget(
+        spec.base_config, spec.n_traj, _CELL_KEYS, min(CELLS_PER_LOOP, stop - start)
+    )
     workspace = np.empty(size)
-    return [_run_cell(spec, cell_index, workspace) for cell_index in range(start, stop)]
+    firsts = range(start, stop, CELLS_PER_LOOP)
+    blocks = (range(first, min(first + CELLS_PER_LOOP, stop)) for first in firsts)
+    return [output for cells in blocks for output in _run_cells(spec, cells, workspace)]
 
 
 def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
@@ -267,25 +288,26 @@ def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     seeds at once (:func:`_cell_generators`); each generator equals
     ``np.random.default_rng`` of its seed, as ``run_trajectory`` builds it.
     A task is a run of consecutive cells, about an eighth of a worker's
-    share so that the pool can balance the load; it allocates one
-    workspace, which its cells reuse.
+    share so that the pool can balance the load, and an even number of
+    them but for the last task: it allocates one workspace, in which its
+    cells are evolved two at a time.
     """
     check_int(parallelism, "parallelism")
     workers = min(int(parallelism), spec.n_cells)
-    chunk = -(-spec.n_cells // (8 * workers))
+    chunk = -(-spec.n_cells // (8 * workers * CELLS_PER_LOOP)) * CELLS_PER_LOOP
     tasks = [
         (spec, start, min(start + chunk, spec.n_cells))
         for start in range(0, spec.n_cells, chunk)
     ]
     if workers == 1:
-        chunk_outputs = [_run_cells(task) for task in tasks]
+        chunk_outputs = [_run_task(task) for task in tasks]
     else:
         # Imported here, as only a pool needs it: importing the package does
         # not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_outputs = list(pool.map(_run_cells, tasks))
+            chunk_outputs = list(pool.map(_run_task, tasks))
     cell_outputs = [output for outputs in chunk_outputs for output in outputs]
 
     # Outputs come in flat cell order, a0 outer: reshape them onto the grid.

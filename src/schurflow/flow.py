@@ -44,33 +44,43 @@ the draws, and sum over fast modes in an order that does not depend on the
 batch size (:func:`_row_sum`).  :func:`flow_step`, the one-step oracle,
 stays dense and apart from the kernel.
 
+Draw step and evolve step
+-------------------------
+A run is a draw step per batch (:func:`draw_batch`) and one evolve step
+(:func:`evolve_columns`), which scales the unit draws by a per-trajectory
+``a0`` and ``zeta`` and runs the flow loop over any number of batches at
+once; step ``k`` of the states is one contiguous ``(n_comp, batches, n)``
+array.  A grid evolves two cells in one loop, which shares the loop's
+per-step cost, and draws, classifies and aggregates each on its own.
+
 Workspace
 ---------
-:func:`evolve_batch` works in one flat float64 workspace of
+:func:`evolve_batches` works in one flat float64 workspace of
 :func:`check_batch_budget`'s count, so the budget check and the allocation
-are one number.  A grid task runs many cells of one shape in turn: it
-allocates the workspace once and passes it for every cell, rather than
-allocate and free a few MB per cell; without one, the call allocates its
-own.  Within a call the workspace holds two parts:
+are one number.  A grid task allocates it once for all its pairs of cells;
+without one, a call allocates its own.  It is laid out as ``[drive]
+[loads][transient][states]``, the drive and the loads one ``(k_max,
+n_comp, n)`` block per batch:
 
-- held, through the whole call: the states, the update norms and the
-  drive (the anisotropies scaled by ``a_k``);
-- transient, one region reused in phases that never overlap in time:
-  first the anisotropy sampler, then the load sampler, whose loads stay at
-  the head of the region through the flow loop with the loop's squares
-  and scales after them, and last a contiguous copy of the states with
-  the closed-form classification's temporaries and negative counts.  In
-  trace mode each step's update overwrites the load it consumed, or that
-  place when there are no loads, and after the loop the updates are
-  squared in place for their norms.
+- a batch's samplers take as scratch everything from its loads block on,
+  none of it written yet: the anisotropies are copied to its drive block,
+  and the loads stay at the head of the scratch, its loads block;
+- the evolve step keeps the update norms, squares and scales in the
+  transient region.  In trace mode each step's update overwrites the load
+  it consumed, and after the loop the updates are squared in place for
+  their norms;
+- after the loop one batch at a time is classified over the spent loads
+  and transient region: a contiguous copy of its states, the closed
+  form's temporaries and the negative counts.
 
 Every view is written in full before it is read, so what a workspace held
 before a call never reaches a result.  Aliasing rule: the states and the
-``d_tan = 3`` negative counts that :func:`evolve_batch` returns are views
-of its workspace, valid until the workspace is used again.  Given
-``scratch``, a sampler returns the first view it takes from it, the head of
-the scratch, and lays out its temporaries after it.  Without ``workspace``
-or ``scratch`` no returned array shares memory with another call's.
+``d_tan = 3`` negative counts that :func:`evolve_batch` returns, and the
+states of :func:`evolve_batches`, are views of the workspace, valid until
+it is used again.  Given ``scratch``, a sampler returns the first view it
+takes from it, the head of the scratch, and lays out its temporaries after
+it.  Without ``workspace`` or ``scratch`` no returned array shares memory
+with another call's.
 """
 
 from __future__ import annotations
@@ -236,37 +246,43 @@ class TrajectoryRecord:
         return len(self.q) - 1
 
 
-def check_batch_budget(config: FlowConfig, n: int, keys: str) -> int:
-    """Refuse, naming the config ``keys``, a batch of ``n`` trajectories
-    whose arrays would exceed ``ARRAY_BUDGET``; allocates nothing.  Returns
-    the size in floats of the batch's workspace (:func:`evolve_batch`), the
-    count the budget checks: ``n`` times the sum of :func:`_batch_floats`.
+def check_batch_budget(config: FlowConfig, n: int, keys: str, batches: int = 1) -> int:
+    """Refuse, naming the config ``keys``, ``batches`` batches of ``n``
+    trajectories evolved together whose arrays would exceed
+    ``ARRAY_BUDGET``; allocates nothing.  Returns the size in floats of
+    their workspace (:func:`evolve_batches`), the count the budget checks:
+    ``n`` times the sum of :func:`_batch_floats`.
     """
-    per_trajectory = sum(_batch_floats(config))
+    per_trajectory = sum(_batch_floats(config, batches))
     check_budget((n, per_trajectory), keys)
     return n * per_trajectory
 
 
-def _batch_floats(config: FlowConfig) -> tuple[int, int]:
-    """Floats per trajectory of a batch's workspace: ``(held, transient)``.
+def _batch_floats(config: FlowConfig, batches: int = 1) -> tuple[int, int]:
+    """Floats per trajectory of one batch in a workspace of ``batches``
+    batches: ``(held, transient)``.
 
-    The held part persists through the flow loop: per step the packed
-    anisotropies and states, ``n_comp`` each (the states once more for the
-    initial one), and an update norm.  The transient region is sized for
-    the largest of its uses in turn: each sampler's scratch for ``k_max``
-    draws, the loads with the flow loop's squared state and three scalars
-    after them, and the closed-form classification's ``CLOSED_FORM_ROWS``
-    per state.
+    The held part is, per batch, the packed drive and loads of every step
+    and the packed states, the initial one included, ``n_comp`` floats
+    each.  The transient region lies between the loads and the states and
+    is sized for the largest of its uses in turn: a batch's samplers,
+    whose scratch starts at that batch's loads and runs on through the
+    later batches' loads, the transient region and the states, none of
+    them written yet (the last batch's is the shortest); the update norms
+    and the flow loop's squared state and three scalars; and one batch's
+    closed-form classification, ``CLOSED_FORM_ROWS`` per state, over the
+    spent loads and the transient region.
     """
     d, k = int(config.d_tan), int(config.k_max)
     n_comp = d * (d + 1) // 2
+    states = (k + 1) * n_comp
+    sampler = max(_anisotropy_floats(d), _sigma_floats(config.schur_model, d)[1])
     transient = max(
-        k * _anisotropy_floats(d),
-        k * _sigma_floats(config.schur_model, d)[1],
-        k * n_comp + n_comp + 3,
-        (k + 1) * CLOSED_FORM_ROWS,
+        k * sampler - k * n_comp - batches * states,
+        batches * (k + n_comp + 3),
+        (k + 1) * CLOSED_FORM_ROWS - batches * k * n_comp,
     )
-    return k * (2 * n_comp + 1) + n_comp, transient
+    return batches * (2 * k * n_comp + states), transient
 
 
 def _standard_normal(rngs, out: np.ndarray) -> np.ndarray:
@@ -459,97 +475,171 @@ def _frobenius(q: np.ndarray, d: int, square: np.ndarray, out: np.ndarray) -> np
     return np.sqrt(_row_sum(square, out), out=out)
 
 
-def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
-    """Sample, evolve and classify one trajectory per generator, vectorized
-    across the batch with one call of each sampler; each trajectory consumes
-    only its own generator, in the documented order, so it is bitwise
-    identical to a single run.  Returns ``(states, n_minus, n_valid)``: the
-    packed states as one ``(k_max + 1, n_comp, n)`` array, the negative
-    count of their full tensors ``diag(q_n, q_t)``, the one count a grid
-    reads, as an ``(n, k_max + 1)`` array, counted by
-    :func:`~schurflow.tensor.embedded_negatives` (a certified closed form
-    for ``d_tan = 3``, ``eigvalsh`` otherwise; no spectra are returned),
-    and per trajectory the count of valid states, those before the first
-    below the zero floor.  A non-finite update raises :class:`NonFiniteState` naming
-    the first step that has one and the first trajectory, by index in
-    ``rngs``, with one at that step.
-
-    The states, every intermediate and, for ``d_tan = 3``, ``n_minus`` are
-    views of ``workspace``, a flat float64 array of at least
-    :func:`check_batch_budget`'s count laid out as the module docstring
-    describes, or of a fresh one when none is given: they hold until the
-    workspace is used again.  ``n_valid`` is always fresh.
+def draw_batch(config: FlowConfig, rngs, drive, *, scratch=None) -> np.ndarray:
+    """Draw step: the unit draws of one trajectory per generator, with one
+    call of each sampler for the batch.  Writes the unit anisotropies into
+    ``drive``, ``(k_max, n_comp, n)``, a quenched one in every step, and
+    returns the unit loads, of that shape, as the sampler returns them: the
+    head of ``scratch`` when given.  A zero ``a0`` or ``zeta`` draws and
+    writes nothing; :func:`evolve_columns` sets those columns.
     """
-    n, d, k_max = len(rngs), config.d_tan, config.k_max
-    n_comp = d * (d + 1) // 2
-    size = check_batch_budget(config, n, "rngs, k_max, d_tan, schur_model")
-    if workspace is None:
-        workspace = np.empty(size)
-    elif workspace.size < size:
-        raise ValueError(f"workspace: {size} floats needed, got {workspace.size}")
-    held = n * _batch_floats(config)[0]
-    empty, scratch = scratch_views(workspace[:held]), workspace[held:size]
-    states = empty((k_max + 1, n_comp, n))
-    norms = empty((k_max, n))
-    # An absent term adds -0.0, which leaves every value, -0.0 included, as is.
-    drive = loads = np.broadcast_to(-0.0, (k_max, *states.shape[1:]))
+    d, k_max = config.d_tan, config.k_max
     if config.a0 > 0:
         n_draws = k_max if config.disorder is Disorder.ANNEALED else 1
-        a_k = anisotropy_strength(config.a0, config.beta_decay, np.arange(k_max))
-        drive = empty(drive.shape)
-        unit = sample_anisotropy_batch(d, n_draws, rngs, scratch=scratch)
-        np.multiply(a_k[:, None, None], unit, out=drive)
+        np.copyto(drive, sample_anisotropy_batch(d, n_draws, rngs, scratch=scratch))
     if config.zeta > 0:
-        loads = sample_sigma_batch(config.schur_model, d, k_max, rngs, scratch=scratch)
-        loads *= -config.zeta  # adding -zeta * sigma subtracts zeta * sigma exactly
-    states[0] = config.initial_state().ravel()[packed_index(d), None]
-    loop = scratch_views(scratch[loads.size:])
-    square, scale, trace = loop(states[0].shape), loop((n,)), loop((n,))
-    below = loop((n,), bool)
+        return sample_sigma_batch(config.schur_model, d, k_max, rngs, scratch=scratch)
+    return scratch_views(scratch)(drive.shape)
+
+
+def _scale(terms: np.ndarray, factor: np.ndarray, absent: np.ndarray) -> None:
+    """``terms *= factor`` in place, but -0.0, what an absent term adds,
+    where ``absent`` holds."""
+    if absent.any():
+        np.multiply(terms, factor, out=terms, where=~absent)
+        np.copyto(terms, -0.0, where=absent)
+    else:
+        np.multiply(terms, factor, out=terms)
+
+
+def evolve_columns(config: FlowConfig, drive, loads, a0, zeta, *, states=None, scratch=None):
+    """Evolve step: the flow loop over ``batches`` batches of ``n``
+    trajectories at once.
+
+    ``drive`` and ``loads`` hold the unit draws of :func:`draw_batch`,
+    ``(batches, k_max, n_comp, n)`` each, and ``a0`` and ``zeta`` one value
+    per trajectory, broadcast to ``(batches, n)``; the config's own are not
+    read.  The draws are consumed: scaled in place by ``a0 *
+    exp(-beta_decay * k)`` and ``-zeta``, one product per element, and in
+    trace mode overwritten by the updates.  Where ``a0`` or ``zeta`` is
+    zero the term is -0.0, as if absent, and its draws are not read.
+
+    Returns ``(states, n_valid)``: the packed states, ``(k_max + 1, n_comp,
+    batches, n)``, written into ``states`` if given, and the count of valid
+    states per trajectory, those before the first below the zero floor.
+    The norms and the loop's temporaries are views of ``scratch``, or
+    fresh.  A non-finite update raises :class:`NonFiniteState` naming, in
+    the first batch with one, the first step with one and the first
+    trajectory, by index in the batch, at that step; its ``batch``
+    attribute holds the batch.
+    """
+    batches, k_max, n_comp, n = drive.shape
+    d = config.d_tan
+    # Per column, on the draws' axes, so that a product runs over whole steps.
+    a0, zeta = (np.atleast_2d(np.asarray(x, dtype=float))[:, None, None] for x in (a0, zeta))
+    empty = scratch_views(scratch)
+    if states is None:
+        states = np.empty((k_max + 1, n_comp, batches, n))
+    norms, square = empty((k_max, batches, n)), empty((n_comp, batches, n))
+    scale, trace, below = empty((batches, n)), empty((batches, n)), empty((batches, n), bool)
+    decay = anisotropy_strength(1.0, config.beta_decay, np.arange(k_max))
+    states[0] = config.initial_state().ravel()[packed_index(d), None, None]
+    # Step k of the draws as (n_comp, batches, n), as the states are laid out.
+    drive_k, loads_k = drive.transpose(1, 2, 0, 3), loads.transpose(1, 2, 0, 3)
     # A state below the zero floor is scaled as if its norm were the floor,
     # so it stays finite; n_valid drops it and what follows.  A non-finite
     # update spreads along its own trajectory only and is reported after.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _scale(drive, a0 * decay[:, None, None], a0 == 0)
+        _scale(loads, -zeta, zeta == 0)  # adding -zeta * sigma subtracts it exactly
         if config.norm_mode is NormMode.FROBENIUS:
             for k in range(k_max):
                 q, norm = states[k + 1], norms[k]
-                np.add(states[k], loads[k], out=q)
-                q += drive[k]
+                np.add(states[k], loads_k[k], out=q)
+                q += drive_k[k]
                 _frobenius(q, d, square, norm)
                 np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=scale), out=scale)
                 q *= scale
         else:
-            # Each update overwrites the load it consumed, or the idle
-            # region of the loads when zeta == 0, and keeps its norm for
-            # after the loop: a step scales by d / |trace| alone unless a
+            # Each update overwrites the load it consumed and keeps its norm
+            # for after the loop: a step scales by d / |trace| alone unless a
             # trace falls below the floor.  A NaN trace hides the others
             # from the minimum, but its update is non-finite and raises after.
-            updates = loads if config.zeta > 0 else scratch[:loads.size].reshape(loads.shape)
             for k in range(k_max):
-                u = np.add(states[k], loads[k], out=updates[k])
-                u += drive[k]
+                u = np.add(states[k], loads_k[k], out=loads_k[k])
+                u += drive_k[k]
                 np.abs(_row_sum(u[:d], trace), out=trace)
                 np.divide(d, trace, out=scale)
-                if np.minimum.reduce(trace) < TRACE_FLOOR:
+                if trace.min() < TRACE_FLOOR:
                     np.less(trace, TRACE_FLOOR, out=below)
                     norm = _frobenius(u, d, square, norms[k])
                     np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=trace), out=trace)
                     np.copyto(scale, trace, where=below)
                 np.multiply(u, scale, out=states[k + 1])
-            swapped = updates.swapaxes(0, 1)
+            swapped = loads_k.swapaxes(0, 1)
             _frobenius(swapped, d, swapped, norms)
 
     bad = ~np.isfinite(norms)
     if bad.any():
-        k = int(bad.any(axis=1).argmax())
-        raise NonFiniteState(
-            f"trajectory {int(bad[k].argmax())}, step {k + 1}: "
+        b = int(bad.any(axis=(0, 2)).argmax())
+        k = int(bad[:, b].any(axis=1).argmax())
+        error = NonFiniteState(
+            f"trajectory {int(bad[k, b].argmax())}, step {k + 1}: "
             "the update or its Frobenius norm is not finite"
         )
+        error.batch = b
+        raise error
     zero = norms < ZERO_FLOOR
-    n_valid = np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, k_max + 1)
+    return states, np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, k_max + 1)
+
+
+def evolve_batches(configs, rngs, *, workspace=None):
+    """Draw each batch in turn, then evolve all of them in one flow loop.
+
+    Batch ``b`` is one trajectory per generator of ``rngs[b]`` under
+    ``configs[b]``; the configs differ in ``a0`` and ``zeta`` alone, and the
+    batches in nothing but their generators' size.  Each trajectory
+    consumes only its own generator, so it is bitwise identical to a single
+    run.  Returns :func:`evolve_columns`' ``(states, n_valid)`` and the
+    workspace spent after the loop, in which one batch at a time can be
+    classified (:func:`~schurflow.tensor.embedded_negatives` of
+    ``states[:, :, b].swapaxes(0, 1)``).  ``workspace``, of at least
+    :func:`check_batch_budget`'s count for ``len(configs)`` batches, or a
+    fresh one, is laid out as the module docstring describes.
+    """
+    config, batches, n = configs[0], len(configs), len(rngs[0])
+    d, k_max = config.d_tan, config.k_max
+    n_comp = d * (d + 1) // 2
+    size = check_batch_budget(config, n, "rngs, k_max, d_tan, schur_model", batches)
+    if workspace is None:
+        workspace = np.empty(size)
+    elif workspace.size < size:
+        raise ValueError(f"workspace: {size} floats needed, got {workspace.size}")
+    workspace = workspace[:size]
+    block, held_states = k_max * n_comp * n, (k_max + 1) * n_comp * batches * n
+    empty = scratch_views(workspace)
+    drive, loads = empty((batches, k_max, n_comp, n)), empty((batches, k_max, n_comp, n))
+    states = workspace[size - held_states:].reshape(k_max + 1, n_comp, batches, n)
+    for b, (cell, cell_rngs) in enumerate(zip(configs, rngs)):
+        # The loads are the head of the scratch, loads[b], unless a stand-in
+        # sampler ignores its scratch: then they are copied there.
+        scratch = workspace[(batches + b) * block:]
+        drawn = draw_batch(cell, cell_rngs, drive[b], scratch=scratch)
+        if not np.may_share_memory(drawn, loads[b]):
+            np.copyto(loads[b], drawn)
+    free = workspace[batches * block:size - held_states]
+    states, n_valid = evolve_columns(
+        config, drive, loads, [[c.a0] for c in configs], [[c.zeta] for c in configs],
+        states=states, scratch=free[batches * block:],
+    )
+    return states, n_valid, free
+
+
+def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
+    """Sample, evolve and classify one trajectory per generator: the draw
+    and evolve steps of one batch (:func:`evolve_batches`), then the
+    classification.  Returns ``(states, n_minus, n_valid)``: the packed
+    states, ``(k_max + 1, n_comp, n)``, the negative count of their full
+    tensors ``diag(q_n, q_t)``, the one count a grid reads, ``(n, k_max +
+    1)``, by :func:`~schurflow.tensor.embedded_negatives` (a certified
+    closed form for ``d_tan = 3``, ``eigvalsh`` otherwise), and per
+    trajectory the count of valid states.  The states and, for ``d_tan =
+    3``, ``n_minus`` are views of the workspace; ``n_valid`` is fresh.
+    """
+    states, n_valid, scratch = evolve_batches([config], [rngs], workspace=workspace)
+    states = states[:, :, 0]
     n_minus = embedded_negatives(states.swapaxes(0, 1), config.q_n, scratch=scratch)
-    return states, n_minus.T, n_valid
+    return states, n_minus.T, n_valid[0]
 
 
 def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
@@ -570,16 +660,18 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     prefix only, for the extreme eigenvalues behind ``s_opnorm`` and the
     signature counts (:func:`~schurflow.tensor.embedded_counts`).  A
     trajectory that collapses below the zero floor mid-run is returned as
-    the record of its valid prefix, with ``collapsed`` set.
+    the record of its valid prefix, with ``collapsed`` set.  The states come
+    from the draw and evolve steps alone (:func:`evolve_batches`), without
+    the grid's bulk classification.
 
     Raises
     ------
     NonFiniteState
         If an update or its norm is not finite.
     """
-    states, _, n_valid = evolve_batch(config, [np.random.default_rng(seed)])
-    valid = slice(0, int(n_valid[0]))
-    states = states[valid, :, 0].T
+    states, n_valid, _ = evolve_batches([config], [[np.random.default_rng(seed)]])
+    valid = slice(0, int(n_valid[0, 0]))
+    states = states[valid, :, 0, 0].T
     eigs = np.linalg.eigvalsh(unpack_symmetric(states))
     n_plus, n_minus, n_zero = embedded_counts(eigs, config.q_n)
     q_iso = states[:config.d_tan].sum(axis=0) / config.d_tan

@@ -137,12 +137,14 @@ class TestGridSpec:
             GridSpec([0.0], [0.0], n_traj=1, master_seed=0, base_config=object())
 
     def test_cell_arrays_are_budgeted(self):
-        # Sizes only: a spec allocates nothing.  A trajectory of the default
-        # flow holds packed loads and anisotropies of 100 x 6 floats, packed
-        # states of 101 x 6 and 100 update norms, and its load sampler 100 x
-        # 3 log-eigenvalues, a coupling of 100 x 3 x 3 floats, its transposed
-        # copy and 100 x 3 scratch floats.
-        per_traj = (100 * (2 * 6 + 1 + 3 + 2 * 9 + 3) + 101 * 6) * 8
+        # Sizes only: a spec allocates nothing.  A task evolves two cells at
+        # once.  Per trajectory of a cell the pair holds both cells' packed
+        # anisotropies and the first cell's packed loads, 100 x 6 floats
+        # each, and the second cell's load sampler's scratch: its packed
+        # loads, 100 x 3 lognormal weights, a coupling of 100 x 3 x 3
+        # floats, its transposed copy and 100 x 3 products, over which both
+        # cells' states and the loop's temporaries lie later.
+        per_traj = 100 * (3 * 6 + 6 + 3 + 2 * 9 + 3) * 8
         GridSpec(n_traj=ARRAY_BUDGET // per_traj)
         keys = (r"^n_traj, base_config\.k_max, base_config\.d_tan, "
                 r"base_config\.schur_model ask for .* budget$")
@@ -305,6 +307,33 @@ class TestRunGrid:
         ):
             run_grid(spec)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("pair, failing", [((0, 1), [1]), ((2, 3), [2]), ((1, 2), [1, 2])])
+    def test_non_finite_cell_of_a_pair_is_named(self, pair, failing):
+        # The two cells evolve in one loop.  The error names the failing
+        # cell, trajectory and step as a run of that cell alone does, and
+        # when both fail, the first.  Cells with zeta = 0 stay finite.
+        base = FlowConfig(k_max=5, schur_model=LognormalGaussian(sigma_log=300))
+        spec = GridSpec([0.0, 0.5], [0.0, 0.1, 0.2], n_traj=2, base_config=base)
+        alone = {}
+        for cell_index in pair:
+            try:
+                ensemble_mod._run_cells(spec, [cell_index])
+            except NonFiniteState as exc:
+                alone[cell_index] = str(exc)
+        assert sorted(alone) == failing
+        config = spec.cell_config(failing[0])
+        assert alone[failing[0]].startswith(
+            f"cell (a0={config.a0}, zeta={config.zeta}): trajectory "
+        )
+        with pytest.raises(NonFiniteState) as error:
+            ensemble_mod._run_cells(spec, pair)
+        assert str(error.value) == alone[failing[0]]
+        if pair == (0, 1):  # run_grid's first task
+            with pytest.raises(NonFiniteState) as error:
+                run_grid(spec)
+            assert str(error.value) == alone[1]
+
 
 def same_as_default_rng(master, cell, n_traj):
     """Whether every generator of the cell equals ``default_rng([master,
@@ -352,16 +381,16 @@ class TestCellGenerators:
     def test_large_master_cells_replay_each_trajectory(self, monkeypatch):
         # 2**64 + 5 is 3 words: with the cell and t, more than the pool's 4.
         master = 2**64 + 5
-        histories = {}
-        evolve = ensemble_mod.evolve_batch
+        histories = []
+        aggregate = ensemble_mod.mean_first_passage
 
-        def recording(config, rngs, **kwargs):
-            out = evolve(config, rngs, **kwargs)
-            # A grid cell's counts are views of its workspace: keep a copy.
-            histories[config.a0, config.zeta] = out[1].copy()
-            return out
+        def recording(records, target_n_minus):
+            # A cell's valid histories, here all of them, in cell order; they
+            # are views of the workspace: keep a copy.
+            histories.append(records.copy())
+            return aggregate(records, target_n_minus)
 
-        monkeypatch.setattr(ensemble_mod, "evolve_batch", recording)
+        monkeypatch.setattr(ensemble_mod, "mean_first_passage", recording)
         spec = GridSpec(
             a0_values=[0.2, 0.8],
             zeta_values=[0.1],
@@ -370,9 +399,9 @@ class TestCellGenerators:
             base_config=FlowConfig(k_max=15),
         )
         run_grid(spec)
-        for cell_index in range(spec.n_cells):
+        assert len(histories) == spec.n_cells
+        for cell_index, n_minus in enumerate(histories):
             config = spec.cell_config(cell_index)
-            n_minus = histories[config.a0, config.zeta]
             for t in range(spec.n_traj):
                 record = run_trajectory(config, [master, cell_index, t])
                 assert not record.collapsed
@@ -397,9 +426,17 @@ WORKSPACE_GRIDS = {
 }
 
 
-def cell_workspace(spec):
-    """A workspace for the cells of ``spec``, as a run_grid task builds it."""
-    return np.empty(flow_mod.check_batch_budget(spec.base_config, spec.n_traj, "n_traj"))
+def task_workspace(spec, batches=2):
+    """A workspace for ``batches`` cells of ``spec`` evolved together, as a
+    run_grid task builds it for two."""
+    return np.empty(
+        flow_mod.check_batch_budget(spec.base_config, spec.n_traj, "n_traj", batches)
+    )
+
+
+def run_cell(spec, cell_index, workspace=None):
+    """One cell evolved alone, as the last task of an odd grid runs it."""
+    return ensemble_mod._run_cells(spec, [cell_index], workspace)[0]
 
 
 def assert_same_outputs(got, expected):
@@ -410,32 +447,34 @@ def assert_same_outputs(got, expected):
 
 
 class TestWorkspace:
-    """A grid task reuses one workspace for all its cells.  No view may be
-    read before it is written: a workspace full of NaN, or of the previous
-    cell's arrays, must not reach any result."""
+    """A grid task reuses one workspace for all its cells, two at a time.
+    No view may be read before it is written: a workspace full of NaN, or
+    of the previous cells' arrays, must not reach any result."""
+
+    # The 3 x 3 grids' cells as a task runs them: four pairs and one alone.
+    BLOCKS = [(0, 1), (2, 3), (4, 5), (6, 7), (8,)]
 
     @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
     def test_stale_workspace_never_reaches_a_result(self, name):
         spec = WORKSPACE_GRIDS[name]
-        workspace = cell_workspace(spec)
-        for cell_index in reversed(range(spec.n_cells)):
+        singles = [run_cell(spec, cell_index) for cell_index in range(spec.n_cells)]
+        workspace = task_workspace(spec)
+        for cells in reversed(self.BLOCKS):
             workspace.fill(np.nan)
-            assert_same_outputs(
-                ensemble_mod._run_cell(spec, cell_index, workspace),
-                ensemble_mod._run_cell(spec, cell_index),
-            )
-        # Now without the NaN fill: each cell follows another's arrays.
-        for cell_index in (4, 0, 8, 4):
-            assert_same_outputs(
-                ensemble_mod._run_cell(spec, cell_index, workspace),
-                ensemble_mod._run_cell(spec, cell_index),
-            )
+            outputs = ensemble_mod._run_cells(spec, cells, workspace)
+            for cell_index, output in zip(cells, outputs):
+                assert_same_outputs(output, singles[cell_index])
+        # Now without the NaN fill: each block follows another's arrays.
+        for cells in [(4, 5), (0, 1), (8,), (4, 5)]:
+            outputs = ensemble_mod._run_cells(spec, cells, workspace)
+            for cell_index, output in zip(cells, outputs):
+                assert_same_outputs(output, singles[cell_index])
 
     @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
     def test_cell_after_another_matches_replays(self, name):
         spec = WORKSPACE_GRIDS[name]
-        workspace = cell_workspace(spec)
-        ensemble_mod._run_cell(spec, 8, workspace)
+        workspace = task_workspace(spec)
+        ensemble_mod._run_cells(spec, (6, 7), workspace)
         cell_index = 4
         config = spec.cell_config(cell_index)
         rngs = ensemble_mod._cell_generators(spec.master_seed, cell_index, spec.n_traj)
@@ -452,17 +491,17 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", list(BENCHMARK_BASES))
     def test_a_warm_cell_allocates_under_one_mib(self, name):
-        # numpy reports its data buffers to tracemalloc.  A cell without a
-        # workspace allocates and frees about 2.9 MiB, which glibc hands
-        # back to the system and the next cell faults in again.
+        # numpy reports its data buffers to tracemalloc.  A pair of cells
+        # without a workspace allocates and frees about 3.7 MiB, which glibc
+        # hands back to the system and the next pair faults in again.
         spec = GridSpec(master_seed=1, base_config=BENCHMARK_BASES[name])
         if name == "wishart":
             spec = dataclasses.replace(spec, zeta_values=np.linspace(0.0, 0.8, 20))
-        workspace = cell_workspace(spec)
-        ensemble_mod._run_cell(spec, 210, workspace)
+        workspace = task_workspace(spec)
+        ensemble_mod._run_cells(spec, (210, 211), workspace)
         tracemalloc.start()
         try:
-            ensemble_mod._run_cell(spec, 210, workspace)
+            ensemble_mod._run_cells(spec, (210, 211), workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -470,22 +509,40 @@ class TestWorkspace:
 
     def test_too_small_a_workspace_is_refused(self):
         spec = WORKSPACE_GRIDS["reference"]
-        small = cell_workspace(spec)[:-1]
+        small = task_workspace(spec)[:-1]
         with pytest.raises(ValueError, match="^workspace: .* floats needed"):
-            ensemble_mod._run_cell(spec, 4, small)
+            ensemble_mod._run_cells(spec, (4, 5), small)
+        run_cell(spec, 4, small)  # one cell needs less
 
     def test_grid_is_worker_independent_over_partial_tasks(self):
-        # 21 cells: two workers take tasks of 2 cells, the last one of 1;
-        # one worker takes tasks of 3.
+        # 21 cells: one worker takes tasks of 4 cells, two workers and three
+        # tasks of 2; the last task holds one cell, which evolves alone.
         spec = GridSpec(
             [0.0, 0.5, 1.0], np.linspace(0.0, 0.3, 7), n_traj=20, master_seed=5,
             base_config=FlowConfig(k_max=30),
         )
-        serial, parallel = run_grid(spec, parallelism=1), run_grid(spec, parallelism=2)
-        for field in ("p_sector", "mean_fpt", "censored_fraction", "n_valid"):
-            assert getattr(serial, field).tobytes() == getattr(parallel, field).tobytes()
-        cells = [ensemble_mod._run_cell(spec, i) for i in range(spec.n_cells)]
-        assert serial.p_sector.reshape(spec.n_cells, -1).tolist() == [c[0] for c in cells]
+        results = [run_grid(spec, parallelism=w) for w in (1, 2, 3)]
+        for result in results[1:]:
+            for field in ("p_sector", "mean_fpt", "censored_fraction", "n_valid"):
+                assert getattr(result, field).tobytes() == getattr(results[0], field).tobytes()
+        cells = [run_cell(spec, i) for i in range(spec.n_cells)]
+        assert results[0].p_sector.reshape(spec.n_cells, -1).tolist() == [c[0] for c in cells]
+
+    @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
+    def test_three_by_three_grid_is_worker_independent(self, name):
+        # One worker takes tasks of 2 cells, as do two and three; the ninth
+        # cell evolves alone.  Every cell equals its run alone.
+        spec = WORKSPACE_GRIDS[name]
+        singles = [run_cell(spec, i) for i in range(spec.n_cells)]
+        for workers in (1, 2, 3):
+            result = run_grid(spec, parallelism=workers)
+            for i, single in enumerate(singles):
+                row, col = divmod(i, spec.zeta_values.size)
+                assert_same_outputs(
+                    (result.p_sector[row, col], result.mean_fpt[row, col],
+                     result.censored_fraction[row, col], result.n_valid[row, col]),
+                    (single[0], single[1], single[2], single[3]),
+                )
 
 def linear_field_result(n=10):
     """Synthetic result whose sector-3 probability equals the a0 coordinate."""

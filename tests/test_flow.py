@@ -408,16 +408,24 @@ class TestWorkspaceContract:
         with pytest.raises(ValueError, match="too small"):
             sample(scratch=np.empty(floats - 1))
 
+    # Floats per trajectory of a cell, evolved alone and in a pair.  The
+    # last batch's load sampler runs from its loads over the transient
+    # region and every batch's states, so a batch costs its drive, the
+    # loads of the batches before it and a sampler's scratch: 6 + 30 and 6
+    # + 27 floats per step (lognormal, Wishart) alone, 3 * 6 + 30 and 3 * 6
+    # + 27 in a pair.  Before the pairs a cell took 4,306 and 4,006.
     @pytest.mark.parametrize(
-        "config, floats",
+        "config, single, pair",
         [
-            (FlowConfig(), 4306),
-            (FlowConfig(schur_model=Wishart(), norm_mode="trace", disorder="quenched"), 4006),
+            (FlowConfig(), 3600, 4800),
+            (FlowConfig(schur_model=Wishart(), norm_mode="trace", disorder="quenched"),
+             3300, 4500),
         ],
         ids=["reference", "wishart-trace-quenched"],
     )
-    def test_benchmark_grids_keep_their_workspace_size(self, config, floats):
-        assert flow_mod.check_batch_budget(config, 100, "n_traj") == 100 * floats
+    def test_benchmark_grids_keep_their_workspace_size(self, config, single, pair):
+        assert flow_mod.check_batch_budget(config, 100, "n_traj") == 100 * single
+        assert flow_mod.check_batch_budget(config, 100, "n_traj", 2) == 100 * pair
 
 class TestAnisotropyStrength:
     def test_first_step_uses_full_amplitude(self):
@@ -873,11 +881,12 @@ class TestEvolveBatch:
 
     def test_batch_is_budgeted_before_allocation(self, monkeypatch):
         # Sizes only.  Per trajectory a Wishart/trace/quenched cell holds the
-        # packed loads and anisotropies (100 x 6 floats each), the packed
-        # states (101 x 6), the 100 update norms, the Wishart factor and its
-        # transposed copy (100 x 3 x 3 each) and the sampler's scratch rows
-        # (100 x 3).  The largest batch that fits reaches the first sampler;
-        # one more trajectory is refused before it.
+        # packed anisotropies (100 x 6 floats) and its load sampler's
+        # scratch: the packed loads (100 x 6), the Wishart factor and its
+        # transposed copy (100 x 3 x 3 each) and the products (100 x 3),
+        # over which the states and the loop's temporaries lie later.  The
+        # largest batch that fits reaches the first sampler; one more
+        # trajectory is refused before it.
         class Started(Exception):
             pass
 
@@ -889,7 +898,7 @@ class TestEvolveBatch:
             zeta=0.4, a0=0.5, schur_model=Wishart(), norm_mode="trace",
             disorder="quenched",
         )
-        per_traj = 8 * (100 * (3 * 6 + 1 + 2 * 9 + 3) + 6)
+        per_traj = 8 * 100 * (6 + 6 + 2 * 9 + 3)
         fits = ARRAY_BUDGET // per_traj
         with pytest.raises(Started):
             flow_mod.evolve_batch(config, [None] * fits)
@@ -941,6 +950,54 @@ class TestEvolveBatch:
         )
         flow_mod.evolve_batch(spec.cell_config(285), rngs)
         assert seen == []
+
+
+class TestDrawThenEvolve:
+    # The draw step and the evolve step apart: one draw evolved at several
+    # per-trajectory zeta vectors (ROADMAP item 1), each trajectory equal
+    # to a single run at its scalar zeta.  A zero entry adds -0.0 loads, as
+    # a run at zeta = 0, which draws none, does: the off-diagonal -0.0 of
+    # this q_init stays -0.0 only if no +0.0 is added to it.
+    Q_INIT = np.array([[1.0, -0.0, -0.0], [-0.0, 2.0, -0.0], [-0.0, -0.0, 0.5]])
+
+    @pytest.mark.parametrize("a0, q_init", [(0.6, None), (0.0, Q_INIT)], ids=["a0", "no-a0"])
+    @pytest.mark.parametrize("model, norm_mode", [
+        (LognormalGaussian(), NormMode.FROBENIUS), (Wishart(), NormMode.TRACE),
+    ], ids=["lognormal", "wishart-trace"])
+    def test_one_draw_evolves_at_several_zeta_vectors(self, a0, q_init, model, norm_mode):
+        config = FlowConfig(
+            zeta=0.3, a0=a0, k_max=40, schur_model=model, norm_mode=norm_mode,
+            q_init=q_init,
+        )
+        seeds = [[7, t] for t in range(4)]
+        drive = np.empty((config.k_max, 6, len(seeds)))
+        loads = flow_mod.draw_batch(
+            config, [np.random.default_rng(seed) for seed in seeds], drive
+        )
+        for zeta in ([0.3, 0.3, 0.3, 0.3], [0.05, 0.0, 0.2, 0.7], [0.0] * 4):
+            # The evolve step consumes its draws: pass copies.
+            states, n_valid = flow_mod.evolve_columns(
+                config, drive[None].copy(), loads[None].copy(), a0, zeta
+            )
+            for t, (seed, z) in enumerate(zip(seeds, zeta)):
+                single = dataclasses.replace(config, zeta=z)
+                expected, _, valid = flow_mod.evolve_batch(
+                    single, [np.random.default_rng(seed)]
+                )
+                assert states[:, :, 0, t].tobytes() == expected[..., 0].tobytes()
+                assert n_valid[0, t] == valid[0]
+                record = run_trajectory(single, seed)
+                q = states[: valid[0], :3, 0, t].sum(axis=1) / 3
+                assert q.tobytes() == record.q.tobytes()
+
+    def test_run_trajectory_classifies_nothing_in_bulk(self, monkeypatch):
+        # A record counts from the eigvalsh spectra it computes anyway.
+        def spy(*args, **kwargs):
+            raise AssertionError("run_trajectory called embedded_negatives")
+
+        monkeypatch.setattr(flow_mod, "embedded_negatives", spy)
+        record = run_trajectory(FlowConfig(zeta=0.15, a0=0.5, k_max=20), 3)
+        assert record.n_steps == 20
 
 
 class TestFlowConfigValidation:
@@ -1003,11 +1060,11 @@ class TestFlowConfigValidation:
 
     def test_trajectory_arrays_are_budgeted(self):
         # Sizes only: a config allocates nothing.  Each step of a d_tan = 3
-        # trajectory holds a packed load, anisotropy and state of 6 floats
-        # each, an update norm, and its load sampler 3 log-eigenvalues, a
-        # coupling of 3 x 3 floats, its transposed copy and 3 scratch
-        # floats; the initial state adds 6 floats.
-        fits = (ARRAY_BUDGET // 8 - 6) // (3 * 6 + 1 + 3 + 2 * 9 + 3)
+        # trajectory holds a packed anisotropy of 6 floats and its load
+        # sampler's scratch: the packed load, 3 lognormal weights, a
+        # coupling of 3 x 3 floats, its transposed copy and 3 products, over
+        # which the states and the loop's temporaries lie later.
+        fits = ARRAY_BUDGET // 8 // (6 + 6 + 3 + 2 * 9 + 3)
         FlowConfig(k_max=fits)
         keys = r"^k_max, d_tan, schur_model ask for .* budget$"
         with pytest.raises(ValueError, match=keys):

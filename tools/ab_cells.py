@@ -1,16 +1,20 @@
-"""Interleaved per-cell timing of two schurflow source trees.
+"""Interleaved timing of two schurflow source trees, a pair of cells at a time.
 
 Each tree's ``schurflow`` package is imported under its own name, so both
-run in one process and every cell is timed on both at nearly the same host
-speed.  For a named grid this times ``ensemble._run_cell`` on every
-``--every``-th cell, ``--rounds`` times, alternating which tree runs a cell
-first; each tree's cells reuse one workspace, as a grid task's do.  It
-prints the summed times, their ratio (new / old) and the median over cells
-of the per-cell ratio of summed times.
+run in one process and every pair is timed on both at nearly the same host
+speed.  The unit is a grid task's: two consecutive cells, ``(2 p, 2 p +
+1)``.  A tree whose ``ensemble`` has ``_run_cells(spec, cells,
+workspace)`` runs a pair in one call, its cells evolved in one flow loop;
+an older tree, with ``_run_cell(spec, cell_index, workspace)``, runs the
+two cells in turn.  Each tree's pairs reuse one workspace, as a grid
+task's do.  For a named grid this times every ``--every``-th pair,
+``--rounds`` times, alternating which tree runs a pair first.  It prints
+the summed times, their ratio (new / old) and the median over pairs of
+the per-pair ratio of summed times.
 
 Both trees must return equal cell outputs, compared by ``repr``, so the run
 doubles as a byte-identity check of the timed cells: on the first
-difference it prints the cell and exits 1.  Otherwise it reports and gates
+difference it prints the pair and exits 1.  Otherwise it reports and gates
 nothing; the exit status is 0.
 
     python tools/ab_cells.py OLD_SRC NEW_SRC --grid wishart-trace-quenched
@@ -67,12 +71,24 @@ def grid_spec(package, grid: str, seed: int):
     return package.GridSpec(master_seed=seed, base_config=config, **axes)
 
 
+def pair_runner(package, ensemble, spec):
+    """A function of ``p`` that returns the outputs of the cells ``2 p`` and
+    ``2 p + 1`` of ``spec``, run as ``package``'s grid tasks run them, in a
+    workspace that every call reuses."""
+    budget = package.flow.check_batch_budget
+    if hasattr(ensemble, "_run_cell"):  # a tree that evolves one cell per loop
+        workspace = np.empty(budget(spec.base_config, spec.n_traj, ensemble._CELL_KEYS))
+        return lambda p: [ensemble._run_cell(spec, c, workspace) for c in (2 * p, 2 * p + 1)]
+    workspace = np.empty(budget(spec.base_config, spec.n_traj, ensemble._CELL_KEYS, 2))
+    return lambda p: ensemble._run_cells(spec, (2 * p, 2 * p + 1), workspace)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--grid", choices=sorted(GRIDS), default="reference")
-    parser.add_argument("--every", type=int, default=13, help="time every N-th cell")
+    parser.add_argument("--every", type=int, default=7, help="time every N-th pair")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1, help="the grid's master seed")
     args = parser.parse_args(argv)
@@ -82,30 +98,29 @@ def main(argv=None) -> int:
         package = load(src, f"schurflow_{label}")
         spec = grid_spec(package, args.grid, args.seed)
         ensemble = sys.modules[f"schurflow_{label}.ensemble"]
-        size = package.flow.check_batch_budget(
-            spec.base_config, spec.n_traj, ensemble._CELL_KEYS
-        )
-        sides.append((ensemble._run_cell, spec, np.empty(size)))
+        sides.append(pair_runner(package, ensemble, spec))
 
-    cells = range(0, sides[0][1].n_cells, args.every)
-    seconds = np.zeros((2, len(cells)))
+    pairs = range(0, spec.n_cells // 2, args.every)
+    seconds = np.zeros((2, len(pairs)))
     for r in range(args.rounds):
-        for c, cell in enumerate(cells):
+        for i, p in enumerate(pairs):
             outputs = [None, None]
-            for side in ((0, 1) if (r + c) % 2 == 0 else (1, 0)):
-                run_cell, spec, workspace = sides[side]
+            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
                 start = time.perf_counter()
-                outputs[side] = run_cell(spec, cell, workspace)
-                seconds[side, c] += time.perf_counter() - start
+                outputs[side] = sides[side](p)
+                seconds[side, i] += time.perf_counter() - start
             if repr(outputs[0]) != repr(outputs[1]):
-                print(f"cell {cell}: outputs differ\n  old {outputs[0]!r}\n  new {outputs[1]!r}")
+                print(
+                    f"cells {2 * p} and {2 * p + 1}: outputs differ\n"
+                    f"  old {outputs[0]!r}\n  new {outputs[1]!r}"
+                )
                 return 1
 
     old, new = seconds.sum(axis=1)
     print(
-        f"{args.grid} grid, seed {args.seed}: {len(cells)} cells x {args.rounds} rounds, "
+        f"{args.grid} grid, seed {args.seed}: {len(pairs)} pairs x {args.rounds} rounds, "
         f"outputs equal; old {old:.3f} s, new {new:.3f} s, ratio {new / old:.3f}, "
-        f"median per-cell ratio {statistics.median(seconds[1] / seconds[0]):.3f}"
+        f"median per-pair ratio {statistics.median(seconds[1] / seconds[0]):.3f}"
     )
     return 0
 

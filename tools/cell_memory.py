@@ -1,16 +1,19 @@
-"""Per-cell memory of the two benchmark grids: page faults and allocation peak.
+"""Memory of the two benchmark grids: per warm pair of cells, and per CLI run.
 
 For the reference grid (the CLI defaults) and the Wishart/trace/quenched
-grid over ``zeta`` in [0, 0.8], this runs cells as a ``run_grid`` task does,
-every cell reusing one workspace, and prints per grid:
+grid over ``zeta`` in [0, 0.8], this runs pairs of cells as a ``run_grid``
+task does, two consecutive cells evolved in one flow loop, every pair
+reusing one workspace, and prints per grid:
 
-- the minor page faults (``ru_minflt``) per warm cell, the mean over every
-  7th cell of the grid after one warm-up cell;
-- the ``tracemalloc`` peak of one warm cell, cell 210, in MiB.  numpy
-  reports its data buffers to ``tracemalloc``, so this is what a cell
+- the minor page faults (``ru_minflt``) per warm pair, the mean over every
+  7th pair of the grid after one warm-up pair;
+- the ``tracemalloc`` peak of one warm pair, cells 210 and 211, in MiB.
+  numpy reports its data buffers to ``tracemalloc``, so this is what a pair
   allocates beyond its workspace;
 - the size of the workspace itself in MiB, ``check_batch_budget``'s count
-  of floats times 8 bytes.
+  of floats for two cells times 8 bytes;
+- the peak resident set (``ru_maxrss``) of a fresh ``python -m schurflow
+  grid`` process that runs the whole grid on one worker, in MB.
 
     PYTHONPATH=src python tools/cell_memory.py
 
@@ -19,26 +22,36 @@ It reports and checks nothing; the exit status is 0.
 
 from __future__ import annotations
 
+import json
+import os
 import resource
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from schurflow import FlowConfig, GridSpec, Wishart
-from schurflow.ensemble import _CELL_KEYS, _run_cell
+from schurflow.ensemble import _CELL_KEYS, _run_cells
 from schurflow.flow import check_batch_budget
 
+WISHART = {"schur_model": {"kind": "wishart"}, "norm_mode": "trace", "disorder": "quenched"}
+# Grid name: (GridSpec, the CLI's grid payload for the same grid).
 GRIDS = {
-    "reference": GridSpec(master_seed=1),
-    "Wishart/trace/quenched": GridSpec(
-        zeta_values=np.linspace(0.0, 0.8, 20),
-        master_seed=1,
-        base_config=FlowConfig(
-            schur_model=Wishart(), norm_mode="trace", disorder="quenched"
+    "reference": (GridSpec(master_seed=1), {}),
+    "Wishart/trace/quenched": (
+        GridSpec(
+            zeta_values=np.linspace(0.0, 0.8, 20),
+            master_seed=1,
+            base_config=FlowConfig(
+                schur_model=Wishart(), norm_mode="trace", disorder="quenched"
+            ),
         ),
+        {"zeta_values": {"start": 0.0, "stop": 0.8, "num": 20}, "base_config": WISHART},
     ),
 }
-TRACED_CELL = 210
+TRACED_PAIR = (210, 211)
 
 
 def minor_faults() -> int:
@@ -46,30 +59,47 @@ def minor_faults() -> int:
 
 
 def measure(spec: GridSpec) -> tuple[float, float, float]:
-    """(minor faults per warm cell, traced peak of one warm cell in MiB,
+    """(minor faults per warm pair, traced peak of one warm pair in MiB,
     workspace in MiB)."""
-    workspace = np.empty(check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS))
-    cells = range(0, spec.n_cells, 7)
-    _run_cell(spec, cells[-1], workspace)  # warm-up
+    workspace = np.empty(check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS, 2))
+    pairs = [(c, c + 1) for c in range(0, spec.n_cells - 1, 14)]
+    _run_cells(spec, pairs[-1], workspace)  # warm-up
     before = minor_faults()
-    for cell in cells:
-        _run_cell(spec, cell, workspace)
-    faults = (minor_faults() - before) / len(cells)
+    for pair in pairs:
+        _run_cells(spec, pair, workspace)
+    faults = (minor_faults() - before) / len(pairs)
     tracemalloc.start()
     try:
-        _run_cell(spec, TRACED_CELL, workspace)
+        _run_cells(spec, TRACED_PAIR, workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return faults, peak / 2**20, workspace.nbytes / 2**20
 
 
+def cli_max_rss(payload: dict) -> float:
+    """``ru_maxrss`` in MB of one fresh CLI process running the grid of
+    ``payload`` at seed 1 on one worker."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "config.json")
+        config.write_text(json.dumps({"grid": payload}))
+        argv = [sys.executable, "-m", "schurflow", "--config", str(config), "--seed", "1",
+                "--workers", "1", "--out", tmp]
+        quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+        pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
+        _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        raise SystemExit(f"the CLI grid run exited with {os.waitstatus_to_exitcode(status)}")
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
 def main() -> int:
-    for name, spec in GRIDS.items():
+    for name, (spec, payload) in GRIDS.items():
         faults, peak, size = measure(spec)
         print(
-            f"{name} grid: {faults:.1f} minor faults per warm cell, "
-            f"traced peak {peak:.2f} MiB per warm cell, workspace {size:.2f} MiB"
+            f"{name} grid: {faults:.1f} minor faults per warm pair, "
+            f"traced peak {peak:.2f} MiB per warm pair, workspace {size:.2f} MiB, "
+            f"CLI run max RSS {cli_max_rss(payload):.1f} MB"
         )
     return 0
 
