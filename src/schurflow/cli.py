@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, serialize
-from .ensemble import GridSpec, run_grid
+from .ensemble import GridSpec, grid_workers, run_grid
 from .errors import ConfigInvalid, SchurFlowError
 from .flow import Disorder, FlowConfig, LognormalGaussian, NormMode, Wishart, run_trajectory
 from .minimal import MinimalModelSpec, check_scan_budget, scan
@@ -244,7 +244,7 @@ def _cmd_flow(payload, args):
     seed = payload.get("seed", 0)
     # The single-trajectory stream matches cell 0, trajectory 0 of a grid
     # run with this master seed.
-    record = run_trajectory(config, [seed, 0, 0])
+    record = run_trajectory(config, [seed, 0])
     outputs = {"record.jsonl": (serialize.write_records_jsonl, [record])}
     if args.fmt == "csv":
         arrays = {k: v for k, v in vars(record).items() if isinstance(v, np.ndarray)}
@@ -275,8 +275,7 @@ def _cmd_grid(payload, args):
         "n_cells": spec.n_cells,
         "n_traj": spec.n_traj,
         "min_n_valid": int(result.n_valid.min()),
-        # run_grid starts no more worker processes than there are cells.
-        "workers": min(args.workers, spec.n_cells),
+        "workers": grid_workers(spec, args.workers),
     }
     return outputs, summary, _echo(spec)
 

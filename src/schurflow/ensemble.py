@@ -4,17 +4,15 @@ A grid run sweeps the anisotropy amplitude ``a0`` (rows) against the
 elimination strength ``zeta`` (columns), runs ``n_traj`` independent
 trajectories per cell and aggregates final-state sector occupation,
 first-passage times and censoring.  Cell ``(i, j)`` has flat index
-``i * n_zeta + j`` and trajectory ``t`` in that cell uses the generator
-seeded with ``[master_seed, cell_index, t]``; results are therefore
-independent of execution order and worker count.  A cell builds its
-generators from one hash of all its seeds (:func:`_cell_generators`), each
-state for state equal to ``np.random.default_rng([master_seed, cell_index,
-t])``, which ``run_trajectory`` uses to replay a trajectory.
+``i * n_zeta + j`` and draws its trajectories, as :mod:`schurflow.flow`
+documents, from ``np.random.default_rng([master_seed, cell_index])``, so
+results are independent of execution order and worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 
@@ -146,106 +144,16 @@ def mean_first_passage(records, target_n_minus: int):
     return mean, 1.0 - len(times) / len(records)
 
 
-# numpy's SeedSequence, after O'Neill's seed_seq (PCG, HMC-CS-2014-0905):
-# a pool of 4 words, the hash multipliers of the entropy mixing (A) and of
-# the state output (B), the two mixing multipliers and the xorshift.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-
-
-class _StateWords:
-    """Seed sequence that hands ``PCG64`` its four precomputed state words;
-    :func:`_cell_generators` registers it as numpy's ``ISeedSequence``."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
-def _int_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int; 0 is one word."""
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """Column of the hash constants ``h_0 = init``, ``h_k+1 = mult h_k``,
-    ``k < n``, in uint32 arithmetic, which wraps mod 2**32."""
-    return np.cumprod([init] + [mult] * n, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Hash of ``values`` with the consecutive constant pairs of ``h``, one
-    output row per pair."""
-    v = values ^ h[:-1]
-    v *= h[1:]
-    v ^= v >> _XSHIFT
-    return v
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mix of the pool words ``x`` with the hashed words ``y``."""
-    r = x * _MIX_L - y * _MIX_R
-    r ^= r >> _XSHIFT
-    return r
-
-
-def _cell_generators(master_seed: int, cell_index: int, n_traj: int) -> list:
-    """Generators of a cell's trajectories, each state for state equal to
-    ``np.random.default_rng([master_seed, cell_index, t])``, ``t < n_traj``.
-
-    SeedSequence hashes the seed's 32-bit words into a pool and the pool
-    into PCG64's state.  Its constants do not depend on the data, so the
-    hash runs once for the cell, vectorized over ``t`` (one word, as the
-    batch budget keeps ``n_traj`` far below 2**32).  Longer seeds mix more
-    words into the pool.
-    """
-    head = _int_words(int(master_seed)) + _int_words(int(cell_index))
-    n_words = len(head) + 1
-    entropy = np.zeros((max(n_words, _POOL), n_traj), dtype=np.uint32)
-    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    entropy[len(head)] = np.arange(n_traj)
-    n_extra = max(n_words - _POOL, 0)
-    h = _hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + n_extra))
-    # Hash the first words into the pool, mix each pool word into the
-    # others, then mix every further word into all of them.
-    pool = _hashmix(entropy[:_POOL], h[: _POOL + 1])
-    k = _POOL
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k : k + _POOL]))
-        k += _POOL - 1
-    for word in entropy[_POOL:]:
-        pool = _mix(pool, _hashmix(word, h[k : k + _POOL + 1]))
-        k += _POOL
-    # Eight 32-bit words per trajectory, read as four little-endian uint64.
-    state = _hashmix(pool[np.arange(8) % _POOL], _hash_consts(_INIT_B, _MULT_B, 8))
-    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
-    # Imported here, as np.random.default_rng would import it: importing the
-    # package does not load numpy.random.
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_StateWords)
-    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
-
-
 def _run_cells(spec: GridSpec, cells, workspace=None):
     """Statistics of the given cells, in order: each cell is drawn on its
     own, all are evolved in one flow loop, then each is classified and
     aggregated on its own (:func:`~schurflow.flow.evolve_batches`).  Their
     arrays are views of ``workspace`` if given, else fresh."""
     configs = [spec.cell_config(index) for index in cells]
-    rngs = [_cell_generators(spec.master_seed, index, spec.n_traj) for index in cells]
+    rngs = [np.random.default_rng([spec.master_seed, index]) for index in cells]
     names = [f"cell (a0={config.a0}, zeta={config.zeta})" for config in configs]
     try:
-        states, n_valid, scratch = evolve_batches(configs, rngs, workspace=workspace)
+        states, n_valid, scratch = evolve_batches(configs, rngs, spec.n_traj, workspace=workspace)
     except NonFiniteState as exc:
         raise NonFiniteState(f"{names[exc.batch]}: {exc}") from exc
     outputs = []
@@ -278,22 +186,25 @@ def _run_task(task):
     return [output for cells in blocks for output in _run_cells(spec, cells, workspace)]
 
 
+def grid_workers(spec: GridSpec, parallelism: int) -> int:
+    """Worker processes of a grid run: ``parallelism``, but no more than
+    the grid has cells or the machine has CPUs."""
+    check_int(parallelism, "parallelism")
+    return min(int(parallelism), spec.n_cells, os.cpu_count() or 1)
+
+
 def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     """Run every grid cell and aggregate sector statistics.
 
-    ``parallelism`` distributes cells over at most ``min(parallelism,
-    n_cells)`` worker processes; the output is bitwise independent of the
-    worker count because every trajectory owns a generator derived from
-    ``[master_seed, cell_index, trajectory_index]``.  A cell hashes all its
-    seeds at once (:func:`_cell_generators`); each generator equals
-    ``np.random.default_rng`` of its seed, as ``run_trajectory`` builds it.
-    A task is a run of consecutive cells, about an eighth of a worker's
-    share so that the pool can balance the load, and an even number of
-    them but for the last task: it allocates one workspace, in which its
-    cells are evolved two at a time.
+    ``parallelism`` distributes cells over :func:`grid_workers` worker
+    processes; the output is bitwise independent of the worker count
+    because every cell owns a generator derived from ``[master_seed,
+    cell_index]``.  A task is a run of consecutive cells, about an eighth
+    of a worker's share so that the pool can balance the load, and an even
+    number of them but for the last task: it allocates one workspace, in
+    which its cells are evolved two at a time.
     """
-    check_int(parallelism, "parallelism")
-    workers = min(int(parallelism), spec.n_cells)
+    workers = grid_workers(spec, parallelism)
     chunk = -(-spec.n_cells // (8 * workers * CELLS_PER_LOOP)) * CELLS_PER_LOOP
     tasks = [
         (spec, start, min(start + chunk, spec.n_cells))

@@ -16,23 +16,23 @@ batch kernel counts the negative directions alone.
 
 Randomness contract
 -------------------
-A trajectory consumes its generator in a documented order so runs are
-reproducible and replayable through the public samplers:
+A batch of ``n`` trajectories makes one ``(n, m)`` standard-normal draw
+from one generator (:func:`draw_batch`), row ``t`` the ``m`` normals of
+trajectory ``t`` (:func:`draw_counts`), in this order:
 
-1. anisotropy draws, skipped entirely when ``a0 == 0``: one ``(n_draws,
-   n_comp)`` draw of :func:`sample_anisotropy_batch`, the packed components
-   of a symmetric Gaussian matrix, with ``n_draws = 1`` (quenched, the
-   single matrix is reused every step) or ``k_max`` (annealed, one matrix
-   per step);
-2. elimination-load draws, skipped entirely when ``zeta == 0``: the
-   ``k_max`` loads of :func:`sample_sigma_batch`; for
-   :class:`LognormalGaussian` the ``(k_max, d_fast)`` fast-block
-   log-eigenvalues, then the ``(k_max, d_tan, d_fast)`` coupling.
+1. the anisotropy components, none when ``a0 == 0``: ``n_draws`` times the
+   ``n_comp`` packed components of a symmetric Gaussian matrix, with
+   ``n_draws = 1`` (quenched, reused every step) or ``k_max`` (annealed);
+2. the load normals, none when ``zeta == 0``: for :class:`LognormalGaussian`
+   the ``(k_max, d_fast)`` fast-block log-eigenvalues, then the ``(k_max,
+   d_tan, d_fast)`` coupling.
 
-The evolution itself draws nothing.  Batched runs over many trajectories
-give each trajectory its own generator and call each sampler once for the
-whole batch; every generator still draws in the order above, so a batch is
-bitwise identical to the corresponding sequence of single-trajectory runs.
+:func:`sample_anisotropy_batch` and :func:`sample_sigma_batch` transform the
+two parts; the evolution draws nothing.  numpy fills a draw in row-major
+order, and one draw equals the same normals drawn in pieces, so row ``t`` is
+block ``t`` of the generator's stream whatever ``n`` is: the generator that
+has skipped ``t * m`` normals replays trajectory ``t`` bit for bit as a
+batch of one (:func:`run_trajectory`).
 
 :func:`evolve_batch` holds a batch in the packed layout of
 :mod:`schurflow.tensor`: step ``k`` is one contiguous ``(n_comp, n)`` array
@@ -40,8 +40,8 @@ of the ``n_comp = d (d + 1) / 2`` components (diagonal, then upper
 off-diagonal entries row by row) of ``n`` trajectories.  The Frobenius norm
 counts the off-diagonal squares twice; the trace sums the first ``d``
 components.  Both samplers return this layout, computed elementwise from
-the draws, and sum over fast modes in an order that does not depend on the
-batch size (:func:`_row_sum`).  :func:`flow_step`, the one-step oracle,
+the normals, and sum over fast modes in an order that does not depend on
+the batch size (:func:`_row_sum`).  :func:`flow_step`, the one-step oracle,
 stays dense and apart from the kernel.
 
 Draw step and evolve step
@@ -62,9 +62,10 @@ without one, a call allocates its own.  It is laid out as ``[drive]
 [loads][transient][states]``, the drive and the loads one ``(k_max,
 n_comp, n)`` block per batch:
 
-- a batch's samplers take as scratch everything from its loads block on,
-  none of it written yet: the anisotropies are copied to its drive block,
-  and the loads stay at the head of the scratch, its loads block;
+- a batch's draw lies at the end of the workspace, and its samplers take
+  as scratch everything from its loads block up to the draw, none of it
+  written yet: the anisotropies are copied to its drive block, and the
+  loads stay at the head of the scratch, its loads block;
 - the evolve step keeps the update norms, squares and scales in the
   transient region.  In trace mode each step's update overwrites the load
   it consumed, and after the loop the updates are squared in place for
@@ -250,77 +251,89 @@ def check_batch_budget(config: FlowConfig, n: int, keys: str, batches: int = 1) 
     """Refuse, naming the config ``keys``, ``batches`` batches of ``n``
     trajectories evolved together whose arrays would exceed
     ``ARRAY_BUDGET``; allocates nothing.  Returns the size in floats of
-    their workspace (:func:`evolve_batches`), the count the budget checks:
-    ``n`` times the sum of :func:`_batch_floats`.
-    """
-    per_trajectory = sum(_batch_floats(config, batches))
-    check_budget((n, per_trajectory), keys)
-    return n * per_trajectory
+    their workspace (:func:`evolve_batches`), the count the budget checks.
 
-
-def _batch_floats(config: FlowConfig, batches: int = 1) -> tuple[int, int]:
-    """Floats per trajectory of one batch in a workspace of ``batches``
-    batches: ``(held, transient)``.
-
-    The held part is, per batch, the packed drive and loads of every step
-    and the packed states, the initial one included, ``n_comp`` floats
+    Per trajectory, each batch holds the packed drive and loads of every
+    step and the packed states, the initial one included, ``n_comp`` floats
     each.  The transient region lies between the loads and the states and
-    is sized for the largest of its uses in turn: a batch's samplers,
-    whose scratch starts at that batch's loads and runs on through the
-    later batches' loads, the transient region and the states, none of
+    is sized for the largest of its uses in turn: a batch's draw step, whose
+    normals lie at the end of the workspace and whose samplers' scratch
+    starts at that batch's loads and runs on through the later batches'
+    loads, the transient region and the states up to the normals, none of
     them written yet (the last batch's is the shortest); the update norms
     and the flow loop's squared state and three scalars; and one batch's
     closed-form classification, ``CLOSED_FORM_ROWS`` per state, over the
     spent loads and the transient region.
     """
-    d, k = int(config.d_tan), int(config.k_max)
+    d, k, n_aniso = int(config.d_tan), int(config.k_max), _anisotropy_draws(config)
     n_comp = d * (d + 1) // 2
     states = (k + 1) * n_comp
-    sampler = max(_anisotropy_floats(d), _sigma_floats(config.schur_model, d)[1])
+    _, per_load, sigma = _sigma_floats(config.schur_model, d)
+    draw = n_aniso * n_comp + k * per_load + max(n_aniso * _anisotropy_floats(d), k * sigma)
     transient = max(
-        k * sampler - k * n_comp - batches * states,
+        draw - k * n_comp - batches * states,
         batches * (k + n_comp + 3),
         (k + 1) * CLOSED_FORM_ROWS - batches * k * n_comp,
     )
-    return batches * (2 * k * n_comp + states), transient
+    per_trajectory = batches * (2 * k * n_comp + states) + transient
+    check_budget((n, per_trajectory), keys)
+    return n * per_trajectory
 
 
-def _standard_normal(rngs, out: np.ndarray) -> np.ndarray:
-    """``rng.standard_normal(out=out[i])`` of each generator, in order."""
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=out[i])
-    return out
+def _anisotropy_draws(config: FlowConfig) -> int:
+    """Anisotropies of a trajectory: one per step, or one (quenched)."""
+    return config.k_max if config.disorder is Disorder.ANNEALED else 1
 
 
-def _sigma_floats(model: SchurModel, d_tan: int) -> tuple[int, int]:
-    """``(modes, floats)`` of :func:`sample_sigma_batch`: the fast modes a
-    load sums over, and the scratch it takes per draw, in order the packed
-    load, ``n_comp``, then per mode the lognormal weight, the draws and
-    their transposed copy, ``d_tan`` each, and the products.  Raises
-    ``TypeError`` for another model."""
+def draw_counts(config: FlowConfig) -> tuple[int, int]:
+    """Standard normals of one trajectory's anisotropies and of its loads,
+    in order the two parts of its row of a draw (:func:`draw_batch`); a part
+    is empty where ``a0`` or ``zeta`` is zero.  Their sum is ``m``."""
+    d = config.d_tan
+    anisotropies = _anisotropy_draws(config) * d * (d + 1) // 2 if config.a0 > 0 else 0
+    loads = config.k_max * _sigma_floats(config.schur_model, d)[1] if config.zeta > 0 else 0
+    return anisotropies, loads
+
+
+def _sigma_floats(model: SchurModel, d_tan: int) -> tuple[int, int, int]:
+    """``(modes, normals, floats)`` of :func:`sample_sigma_batch` per load:
+    the fast modes it sums over, the normals it transforms, and the scratch
+    it takes, in order the packed load, ``n_comp``, then per mode the
+    lognormal weight, the transposed coupling, ``d_tan``, and the product.
+    Raises ``TypeError`` for another model."""
     if isinstance(model, LognormalGaussian):
-        modes, per_mode = model.d_fast or d_tan, 2 * d_tan + 2
+        modes, lognormal = model.d_fast or d_tan, 1
     elif isinstance(model, Wishart):
-        modes, per_mode = model.rank or d_tan, 2 * d_tan + 1
+        modes, lognormal = model.rank or d_tan, 0
     else:
         raise TypeError(f"unknown elimination-load model: {model!r}")
-    return modes, d_tan * (d_tan + 1) // 2 + per_mode * modes
+    per_mode = d_tan + 1 + lognormal
+    return modes, (d_tan + lognormal) * modes, d_tan * (d_tan + 1) // 2 + per_mode * modes
 
 
 def _anisotropy_floats(d_tan: int) -> int:
     """Scratch floats per draw of :func:`sample_anisotropy_batch`: in order
-    the unit anisotropy and its draws, ``n_comp`` each, and one sum."""
+    the unit anisotropy and its squares, ``n_comp`` each, and one sum."""
     return d_tan * (d_tan + 1) + 1
 
 
-def sample_sigma_batch(
-    model: SchurModel, d_tan: int, n: int, rngs, *, scratch=None
-) -> np.ndarray:
-    """Draw ``n`` elimination loads per generator as packed components, a
-    ``(n, n_comp, len(rngs))`` array; column ``i`` equals a call with
-    ``[rngs[i]]`` alone.
+def _rows(normals, count: int) -> np.ndarray:
+    """``normals`` as an ``(n_traj, count)`` float array, or ``ValueError``."""
+    rows = np.asarray(normals, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != count:
+        raise ValueError(f"normals: expected shape (n_traj, {count}), got {rows.shape}")
+    return rows
 
-    Draw order of each generator for :class:`LognormalGaussian`: fast-block
+
+def sample_sigma_batch(
+    model: SchurModel, d_tan: int, n: int, normals, *, scratch=None
+) -> np.ndarray:
+    """``n`` elimination loads per trajectory as packed components, a ``(n,
+    n_comp, n_traj)`` array, from the standard normals ``normals``, row
+    ``i`` trajectory ``i``'s; column ``i`` equals a call with row ``i``
+    alone.
+
+    A row holds, for :class:`LognormalGaussian`, the fast-block
     log-eigenvalues ``z`` with shape ``(n, d_fast)``, then the coupling
     ``w`` ``(n, d_tan, d_fast)``, in the fast block's eigenbasis, and the
     weight of mode ``f`` is ``exp(-sigma_log * z_f) / d_fast``.  For
@@ -328,29 +341,28 @@ def sample_sigma_batch(
     weighted ``1 / rank``.  Component ``(i, j)`` is ``sum_f (w_if * w_jf) *
     weight_f``, summed over modes by :func:`_row_sum`.
 
-    Given ``scratch``, a flat float64 array of at least ``n * len(rngs)``
-    times :func:`_sigma_floats`' count, the loads are its head and the
+    Given ``scratch``, a flat float64 array of at least ``n * n_traj`` times
+    :func:`_sigma_floats`' count, the loads are its head and the
     temporaries follow them; without it every array is fresh.
     """
     check_int(d_tan, "d_tan")
     check_int(n, "n")
-    modes, _ = _sigma_floats(model, int(d_tan))
+    modes, per_load, _ = _sigma_floats(model, int(d_tan))
+    normals = _rows(normals, n * per_load)
     lognormal = isinstance(model, LognormalGaussian)
-    empty, n_rngs = scratch_views(scratch), len(rngs)
-    out = empty((n, d_tan * (d_tan + 1) // 2, n_rngs))
-    weight = empty((modes, n, n_rngs)) if lognormal else 1.0 / modes
-    draws = empty((n_rngs * n * d_tan * modes,))
+    empty, n_traj = scratch_views(scratch), len(normals)
+    out = empty((n, d_tan * (d_tan + 1) // 2, n_traj))
+    weight = empty((modes, n, n_traj)) if lognormal else 1.0 / modes
     if lognormal:
-        z = draws[: n_rngs * n * modes].reshape(n_rngs, n, modes)
-        _standard_normal(rngs, z)
+        z = normals[:, : n * modes].reshape(n_traj, n, modes)
         np.multiply(z.transpose(2, 1, 0), -model.sigma_log, out=weight)
         np.exp(weight, out=weight)
         weight /= modes
-    # Axes (mode, row, draw, generator): a component's products are contiguous.
-    factor = empty((modes, d_tan, n, n_rngs))
-    w = _standard_normal(rngs, draws.reshape(n_rngs, n, d_tan, modes))
+    # Axes (mode, row, draw, trajectory): a component's products are contiguous.
+    factor = empty((modes, d_tan, n, n_traj))
+    w = normals[:, lognormal * n * modes:].reshape(n_traj, n, d_tan, modes)
     np.copyto(factor, w.transpose(3, 2, 1, 0))
-    products = empty((modes, n, n_rngs))
+    products = empty((modes, n, n_traj))
     rows, cols = np.divmod(packed_index(d_tan), d_tan)
     for c, (i, j) in enumerate(zip(rows, cols)):
         np.multiply(factor[:, i], factor[:, j], out=products)
@@ -359,35 +371,36 @@ def sample_sigma_batch(
     return out
 
 
-def sample_anisotropy_batch(d_tan: int, n: int, rngs, *, scratch=None) -> np.ndarray:
-    """Draw ``n`` traceless unit-Frobenius symmetric anisotropies per
-    generator as packed components, a ``(n, n_comp, len(rngs))`` array.
+def sample_anisotropy_batch(d_tan: int, n: int, normals, *, scratch=None) -> np.ndarray:
+    """``n`` traceless unit-Frobenius symmetric anisotropies per trajectory
+    as packed components, a ``(n, n_comp, n_traj)`` array, from the standard
+    normals ``normals``, row ``i`` trajectory ``i``'s.
 
-    Each generator makes one ``(n, n_comp)`` standard normal draw, the
-    packed components of a GOE matrix, the law of ``(g + g.T) / 2``: the
-    off-diagonal components are scaled by ``sqrt(1/2)``, the diagonal mean
-    is subtracted from the diagonal, and each draw is divided by its
-    Frobenius norm, whose sum of squares counts the off-diagonal squares
-    twice.  Both sums run over components by :func:`_row_sum`.  A projected
-    norm below the zero floor, which a Gaussian draw reaches with
-    probability below 1e-28, raises :class:`DegenerateDraw`; nothing is
-    redrawn.
+    A row holds ``n`` times the ``n_comp`` packed components of a GOE
+    matrix, the law of ``(g + g.T) / 2``: the off-diagonal components are
+    scaled by ``sqrt(1/2)``, the diagonal mean is subtracted from the
+    diagonal, and each draw is divided by its Frobenius norm, whose sum of
+    squares counts the off-diagonal squares twice.  Both sums run over
+    components by :func:`_row_sum`.  A projected norm below the zero floor,
+    which a Gaussian draw reaches with probability below 1e-28, raises
+    :class:`DegenerateDraw`; nothing is redrawn.
 
     ``scratch`` works as in :func:`sample_sigma_batch`, with
     :func:`_anisotropy_floats`' count per draw.
     """
     check_int(d_tan, "d_tan", low=2)
     check_int(n, "n")
-    empty, n_rngs, n_comp = scratch_views(scratch), len(rngs), d_tan * (d_tan + 1) // 2
-    s = empty((n, n_comp, n_rngs))
-    draws = _standard_normal(rngs, empty((n_rngs, n, n_comp)))
-    np.copyto(s, draws.transpose(1, 2, 0))
+    n_comp = d_tan * (d_tan + 1) // 2
+    normals = _rows(normals, n * n_comp)
+    empty, n_traj = scratch_views(scratch), len(normals)
+    s = empty((n, n_comp, n_traj))
+    np.copyto(s, normals.reshape(n_traj, n, n_comp).transpose(1, 2, 0))
     s[:, d_tan:] *= np.sqrt(0.5)
-    diagonal = s[:, :d_tan].swapaxes(0, 1)
-    mean = _row_sum(diagonal, empty((n, n_rngs)))
+    diagonal, square = s[:, :d_tan].swapaxes(0, 1), empty(s.shape).swapaxes(0, 1)
+    mean = _row_sum(diagonal, empty((n, n_traj)))
     mean /= d_tan
     diagonal -= mean
-    norm = _frobenius(s.swapaxes(0, 1), d_tan, draws.reshape(s.shape).swapaxes(0, 1), mean)
+    norm = _frobenius(s.swapaxes(0, 1), d_tan, square, mean)
     if np.any(norm < ZERO_FLOOR):
         raise DegenerateDraw(f"an anisotropy draw has norm below {ZERO_FLOOR}")
     s /= norm[:, None]
@@ -475,20 +488,29 @@ def _frobenius(q: np.ndarray, d: int, square: np.ndarray, out: np.ndarray) -> np
     return np.sqrt(_row_sum(square, out), out=out)
 
 
-def draw_batch(config: FlowConfig, rngs, drive, *, scratch=None) -> np.ndarray:
-    """Draw step: the unit draws of one trajectory per generator, with one
-    call of each sampler for the batch.  Writes the unit anisotropies into
-    ``drive``, ``(k_max, n_comp, n)``, a quenched one in every step, and
-    returns the unit loads, of that shape, as the sampler returns them: the
-    head of ``scratch`` when given.  A zero ``a0`` or ``zeta`` draws and
-    writes nothing; :func:`evolve_columns` sets those columns.
+def draw_batch(config: FlowConfig, rng, drive, *, scratch=None) -> np.ndarray:
+    """Draw step: one ``(n, m)`` standard-normal draw from ``rng`` for the
+    ``n = drive.shape[-1]`` trajectories of a batch, whose two parts
+    (:func:`draw_counts`) each sampler transforms in one call.  Writes the
+    unit anisotropies into ``drive``, ``(k_max, n_comp, n)``, a quenched
+    one in every step, and returns the unit loads, of that shape, as the
+    sampler returns them: the head of ``scratch`` when given, whose end
+    then holds the draw.  A zero ``a0`` or ``zeta`` draws and writes
+    nothing; :func:`evolve_columns` sets those columns.
     """
-    d, k_max = config.d_tan, config.k_max
+    d, n, (n_aniso, n_loads) = config.d_tan, drive.shape[-1], draw_counts(config)
+    if scratch is None:
+        normals = rng.standard_normal((n, n_aniso + n_loads))
+    else:
+        cut = scratch.size - n * (n_aniso + n_loads)
+        normals = rng.standard_normal(out=scratch[cut:].reshape(n, n_aniso + n_loads))
+        scratch = scratch[:cut]
     if config.a0 > 0:
-        n_draws = k_max if config.disorder is Disorder.ANNEALED else 1
-        np.copyto(drive, sample_anisotropy_batch(d, n_draws, rngs, scratch=scratch))
+        n_draws, anisotropies = _anisotropy_draws(config), normals[:, :n_aniso]
+        np.copyto(drive, sample_anisotropy_batch(d, n_draws, anisotropies, scratch=scratch))
     if config.zeta > 0:
-        return sample_sigma_batch(config.schur_model, d, k_max, rngs, scratch=scratch)
+        loads = normals[:, n_aniso:]
+        return sample_sigma_batch(config.schur_model, d, config.k_max, loads, scratch=scratch)
     return scratch_views(scratch)(drive.shape)
 
 
@@ -583,24 +605,24 @@ def evolve_columns(config: FlowConfig, drive, loads, a0, zeta, *, states=None, s
     return states, np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, k_max + 1)
 
 
-def evolve_batches(configs, rngs, *, workspace=None):
+def evolve_batches(configs, rngs, n, *, workspace=None):
     """Draw each batch in turn, then evolve all of them in one flow loop.
 
-    Batch ``b`` is one trajectory per generator of ``rngs[b]`` under
-    ``configs[b]``; the configs differ in ``a0`` and ``zeta`` alone, and the
-    batches in nothing but their generators' size.  Each trajectory
-    consumes only its own generator, so it is bitwise identical to a single
-    run.  Returns :func:`evolve_columns`' ``(states, n_valid)`` and the
-    workspace spent after the loop, in which one batch at a time can be
-    classified (:func:`~schurflow.tensor.embedded_negatives` of
-    ``states[:, :, b].swapaxes(0, 1)``).  ``workspace``, of at least
+    Batch ``b`` is ``n`` trajectories under ``configs[b]``, drawn from the
+    generator ``rngs[b]`` (:func:`draw_batch`); the configs differ in
+    ``a0`` and ``zeta`` alone.  A trajectory reads only its own row of its
+    batch's draw, so it is bitwise identical to a batch of one drawn from
+    its block of the stream.  Returns :func:`evolve_columns`' ``(states,
+    n_valid)`` and the workspace spent after the loop, in which one batch
+    at a time can be classified (:func:`~schurflow.tensor.embedded_negatives`
+    of ``states[:, :, b].swapaxes(0, 1)``).  ``workspace``, of at least
     :func:`check_batch_budget`'s count for ``len(configs)`` batches, or a
     fresh one, is laid out as the module docstring describes.
     """
-    config, batches, n = configs[0], len(configs), len(rngs[0])
+    config, batches = configs[0], len(configs)
     d, k_max = config.d_tan, config.k_max
     n_comp = d * (d + 1) // 2
-    size = check_batch_budget(config, n, "rngs, k_max, d_tan, schur_model", batches)
+    size = check_batch_budget(config, n, "n, k_max, d_tan, schur_model", batches)
     if workspace is None:
         workspace = np.empty(size)
     elif workspace.size < size:
@@ -610,11 +632,11 @@ def evolve_batches(configs, rngs, *, workspace=None):
     empty = scratch_views(workspace)
     drive, loads = empty((batches, k_max, n_comp, n)), empty((batches, k_max, n_comp, n))
     states = workspace[size - held_states:].reshape(k_max + 1, n_comp, batches, n)
-    for b, (cell, cell_rngs) in enumerate(zip(configs, rngs)):
+    for b, (cell, rng) in enumerate(zip(configs, rngs)):
         # The loads are the head of the scratch, loads[b], unless a stand-in
         # sampler ignores its scratch: then they are copied there.
         scratch = workspace[(batches + b) * block:]
-        drawn = draw_batch(cell, cell_rngs, drive[b], scratch=scratch)
+        drawn = draw_batch(cell, rng, drive[b], scratch=scratch)
         if not np.may_share_memory(drawn, loads[b]):
             np.copyto(loads[b], drawn)
     free = workspace[batches * block:size - held_states]
@@ -625,10 +647,10 @@ def evolve_batches(configs, rngs, *, workspace=None):
     return states, n_valid, free
 
 
-def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
-    """Sample, evolve and classify one trajectory per generator: the draw
-    and evolve steps of one batch (:func:`evolve_batches`), then the
-    classification.  Returns ``(states, n_minus, n_valid)``: the packed
+def evolve_batch(config: FlowConfig, rng, n: int, *, workspace=None):
+    """Sample, evolve and classify ``n`` trajectories drawn from ``rng``:
+    the draw and evolve steps of one batch (:func:`evolve_batches`), then
+    the classification.  Returns ``(states, n_minus, n_valid)``: the packed
     states, ``(k_max + 1, n_comp, n)``, the negative count of their full
     tensors ``diag(q_n, q_t)``, the one count a grid reads, ``(n, k_max +
     1)``, by :func:`~schurflow.tensor.embedded_negatives` (a certified
@@ -636,7 +658,7 @@ def evolve_batch(config: FlowConfig, rngs, *, workspace=None):
     trajectory the count of valid states.  The states and, for ``d_tan =
     3``, ``n_minus`` are views of the workspace; ``n_valid`` is fresh.
     """
-    states, n_valid, scratch = evolve_batches([config], [rngs], workspace=workspace)
+    states, n_valid, scratch = evolve_batches([config], [rng], n, workspace=workspace)
     states = states[:, :, 0]
     n_minus = embedded_negatives(states.swapaxes(0, 1), config.q_n, scratch=scratch)
     return states, n_minus.T, n_valid[0]
@@ -650,11 +672,13 @@ def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
 
 
 def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
-    """Run a single flow trajectory from a fresh generator and record it.
+    """Run a single flow trajectory from the generator of ``seed``.
 
-    ``seed`` is passed to ``numpy.random.default_rng`` unchanged, so a
-    sequence seed like ``[master, cell, index]`` reproduces the exact
-    trajectory a batched grid run would produce at that position.  Only
+    ``seed`` is passed to ``numpy.random.default_rng``, which returns a
+    generator it is given unchanged, and the trajectory draws one row from
+    it.  So ``rng = default_rng([master_seed, c])``, after
+    ``rng.standard_normal(t * m)`` with ``m = sum(draw_counts(config))``,
+    reproduces trajectory ``t`` of grid cell ``c`` bit for bit.  Only
     here are records built, and ``q``, ``s_opnorm`` and the separation flag
     computed: this is the one caller that runs ``eigvalsh``, on the valid
     prefix only, for the extreme eigenvalues behind ``s_opnorm`` and the
@@ -669,7 +693,7 @@ def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
     NonFiniteState
         If an update or its norm is not finite.
     """
-    states, n_valid, _ = evolve_batches([config], [[np.random.default_rng(seed)]])
+    states, n_valid, _ = evolve_batches([config], [np.random.default_rng(seed)], 1)
     valid = slice(0, int(n_valid[0, 0]))
     states = states[valid, :, 0, 0].T
     eigs = np.linalg.eigvalsh(unpack_symmetric(states))

@@ -37,6 +37,8 @@ LYAPUNOV_RTOL = 1e-10
 CONDITION_CEILING = 1e12
 # Rows per block of the linear scan in simulate_sde.
 SCAN_BLOCK = 16
+# Largest matrix product, in multiply-adds m n k, that OpenBLAS forms on one thread.
+KICK_PRODUCT_SIZE = 2**18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -281,7 +283,11 @@ def simulate_sde(
     z = np.random.default_rng(seed).standard_normal(out=states[:total])
     kicks = np.empty_like(states)
     kicks[0] = _psd_root(sde.gamma) @ z[0]
-    np.matmul(z[1:], root_xi.T, out=kicks[1:total])
+    # Row chunks that OpenBLAS forms on one thread: same cost and bits at any thread count.
+    chunk = max(1, KICK_PRODUCT_SIZE // sde.dim**2)
+    for start in range(1, total, chunk):
+        rows = slice(start, min(start + chunk, total))
+        np.matmul(z[rows], root_xi.T, out=kicks[rows])
     kicks[total:] = 0.0
     _linear_scan(a, kicks, states)
     return states[burn_in:total]

@@ -213,7 +213,7 @@ class TestFlowCommand:
     def test_stream_matches_library_call(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload)
         assert code == 0
-        record = run_trajectory(FlowConfig(zeta=0.1, a0=0.3, k_max=10), [5, 0, 0])
+        record = run_trajectory(FlowConfig(zeta=0.1, a0=0.3, k_max=10), [5, 0])
         written = json.loads((out_dir / "record.jsonl").read_text())
         assert written["q"] == [float(x) for x in record.q]
         assert written["n_minus"] == [int(x) for x in record.n_minus]
@@ -242,7 +242,7 @@ class TestFlowCommand:
     def test_seed_flag_overrides_payload(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--seed", "9")
         assert code == 0
-        record = run_trajectory(FlowConfig(zeta=0.1, a0=0.3, k_max=10), [9, 0, 0])
+        record = run_trajectory(FlowConfig(zeta=0.1, a0=0.3, k_max=10), [9, 0])
         written = json.loads((out_dir / "record.jsonl").read_text())
         assert written["q"] == [float(x) for x in record.q]
         assert read_manifest(out_dir)["config"]["flow"]["seed"] == 9
@@ -278,8 +278,12 @@ class TestGridCommand:
         ).read_bytes()
         assert read_manifest(out_parallel)["workers"] == 2
 
-    def test_worker_pool_is_bounded_by_cell_count(self, tmp_path, monkeypatch):
-        # A fake pool records its size and maps serially: no process starts.
+    @staticmethod
+    def serial_pools(monkeypatch, cpus):
+        """The sizes of the process pools that grid runs ask for from now
+        on, on a machine of ``cpus`` CPUs.  A fake pool records its size and
+        maps serially: no process starts."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         pool_sizes = []
 
         class SerialPool:
@@ -296,6 +300,10 @@ class TestGridCommand:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return pool_sizes
+
+    def test_worker_pool_is_bounded_by_cell_count(self, tmp_path, monkeypatch):
+        pool_sizes = self.serial_pools(monkeypatch, cpus=64)
         _, out_serial = run_cli(tmp_path, self.payload, out="serial")
         _, out_many = run_cli(tmp_path, self.payload, "--workers", "4096", out="many")
         assert pool_sizes == [6]
@@ -303,19 +311,28 @@ class TestGridCommand:
         assert read_manifest(out_many)["summary"]["workers"] == 6
         assert (out_serial / "grid.csv").read_bytes() == (out_many / "grid.csv").read_bytes()
 
-    # Exact grid.csv text of two 2 x 2 grids, recorded at 0.3.0 (both
+    @pytest.mark.parametrize("cpus, workers", [(4, 4), (1, 1), (None, 1)])
+    def test_worker_pool_is_bounded_by_cpu_count(self, tmp_path, monkeypatch, cpus, workers):
+        # os.cpu_count() is None where the count is unknown: one worker.
+        pool_sizes = self.serial_pools(monkeypatch, cpus)
+        _, out_dir = run_cli(tmp_path, self.payload, "--workers", "4096")
+        assert pool_sizes == ([workers] if workers > 1 else [])
+        manifest = read_manifest(out_dir)
+        assert (manifest["workers"], manifest["summary"]["workers"]) == (4096, workers)
+
+    # Exact grid.csv text of two 2 x 2 grids, recorded at 0.3.0 and
     # re-recorded at 0.13.0, whose samplers draw packed anisotropies and sum
-    # packed loads).  Every
-    # value is a ratio of small trajectory counts, so a refactor of the
+    # packed loads, and at 0.23.0, which draws from one generator per cell.
+    # Every value is a ratio of small trajectory counts, so a refactor of the
     # evolution or the aggregation must reproduce it byte for byte.
     GOLDEN = {
         "lognormal": (
             {"a0_values": [0.3, 1.0], "zeta_values": [0.03, 0.08], "base_config": {}},
             "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
-            "0.29999999999999999,0.029999999999999999,0,0,0.5,0.5,28.833333333333332,0.25\n"
-            "0.29999999999999999,0.080000000000000002,0,0,0,1,13.125,0\n"
-            "1,0.029999999999999999,0,0,0.375,0.625,24.833333333333332,0.25\n"
-            "1,0.080000000000000002,0,0,0,1,14.375,0\n",
+            "0.29999999999999999,0.029999999999999999,0,0,0.875,0.125,14,0.875\n"
+            "0.29999999999999999,0.080000000000000002,0,0,0,1,14.25,0\n"
+            "1,0.029999999999999999,0,0,0.875,0.125,24.666666666666668,0.625\n"
+            "1,0.080000000000000002,0,0,0.25,0.75,12.5,0\n",
         ),
         "wishart": (
             {
@@ -328,10 +345,10 @@ class TestGridCommand:
                 },
             },
             "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
-            "0.20000000000000001,0.20000000000000001,0,0.625,0.375,0,nan,1\n"
-            "0.20000000000000001,0.5,0,0.75,0.25,0,nan,1\n"
-            "0.90000000000000002,0.20000000000000001,0,0.625,0.375,0,nan,1\n"
-            "0.90000000000000002,0.5,0,0.625,0.25,0.125,19,0.875\n",
+            "0.20000000000000001,0.20000000000000001,0,0.25,0.75,0,nan,1\n"
+            "0.20000000000000001,0.5,0,0.875,0.125,0,nan,1\n"
+            "0.90000000000000002,0.20000000000000001,0,0.375,0.625,0,nan,1\n"
+            "0.90000000000000002,0.5,0,0.375,0.625,0,nan,1\n",
         ),
     }
 
@@ -519,6 +536,25 @@ class TestReconstructCommand:
         report = json.loads((out_dir / "report.json").read_text())
         np.testing.assert_allclose(report["curvature_target"], np.eye(2))
         assert report["beta"] == 1.0
+
+    def test_result_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Two fresh processes: one where OpenBLAS picks its own thread count,
+        # one pinned to a single thread.  100k steps make the kick product
+        # large enough for OpenBLAS to split it over threads.
+        options = self.GOLDEN["non-commuting"][0]
+        cfg = write_config(tmp_path, {"reconstruct": {**options, "n_steps": 100_000}})
+        unset = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        unset["PYTHONPATH"] = str(Path(schurflow.__file__).parents[1])
+        results = []
+        for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+            out_dir = tmp_path / f"run{len(results)}"
+            subprocess.run(
+                [sys.executable, "-m", "schurflow", "--config", str(cfg), "--out", str(out_dir)],
+                env=env, check=True, timeout=120,
+            )
+            results.append([(out_dir / name).read_bytes() for name in ("gamma.csv", "g_eff.csv")])
+        assert results[0] == results[1]
 
 
 # One config per command, each setting a key away from its default.
@@ -815,7 +851,7 @@ class TestErrorHandling:
             (
                 {"grid": {"a0_values": [0.0], "zeta_values": [0.1], "n_traj": 2,
                           "base_config": OVERFLOWING}},
-                "cell (a0=0.0, zeta=0.1): trajectory 1, step 3",
+                "cell (a0=0.0, zeta=0.1): trajectory 0, step 4",
             ),
         ],
         ids=["flow", "grid"],

@@ -1,19 +1,20 @@
 """Tests for grid ensembles, aggregation and boundary extraction.
 
 Aggregation formulas are checked on hand-built negative-count histories,
-the seeding contract is checked against single-trajectory replays and
+the seeding contract is checked against single-trajectory replays from
 numpy's own ``default_rng``, and boundary extraction is checked on a
 synthetic probability field with a known contour.
 """
 
 import dataclasses
 import math
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schurflow.ensemble as ensemble_mod
@@ -93,13 +94,24 @@ class TestAggregation:
                 aggregate(records, 3)
 
 
-def cancelling_batch(model, d_tan, n, rngs, **_):
+def cancelling_batch(model, d_tan, n, normals, **_):
     """Loads whose first step, at zeta = 0.25, cancels the identity exactly."""
-    for rng in rngs:
-        rng.standard_normal((n, d_tan, d_tan))
-    out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(rngs)))
+    out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(normals)))
     out[0, :d_tan] = 1.0 / 0.25
     return out
+
+
+def replay_generator(spec, cell_index, t):
+    """The generator of a grid cell after the normals of ``t`` trajectories:
+    ``run_trajectory`` replays trajectory ``t`` of the cell from it."""
+    rng = np.random.default_rng([spec.master_seed, cell_index])
+    rng.standard_normal(t * sum(flow_mod.draw_counts(spec.cell_config(cell_index))))
+    return rng
+
+
+def replay(spec, cell_index, t):
+    """Trajectory ``t`` of a grid cell, replayed by ``run_trajectory``."""
+    return run_trajectory(spec.cell_config(cell_index), replay_generator(spec, cell_index, t))
 
 
 class TestGridSpec:
@@ -140,11 +152,12 @@ class TestGridSpec:
         # Sizes only: a spec allocates nothing.  A task evolves two cells at
         # once.  Per trajectory of a cell the pair holds both cells' packed
         # anisotropies and the first cell's packed loads, 100 x 6 floats
-        # each, and the second cell's load sampler's scratch: its packed
-        # loads, 100 x 3 lognormal weights, a coupling of 100 x 3 x 3
-        # floats, its transposed copy and 100 x 3 products, over which both
-        # cells' states and the loop's temporaries lie later.
-        per_traj = 100 * (3 * 6 + 6 + 3 + 2 * 9 + 3) * 8
+        # each, the second cell's draw, 100 x 18 normals, and its load
+        # sampler's scratch: its packed loads, 100 x 3 lognormal weights,
+        # the coupling's transposed copy of 100 x 3 x 3 floats and 100 x 3
+        # products, over which both cells' states and the loop's temporaries
+        # lie later.
+        per_traj = 100 * (3 * 6 + 18 + 6 + 3 + 9 + 3) * 8
         GridSpec(n_traj=ARRAY_BUDGET // per_traj)
         keys = (r"^n_traj, base_config\.k_max, base_config\.d_tan, "
                 r"base_config\.schur_model ask for .* budget$")
@@ -225,9 +238,7 @@ class TestRunGrid:
         for cell_index in range(spec.n_cells):
             i, j = divmod(cell_index, 2)
             config = spec.cell_config(cell_index)
-            records = [
-                run_trajectory(config, [42, cell_index, t]) for t in range(4)
-            ]
+            records = [replay(spec, cell_index, t) for t in range(4)]
             finals = [int(r.n_minus[-1]) for r in records]
             for m in range(4):
                 assert result.p_sector[i, j, m] == finals.count(m) / 4
@@ -268,12 +279,12 @@ class TestRunGrid:
     def test_partial_collapse_aggregates_valid_trajectories(self, monkeypatch):
         sample = flow_mod.sample_sigma_batch
 
-        def sometimes_cancelling(model, d_tan, n, rngs, **_):
-            # A coin from each trajectory's own generator picks its loads.
+        def sometimes_cancelling(model, d_tan, n, normals, **_):
+            # The sign of each trajectory's first load normal picks its loads.
             return np.concatenate([
-                cancelling_batch(model, d_tan, n, [rng]) if rng.random() < 0.5
-                else sample(model, d_tan, n, [rng])
-                for rng in rngs
+                cancelling_batch(model, d_tan, n, row[None]) if row[0] < 0.0
+                else sample(model, d_tan, n, row[None])
+                for row in normals
             ], axis=-1)
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", sometimes_cancelling)
@@ -282,11 +293,11 @@ class TestRunGrid:
         )
         result = run_grid(spec)
         config = spec.cell_config(0)
-        # The valid-state counts of 0.9.0, which checked the floor every step.
-        rngs = [np.random.default_rng([1, 0, t]) for t in range(spec.n_traj)]
-        n_valid = flow_mod.evolve_batch(config, rngs)[2]
-        assert n_valid.tolist() == [21, 21, 1, 1, 1, 1, 21, 1]
-        records = [run_trajectory(config, [1, 0, t]) for t in range(spec.n_traj)]
+        # The valid-state counts, re-recorded at 0.23.0 with the coin and the
+        # stream of one generator per cell.
+        n_valid = flow_mod.evolve_batch(config, np.random.default_rng([1, 0]), spec.n_traj)[2]
+        assert n_valid.tolist() == [21, 21, 1, 21, 1, 1, 1, 21]
+        records = [replay(spec, 0, t) for t in range(spec.n_traj)]
         valid = [r for r in records if not r.collapsed]
         assert 0 < len(valid) < spec.n_traj
         assert result.n_valid[0, 0] == len(valid)
@@ -303,7 +314,7 @@ class TestRunGrid:
         base = FlowConfig(k_max=5, schur_model=LognormalGaussian(sigma_log=300))
         spec = GridSpec([0.0], [0.1], n_traj=2, base_config=base)
         with pytest.raises(
-            NonFiniteState, match=r"cell \(a0=0.0, zeta=0.1\): trajectory 1, step 3"
+            NonFiniteState, match=r"cell \(a0=0.0, zeta=0.1\): trajectory 0, step 4"
         ):
             run_grid(spec)
 
@@ -335,51 +346,8 @@ class TestRunGrid:
             assert str(error.value) == alone[1]
 
 
-def same_as_default_rng(master, cell, n_traj):
-    """Whether every generator of the cell equals ``default_rng([master,
-    cell, t])`` in its full state and in its first 8 normal draws."""
-    for t, rng in enumerate(ensemble_mod._cell_generators(master, cell, n_traj)):
-        oracle = np.random.default_rng([master, cell, t])
-        if rng.bit_generator.state != oracle.bit_generator.state:
-            return False
-        if not np.array_equal(rng.standard_normal(8), oracle.standard_normal(8)):
-            return False
-    return True
-
-
-# Seeds of one to four 32-bit words: below, at and above 2**32 and 2**64.
-SEEDS = st.one_of(
-    st.just(0),
-    st.integers(0, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
-    st.integers(2**64, 2**128),
-    st.sampled_from([2**32, 2**64]),
-)
-
-
-class TestCellGenerators:
-    """A cell's generators are hashed together; numpy's ``default_rng``
-    is the oracle, so a numpy that changes ``SeedSequence`` fails here."""
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(master=SEEDS, cell=SEEDS, n_traj=st.integers(1, 5))
-    def test_generators_equal_default_rng(self, master, cell, n_traj):
-        assert same_as_default_rng(master, cell, n_traj)
-
-    def test_a_full_cell_of_100_trajectories(self):
-        assert same_as_default_rng(12345678901234567890, 399, 100)
-
-    @pytest.mark.parametrize(
-        "name", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_L", "_MIX_R", "_XSHIFT"]
-    )
-    def test_any_changed_hash_constant_fails_the_comparison(self, monkeypatch, name):
-        monkeypatch.setattr(ensemble_mod, name, getattr(ensemble_mod, name) ^ 1)
-        # The second seed has 5 entropy words, so it runs every mixing round.
-        assert not same_as_default_rng(0, 0, 3)
-        assert not same_as_default_rng(2**64 + 5, 2**33, 3)
-
     def test_large_master_cells_replay_each_trajectory(self, monkeypatch):
-        # 2**64 + 5 is 3 words: with the cell and t, more than the pool's 4.
+        # 2**64 + 5 is 3 words: with the cell index, 4 words of entropy.
         master = 2**64 + 5
         histories = []
         aggregate = ensemble_mod.mean_first_passage
@@ -401,12 +369,70 @@ class TestCellGenerators:
         run_grid(spec)
         assert len(histories) == spec.n_cells
         for cell_index, n_minus in enumerate(histories):
-            config = spec.cell_config(cell_index)
             for t in range(spec.n_traj):
-                record = run_trajectory(config, [master, cell_index, t])
+                record = replay(spec, cell_index, t)
                 assert not record.collapsed
                 assert n_minus[t, -1] == record.n_minus[-1]
 
+
+def grid_states(monkeypatch, spec):
+    """Every cell's packed states, ``(k_max + 1, n_comp, n_traj)`` each, in
+    cell order, as a serial ``run_grid`` of ``spec`` evolves them."""
+    batches = []
+    evolve = ensemble_mod.evolve_batches
+
+    def recording(configs, rngs, n, *, workspace=None):
+        states, n_valid, free = evolve(configs, rngs, n, workspace=workspace)
+        batches.extend(states[:, :, b].copy() for b in range(len(configs)))
+        return states, n_valid, free
+
+    monkeypatch.setattr(ensemble_mod, "evolve_batches", recording)
+    run_grid(spec)
+    monkeypatch.undo()
+    return batches
+
+
+class TestSeedingRule:
+    """A cell draws from ``default_rng([master_seed, cell_index])``, and its
+    trajectory ``t`` is block ``t`` of that generator's stream."""
+
+    # The a0 = 0 row and the zeta = 0 column draw fewer normals per
+    # trajectory, so their blocks are shorter.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        master=st.integers(0, 2**64 + 5),
+        model=st.sampled_from([LognormalGaussian(), Wishart()]),
+        disorder=st.sampled_from(["annealed", "quenched"]),
+        norm_mode=st.sampled_from(["frobenius", "trace"]),
+        cell_index=st.integers(0, 3),
+        t=st.integers(0, 3),
+    )
+    @example(master=0, model=Wishart(), disorder="quenched", norm_mode="trace",
+             cell_index=1, t=3)
+    @example(master=7, model=LognormalGaussian(), disorder="annealed",
+             norm_mode="frobenius", cell_index=2, t=1)
+    def test_any_grid_trajectory_equals_its_replay(
+        self, master, model, disorder, norm_mode, cell_index, t
+    ):
+        base = FlowConfig(k_max=12, schur_model=model, disorder=disorder, norm_mode=norm_mode)
+        spec = GridSpec([0.0, 0.6], [0.0, 0.3], n_traj=4, master_seed=master, base_config=base)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            states = grid_states(monkeypatch, spec)[cell_index][..., t]
+        config = spec.cell_config(cell_index)
+        single = flow_mod.evolve_batch(config, replay_generator(spec, cell_index, t), 1)[0]
+        assert states.tobytes() == single[..., 0].tobytes()
+        record = replay(spec, cell_index, t)
+        assert (states[:, :3].sum(axis=1) / 3).tobytes() == record.q.tobytes()
+
+    def test_a_trajectory_does_not_depend_on_n_traj(self, monkeypatch):
+        specs = [
+            GridSpec([0.0, 0.5], [0.0, 0.1, 0.2], n_traj=n, master_seed=9,
+                     base_config=FlowConfig(k_max=20))
+            for n in (3, 7)
+        ]
+        few, many = (grid_states(monkeypatch, spec) for spec in specs)
+        for cell_few, cell_many in zip(few, many):
+            assert cell_few.tobytes() == cell_many[..., :3].copy().tobytes()
 
 
 # The two benchmark configs: the reference grid and the Wishart/trace/
@@ -477,22 +503,23 @@ class TestWorkspace:
         ensemble_mod._run_cells(spec, (6, 7), workspace)
         cell_index = 4
         config = spec.cell_config(cell_index)
-        rngs = ensemble_mod._cell_generators(spec.master_seed, cell_index, spec.n_traj)
-        states, n_minus, n_valid = flow_mod.evolve_batch(config, rngs, workspace=workspace)
+        rng = np.random.default_rng([spec.master_seed, cell_index])
+        states, n_minus, n_valid = flow_mod.evolve_batch(
+            config, rng, spec.n_traj, workspace=workspace
+        )
         assert np.shares_memory(states, workspace)
         assert np.shares_memory(n_minus, workspace)
         for t in range(0, spec.n_traj, 9):
-            seed = [spec.master_seed, cell_index, t]
-            record = run_trajectory(config, seed)
+            record = replay(spec, cell_index, t)
             assert not record.collapsed and n_valid[t] == config.k_max + 1
             np.testing.assert_array_equal(n_minus[t], record.n_minus)
-            single = flow_mod.evolve_batch(config, [np.random.default_rng(seed)])[0]
+            single = flow_mod.evolve_batch(config, replay_generator(spec, cell_index, t), 1)[0]
             assert states[..., t].tobytes() == single[..., 0].tobytes()
 
     @pytest.mark.parametrize("name", list(BENCHMARK_BASES))
     def test_a_warm_cell_allocates_under_one_mib(self, name):
         # numpy reports its data buffers to tracemalloc.  A pair of cells
-        # without a workspace allocates and frees about 3.7 MiB, which glibc
+        # without a workspace allocates and frees about 4.4 MiB, which glibc
         # hands back to the system and the next pair faults in again.
         spec = GridSpec(master_seed=1, base_config=BENCHMARK_BASES[name])
         if name == "wishart":
@@ -514,9 +541,11 @@ class TestWorkspace:
             ensemble_mod._run_cells(spec, (4, 5), small)
         run_cell(spec, 4, small)  # one cell needs less
 
-    def test_grid_is_worker_independent_over_partial_tasks(self):
+    def test_grid_is_worker_independent_over_partial_tasks(self, monkeypatch):
         # 21 cells: one worker takes tasks of 4 cells, two workers and three
-        # tasks of 2; the last task holds one cell, which evolves alone.
+        # tasks of 2; the last task holds one cell, which evolves alone.  Three
+        # workers run on a machine of fewer CPUs too.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         spec = GridSpec(
             [0.0, 0.5, 1.0], np.linspace(0.0, 0.3, 7), n_traj=20, master_seed=5,
             base_config=FlowConfig(k_max=30),
@@ -529,9 +558,10 @@ class TestWorkspace:
         assert results[0].p_sector.reshape(spec.n_cells, -1).tolist() == [c[0] for c in cells]
 
     @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
-    def test_three_by_three_grid_is_worker_independent(self, name):
+    def test_three_by_three_grid_is_worker_independent(self, monkeypatch, name):
         # One worker takes tasks of 2 cells, as do two and three; the ninth
         # cell evolves alone.  Every cell equals its run alone.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         spec = WORKSPACE_GRIDS[name]
         singles = [run_cell(spec, i) for i in range(spec.n_cells)]
         for workers in (1, 2, 3):

@@ -90,9 +90,11 @@ def test_seed_shift_of_this_checkout_passes(tmp_path, capsys):
     # By default the head takes the seeds after the base's.
     assert "seeds 100..103\n" in out and "seeds 104..107\n" in out
     assert "grid: 2 x 3 cells, K = 4 seeds a side\n" in out
+    # How many cells hold two sectors, and so a chi-square test, depends on
+    # the stream; these counts were re-recorded at 0.23.0.
     assert "mann-whitney discoveries: 0 of 6 tests\n" in out
-    assert "chi-square discoveries: 0 of 3 tests\n" in out
-    assert "BH discoveries at alpha 0.05: 0 of 9;" in out
+    assert "chi-square discoveries: 0 of 1 tests\n" in out
+    assert "BH discoveries at alpha 0.05: 0 of 7;" in out
 
 
 def test_refuses_too_few_seeds(capsys):

@@ -2,7 +2,7 @@
 
 Covers the elimination-load and anisotropy samplers, the normalization
 rules, single flow steps, and full trajectories.  The batched samplers are
-cross-checked against each generator's documented draws replayed from raw
+cross-checked against each generator's documented normals replayed from raw
 ``standard_normal`` calls, and trajectory evolution by replaying the
 documented draw order through the public samplers and stepping by hand.
 The lognormal loads are checked by law against a reference sampler that
@@ -42,22 +42,47 @@ from schurflow.tensor import (
 
 
 def dense(packed):
-    """A sampler's packed ``(n, n_comp, len(rngs))`` output as dense
-    ``(len(rngs), n, d, d)`` matrices."""
+    """A sampler's packed ``(n, n_comp, n_traj)`` output as dense
+    ``(n_traj, n, d, d)`` matrices."""
     return unpack_symmetric(packed.transpose(1, 2, 0))
+
+
+def rows(rngs, count):
+    """One row of ``count`` standard normals per generator."""
+    return np.stack([rng.standard_normal(count) for rng in rngs])
+
+
+def draw_sigma(model, d_tan, n, rngs, **kwargs):
+    """``sample_sigma_batch`` of one row of normals per generator."""
+    count = n * flow_mod._sigma_floats(model, d_tan)[1]
+    return sample_sigma_batch(model, d_tan, n, rows(rngs, count), **kwargs)
+
+
+def draw_anisotropy(d_tan, n, rngs, **kwargs):
+    """``sample_anisotropy_batch`` of one row of normals per generator."""
+    count = n * d_tan * (d_tan + 1) // 2
+    return sample_anisotropy_batch(d_tan, n, rows(rngs, count), **kwargs)
+
+
+def replay_rng(seed, t, config):
+    """``default_rng(seed)`` after the normals of ``t`` trajectories of
+    ``config``: trajectory ``t`` of a batch drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(t * sum(flow_mod.draw_counts(config)))
+    return rng
 
 
 class TestSigmaSamplers:
     def test_lognormal_loads_are_symmetric_psd(self):
         rng = np.random.default_rng(11)
-        packed = sample_sigma_batch(LognormalGaussian(), 4, 50, [rng])
+        packed = draw_sigma(LognormalGaussian(), 4, 50, [rng])
         assert packed.shape == (50, 10, 1)
         eigs = np.linalg.eigvalsh(dense(packed)[0])
         assert eigs.min() >= -1e-12 * max(1.0, abs(eigs).max())
 
     def test_wishart_loads_are_symmetric_psd(self):
         rng = np.random.default_rng(12)
-        eigs = np.linalg.eigvalsh(dense(sample_sigma_batch(Wishart(), 3, 50, [rng]))[0])
+        eigs = np.linalg.eigvalsh(dense(draw_sigma(Wishart(), 3, 50, [rng]))[0])
         assert eigs.min() >= -1e-12 * max(1.0, abs(eigs).max())
 
     def test_wishart_mean_load_is_identity(self):
@@ -65,19 +90,19 @@ class TestSigmaSamplers:
         # Margin at this seed: 0.13% against the 1% bound.
         d = 3
         rng = np.random.default_rng(0)
-        loads = sample_sigma_batch(Wishart(), d, 100_000, [rng])
+        loads = draw_sigma(Wishart(), d, 100_000, [rng])
         mean_trace = loads[:, :d].sum(axis=1).mean()
         assert abs(mean_trace - d) / d < 0.01
 
     def test_wishart_rank_one_signature(self):
         rng = np.random.default_rng(5)
-        load = dense(sample_sigma_batch(Wishart(rank=1), 3, 1, [rng]))[0, 0]
+        load = dense(draw_sigma(Wishart(rank=1), 3, 1, [rng]))[0, 0]
         assert signature(load) == (1, 0, 2)
 
     def test_lognormal_low_rank_coupling(self):
         # d_fast < d_tan caps the load rank at d_fast.
         rng = np.random.default_rng(6)
-        load = dense(sample_sigma_batch(LognormalGaussian(d_fast=2), 4, 1, [rng]))[0, 0]
+        load = dense(draw_sigma(LognormalGaussian(d_fast=2), 4, 1, [rng]))[0, 0]
         assert signature(load) == (2, 0, 2)
 
     # The sampler draws the coupling in the fast block's eigenbasis.  Its
@@ -100,13 +125,16 @@ class TestSigmaSamplers:
         assert min(p.values()) < 1e-6, p
 
     def test_invalid_arguments(self):
-        rng = np.random.default_rng(0)
+        normals = np.zeros((1, 5 * 9))
         with pytest.raises(ValueError, match="d_tan"):
-            sample_sigma_batch(Wishart(), 0, 5, [rng])
+            sample_sigma_batch(Wishart(), 0, 5, normals)
         with pytest.raises(ValueError, match="n must"):
-            sample_sigma_batch(Wishart(), 3, 0, [rng])
+            sample_sigma_batch(Wishart(), 3, 0, normals)
         with pytest.raises(TypeError, match="model"):
-            sample_sigma_batch(object(), 3, 5, [rng])
+            sample_sigma_batch(object(), 3, 5, normals)
+        for bad in (normals[:, 1:], normals[0], np.zeros((1, 5 * 12))):
+            with pytest.raises(ValueError, match=r"^normals: expected shape \(n_traj, 45\)"):
+                sample_sigma_batch(Wishart(), 3, 5, bad)
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="sigma_log"):
@@ -122,7 +150,7 @@ class TestSigmaSamplers:
 class TestAnisotropySampler:
     def test_draws_are_traceless_symmetric_unit_norm(self):
         rng = np.random.default_rng(3)
-        packed = sample_anisotropy_batch(4, 200, [rng])
+        packed = draw_anisotropy(4, 200, [rng])
         assert packed.shape == (200, 10, 1)
         draws = dense(packed)[0]
         assert np.abs(np.trace(draws, axis1=1, axis2=2)).max() < 1e-12
@@ -133,22 +161,24 @@ class TestAnisotropySampler:
         # Entrywise sample means sit within 3 standard errors of zero.
         # Margin at this seed: worst ratio 1.89 against the 3.0 bound.
         rng = np.random.default_rng(0)
-        draws = dense(sample_anisotropy_batch(3, 20_000, [rng]))[0]
+        draws = dense(draw_anisotropy(3, 20_000, [rng]))[0]
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.abs(mean / se).max() < 3.0
 
     def test_requires_at_least_two_dimensions(self):
         with pytest.raises(ValueError, match="d_tan"):
-            sample_anisotropy_batch(1, 5, [np.random.default_rng(0)])
+            sample_anisotropy_batch(1, 5, np.zeros((1, 5)))
+        with pytest.raises(ValueError, match=r"^normals: expected shape \(n_traj, 30\)"):
+            sample_anisotropy_batch(3, 5, np.zeros((2, 36)))
 
     def test_degenerate_draw_raises_without_redraw(self):
         class ZeroRng:
             calls = 0
 
             def standard_normal(self, size=None, out=None):
-                # Generator.standard_normal's signature: the samplers draw
-                # straight into their batch array through ``out``.
+                # Generator.standard_normal's signature: the draw step draws
+                # straight into its workspace through ``out``.
                 self.calls += 1
                 if out is None:
                     return np.zeros(size)
@@ -156,8 +186,9 @@ class TestAnisotropySampler:
                 return out
 
         zero_rng = ZeroRng()
+        config = FlowConfig(a0=0.5, k_max=2)
         with pytest.raises(DegenerateDraw, match="norm below"):
-            sample_anisotropy_batch(3, 2, [zero_rng])
+            flow_mod.draw_batch(config, zero_rng, np.empty((2, 6, 3)))
         assert zero_rng.calls == 1
 
     # The sampler draws the packed components of a GOE matrix directly.
@@ -190,7 +221,7 @@ def anisotropy_law_p_values(d_tan, symmetric, n=20_000):
     ref -= (np.trace(ref, axis1=1, axis2=2) / d_tan)[:, None, None] * np.eye(d_tan)
     ref /= np.linalg.norm(ref, axis=(1, 2))[:, None, None]
     draws = {
-        "sampler": dense(sample_anisotropy_batch(d_tan, n, [np.random.default_rng(23)]))[0],
+        "sampler": dense(draw_anisotropy(d_tan, n, [np.random.default_rng(23)]))[0],
         "reference": ref,
     }
     stats = {}
@@ -216,9 +247,10 @@ def chunked_sum(terms):
 
 
 def replay_sigma(model, d_tan, n, rng):
-    """One generator's documented load draws as packed ``(n, n_comp)``
-    components, one load and one component at a time: the products ``(w_if
-    * w_jf) * weight_f`` are summed over modes by :func:`chunked_sum`."""
+    """A row of load normals, drawn from ``rng`` in the documented pieces, as
+    packed ``(n, n_comp)`` components, one load and one component at a time:
+    the products ``(w_if * w_jf) * weight_f`` are summed over modes by
+    :func:`chunked_sum`."""
     if isinstance(model, LognormalGaussian):
         modes = model.d_fast or d_tan
         weight = np.exp(-model.sigma_log * rng.standard_normal((n, modes))) / modes
@@ -254,7 +286,7 @@ def load_law_p_values(model, reference, d_tan, n=20_000):
     from scipy.stats import ks_2samp  # tests only: scipy is no runtime dependency
 
     loads = {
-        "sampler": dense(sample_sigma_batch(model, d_tan, n, [np.random.default_rng(21)]))[0],
+        "sampler": dense(draw_sigma(model, d_tan, n, [np.random.default_rng(21)]))[0],
         "haar": haar_sigma(reference, d_tan, n, np.random.default_rng(22)),
     }
     stats = {}
@@ -267,8 +299,8 @@ def load_law_p_values(model, reference, d_tan, n=20_000):
 
 
 def replay_anisotropy(d_tan, n, rng):
-    """One generator's documented anisotropy draws as packed ``(n, n_comp)``
-    components, one matrix at a time, summed over components by
+    """A row of anisotropy normals drawn from ``rng`` as packed ``(n,
+    n_comp)`` components, one matrix at a time, summed over components by
     :func:`chunked_sum`."""
     out = []
     for s in rng.standard_normal((n, d_tan * (d_tan + 1) // 2)):
@@ -285,9 +317,10 @@ def batch_rngs():
 
 
 class TestBatchedSamplers:
-    # Column i of a batched call equals the replay of generator i alone, bit
-    # for bit, and equals a call with that generator alone: no sum depends
-    # on the batch size.  d_fast = 10 and rank = 9 sum more than seven modes.
+    # Given the same normals, column i of a batched call equals the dense
+    # replay of row i, drawn in pieces from its generator, bit for bit, and
+    # equals a call with that row alone: no sum depends on the batch size.
+    # d_fast = 10 and rank = 9 sum more than seven modes.
     @pytest.mark.parametrize("model, d_tan", [
         (LognormalGaussian(), 3),
         (LognormalGaussian(d_fast=5, sigma_log=0.7), 4),
@@ -298,26 +331,26 @@ class TestBatchedSamplers:
     ])
     def test_sigma_matches_per_generator_replay(self, model, d_tan):
         n = FlowConfig().k_max
-        loads = sample_sigma_batch(model, d_tan, n, batch_rngs())
+        loads = draw_sigma(model, d_tan, n, batch_rngs())
         assert loads.shape == (n, d_tan * (d_tan + 1) // 2, 7)
         expected = [replay_sigma(model, d_tan, n, rng) for rng in batch_rngs()]
         np.testing.assert_array_equal(loads, np.stack(expected, axis=-1))
-        singles = [sample_sigma_batch(model, d_tan, n, [rng]) for rng in batch_rngs()]
+        singles = [draw_sigma(model, d_tan, n, [rng]) for rng in batch_rngs()]
         np.testing.assert_array_equal(loads, np.concatenate(singles, axis=-1))
-        one_draw = [sample_sigma_batch(model, d_tan, 1, [rng]) for rng in batch_rngs()]
+        one_draw = [draw_sigma(model, d_tan, 1, [rng]) for rng in batch_rngs()]
         np.testing.assert_array_equal(
-            sample_sigma_batch(model, d_tan, 1, batch_rngs()),
+            draw_sigma(model, d_tan, 1, batch_rngs()),
             np.concatenate(one_draw, axis=-1),
         )
 
     @pytest.mark.parametrize("n", [FlowConfig().k_max, 1])
     def test_anisotropy_matches_per_generator_replay(self, n):
         for d_tan in (3, 4):
-            draws = sample_anisotropy_batch(d_tan, n, batch_rngs())
+            draws = draw_anisotropy(d_tan, n, batch_rngs())
             assert draws.shape == (n, d_tan * (d_tan + 1) // 2, 7)
             expected = [replay_anisotropy(d_tan, n, rng) for rng in batch_rngs()]
             np.testing.assert_array_equal(draws, np.stack(expected, axis=-1))
-            singles = [sample_anisotropy_batch(d_tan, n, [rng]) for rng in batch_rngs()]
+            singles = [draw_anisotropy(d_tan, n, [rng]) for rng in batch_rngs()]
             np.testing.assert_array_equal(draws, np.concatenate(singles, axis=-1))
 
     @pytest.mark.parametrize("zeta, a0, disorder", [
@@ -337,7 +370,7 @@ class TestBatchedSamplers:
 
             monkeypatch.setattr(flow_mod, name, spy)
         config = FlowConfig(zeta=zeta, a0=a0, k_max=10, disorder=disorder)
-        flow_mod.evolve_batch(config, batch_rngs())
+        flow_mod.evolve_batch(config, np.random.default_rng(11), 7)
         assert calls.get("sample_sigma_batch", 0) == (zeta > 0)
         assert calls.get("sample_anisotropy_batch", 0) == (a0 > 0)
 
@@ -348,11 +381,9 @@ class TestWorkspaceContract:
     # returns fresh arrays; with them, the result is the same bytes, and a
     # sampler returns the head of its scratch.
     SAMPLERS = {
-        "lognormal": lambda rngs, **kw: sample_sigma_batch(
-            LognormalGaussian(), 3, 10, rngs, **kw
-        ),
-        "wishart": lambda rngs, **kw: sample_sigma_batch(Wishart(rank=2), 4, 10, rngs, **kw),
-        "anisotropy": lambda rngs, **kw: sample_anisotropy_batch(3, 10, rngs, **kw),
+        "lognormal": lambda rngs, **kw: draw_sigma(LognormalGaussian(), 3, 10, rngs, **kw),
+        "wishart": lambda rngs, **kw: draw_sigma(Wishart(rank=2), 4, 10, rngs, **kw),
+        "anisotropy": lambda rngs, **kw: draw_anisotropy(3, 10, rngs, **kw),
     }
 
     @pytest.mark.parametrize("name", list(SAMPLERS))
@@ -363,7 +394,9 @@ class TestWorkspaceContract:
 
     def test_evolve_batch_calls_share_no_memory(self):
         config = FlowConfig(zeta=0.2, a0=0.5, k_max=10)
-        first, second = (flow_mod.evolve_batch(config, batch_rngs()) for _ in range(2))
+        first, second = (
+            flow_mod.evolve_batch(config, np.random.default_rng(11), 7) for _ in range(2)
+        )
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
             assert not np.shares_memory(a, b)
@@ -398,28 +431,30 @@ class TestWorkspaceContract:
     def test_stated_scratch_count_is_exact(self, model, d_tan, n):
         # Each sampler takes exactly its stated count per draw.
         if model is None:
-            sample = lambda **kw: sample_anisotropy_batch(d_tan, n, batch_rngs(), **kw)
+            sample = lambda **kw: draw_anisotropy(d_tan, n, batch_rngs(), **kw)
             per_draw = flow_mod._anisotropy_floats(d_tan)
         else:
-            sample = lambda **kw: sample_sigma_batch(model, d_tan, n, batch_rngs(), **kw)
-            per_draw = flow_mod._sigma_floats(model, d_tan)[1]
+            sample = lambda **kw: draw_sigma(model, d_tan, n, batch_rngs(), **kw)
+            per_draw = flow_mod._sigma_floats(model, d_tan)[2]
         floats = n * len(batch_rngs()) * per_draw
         sample(scratch=np.empty(floats))
         with pytest.raises(ValueError, match="too small"):
             sample(scratch=np.empty(floats - 1))
 
     # Floats per trajectory of a cell, evolved alone and in a pair.  The
-    # last batch's load sampler runs from its loads over the transient
-    # region and every batch's states, so a batch costs its drive, the
-    # loads of the batches before it and a sampler's scratch: 6 + 30 and 6
-    # + 27 floats per step (lognormal, Wishart) alone, 3 * 6 + 30 and 3 * 6
-    # + 27 in a pair.  Before the pairs a cell took 4,306 and 4,006.
+    # last batch's draw lies at the end of the workspace, and its load
+    # sampler runs from its loads over the transient region and every
+    # batch's states up to the draw, so a batch costs its drive, the loads
+    # of the batches before it, its draw and a sampler's scratch: 6 + 18 +
+    # 21 floats per step (lognormal, annealed) alone and 3 * 6 + 18 + 21 in
+    # a pair; 6 + 9 + 18 and 3 * 6 + 9 + 18 (Wishart, quenched), whose draw
+    # also holds one anisotropy's 6 normals.
     @pytest.mark.parametrize(
         "config, single, pair",
         [
-            (FlowConfig(), 3600, 4800),
+            (FlowConfig(), 4500, 5700),
             (FlowConfig(schur_model=Wishart(), norm_mode="trace", disorder="quenched"),
-             3300, 4500),
+             3306, 4506),
         ],
         ids=["reference", "wishart-trace-quenched"],
     )
@@ -515,8 +550,8 @@ class TestFlowStep:
     def test_matches_manual_formula(self):
         rng = np.random.default_rng(31)
         q = np.eye(3)
-        sigma = dense(sample_sigma_batch(LognormalGaussian(), 3, 1, [rng]))[0, 0]
-        a = dense(sample_anisotropy_batch(3, 1, [rng]))[0, 0]
+        sigma = dense(draw_sigma(LognormalGaussian(), 3, 1, [rng]))[0, 0]
+        a = dense(draw_anisotropy(3, 1, [rng]))[0, 0]
         out = flow_step(q, sigma, a, 0.4, 0.2, NormMode.FROBENIUS)
         upd = q - 0.2 * sigma + 0.4 * a
         upd = 0.5 * (upd + upd.T)
@@ -527,10 +562,10 @@ class TestFlowStep:
         # trace; only the elimination load compresses it.
         rng = np.random.default_rng(32)
         q = np.eye(3)
-        a = dense(sample_anisotropy_batch(3, 1, [rng]))[0, 0]
+        a = dense(draw_anisotropy(3, 1, [rng]))[0, 0]
         upd = q + 0.9 * a
         assert abs(np.trace(upd) - np.trace(q)) < 1e-12
-        sigma = dense(sample_sigma_batch(Wishart(), 3, 1, [rng]))[0, 0]
+        sigma = dense(draw_sigma(Wishart(), 3, 1, [rng]))[0, 0]
         compressed = q - 0.3 * sigma
         assert np.trace(compressed) < np.trace(q)
 
@@ -584,18 +619,17 @@ class TestEmbedFull:
 
 
 def replay_trajectory(config: FlowConfig, seed):
-    """Re-run a trajectory through the public samplers and flow_step."""
+    """Re-run a trajectory through the public samplers and flow_step, its
+    normals drawn from ``default_rng(seed)`` in the documented pieces."""
     rng = np.random.default_rng(seed)
     annealed = config.disorder is Disorder.ANNEALED
     a_batch = None
     if config.a0 > 0:
         n_draws = config.k_max if annealed else 1
-        a_batch = dense(sample_anisotropy_batch(config.d_tan, n_draws, [rng]))[0]
+        a_batch = dense(draw_anisotropy(config.d_tan, n_draws, [rng]))[0]
     sig_batch = None
     if config.zeta > 0:
-        sig_batch = dense(sample_sigma_batch(
-            config.schur_model, config.d_tan, config.k_max, [rng]
-        ))[0]
+        sig_batch = dense(draw_sigma(config.schur_model, config.d_tan, config.k_max, [rng]))[0]
     zero = np.zeros((config.d_tan, config.d_tan))
     q = config.initial_state()
     states = [q.copy()]
@@ -713,10 +747,8 @@ class TestTrajectories:
     def test_collapse_returns_partial_record(self, monkeypatch):
         # Force the first update to cancel exactly: the trajectory collapses
         # at step 1 and its record holds the one-state prefix.
-        def cancelling_batch(model, d_tan, n, rngs, **_):
-            for rng in rngs:
-                rng.standard_normal((n, d_tan, d_tan))
-            out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(rngs)))
+        def cancelling_batch(model, d_tan, n, normals, **_):
+            out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(normals)))
             out[0, :d_tan] = 1.0 / 0.25
             return out
 
@@ -727,8 +759,7 @@ class TestTrajectories:
         assert record.n_steps == 0
         np.testing.assert_array_equal(record.n_minus, [0])
         # The valid-state count of 0.9.0, which checked the floor every step.
-        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-        assert flow_mod.evolve_batch(config, rngs)[2].tolist() == [1, 1]
+        assert flow_mod.evolve_batch(config, np.random.default_rng(0), 2)[2].tolist() == [1, 1]
 
 
 # Trajectory cases of TestClassificationContract.
@@ -779,7 +810,7 @@ class TestClassificationContract:
             zeta=0.3, a0=0.5, d_tan=d_tan, q_n=10.0**log_q_n, k_max=k_max,
             norm_mode=norm_mode, disorder=disorder, schur_model=model,
         )
-        _, n_minus, n_valid = flow_mod.evolve_batch(config, [np.random.default_rng(seed)])
+        _, n_minus, n_valid = flow_mod.evolve_batch(config, np.random.default_rng(seed), 1)
         states = replay_trajectory(config, seed)
         assert n_valid[0] == len(states)
         expected = [signature(embed_full(q, config.q_n)).n_minus for q in states]
@@ -790,7 +821,8 @@ class TestEvolveBatch:
     # The packed kernel against the dense flow_step oracle: every unpacked
     # state equals the replayed one up to the rounding of the Frobenius
     # norm, which the kernel sums over packed components; and each
-    # trajectory equals its single-generator run bit for bit.
+    # trajectory equals a batch of one drawn from its block of the stream,
+    # bit for bit.  Zero a0 or zeta shortens the block.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         model=st.sampled_from([LognormalGaussian(), Wishart()]),
@@ -813,14 +845,13 @@ class TestEvolveBatch:
             zeta=zeta, a0=a0, d_tan=d_tan, k_max=30, norm_mode=norm_mode,
             schur_model=model, disorder=disorder, q_init=q_init,
         )
-        rngs = [np.random.default_rng([seed, t]) for t in range(3)]
-        states, _, n_valid = flow_mod.evolve_batch(config, rngs)
+        states, _, n_valid = flow_mod.evolve_batch(config, np.random.default_rng(seed), 3)
         assert states.shape == (31, d_tan * (d_tan + 1) // 2, 3)
         assert n_valid.tolist() == [31] * 3
         for t, got in enumerate(unpack_symmetric(states.transpose(1, 2, 0))):
-            single = flow_mod.evolve_batch(config, [np.random.default_rng([seed, t])])[0]
+            single = flow_mod.evolve_batch(config, replay_rng(seed, t, config), 1)[0]
             np.testing.assert_array_equal(states[..., t], single[..., 0])
-            expected = np.array(replay_trajectory(config, [seed, t]))
+            expected = np.array(replay_trajectory(config, replay_rng(seed, t, config)))
             scale = np.maximum(1.0, np.abs(expected).max(axis=(1, 2)))
             deviation = np.abs(got - expected).max(axis=(1, 2))
             assert (deviation <= 1e-14 * scale).all()
@@ -831,10 +862,8 @@ class TestEvolveBatch:
         # 6.  The norms are checked once the loop is done, and in trace mode
         # computed only then: the error names the first step with a
         # non-finite update and its trajectory.
-        def loads(model, d_tan, n, rngs, **_):
-            for rng in rngs:
-                rng.standard_normal((n, d_tan, d_tan))
-            out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(rngs)))
+        def loads(model, d_tan, n, normals, **_):
+            out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(normals)))
             out[0, :d_tan, 0] = 1.0 / 0.25
             out[3, :d_tan, 2] = out[5, :d_tan, 1] = 1e300
             return out
@@ -843,7 +872,7 @@ class TestEvolveBatch:
         for norm_mode in NormMode:
             config = FlowConfig(zeta=0.25, k_max=8, norm_mode=norm_mode)
             with pytest.raises(NonFiniteState, match=r"^trajectory 2, step 4: .* not finite$"):
-                flow_mod.evolve_batch(config, batch_rngs()[:4])
+                flow_mod.evolve_batch(config, np.random.default_rng(11), 4)
 
     def test_trace_floor_falls_back_per_trajectory(self, monkeypatch):
         # At step 1 trajectory 0's update, diag(-1, 0, 1), has a trace of
@@ -859,13 +888,13 @@ class TestEvolveBatch:
         g = np.random.default_rng(3).standard_normal((6, 3, 3))
         sigmas[2] = 0.1 * (g + g.swapaxes(1, 2))
 
-        def loads(model, d_tan, n, rngs, **_):
+        def loads(model, d_tan, n, normals, **_):
             rows, cols = np.divmod(packed_index(d_tan), d_tan)
             return sigmas[:, :, rows, cols].transpose(1, 2, 0).copy()
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", loads)
         config = FlowConfig(zeta=0.25, k_max=6, norm_mode=NormMode.TRACE)
-        states, _, n_valid = flow_mod.evolve_batch(config, batch_rngs()[:3])
+        states, _, n_valid = flow_mod.evolve_batch(config, np.random.default_rng(11), 3)
         assert n_valid.tolist() == [7] * 3
         dense_states = unpack_symmetric(states.transpose(1, 2, 0))
         for t, got in enumerate(dense_states):
@@ -879,31 +908,32 @@ class TestEvolveBatch:
         assert (traces[1, 3:] < flow_mod.TRACE_FLOOR).all()
         np.testing.assert_allclose(traces[2], 3.0)
 
-    def test_batch_is_budgeted_before_allocation(self, monkeypatch):
+    def test_batch_is_budgeted_before_allocation(self):
         # Sizes only.  Per trajectory a Wishart/trace/quenched cell holds the
-        # packed anisotropies (100 x 6 floats) and its load sampler's
-        # scratch: the packed loads (100 x 6), the Wishart factor and its
-        # transposed copy (100 x 3 x 3 each) and the products (100 x 3),
-        # over which the states and the loop's temporaries lie later.  The
-        # largest batch that fits reaches the first sampler; one more
-        # trajectory is refused before it.
+        # packed anisotropies (100 x 6 floats), its draw (one anisotropy's 6
+        # normals and the Wishart factor, 100 x 3 x 3) and its load
+        # sampler's scratch: the packed loads (100 x 6), the factor's
+        # transposed copy (100 x 3 x 3) and the products (100 x 3), over
+        # which the states and the loop's temporaries lie later.  The
+        # largest batch that fits reaches the draw; one more trajectory is
+        # refused before it.
         class Started(Exception):
             pass
 
-        def started(*args, **kwargs):
-            raise Started
+        class StartingRng:
+            def standard_normal(self, *args, **kwargs):
+                raise Started
 
-        monkeypatch.setattr(flow_mod, "sample_anisotropy_batch", started)
         config = FlowConfig(
             zeta=0.4, a0=0.5, schur_model=Wishart(), norm_mode="trace",
             disorder="quenched",
         )
-        per_traj = 8 * 100 * (6 + 6 + 2 * 9 + 3)
+        per_traj = 8 * (100 * (6 + 9 + 6 + 9 + 3) + 6)
         fits = ARRAY_BUDGET // per_traj
         with pytest.raises(Started):
-            flow_mod.evolve_batch(config, [None] * fits)
-        with pytest.raises(ValueError, match=r"^rngs, k_max, d_tan, schur_model ask for"):
-            flow_mod.evolve_batch(config, [None] * (fits + 1))
+            flow_mod.evolve_batch(config, StartingRng(), fits)
+        with pytest.raises(ValueError, match=r"^n, k_max, d_tan, schur_model ask for"):
+            flow_mod.evolve_batch(config, StartingRng(), fits + 1)
 
     # The two benchmark grids: the reference grid at the CLI defaults and
     # the Wishart/trace/quenched grid over zeta in [0, 0.8], where trace
@@ -921,10 +951,8 @@ class TestEvolveBatch:
     def test_counts_match_eigvalsh_on_benchmark_cells(self, spec, master_seed):
         for cell in (0, 19, 210, 399):
             config = spec.cell_config(cell)
-            rngs = [
-                np.random.default_rng([master_seed, cell, t]) for t in range(20)
-            ]
-            states, n_minus, _ = flow_mod.evolve_batch(config, rngs)
+            rng = np.random.default_rng([master_seed, cell])
+            states, n_minus, _ = flow_mod.evolve_batch(config, rng, 20)
             eigs = np.linalg.eigvalsh(unpack_symmetric(states.transpose(1, 2, 0)))
             full = np.concatenate(
                 [np.full(eigs.shape[:-1] + (1,), config.q_n), eigs], axis=-1
@@ -942,13 +970,13 @@ class TestEvolveBatch:
                 schur_model=Wishart(), norm_mode="trace", disorder="quenched"
             ),
         )
-        rngs = [np.random.default_rng([0, 285, t]) for t in range(spec.n_traj)]
+        rng = np.random.default_rng([0, 285])
         eigvalsh = np.linalg.eigvalsh
         seen = []
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a)
         )
-        flow_mod.evolve_batch(spec.cell_config(285), rngs)
+        flow_mod.evolve_batch(spec.cell_config(285), rng, spec.n_traj)
         assert seen == []
 
 
@@ -957,7 +985,8 @@ class TestDrawThenEvolve:
     # per-trajectory zeta vectors (ROADMAP item 1), each trajectory equal
     # to a single run at its scalar zeta.  A zero entry adds -0.0 loads, as
     # a run at zeta = 0, which draws none, does: the off-diagonal -0.0 of
-    # this q_init stays -0.0 only if no +0.0 is added to it.
+    # this q_init stays -0.0 only if no +0.0 is added to it.  The single run
+    # at zeta = 0 draws only the anisotropy part of its row.
     Q_INIT = np.array([[1.0, -0.0, -0.0], [-0.0, 2.0, -0.0], [-0.0, -0.0, 0.5]])
 
     @pytest.mark.parametrize("a0, q_init", [(0.6, None), (0.0, Q_INIT)], ids=["a0", "no-a0"])
@@ -969,24 +998,19 @@ class TestDrawThenEvolve:
             zeta=0.3, a0=a0, k_max=40, schur_model=model, norm_mode=norm_mode,
             q_init=q_init,
         )
-        seeds = [[7, t] for t in range(4)]
-        drive = np.empty((config.k_max, 6, len(seeds)))
-        loads = flow_mod.draw_batch(
-            config, [np.random.default_rng(seed) for seed in seeds], drive
-        )
+        drive = np.empty((config.k_max, 6, 4))
+        loads = flow_mod.draw_batch(config, np.random.default_rng(7), drive)
         for zeta in ([0.3, 0.3, 0.3, 0.3], [0.05, 0.0, 0.2, 0.7], [0.0] * 4):
             # The evolve step consumes its draws: pass copies.
             states, n_valid = flow_mod.evolve_columns(
                 config, drive[None].copy(), loads[None].copy(), a0, zeta
             )
-            for t, (seed, z) in enumerate(zip(seeds, zeta)):
+            for t, z in enumerate(zeta):
                 single = dataclasses.replace(config, zeta=z)
-                expected, _, valid = flow_mod.evolve_batch(
-                    single, [np.random.default_rng(seed)]
-                )
+                expected, _, valid = flow_mod.evolve_batch(single, replay_rng(7, t, config), 1)
                 assert states[:, :, 0, t].tobytes() == expected[..., 0].tobytes()
                 assert n_valid[0, t] == valid[0]
-                record = run_trajectory(single, seed)
+                record = run_trajectory(single, replay_rng(7, t, config))
                 q = states[: valid[0], :3, 0, t].sum(axis=1) / 3
                 assert q.tobytes() == record.q.tobytes()
 
@@ -1060,11 +1084,12 @@ class TestFlowConfigValidation:
 
     def test_trajectory_arrays_are_budgeted(self):
         # Sizes only: a config allocates nothing.  Each step of a d_tan = 3
-        # trajectory holds a packed anisotropy of 6 floats and its load
-        # sampler's scratch: the packed load, 3 lognormal weights, a
-        # coupling of 3 x 3 floats, its transposed copy and 3 products, over
-        # which the states and the loop's temporaries lie later.
-        fits = ARRAY_BUDGET // 8 // (6 + 6 + 3 + 2 * 9 + 3)
+        # trajectory holds a packed anisotropy of 6 floats, its 18 normals
+        # (6 anisotropy components, 3 lognormal z and a coupling of 3 x 3)
+        # and its load sampler's scratch: the packed load, 3 lognormal
+        # weights, the coupling's transposed copy and 3 products, over which
+        # the states and the loop's temporaries lie later.
+        fits = ARRAY_BUDGET // 8 // (6 + 18 + 6 + 3 + 9 + 3)
         FlowConfig(k_max=fits)
         keys = r"^k_max, d_tan, schur_model ask for .* budget$"
         with pytest.raises(ValueError, match=keys):

@@ -339,6 +339,16 @@ class TestSimulateSde:
         samples = simulate_sde(sde, dt=5.0, n_steps=100_000, seed=0)
         assert abs(samples.var(ddof=1) - 0.15) / 0.15 < 0.02
 
+    def test_kicks_in_row_chunks_equal_one_product(self, monkeypatch):
+        # 100k steps of a 3-dimensional chain take four chunks; with one
+        # chunk for every row the states are the same bytes.
+        rng = np.random.default_rng(9)
+        sde = LinearSDE(m=random_decay(rng, 3), d_mat=random_diffusion(rng, 3))
+        chunked = simulate_sde(sde, dt=0.05, n_steps=100_000, seed=4)
+        monkeypatch.setattr(reconstruction, "KICK_PRODUCT_SIZE", 2**40)
+        whole = simulate_sde(sde, dt=0.05, n_steps=100_000, seed=4)
+        assert chunked.tobytes() == whole.tobytes()
+
     def test_first_state_is_a_stationary_draw(self):
         # Row 0 of the draw through the root of gamma = 1.5 / 2: the chain
         # starts in its stationary law, not at the origin.
