@@ -67,9 +67,7 @@ n_comp, n)`` block per batch:
   written yet: the anisotropies are copied to its drive block, and the
   loads stay at the head of the scratch, its loads block;
 - the evolve step keeps the update norms, squares and scales in the
-  transient region.  In trace mode each step's update overwrites the load
-  it consumed, and after the loop the updates are squared in place for
-  their norms;
+  transient region, and writes each update into its state;
 - after the loop one batch at a time is classified over the spent loads
   and transient region: a contiguous copy of its states, the closed
   form's temporaries and the negative counts.
@@ -482,7 +480,7 @@ def _row_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _frobenius(q: np.ndarray, d: int, square: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Frobenius norms of packed components ``q`` (components on axis 0)
-    into ``out``, squaring into ``square``, which may be ``q`` itself."""
+    into ``out``, squaring into ``square``."""
     np.multiply(q, q, out=square)
     square[d:] *= 2.0  # an off-diagonal component stands for two entries
     return np.sqrt(_row_sum(square, out), out=out)
@@ -532,9 +530,9 @@ def evolve_columns(config: FlowConfig, drive, loads, a0, zeta, *, states=None, s
     ``(batches, k_max, n_comp, n)`` each, and ``a0`` and ``zeta`` one value
     per trajectory, broadcast to ``(batches, n)``; the config's own are not
     read.  The draws are consumed: scaled in place by ``a0 *
-    exp(-beta_decay * k)`` and ``-zeta``, one product per element, and in
-    trace mode overwritten by the updates.  Where ``a0`` or ``zeta`` is
-    zero the term is -0.0, as if absent, and its draws are not read.
+    exp(-beta_decay * k)`` and ``-zeta``, one product per element, and
+    not written otherwise.  Where ``a0`` or ``zeta`` is zero the term is
+    -0.0, as if absent, and its draws are not read.
 
     Returns ``(states, n_valid)``: the packed states, ``(k_max + 1, n_comp,
     batches, n)``, written into ``states`` if given, and the count of valid
@@ -553,7 +551,8 @@ def evolve_columns(config: FlowConfig, drive, loads, a0, zeta, *, states=None, s
     if states is None:
         states = np.empty((k_max + 1, n_comp, batches, n))
     norms, square = empty((k_max, batches, n)), empty((n_comp, batches, n))
-    scale, trace, below = empty((batches, n)), empty((batches, n)), empty((batches, n), bool)
+    scale, trace, kept = empty((batches, n)), empty((batches, n)), empty((batches, n), bool)
+    trace_mode = config.norm_mode is NormMode.TRACE
     decay = anisotropy_strength(1.0, config.beta_decay, np.arange(k_max))
     states[0] = config.initial_state().ravel()[packed_index(d), None, None]
     # Step k of the draws as (n_comp, batches, n), as the states are laid out.
@@ -564,32 +563,17 @@ def evolve_columns(config: FlowConfig, drive, loads, a0, zeta, *, states=None, s
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _scale(drive, a0 * decay[:, None, None], a0 == 0)
         _scale(loads, -zeta, zeta == 0)  # adding -zeta * sigma subtracts it exactly
-        if config.norm_mode is NormMode.FROBENIUS:
-            for k in range(k_max):
-                q, norm = states[k + 1], norms[k]
-                np.add(states[k], loads_k[k], out=q)
-                q += drive_k[k]
-                _frobenius(q, d, square, norm)
-                np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=scale), out=scale)
-                q *= scale
-        else:
-            # Each update overwrites the load it consumed and keeps its norm
-            # for after the loop: a step scales by d / |trace| alone unless a
-            # trace falls below the floor.  A NaN trace hides the others
-            # from the minimum, but its update is non-finite and raises after.
-            for k in range(k_max):
-                u = np.add(states[k], loads_k[k], out=loads_k[k])
-                u += drive_k[k]
-                np.abs(_row_sum(u[:d], trace), out=trace)
-                np.divide(d, trace, out=scale)
-                if trace.min() < TRACE_FLOOR:
-                    np.less(trace, TRACE_FLOOR, out=below)
-                    norm = _frobenius(u, d, square, norms[k])
-                    np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=trace), out=trace)
-                    np.copyto(scale, trace, where=below)
-                np.multiply(u, scale, out=states[k + 1])
-            swapped = loads_k.swapaxes(0, 1)
-            _frobenius(swapped, d, swapped, norms)
+        for k in range(k_max):
+            q, norm = states[k + 1], norms[k]
+            np.add(states[k], loads_k[k], out=q)
+            q += drive_k[k]
+            _frobenius(q, d, square, norm)
+            np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=scale), out=scale)
+            if trace_mode:  # d / |trace| unless |trace| is below the floor
+                np.abs(_row_sum(q[:d], trace), out=trace)
+                np.greater_equal(trace, TRACE_FLOOR, out=kept)
+                np.divide(d, trace, out=scale, where=kept)
+            q *= scale
 
     bad = ~np.isfinite(norms)
     if bad.any():

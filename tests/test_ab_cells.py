@@ -1,7 +1,6 @@
 """Smoke tests for ``tools/ab_cells.py``, the interleaved pair timing of two
-source trees: it runs this checkout against itself, against a copy whose
-loads are scaled differently, and against a copy that looks like a tree from
-before the pair kernel, whose cells run one by one."""
+source trees: it runs this checkout against itself and against a copy whose
+loads are scaled differently."""
 
 import shutil
 import subprocess
@@ -47,17 +46,3 @@ def test_different_outputs_exit_one(tmp_path):
     assert result.returncode == 1, result.stderr
     assert "outputs differ" in result.stdout
 
-
-def test_a_tree_without_the_pair_kernel_runs_cells_one_by_one(tmp_path):
-    # Such a tree has _run_cell(spec, cell_index, workspace) and a workspace
-    # for one cell.  This copy's _run_cell runs a cell alone, so its outputs
-    # equal the pairs', and its workspace budget is the one-cell count.
-    shim = (
-        "\n\ndef _run_cell(spec, cell_index, workspace=None):\n"
-        "    return _run_cells(spec, [cell_index], workspace)[0]\n"
-    )
-    old = "def run_grid("
-    tree = copy_tree(tmp_path, "ensemble.py", old, shim.lstrip() + "\n\n" + old)
-    result = run_tool(tree, SRC)
-    assert result.returncode == 0, result.stderr
-    assert "3 pairs x 1 rounds, outputs equal" in result.stdout

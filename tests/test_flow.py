@@ -859,8 +859,8 @@ class TestEvolveBatch:
     def test_first_non_finite_update_is_named(self, monkeypatch):
         # Trajectory 0 cancels to zero at step 1 and stays there; the loads
         # of trajectories 2 and 1 overflow their update norms at steps 4 and
-        # 6.  The norms are checked once the loop is done, and in trace mode
-        # computed only then: the error names the first step with a
+        # 6.  The loop takes every update's norm, in both modes, and checks
+        # the norms once it is done: the error names the first step with a
         # non-finite update and its trajectory.
         def loads(model, d_tan, n, normals, **_):
             out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(normals)))
@@ -1013,6 +1013,22 @@ class TestDrawThenEvolve:
                 record = run_trajectory(single, replay_rng(7, t, config))
                 q = states[: valid[0], :3, 0, t].sum(axis=1) / 3
                 assert q.tobytes() == record.q.tobytes()
+
+    @pytest.mark.parametrize("norm_mode", list(NormMode), ids=lambda m: m.value)
+    def test_evolve_step_writes_only_the_scaled_terms_into_its_draws(self, norm_mode):
+        # One contract in both modes: the draws end up as the terms the loop
+        # added, one product per element, and no update is written over them.
+        config = FlowConfig(
+            zeta=0.3, a0=0.6, k_max=40, schur_model=Wishart(), norm_mode=norm_mode,
+        )
+        unit_drive = np.empty((config.k_max, 6, 4))
+        unit_loads = flow_mod.draw_batch(config, np.random.default_rng(7), unit_drive)
+        a0, zeta = np.array([0.6, 0.1, 1.0, 0.4]), np.array([0.3, 0.05, 0.7, 0.2])
+        drive, loads = unit_drive[None].copy(), unit_loads[None].copy()
+        flow_mod.evolve_columns(config, drive, loads, a0, zeta)
+        decay = anisotropy_strength(1.0, config.beta_decay, np.arange(config.k_max))
+        assert loads[0].tobytes() == (unit_loads * -zeta).tobytes()
+        assert drive[0].tobytes() == (unit_drive * (a0 * decay[:, None, None])).tobytes()
 
     def test_run_trajectory_classifies_nothing_in_bulk(self, monkeypatch):
         # A record counts from the eigvalsh spectra it computes anyway.

@@ -3,19 +3,26 @@
 Each tree's ``schurflow`` package is imported under its own name, so both
 run in one process and every pair is timed on both at nearly the same host
 speed.  The unit is a grid task's: two consecutive cells, ``(2 p, 2 p +
-1)``.  A tree whose ``ensemble`` has ``_run_cells(spec, cells,
-workspace)`` runs a pair in one call, its cells evolved in one flow loop;
-an older tree, with ``_run_cell(spec, cell_index, workspace)``, runs the
-two cells in turn.  Each tree's pairs reuse one workspace, as a grid
-task's do.  For a named grid this times every ``--every``-th pair,
-``--rounds`` times, alternating which tree runs a pair first.  It prints
-the summed times, their ratio (new / old) and the median over pairs of
-the per-pair ratio of summed times.
+1)``, run in one call of the tree's ``ensemble._run_cells(spec, cells,
+workspace)`` (0.22.0 and later), their cells evolved in one flow loop.
+Each tree's pairs reuse one workspace, as a grid task's do.  For a named
+grid this times every ``--every``-th pair, ``--rounds`` times, alternating
+which tree runs a pair first.  It prints the summed times, their ratio
+(new / old) and the median over pairs of the per-pair ratio of summed
+times.
 
 Both trees must return equal cell outputs, compared by ``repr``, so the run
 doubles as a byte-identity check of the timed cells: on the first
 difference it prints the pair and exits 1.  Otherwise it reports and gates
 nothing; the exit status is 0.
+
+Both trees share one process heap, so the ratio overstates a change in how
+the program allocates.  A prototype grid kernel that allocated fresh arrays
+in place of the workspace read 1.29 on the reference grid and 1.35 on the
+Wishart/trace/quenched grid, and 0.998 on the reference grid with glibc's
+trim and mmap thresholds raised; perfbench ``wall_s`` read +3 to +12% on
+grid-lognormal and no change on grid-wishart-2w.  Time such a change with
+perfbench.  A change to computation alone is not affected.
 
     python tools/ab_cells.py OLD_SRC NEW_SRC --grid wishart-trace-quenched
 
@@ -76,9 +83,6 @@ def pair_runner(package, ensemble, spec):
     ``2 p + 1`` of ``spec``, run as ``package``'s grid tasks run them, in a
     workspace that every call reuses."""
     budget = package.flow.check_batch_budget
-    if hasattr(ensemble, "_run_cell"):  # a tree that evolves one cell per loop
-        workspace = np.empty(budget(spec.base_config, spec.n_traj, ensemble._CELL_KEYS))
-        return lambda p: [ensemble._run_cell(spec, c, workspace) for c in (2 * p, 2 * p + 1)]
     workspace = np.empty(budget(spec.base_config, spec.n_traj, ensemble._CELL_KEYS, 2))
     return lambda p: ensemble._run_cells(spec, (2 * p, 2 * p + 1), workspace)
 
