@@ -242,9 +242,9 @@ def _cmd_flow(payload, args):
     options = {key: value for key, value in payload.items() if key != "seed"}
     config = _build(FlowConfig, options, "flow")
     seed = payload.get("seed", 0)
-    # The single-trajectory stream matches cell 0, trajectory 0 of a grid
-    # run with this master seed.
-    record = run_trajectory(config, [seed, 0])
+    # The single-trajectory streams match cell 0, trajectory 0 of a grid
+    # run with this master seed: cell 0's anisotropies and row 0's loads.
+    record = run_trajectory(config, [seed, 0], [seed, 0, 1])
     outputs = {"record.jsonl": (serialize.write_records_jsonl, [record])}
     if args.fmt == "csv":
         arrays = {k: v for k, v in vars(record).items() if isinstance(v, np.ndarray)}

@@ -4,9 +4,15 @@ A grid run sweeps the anisotropy amplitude ``a0`` (rows) against the
 elimination strength ``zeta`` (columns), runs ``n_traj`` independent
 trajectories per cell and aggregates final-state sector occupation,
 first-passage times and censoring.  Cell ``(i, j)`` has flat index
-``i * n_zeta + j`` and draws its trajectories, as :mod:`schurflow.flow`
-documents, from ``np.random.default_rng([master_seed, cell_index])``, so
-results are independent of execution order and worker count.
+``c = i * n_zeta + j``.  Its trajectories draw, as :mod:`schurflow.flow`
+documents, their anisotropies from ``np.random.default_rng([master_seed,
+c])`` and their unit loads from the row's ``np.random.default_rng(
+[master_seed, i, 1])``: trajectory ``t`` of every cell of row ``i`` reads
+row ``t`` of the one load draw.  So results are independent of execution
+order and worker count.  A load key has one word more than a cell key, and
+its last word is 1 where the cell key, padded with zeros to
+``SeedSequence``'s four-word pool, has 0: within a grid no load key equals
+a cell key.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import numpy as np
 
 from .contour import BoundaryCurve, find_contour
 from .errors import NonFiniteState, NoValidRecords
-from .flow import FlowConfig, check_batch_budget, evolve_batches, first_passage_steps
+from .flow import (
+    FlowConfig, check_batch_budget, draw_loads, evolve_batches, first_passage_steps,
+)
 from .tensor import (
     check_axis, check_budget, check_int, check_scalar, embedded_negatives, fields_equal,
 )
@@ -38,8 +46,9 @@ class GridSpec:
     The defaults are the reference grid: 20 x 20 cells over moderate
     anisotropy and elimination strength, 100 trajectories per cell.  Axes
     are non-negative as well as finite and strictly increasing.  The
-    workspace of the cells that one flow loop evolves, and the results of
-    the whole grid, must each fit in ``ARRAY_BUDGET``.
+    workspace of a task, its row's loads and the cells that one flow loop
+    evolves, and the results of the whole grid, must each fit in
+    ``ARRAY_BUDGET``.
     """
 
     a0_values: np.ndarray = dataclasses.field(
@@ -64,7 +73,7 @@ class GridSpec:
         if not isinstance(self.base_config, FlowConfig):
             raise TypeError("base_config must be a FlowConfig")
         check_batch_budget(
-            self.base_config, self.n_traj, _CELL_KEYS, min(CELLS_PER_LOOP, self.n_cells)
+            self.base_config, self.n_traj, _CELL_KEYS, min(CELLS_PER_LOOP, self.zeta_values.size)
         )
         # Per cell the result holds p_sector (d_tan + 1), mean_fpt,
         # censored_fraction and n_valid.
@@ -144,16 +153,19 @@ def mean_first_passage(records, target_n_minus: int):
     return mean, 1.0 - len(times) / len(records)
 
 
-def _run_cells(spec: GridSpec, cells, workspace=None):
-    """Statistics of the given cells, in order: each cell is drawn on its
-    own, all are evolved in one flow loop, then each is classified and
+def _run_cells(spec: GridSpec, cells, loads, workspace):
+    """Statistics of the given cells of one row, in order: each cell draws
+    its anisotropies on its own, all read the row's unit loads ``loads``
+    and are evolved in one flow loop, then each is classified and
     aggregated on its own (:func:`~schurflow.flow.evolve_batches`).  Their
-    arrays are views of ``workspace`` if given, else fresh."""
+    arrays are views of ``workspace``."""
     configs = [spec.cell_config(index) for index in cells]
     rngs = [np.random.default_rng([spec.master_seed, index]) for index in cells]
     names = [f"cell (a0={config.a0}, zeta={config.zeta})" for config in configs]
     try:
-        states, n_valid, scratch = evolve_batches(configs, rngs, spec.n_traj, workspace=workspace)
+        states, n_valid, scratch = evolve_batches(
+            configs, rngs, loads, spec.n_traj, workspace=workspace
+        )
     except NonFiniteState as exc:
         raise NonFiniteState(f"{names[exc.batch]}: {exc}") from exc
     outputs = []
@@ -173,17 +185,25 @@ def _run_cells(spec: GridSpec, cells, workspace=None):
     return outputs
 
 
-def _run_task(task):
+def _run_task(task, workspace=None):
     """Statistics of the cells ``start .. stop - 1`` of ``task = (spec,
-    start, stop)``, evolved ``CELLS_PER_LOOP`` at a time in one workspace."""
+    start, stop)``, which lie in one row: the row's unit loads are drawn
+    once, then the cells are evolved ``CELLS_PER_LOOP`` at a time, all in
+    one workspace, ``workspace`` if given, else a fresh one."""
     spec, start, stop = task
+    row = start // spec.zeta_values.size
     size = check_batch_budget(
         spec.base_config, spec.n_traj, _CELL_KEYS, min(CELLS_PER_LOOP, stop - start)
     )
-    workspace = np.empty(size)
+    if workspace is None:
+        workspace = np.empty(size)
+    # The last cell has the task's largest zeta: none positive draws nothing.
+    load_rng = np.random.default_rng([spec.master_seed, row, 1])
+    loads = draw_loads(spec.cell_config(stop - 1), load_rng, spec.n_traj, workspace[:size])
+    rest = workspace[loads.size:]
     firsts = range(start, stop, CELLS_PER_LOOP)
     blocks = (range(first, min(first + CELLS_PER_LOOP, stop)) for first in firsts)
-    return [output for cells in blocks for output in _run_cells(spec, cells, workspace)]
+    return [output for cells in blocks for output in _run_cells(spec, cells, loads, rest)]
 
 
 def grid_workers(spec: GridSpec, parallelism: int) -> int:
@@ -199,16 +219,20 @@ def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     ``parallelism`` distributes cells over :func:`grid_workers` worker
     processes; the output is bitwise independent of the worker count
     because every cell owns a generator derived from ``[master_seed,
-    cell_index]``.  A task is a run of consecutive cells, about an eighth
-    of a worker's share so that the pool can balance the load, and an even
-    number of them but for the last task: it allocates one workspace, in
-    which its cells are evolved two at a time.
+    cell_index]`` and every row one derived from ``[master_seed, row, 1]``.
+    A task is a run of consecutive cells of one row, at most about an
+    eighth of a worker's share so that the pool can balance the load, and
+    an even number of them but for a row's last task: it allocates one
+    workspace, in which it draws its row's loads and evolves its cells two
+    at a time.
     """
     workers = grid_workers(spec, parallelism)
     chunk = -(-spec.n_cells // (8 * workers * CELLS_PER_LOOP)) * CELLS_PER_LOOP
+    n_zeta = spec.zeta_values.size
     tasks = [
-        (spec, start, min(start + chunk, spec.n_cells))
-        for start in range(0, spec.n_cells, chunk)
+        (spec, start, min(start + chunk, end))
+        for end in range(n_zeta, spec.n_cells + 1, n_zeta)
+        for start in range(end - n_zeta, end, chunk)
     ]
     if workers == 1:
         chunk_outputs = [_run_task(task) for task in tasks]

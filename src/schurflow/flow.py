@@ -16,25 +16,29 @@ batch kernel counts the negative directions alone.
 
 Randomness contract
 -------------------
-A batch of ``n`` trajectories makes one ``(n, m)`` standard-normal draw
-from one generator (:func:`draw_batch`), row ``t`` the ``m`` normals of
-trajectory ``t`` (:func:`draw_counts`), in this order:
+A batch of ``n`` trajectories draws its normals from two generators, each
+in one ``(n, m)`` standard-normal draw whose row ``t`` holds trajectory
+``t``'s (:func:`draw_counts`):
 
-1. the anisotropy components, none when ``a0 == 0``: ``n_draws`` times the
-   ``n_comp`` packed components of a symmetric Gaussian matrix, with
-   ``n_draws = 1`` (quenched, reused every step) or ``k_max`` (annealed);
-2. the load normals, none when ``zeta == 0``: for :class:`LognormalGaussian`
-   the ``(k_max, d_fast)`` fast-block log-eigenvalues, then the ``(k_max,
-   d_tan, d_fast)`` coupling.
+1. the cell generator, the anisotropy components (:func:`draw_anisotropies`),
+   none when ``a0 == 0``: ``n_draws`` times the ``n_comp`` packed components
+   of a symmetric Gaussian matrix, with ``n_draws = 1`` (quenched, reused
+   every step) or ``k_max`` (annealed);
+2. the load generator, the unit-load normals (:func:`draw_loads`), none
+   when ``zeta == 0``: for :class:`LognormalGaussian` the ``(k_max,
+   d_fast)`` fast-block log-eigenvalues, then the ``(k_max, d_tan, d_fast)``
+   coupling.
 
 :func:`sample_anisotropy_batch` and :func:`sample_sigma_batch` transform the
-two parts; the evolution draws nothing.  numpy fills a draw in row-major
+two draws; the evolution draws nothing.  numpy fills a draw in row-major
 order, and one draw equals the same normals drawn in pieces, so row ``t`` is
-block ``t`` of the generator's stream whatever ``n`` is: the generator that
-has skipped ``t * m`` normals replays trajectory ``t`` bit for bit as a
-batch of one (:func:`run_trajectory`).
+block ``t`` of each generator's stream whatever ``n`` is: the cell generator
+that has skipped ``t * n_aniso`` normals and the load generator that has
+skipped ``t * n_loads`` replay trajectory ``t`` bit for bit as a batch of
+one (:func:`run_trajectory`).  A grid draws the unit loads once per row and
+every cell of the row reads them (:mod:`schurflow.ensemble`).
 
-:func:`evolve_batch` holds a batch in the packed layout of
+The batch kernel holds trajectories in the packed layout of
 :mod:`schurflow.tensor`: step ``k`` is one contiguous ``(n_comp, n)`` array
 of the ``n_comp = d (d + 1) / 2`` components (diagonal, then upper
 off-diagonal entries row by row) of ``n`` trajectories.  The Frobenius norm
@@ -46,40 +50,44 @@ stays dense and apart from the kernel.
 
 Draw step and evolve step
 -------------------------
-A run is a draw step per batch (:func:`draw_batch`) and one evolve step
-(:func:`evolve_columns`), which scales the unit draws by a per-trajectory
-``a0`` and ``zeta`` and runs the flow loop over any number of batches at
-once; step ``k`` of the states is one contiguous ``(n_comp, batches, n)``
-array.  A grid evolves two cells in one loop, which shares the loop's
-per-step cost, and draws, classifies and aggregates each on its own.
+A run is a load draw (:func:`draw_loads`), an anisotropy draw per batch
+(:func:`draw_anisotropies`) and one evolve step (:func:`evolve_columns`),
+which scales the unit draws by a per-trajectory ``a0`` and ``zeta`` and
+runs the flow loop over any number of batches at once; step ``k`` of the
+states is one contiguous ``(n_comp, batches, n)`` array.  A grid evolves
+two cells of a row in one loop, which shares the loop's per-step cost, and
+draws their anisotropies, classifies and aggregates each on its own.
 
 Workspace
 ---------
-:func:`evolve_batches` works in one flat float64 workspace of
-:func:`check_batch_budget`'s count, so the budget check and the allocation
-are one number.  A grid task allocates it once for all its pairs of cells;
-without one, a call allocates its own.  It is laid out as ``[drive]
-[loads][transient][states]``, the drive and the loads one ``(k_max,
-n_comp, n)`` block per batch:
+A run works in one flat float64 workspace of :func:`check_batch_budget`'s
+count, so the budget check and the allocation are one number.  A grid task
+allocates it once for its row's loads and all its pairs of cells; without
+one, a call allocates its own.  It is laid out as ``[row loads][drive]
+[loads][transient][states]``, the row's unit loads one ``(k_max, n_comp,
+n)`` block, and the drive and the loads one such block per batch:
 
-- a batch's draw lies at the end of the workspace, and its samplers take
-  as scratch everything from its loads block up to the draw, none of it
-  written yet: the anisotropies are copied to its drive block, and the
-  loads stay at the head of the scratch, its loads block;
+- the load draw lies at the end of the workspace, and its sampler takes
+  as scratch everything from the head up to the draw: the unit loads stay
+  at the head of the scratch, the row loads block;
+- :func:`evolve_batches` works in the rest.  A batch's anisotropy draw lies
+  at the end of the workspace, and its sampler takes as scratch everything
+  from the batch's loads block up to the draw, none of it written yet; the
+  anisotropies are copied to its drive block, and then the row's unit loads
+  to its loads block, where the evolve step scales them;
 - the evolve step keeps the update norms, squares and scales in the
   transient region, and writes each update into its state;
-- after the loop one batch at a time is classified over the spent loads
-  and transient region: a contiguous copy of its states, the closed
+- after the loop one batch at a time is classified over the spent drive,
+  loads and transient region: a contiguous copy of its states, the closed
   form's temporaries and the negative counts.
 
 Every view is written in full before it is read, so what a workspace held
-before a call never reaches a result.  Aliasing rule: the states and the
-``d_tan = 3`` negative counts that :func:`evolve_batch` returns, and the
-states of :func:`evolve_batches`, are views of the workspace, valid until
-it is used again.  Given ``scratch``, a sampler returns the first view it
-takes from it, the head of the scratch, and lays out its temporaries after
-it.  Without ``workspace`` or ``scratch`` no returned array shares memory
-with another call's.
+before a call never reaches a result.  Aliasing rule: the unit loads of
+:func:`draw_loads` and the states of :func:`evolve_batches` are views of
+the workspace, valid until it is used again.  Given ``scratch``, a sampler
+returns the first view it takes from it, the head of the scratch, and lays
+out its temporaries after it.  Without ``workspace`` or ``scratch`` no
+returned array shares memory with another call's.
 """
 
 from __future__ import annotations
@@ -249,31 +257,35 @@ def check_batch_budget(config: FlowConfig, n: int, keys: str, batches: int = 1) 
     """Refuse, naming the config ``keys``, ``batches`` batches of ``n``
     trajectories evolved together whose arrays would exceed
     ``ARRAY_BUDGET``; allocates nothing.  Returns the size in floats of
-    their workspace (:func:`evolve_batches`), the count the budget checks.
+    their workspace, the count the budget checks: the row's unit loads
+    (:func:`draw_loads`) and the rest, :func:`evolve_batches`' part.
 
-    Per trajectory, each batch holds the packed drive and loads of every
-    step and the packed states, the initial one included, ``n_comp`` floats
-    each.  The transient region lies between the loads and the states and
-    is sized for the largest of its uses in turn: a batch's draw step, whose
-    normals lie at the end of the workspace and whose samplers' scratch
-    starts at that batch's loads and runs on through the later batches'
-    loads, the transient region and the states up to the normals, none of
-    them written yet (the last batch's is the shortest); the update norms
-    and the flow loop's squared state and three scalars; and one batch's
+    Per trajectory, the row loads and each batch's drive and loads hold
+    ``n_comp`` floats per step, and each batch's states ``n_comp`` per
+    state, the initial one included.  The transient region lies between the
+    loads and the states and is sized for the largest of its uses in turn:
+    the load draw, whose normals lie at the end of the workspace and whose
+    sampler's scratch runs from the head up to them; a batch's anisotropy
+    draw, whose normals lie at the end of the workspace and whose sampler's
+    scratch runs from that batch's loads through the later batches' loads,
+    the transient region and the states up to the normals, none of them
+    written yet (the last batch's is the shortest); the update norms and
+    the flow loop's squared state and three scalars; and one batch's
     closed-form classification, ``CLOSED_FORM_ROWS`` per state, over the
-    spent loads and the transient region.
+    spent drive, loads and transient region.
     """
     d, k, n_aniso = int(config.d_tan), int(config.k_max), _anisotropy_draws(config)
     n_comp = d * (d + 1) // 2
-    states = (k + 1) * n_comp
+    block, states = k * n_comp, (k + 1) * n_comp
     _, per_load, sigma = _sigma_floats(config.schur_model, d)
-    draw = n_aniso * n_comp + k * per_load + max(n_aniso * _anisotropy_floats(d), k * sigma)
+    held = block + batches * (2 * block + states)
     transient = max(
-        draw - k * n_comp - batches * states,
+        k * (per_load + sigma) - held,
+        n_aniso * (n_comp + _anisotropy_floats(d)) - block - batches * states,
         batches * (k + n_comp + 3),
-        (k + 1) * CLOSED_FORM_ROWS - batches * k * n_comp,
+        (k + 1) * CLOSED_FORM_ROWS - 2 * batches * block,
     )
-    per_trajectory = batches * (2 * k * n_comp + states) + transient
+    per_trajectory = held + transient
     check_budget((n, per_trajectory), keys)
     return n * per_trajectory
 
@@ -284,9 +296,11 @@ def _anisotropy_draws(config: FlowConfig) -> int:
 
 
 def draw_counts(config: FlowConfig) -> tuple[int, int]:
-    """Standard normals of one trajectory's anisotropies and of its loads,
-    in order the two parts of its row of a draw (:func:`draw_batch`); a part
-    is empty where ``a0`` or ``zeta`` is zero.  Their sum is ``m``."""
+    """``(n_aniso, n_loads)``: the standard normals of one trajectory's
+    anisotropies, its row of the cell generator's draw
+    (:func:`draw_anisotropies`), and of its loads, its row of the load
+    generator's draw (:func:`draw_loads`); a count is zero where ``a0`` or
+    ``zeta`` is."""
     d = config.d_tan
     anisotropies = _anisotropy_draws(config) * d * (d + 1) // 2 if config.a0 > 0 else 0
     loads = config.k_max * _sigma_floats(config.schur_model, d)[1] if config.zeta > 0 else 0
@@ -486,30 +500,45 @@ def _frobenius(q: np.ndarray, d: int, square: np.ndarray, out: np.ndarray) -> np
     return np.sqrt(_row_sum(square, out), out=out)
 
 
-def draw_batch(config: FlowConfig, rng, drive, *, scratch=None) -> np.ndarray:
-    """Draw step: one ``(n, m)`` standard-normal draw from ``rng`` for the
-    ``n = drive.shape[-1]`` trajectories of a batch, whose two parts
-    (:func:`draw_counts`) each sampler transforms in one call.  Writes the
-    unit anisotropies into ``drive``, ``(k_max, n_comp, n)``, a quenched
-    one in every step, and returns the unit loads, of that shape, as the
-    sampler returns them: the head of ``scratch`` when given, whose end
-    then holds the draw.  A zero ``a0`` or ``zeta`` draws and writes
-    nothing; :func:`evolve_columns` sets those columns.
-    """
-    d, n, (n_aniso, n_loads) = config.d_tan, drive.shape[-1], draw_counts(config)
+def _draw(rng, n: int, count: int, scratch):
+    """One ``(n, count)`` standard-normal draw from ``rng``, and the scratch
+    before it: with ``scratch``, the draw is its end."""
     if scratch is None:
-        normals = rng.standard_normal((n, n_aniso + n_loads))
-    else:
-        cut = scratch.size - n * (n_aniso + n_loads)
-        normals = rng.standard_normal(out=scratch[cut:].reshape(n, n_aniso + n_loads))
-        scratch = scratch[:cut]
+        return rng.standard_normal((n, count)), None
+    cut = scratch.size - n * count
+    return rng.standard_normal(out=scratch[cut:].reshape(n, count)), scratch[:cut]
+
+
+def draw_anisotropies(config: FlowConfig, rng, drive, *, scratch=None) -> None:
+    """Cell part of the draw step: one ``(n, n_aniso)`` standard-normal draw
+    from ``rng`` for the ``n = drive.shape[-1]`` trajectories of a batch,
+    transformed in one :func:`sample_anisotropy_batch` call.  Writes the
+    unit anisotropies into ``drive``, ``(k_max, n_comp, n)``, a quenched
+    one in every step.  With ``scratch`` the draw lies at its end and the
+    sampler takes the rest.  A zero ``a0`` draws and writes nothing;
+    :func:`evolve_columns` sets those columns.
+    """
     if config.a0 > 0:
-        n_draws, anisotropies = _anisotropy_draws(config), normals[:, :n_aniso]
-        np.copyto(drive, sample_anisotropy_batch(d, n_draws, anisotropies, scratch=scratch))
-    if config.zeta > 0:
-        loads = normals[:, n_aniso:]
-        return sample_sigma_batch(config.schur_model, d, config.k_max, loads, scratch=scratch)
-    return scratch_views(scratch)(drive.shape)
+        normals, scratch = _draw(rng, drive.shape[-1], draw_counts(config)[0], scratch)
+        n_draws = _anisotropy_draws(config)
+        np.copyto(drive, sample_anisotropy_batch(config.d_tan, n_draws, normals, scratch=scratch))
+
+
+def draw_loads(config: FlowConfig, rng, n: int, workspace=None) -> np.ndarray:
+    """Row part of the draw step: one ``(n, n_loads)`` standard-normal draw
+    from ``rng``, transformed in one :func:`sample_sigma_batch` call.
+    Returns the unit loads, ``(k_max, n_comp, n)``, as the sampler returns
+    them: the head of ``workspace`` when given, whose end then holds the
+    draw, with the sampler's scratch between.  A zero ``zeta`` draws
+    nothing and returns that head unwritten; no batch reads it.
+    """
+    n_comp = config.d_tan * (config.d_tan + 1) // 2
+    if config.zeta == 0:
+        return scratch_views(workspace)((config.k_max, n_comp, n))
+    normals, scratch = _draw(rng, n, draw_counts(config)[1], workspace)
+    return sample_sigma_batch(
+        config.schur_model, config.d_tan, config.k_max, normals, scratch=scratch
+    )
 
 
 def _scale(terms: np.ndarray, factor: np.ndarray, absent: np.ndarray) -> None:
@@ -526,13 +555,13 @@ def evolve_columns(config: FlowConfig, drive, loads, a0, zeta, *, states=None, s
     """Evolve step: the flow loop over ``batches`` batches of ``n``
     trajectories at once.
 
-    ``drive`` and ``loads`` hold the unit draws of :func:`draw_batch`,
-    ``(batches, k_max, n_comp, n)`` each, and ``a0`` and ``zeta`` one value
-    per trajectory, broadcast to ``(batches, n)``; the config's own are not
-    read.  The draws are consumed: scaled in place by ``a0 *
-    exp(-beta_decay * k)`` and ``-zeta``, one product per element, and
-    not written otherwise.  Where ``a0`` or ``zeta`` is zero the term is
-    -0.0, as if absent, and its draws are not read.
+    ``drive`` and ``loads`` hold the unit draws of :func:`draw_anisotropies`
+    and :func:`draw_loads`, ``(batches, k_max, n_comp, n)`` each, and
+    ``a0`` and ``zeta`` one value per trajectory, broadcast to ``(batches,
+    n)``; the config's own are not read.  The draws are consumed: scaled
+    in place by ``a0 * exp(-beta_decay * k)`` and ``-zeta``, one product
+    per element, and not written otherwise.  Where ``a0`` or ``zeta`` is
+    zero the term is -0.0, as if absent, and its draws are not read.
 
     Returns ``(states, n_valid)``: the packed states, ``(k_max + 1, n_comp,
     batches, n)``, written into ``states`` if given, and the count of valid
@@ -589,63 +618,49 @@ def evolve_columns(config: FlowConfig, drive, loads, a0, zeta, *, states=None, s
     return states, np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, k_max + 1)
 
 
-def evolve_batches(configs, rngs, n, *, workspace=None):
-    """Draw each batch in turn, then evolve all of them in one flow loop.
+def evolve_batches(configs, rngs, loads, n, *, workspace=None):
+    """Draw each batch's anisotropies in turn, then evolve all of them in
+    one flow loop.
 
-    Batch ``b`` is ``n`` trajectories under ``configs[b]``, drawn from the
-    generator ``rngs[b]`` (:func:`draw_batch`); the configs differ in
-    ``a0`` and ``zeta`` alone.  A trajectory reads only its own row of its
-    batch's draw, so it is bitwise identical to a batch of one drawn from
-    its block of the stream.  Returns :func:`evolve_columns`' ``(states,
+    Batch ``b`` is ``n`` trajectories under ``configs[b]``, its anisotropies
+    drawn from the generator ``rngs[b]`` (:func:`draw_anisotropies`); the
+    configs differ in ``a0`` and ``zeta`` alone.  Every batch with a
+    positive ``zeta`` reads the unit loads ``loads`` (:func:`draw_loads`),
+    copied into its own block, where the evolve step scales them, so
+    ``loads`` is only read.  A trajectory reads only its own row of each
+    draw, so it is bitwise identical to a batch of one drawn from its
+    blocks of the streams.  Returns :func:`evolve_columns`' ``(states,
     n_valid)`` and the workspace spent after the loop, in which one batch
-    at a time can be classified (:func:`~schurflow.tensor.embedded_negatives`
-    of ``states[:, :, b].swapaxes(0, 1)``).  ``workspace``, of at least
-    :func:`check_batch_budget`'s count for ``len(configs)`` batches, or a
-    fresh one, is laid out as the module docstring describes.
+    at a time can be classified
+    (:func:`~schurflow.tensor.embedded_negatives` of ``states[:, :,
+    b].swapaxes(0, 1)``).  ``workspace``, of at least
+    :func:`check_batch_budget`'s count for ``len(configs)`` batches less
+    the row loads block, or a fresh one, is laid out as the module
+    docstring describes.
     """
     config, batches = configs[0], len(configs)
     d, k_max = config.d_tan, config.k_max
     n_comp = d * (d + 1) // 2
-    size = check_batch_budget(config, n, "n, k_max, d_tan, schur_model", batches)
+    block, held_states = k_max * n_comp * n, (k_max + 1) * n_comp * batches * n
+    size = check_batch_budget(config, n, "n, k_max, d_tan, schur_model", batches) - block
     if workspace is None:
         workspace = np.empty(size)
     elif workspace.size < size:
         raise ValueError(f"workspace: {size} floats needed, got {workspace.size}")
     workspace = workspace[:size]
-    block, held_states = k_max * n_comp * n, (k_max + 1) * n_comp * batches * n
     empty = scratch_views(workspace)
-    drive, loads = empty((batches, k_max, n_comp, n)), empty((batches, k_max, n_comp, n))
+    drive, held = empty((batches, k_max, n_comp, n)), empty((batches, k_max, n_comp, n))
     states = workspace[size - held_states:].reshape(k_max + 1, n_comp, batches, n)
     for b, (cell, rng) in enumerate(zip(configs, rngs)):
-        # The loads are the head of the scratch, loads[b], unless a stand-in
-        # sampler ignores its scratch: then they are copied there.
-        scratch = workspace[(batches + b) * block:]
-        drawn = draw_batch(cell, rng, drive[b], scratch=scratch)
-        if not np.may_share_memory(drawn, loads[b]):
-            np.copyto(loads[b], drawn)
-    free = workspace[batches * block:size - held_states]
+        draw_anisotropies(cell, rng, drive[b], scratch=workspace[(batches + b) * block:])
+        if cell.zeta > 0:
+            np.copyto(held[b], loads)
+    free = workspace[:size - held_states]
     states, n_valid = evolve_columns(
-        config, drive, loads, [[c.a0] for c in configs], [[c.zeta] for c in configs],
-        states=states, scratch=free[batches * block:],
+        config, drive, held, [[c.a0] for c in configs], [[c.zeta] for c in configs],
+        states=states, scratch=free[2 * batches * block:],
     )
     return states, n_valid, free
-
-
-def evolve_batch(config: FlowConfig, rng, n: int, *, workspace=None):
-    """Sample, evolve and classify ``n`` trajectories drawn from ``rng``:
-    the draw and evolve steps of one batch (:func:`evolve_batches`), then
-    the classification.  Returns ``(states, n_minus, n_valid)``: the packed
-    states, ``(k_max + 1, n_comp, n)``, the negative count of their full
-    tensors ``diag(q_n, q_t)``, the one count a grid reads, ``(n, k_max +
-    1)``, by :func:`~schurflow.tensor.embedded_negatives` (a certified
-    closed form for ``d_tan = 3``, ``eigvalsh`` otherwise), and per
-    trajectory the count of valid states.  The states and, for ``d_tan =
-    3``, ``n_minus`` are views of the workspace; ``n_valid`` is fresh.
-    """
-    states, n_valid, scratch = evolve_batches([config], [rng], n, workspace=workspace)
-    states = states[:, :, 0]
-    n_minus = embedded_negatives(states.swapaxes(0, 1), config.q_n, scratch=scratch)
-    return states, n_minus.T, n_valid[0]
 
 
 def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
@@ -655,29 +670,36 @@ def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
-def run_trajectory(config: FlowConfig, seed) -> TrajectoryRecord:
-    """Run a single flow trajectory from the generator of ``seed``.
+def run_trajectory(config: FlowConfig, seed, load_seed) -> TrajectoryRecord:
+    """Run a single flow trajectory, its anisotropies drawn from the
+    generator of ``seed`` and its loads from that of ``load_seed``.
 
-    ``seed`` is passed to ``numpy.random.default_rng``, which returns a
+    Both are passed to ``numpy.random.default_rng``, which returns a
     generator it is given unchanged, and the trajectory draws one row from
-    it.  So ``rng = default_rng([master_seed, c])``, after
-    ``rng.standard_normal(t * m)`` with ``m = sum(draw_counts(config))``,
-    reproduces trajectory ``t`` of grid cell ``c`` bit for bit.  Only
+    each.  So with ``n_aniso, n_loads = draw_counts(config)``, ``rng =
+    default_rng([master_seed, c])`` after ``rng.standard_normal(t *
+    n_aniso)`` and ``load_rng = default_rng([master_seed, i, 1])`` after
+    ``load_rng.standard_normal(t * n_loads)`` reproduce trajectory ``t`` of
+    grid cell ``c`` in row ``i`` bit for bit.  Only
     here are records built, and ``q``, ``s_opnorm`` and the separation flag
     computed: this is the one caller that runs ``eigvalsh``, on the valid
     prefix only, for the extreme eigenvalues behind ``s_opnorm`` and the
     signature counts (:func:`~schurflow.tensor.embedded_counts`).  A
     trajectory that collapses below the zero floor mid-run is returned as
     the record of its valid prefix, with ``collapsed`` set.  The states come
-    from the draw and evolve steps alone (:func:`evolve_batches`), without
-    the grid's bulk classification.
+    from the draw and evolve steps alone (:func:`draw_loads`,
+    :func:`evolve_batches`), without the grid's bulk classification.
 
     Raises
     ------
     NonFiniteState
         If an update or its norm is not finite.
     """
-    states, n_valid, _ = evolve_batches([config], [np.random.default_rng(seed)], 1)
+    workspace = np.empty(check_batch_budget(config, 1, "k_max, d_tan, schur_model"))
+    loads = draw_loads(config, np.random.default_rng(load_seed), 1, workspace)
+    states, n_valid, _ = evolve_batches(
+        [config], [np.random.default_rng(seed)], loads, 1, workspace=workspace[loads.size:]
+    )
     valid = slice(0, int(n_valid[0, 0]))
     states = states[valid, :, 0, 0].T
     eigs = np.linalg.eigvalsh(unpack_symmetric(states))

@@ -1,4 +1,4 @@
-"""Smoke tests for ``tools/ab_cells.py``, the interleaved pair timing of two
+"""Smoke tests for ``tools/ab_cells.py``, the interleaved row timing of two
 source trees: it runs this checkout against itself and against a copy whose
 loads are scaled differently."""
 
@@ -16,7 +16,7 @@ SRC = Path(schurflow.__file__).parents[1]
 def run_tool(old, new):
     return subprocess.run(
         [sys.executable, str(TOOL), str(old), str(new), "--grid",
-         "wishart-trace-quenched", "--every", "80", "--rounds", "1"],
+         "wishart-trace-quenched", "--every", "8", "--rounds", "1"],
         capture_output=True, text=True, timeout=300,
     )
 
@@ -35,8 +35,8 @@ def copy_tree(tmp_path, module, old, new):
 def test_equal_trees_report_a_ratio():
     result = run_tool(SRC, SRC)
     assert result.returncode == 0, result.stderr
-    assert "3 pairs x 1 rounds, outputs equal" in result.stdout
-    assert "median per-pair ratio" in result.stdout
+    assert "3 rows x 1 rounds, outputs equal" in result.stdout
+    assert "median per-row ratio" in result.stdout
 
 
 def test_different_outputs_exit_one(tmp_path):

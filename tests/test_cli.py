@@ -133,7 +133,8 @@ class TestFlowCommand:
     # Exact record.jsonl and steps.csv text, recorded at 0.4.0: the default
     # config (no load, no anisotropy: the state only renormalizes), a
     # driven config (re-recorded at 0.13.0, whose samplers draw packed
-    # anisotropies and sum packed loads) and a zero initial state that
+    # anisotropies and sum packed loads, and at 0.25.0, which draws the
+    # loads from row 0's generator) and a zero initial state that
     # collapses at step 1.
     GOLDEN = {
         "default": (
@@ -149,36 +150,34 @@ class TestFlowCommand:
         ),
         "driven": (
             {"zeta": 0.15, "a0": 0.5, "k_max": 12, "seed": 7},
-            '{"censored": false, "collapsed": false, "first_passage": 11, '
-            '"n_minus": [0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3], '
-            '"n_plus": [4, 4, 4, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1], '
-            '"n_zero": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
-            '"q": [1.0, 0.5454838565448724, 0.42865131366296644, '
-            "0.22615221325186807, 0.12200304135917765, -0.05344348641580382, "
-            "-0.14033289550612296, -0.19933541690069, -0.26189801615285774, "
-            "-0.2859811298104045, -0.38563941645965083, -0.4876322983924581, "
-            '-0.4537730158520413], '
-            '"s_opnorm": [0.0, 0.2558337107669377, 0.5203631818080434, '
-            "0.7403279183694185, 0.7770623892909136, 0.7852162151366824, "
-            "0.7862631331389094, 0.7618658766725388, 0.713772761183233, "
-            "0.6896466330579658, 0.5555623866474948, 0.4343889226810985, "
-            '0.4439608273625591], '
-            '"separation_holds": [true, true, false, false, false, false, false, '
-            'false, false, false, false, true, true]}\n',
+            '{"censored": true, "collapsed": false, "first_passage": null, '
+            '"n_minus": [0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2], "n_plus": [4, '
+            '3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2], "n_zero": [0, 0, 0, 0, 0, 0, '
+            '0, 0, 0, 0, 0, 0, 0], "q": [1.0, 0.2941828673238816, '
+            "0.14544891774528743, -0.11331957926387555, -0.1605101562130589, "
+            "-0.34540795537457364, -0.32220602445366103, -0.30985208924534613, "
+            "-0.3411749845041174, -0.3804154926522984, -0.42220754633316226, "
+            '-0.44225910233655225, -0.4172274851849264], "s_opnorm": [0.0, '
+            "0.6944224208237797, 0.782313390372923, 0.7457820489839528, "
+            "0.6991778423988747, 0.613274029710448, 0.6352577211200616, "
+            "0.6619047725982576, 0.6209962576411621, 0.5329461338260642, "
+            "0.4953543328653517, 0.4906362528212098, 0.5361775213012523], "
+            '"separation_holds": [true, false, false, false, false, false, '
+            "false, false, false, false, false, false, false]}\n",
             STEPS_HEADER
             + "0,4,0,0,1,0,1\n"
-            "1,4,0,0,0.54548385654487241,0.25583371076693773,1\n"
-            "2,4,0,0,0.42865131366296644,0.52036318180804342,0\n"
-            "3,2,2,0,0.22615221325186807,0.74032791836941847,0\n"
-            "4,2,2,0,0.12200304135917765,0.77706238929091365,0\n"
-            "5,2,2,0,-0.05344348641580382,0.78521621513668238,0\n"
-            "6,2,2,0,-0.14033289550612296,0.78626313313890939,0\n"
-            "7,2,2,0,-0.19933541690069001,0.7618658766725388,0\n"
-            "8,2,2,0,-0.26189801615285774,0.71377276118323296,0\n"
-            "9,2,2,0,-0.28598112981040452,0.68964663305796581,0\n"
-            "10,2,2,0,-0.38563941645965083,0.5555623866474948,0\n"
-            "11,1,3,0,-0.48763229839245809,0.43438892268109852,1\n"
-            "12,1,3,0,-0.45377301585204127,0.4439608273625591,1\n",
+            "1,3,1,0,0.2941828673238816,0.6944224208237797,0\n"
+            "2,3,1,0,0.14544891774528743,0.78231339037292302,0\n"
+            "3,3,1,0,-0.11331957926387555,0.74578204898395284,0\n"
+            "4,2,2,0,-0.16051015621305889,0.6991778423988747,0\n"
+            "5,2,2,0,-0.34540795537457364,0.61327402971044798,0\n"
+            "6,2,2,0,-0.32220602445366103,0.63525772112006162,0\n"
+            "7,2,2,0,-0.30985208924534613,0.66190477259825764,0\n"
+            "8,2,2,0,-0.34117498450411737,0.62099625764116206,0\n"
+            "9,2,2,0,-0.3804154926522984,0.53294613382606415,0\n"
+            "10,2,2,0,-0.42220754633316226,0.49535433286535169,0\n"
+            "11,2,2,0,-0.44225910233655225,0.49063625282120982,0\n"
+            "12,2,2,0,-0.41722748518492642,0.53617752130125229,0\n",
         ),
         "collapsing": (
             {"q_init": [[0.0] * 3] * 3},
@@ -213,7 +212,9 @@ class TestFlowCommand:
     def test_stream_matches_library_call(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload)
         assert code == 0
-        record = run_trajectory(FlowConfig(zeta=0.1, a0=0.3, k_max=10), [5, 0])
+        record = run_trajectory(
+            FlowConfig(zeta=0.1, a0=0.3, k_max=10), [5, 0], [5, 0, 1]
+        )
         written = json.loads((out_dir / "record.jsonl").read_text())
         assert written["q"] == [float(x) for x in record.q]
         assert written["n_minus"] == [int(x) for x in record.n_minus]
@@ -242,7 +243,9 @@ class TestFlowCommand:
     def test_seed_flag_overrides_payload(self, tmp_path):
         code, out_dir = run_cli(tmp_path, self.payload, "--seed", "9")
         assert code == 0
-        record = run_trajectory(FlowConfig(zeta=0.1, a0=0.3, k_max=10), [9, 0])
+        record = run_trajectory(
+            FlowConfig(zeta=0.1, a0=0.3, k_max=10), [9, 0], [9, 0, 1]
+        )
         written = json.loads((out_dir / "record.jsonl").read_text())
         assert written["q"] == [float(x) for x in record.q]
         assert read_manifest(out_dir)["config"]["flow"]["seed"] == 9
@@ -277,6 +280,21 @@ class TestGridCommand:
             out_parallel / "grid.csv"
         ).read_bytes()
         assert read_manifest(out_parallel)["workers"] == 2
+
+    def test_split_rows_are_byte_invariant(self, tmp_path, monkeypatch):
+        # Rows of 41 cells split into tasks of 12, 6 and 4 cells at 1, 2 and
+        # 3 workers, each task drawing its row's loads.  Three workers run
+        # on a machine of fewer CPUs too.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        grid = {"a0_values": [0.0, 0.5], "zeta_values": {"start": 0.0, "stop": 0.3, "num": 41},
+                "n_traj": 4, "master_seed": 2, "base_config": {"k_max": 10}}
+        texts = set()
+        for workers in (1, 2, 3):
+            _, out_dir = run_cli(tmp_path, {"grid": grid}, "--workers", str(workers),
+                                 out=f"w{workers}")
+            assert read_manifest(out_dir)["summary"]["workers"] == workers
+            texts.add((out_dir / "grid.csv").read_bytes())
+        assert len(texts) == 1
 
     @staticmethod
     def serial_pools(monkeypatch, cpus):
@@ -322,17 +340,18 @@ class TestGridCommand:
 
     # Exact grid.csv text of two 2 x 2 grids, recorded at 0.3.0 and
     # re-recorded at 0.13.0, whose samplers draw packed anisotropies and sum
-    # packed loads, and at 0.23.0, which draws from one generator per cell.
+    # packed loads, at 0.23.0, which draws from one generator per cell, and
+    # at 0.25.0, which draws each row's loads once for all its cells.
     # Every value is a ratio of small trajectory counts, so a refactor of the
     # evolution or the aggregation must reproduce it byte for byte.
     GOLDEN = {
         "lognormal": (
             {"a0_values": [0.3, 1.0], "zeta_values": [0.03, 0.08], "base_config": {}},
             "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
-            "0.29999999999999999,0.029999999999999999,0,0,0.875,0.125,14,0.875\n"
-            "0.29999999999999999,0.080000000000000002,0,0,0,1,14.25,0\n"
-            "1,0.029999999999999999,0,0,0.875,0.125,24.666666666666668,0.625\n"
-            "1,0.080000000000000002,0,0,0.25,0.75,12.5,0\n",
+            "0.29999999999999999,0.029999999999999999,0,0,0.375,0.625,25.399999999999999,0.375\n"
+            "0.29999999999999999,0.080000000000000002,0,0,0,1,13.625,0\n"
+            "1,0.029999999999999999,0,0,0.625,0.375,25.333333333333332,0.625\n"
+            "1,0.080000000000000002,0,0,0.125,0.875,14.375,0\n",
         ),
         "wishart": (
             {
@@ -345,10 +364,10 @@ class TestGridCommand:
                 },
             },
             "a0,zeta,P0,P1,P2,P3,mean_fpt,censored_fraction\n"
-            "0.20000000000000001,0.20000000000000001,0,0.25,0.75,0,nan,1\n"
-            "0.20000000000000001,0.5,0,0.875,0.125,0,nan,1\n"
-            "0.90000000000000002,0.20000000000000001,0,0.375,0.625,0,nan,1\n"
-            "0.90000000000000002,0.5,0,0.375,0.625,0,nan,1\n",
+            "0.20000000000000001,0.20000000000000001,0,0.5,0.5,0,nan,1\n"
+            "0.20000000000000001,0.5,0,0.5,0.375,0.125,21,0.875\n"
+            "0.90000000000000002,0.20000000000000001,0,0.5,0.5,0,nan,1\n"
+            "0.90000000000000002,0.5,0,0.375,0.5,0.125,25,0.875\n",
         ),
     }
 
@@ -837,7 +856,8 @@ class TestErrorHandling:
         self.assert_error_run(tmp_path, cfg, message, capsys)
 
     # Fast-block eigenvalues reach ~1e302 and the update norm overflows; the
-    # run must fail rather than record a zero tensor.
+    # run must fail rather than record a zero tensor.  Both commands draw the
+    # loads of row 0 at seed 0 (step 3 since 0.25.0, step 4 before).
     OVERFLOWING = {
         "k_max": 5,
         "schur_model": {"kind": "lognormal_gaussian", "sigma_log": 300},
@@ -847,11 +867,11 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "payload, where",
         [
-            ({"flow": {"zeta": 0.1, **OVERFLOWING}}, "trajectory 0, step 4"),
+            ({"flow": {"zeta": 0.1, **OVERFLOWING}}, "trajectory 0, step 3"),
             (
                 {"grid": {"a0_values": [0.0], "zeta_values": [0.1], "n_traj": 2,
                           "base_config": OVERFLOWING}},
-                "cell (a0=0.0, zeta=0.1): trajectory 0, step 4",
+                "cell (a0=0.0, zeta=0.1): trajectory 0, step 3",
             ),
         ],
         ids=["flow", "grid"],

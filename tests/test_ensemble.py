@@ -2,8 +2,9 @@
 
 Aggregation formulas are checked on hand-built negative-count histories,
 the seeding contract is checked against single-trajectory replays from
-numpy's own ``default_rng``, and boundary extraction is checked on a
-synthetic probability field with a known contour.
+numpy's own ``default_rng``, one generator per cell and one per row, and
+boundary extraction is checked on a synthetic probability field with a
+known contour.
 """
 
 import dataclasses
@@ -34,7 +35,7 @@ from schurflow import (
     run_trajectory,
     sector_probability,
 )
-from schurflow.tensor import ARRAY_BUDGET
+from schurflow.tensor import ARRAY_BUDGET, embedded_negatives
 
 
 def history(final_n_minus=0, first_passage=None, target=3, n_states=6):
@@ -101,17 +102,37 @@ def cancelling_batch(model, d_tan, n, normals, **_):
     return out
 
 
-def replay_generator(spec, cell_index, t):
-    """The generator of a grid cell after the normals of ``t`` trajectories:
-    ``run_trajectory`` replays trajectory ``t`` of the cell from it."""
+def replay_generators(spec, cell_index, t):
+    """The generators of a grid cell and of its row after the anisotropy and
+    the load normals of ``t`` trajectories: ``run_trajectory`` replays
+    trajectory ``t`` of the cell from them."""
+    row = cell_index // spec.zeta_values.size
     rng = np.random.default_rng([spec.master_seed, cell_index])
-    rng.standard_normal(t * sum(flow_mod.draw_counts(spec.cell_config(cell_index))))
-    return rng
+    load_rng = np.random.default_rng([spec.master_seed, row, 1])
+    n_aniso, n_loads = flow_mod.draw_counts(spec.cell_config(cell_index))
+    rng.standard_normal(t * n_aniso)
+    load_rng.standard_normal(t * n_loads)
+    return rng, load_rng
 
 
 def replay(spec, cell_index, t):
     """Trajectory ``t`` of a grid cell, replayed by ``run_trajectory``."""
-    return run_trajectory(spec.cell_config(cell_index), replay_generator(spec, cell_index, t))
+    return run_trajectory(spec.cell_config(cell_index), *replay_generators(spec, cell_index, t))
+
+
+def replay_states(spec, cell_index, t):
+    """The packed states of trajectory ``t`` of a grid cell, ``(k_max + 1,
+    n_comp)``, drawn and evolved as a batch of one from its replay
+    generators, as ``run_trajectory`` draws and evolves it."""
+    config = spec.cell_config(cell_index)
+    rng, load_rng = replay_generators(spec, cell_index, t)
+    loads = flow_mod.draw_loads(config, load_rng, 1)
+    return flow_mod.evolve_batches([config], [rng], loads, 1)[0][:, :, 0, 0]
+
+
+def run_cell(spec, cell_index, workspace=None):
+    """One cell run alone, as a task of one cell runs it."""
+    return ensemble_mod._run_task((spec, cell_index, cell_index + 1), workspace)[0]
 
 
 class TestGridSpec:
@@ -149,15 +170,17 @@ class TestGridSpec:
             GridSpec([0.0], [0.0], n_traj=1, master_seed=0, base_config=object())
 
     def test_cell_arrays_are_budgeted(self):
-        # Sizes only: a spec allocates nothing.  A task evolves two cells at
-        # once.  Per trajectory of a cell the pair holds both cells' packed
-        # anisotropies and the first cell's packed loads, 100 x 6 floats
-        # each, the second cell's draw, 100 x 18 normals, and its load
-        # sampler's scratch: its packed loads, 100 x 3 lognormal weights,
-        # the coupling's transposed copy of 100 x 3 x 3 floats and 100 x 3
-        # products, over which both cells' states and the loop's temporaries
-        # lie later.
-        per_traj = 100 * (3 * 6 + 18 + 6 + 3 + 9 + 3) * 8
+        # Sizes only: a spec allocates nothing.  A task holds its row's
+        # packed unit loads and evolves two cells at once.  Per trajectory
+        # it holds the row's loads and both cells' packed anisotropies and
+        # loads, 100 x 6 floats each, both cells' packed states, 101 x 6
+        # each, and the flow loop's update norms, squared state and three
+        # scalars, 100 + 6 + 3 floats per cell.  The row's load draw, a
+        # cell's anisotropy draw and the classification lie over these
+        # before or after their use.  At 0.25.0 the largest accepted n_traj
+        # is 30,297.
+        per_traj = (100 * 5 * 6 + 2 * 101 * 6 + 2 * (100 + 6 + 3)) * 8
+        assert ARRAY_BUDGET // per_traj == 30_297
         GridSpec(n_traj=ARRAY_BUDGET // per_traj)
         keys = (r"^n_traj, base_config\.k_max, base_config\.d_tan, "
                 r"base_config\.schur_model ask for .* budget$")
@@ -293,11 +316,10 @@ class TestRunGrid:
         )
         result = run_grid(spec)
         config = spec.cell_config(0)
-        # The valid-state counts, re-recorded at 0.23.0 with the coin and the
-        # stream of one generator per cell.
-        n_valid = flow_mod.evolve_batch(config, np.random.default_rng([1, 0]), spec.n_traj)[2]
-        assert n_valid.tolist() == [21, 21, 1, 21, 1, 1, 1, 21]
+        # The valid-state counts, re-recorded at 0.25.0 with the coin and the
+        # stream of the row's load generator.
         records = [replay(spec, 0, t) for t in range(spec.n_traj)]
+        assert [r.n_steps + 1 for r in records] == [1, 1, 1, 21, 21, 1, 1, 21]
         valid = [r for r in records if not r.collapsed]
         assert 0 < len(valid) < spec.n_traj
         assert result.n_valid[0, 0] == len(valid)
@@ -314,22 +336,23 @@ class TestRunGrid:
         base = FlowConfig(k_max=5, schur_model=LognormalGaussian(sigma_log=300))
         spec = GridSpec([0.0], [0.1], n_traj=2, base_config=base)
         with pytest.raises(
-            NonFiniteState, match=r"cell \(a0=0.0, zeta=0.1\): trajectory 0, step 4"
+            NonFiniteState, match=r"cell \(a0=0.0, zeta=0.1\): trajectory 0, step 3"
         ):
             run_grid(spec)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("pair, failing", [((0, 1), [1]), ((2, 3), [2]), ((1, 2), [1, 2])])
+    @pytest.mark.parametrize("pair, failing", [((0, 1), [1]), ((3, 4), [4]), ((1, 2), [1, 2])])
     def test_non_finite_cell_of_a_pair_is_named(self, pair, failing):
-        # The two cells evolve in one loop.  The error names the failing
-        # cell, trajectory and step as a run of that cell alone does, and
-        # when both fail, the first.  Cells with zeta = 0 stay finite.
+        # The two cells of a row evolve in one loop.  The error names the
+        # failing cell, trajectory and step as a run of that cell alone
+        # does, and when both fail, the first.  Cells with zeta = 0 stay
+        # finite.
         base = FlowConfig(k_max=5, schur_model=LognormalGaussian(sigma_log=300))
         spec = GridSpec([0.0, 0.5], [0.0, 0.1, 0.2], n_traj=2, base_config=base)
         alone = {}
         for cell_index in pair:
             try:
-                ensemble_mod._run_cells(spec, [cell_index])
+                run_cell(spec, cell_index)
             except NonFiniteState as exc:
                 alone[cell_index] = str(exc)
         assert sorted(alone) == failing
@@ -338,7 +361,7 @@ class TestRunGrid:
             f"cell (a0={config.a0}, zeta={config.zeta}): trajectory "
         )
         with pytest.raises(NonFiniteState) as error:
-            ensemble_mod._run_cells(spec, pair)
+            ensemble_mod._run_task((spec, pair[0], pair[1] + 1))
         assert str(error.value) == alone[failing[0]]
         if pair == (0, 1):  # run_grid's first task
             with pytest.raises(NonFiniteState) as error:
@@ -381,8 +404,8 @@ def grid_states(monkeypatch, spec):
     batches = []
     evolve = ensemble_mod.evolve_batches
 
-    def recording(configs, rngs, n, *, workspace=None):
-        states, n_valid, free = evolve(configs, rngs, n, workspace=workspace)
+    def recording(configs, rngs, loads, n, *, workspace=None):
+        states, n_valid, free = evolve(configs, rngs, loads, n, workspace=workspace)
         batches.extend(states[:, :, b].copy() for b in range(len(configs)))
         return states, n_valid, free
 
@@ -393,11 +416,13 @@ def grid_states(monkeypatch, spec):
 
 
 class TestSeedingRule:
-    """A cell draws from ``default_rng([master_seed, cell_index])``, and its
-    trajectory ``t`` is block ``t`` of that generator's stream."""
+    """A cell draws its anisotropies from ``default_rng([master_seed,
+    cell_index])`` and its row its unit loads from ``default_rng(
+    [master_seed, row, 1])``; trajectory ``t`` of every cell of the row is
+    block ``t`` of each stream."""
 
-    # The a0 = 0 row and the zeta = 0 column draw fewer normals per
-    # trajectory, so their blocks are shorter.
+    # The a0 = 0 row draws no anisotropies and the zeta = 0 column reads no
+    # loads, so their blocks are empty.
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         master=st.integers(0, 2**64 + 5),
@@ -418,9 +443,7 @@ class TestSeedingRule:
         spec = GridSpec([0.0, 0.6], [0.0, 0.3], n_traj=4, master_seed=master, base_config=base)
         with pytest.MonkeyPatch.context() as monkeypatch:
             states = grid_states(monkeypatch, spec)[cell_index][..., t]
-        config = spec.cell_config(cell_index)
-        single = flow_mod.evolve_batch(config, replay_generator(spec, cell_index, t), 1)[0]
-        assert states.tobytes() == single[..., 0].tobytes()
+        assert states.tobytes() == replay_states(spec, cell_index, t).tobytes()
         record = replay(spec, cell_index, t)
         assert (states[:, :3].sum(axis=1) / 3).tobytes() == record.q.tobytes()
 
@@ -433,6 +456,48 @@ class TestSeedingRule:
         few, many = (grid_states(monkeypatch, spec) for spec in specs)
         for cell_few, cell_many in zip(few, many):
             assert cell_few.tobytes() == cell_many[..., :3].copy().tobytes()
+
+    # Master seeds below 2**32, in [2**32, 2**64) and above 2**64 take one,
+    # two and three words.  SeedSequence pads a key with zeros to its pool
+    # of four words and hashes the words beyond it into the pool.
+    @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32 + 7, 2**64 - 1, 2**64 + 5, 2**70])
+    def test_no_load_key_equals_a_cell_key(self, master):
+        spec = GridSpec(np.linspace(0.0, 1.0, 20), np.linspace(0.0, 0.3, 20), master_seed=master)
+        def state(key):
+            return np.random.SeedSequence(key).generate_state(8).tobytes()
+
+        cells = {state([master, c]) for c in range(spec.n_cells)}
+        rows = {state([master, i, 1]) for i in range(spec.a0_values.size)}
+        assert len(cells) == spec.n_cells and len(rows) == spec.a0_values.size
+        assert not cells & rows
+
+    def test_a_row_draws_its_loads_once_per_task(self, monkeypatch):
+        # One worker runs each 3-cell row of 8 as one task: one load draw
+        # per row with a positive zeta, one anisotropy draw per cell with
+        # a0 > 0.
+        calls = {"sample_sigma_batch": 0, "sample_anisotropy_batch": 0}
+        for name in calls:
+            def spy(*args, _name=name, _sampler=getattr(flow_mod, name), **kwargs):
+                calls[_name] += 1
+                return _sampler(*args, **kwargs)
+
+            monkeypatch.setattr(flow_mod, name, spy)
+        spec = GridSpec(np.linspace(0.0, 1.0, 8), [0.0, 0.1, 0.2], n_traj=5,
+                        base_config=FlowConfig(k_max=10))
+        run_grid(spec)
+        assert calls == {"sample_sigma_batch": 8, "sample_anisotropy_batch": 21}
+        calls.update(dict.fromkeys(calls, 0))
+        run_grid(GridSpec([0.0, 0.5], [0.0], n_traj=5))
+        assert calls == {"sample_sigma_batch": 0, "sample_anisotropy_batch": 1}
+
+    def test_shared_loads_are_not_scaled_in_place(self):
+        # Cells 4 and 5 read one row's unit loads at zeta 0.15 and 0.3 in
+        # one loop: had the first scaled them in place, the second would
+        # read loads scaled twice.
+        spec = dataclasses.replace(WORKSPACE_GRIDS["reference"], n_traj=20)
+        pair = ensemble_mod._run_task((spec, 4, 6))
+        for cell_index, output in zip((4, 5), pair):
+            assert_same_outputs(output, run_cell(spec, cell_index))
 
 
 # The two benchmark configs: the reference grid and the Wishart/trace/
@@ -453,16 +518,11 @@ WORKSPACE_GRIDS = {
 
 
 def task_workspace(spec, batches=2):
-    """A workspace for ``batches`` cells of ``spec`` evolved together, as a
-    run_grid task builds it for two."""
+    """A workspace for a task of ``spec`` that evolves ``batches`` cells
+    together, as run_grid builds it for two."""
     return np.empty(
         flow_mod.check_batch_budget(spec.base_config, spec.n_traj, "n_traj", batches)
     )
-
-
-def run_cell(spec, cell_index, workspace=None):
-    """One cell evolved alone, as the last task of an odd grid runs it."""
-    return ensemble_mod._run_cells(spec, [cell_index], workspace)[0]
 
 
 def assert_same_outputs(got, expected):
@@ -473,62 +533,67 @@ def assert_same_outputs(got, expected):
 
 
 class TestWorkspace:
-    """A grid task reuses one workspace for all its cells, two at a time.
-    No view may be read before it is written: a workspace full of NaN, or
-    of the previous cells' arrays, must not reach any result."""
+    """A grid task reuses one workspace for its row's loads and all its
+    cells, two at a time.  No view may be read before it is written: a
+    workspace full of NaN, or of the previous tasks' arrays, must not reach
+    any result."""
 
-    # The 3 x 3 grids' cells as a task runs them: four pairs and one alone.
-    BLOCKS = [(0, 1), (2, 3), (4, 5), (6, 7), (8,)]
+    # The 3 x 3 grids' rows as tasks: a pair and one cell alone each.
+    ROWS = [(0, 3), (3, 6), (6, 9)]
 
     @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
     def test_stale_workspace_never_reaches_a_result(self, name):
         spec = WORKSPACE_GRIDS[name]
         singles = [run_cell(spec, cell_index) for cell_index in range(spec.n_cells)]
         workspace = task_workspace(spec)
-        for cells in reversed(self.BLOCKS):
+        for start, stop in reversed(self.ROWS):
             workspace.fill(np.nan)
-            outputs = ensemble_mod._run_cells(spec, cells, workspace)
-            for cell_index, output in zip(cells, outputs):
+            outputs = ensemble_mod._run_task((spec, start, stop), workspace)
+            for cell_index, output in zip(range(start, stop), outputs):
                 assert_same_outputs(output, singles[cell_index])
-        # Now without the NaN fill: each block follows another's arrays.
-        for cells in [(4, 5), (0, 1), (8,), (4, 5)]:
-            outputs = ensemble_mod._run_cells(spec, cells, workspace)
-            for cell_index, output in zip(cells, outputs):
+        # Now without the NaN fill: each task follows another's arrays.
+        for start, stop in [(3, 6), (0, 3), (8, 9), (4, 6)]:
+            outputs = ensemble_mod._run_task((spec, start, stop), workspace)
+            for cell_index, output in zip(range(start, stop), outputs):
                 assert_same_outputs(output, singles[cell_index])
 
     @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
     def test_cell_after_another_matches_replays(self, name):
         spec = WORKSPACE_GRIDS[name]
         workspace = task_workspace(spec)
-        ensemble_mod._run_cells(spec, (6, 7), workspace)
+        ensemble_mod._run_task((spec, 6, 9), workspace)
         cell_index = 4
         config = spec.cell_config(cell_index)
-        rng = np.random.default_rng([spec.master_seed, cell_index])
-        states, n_minus, n_valid = flow_mod.evolve_batch(
-            config, rng, spec.n_traj, workspace=workspace
+        load_rng = np.random.default_rng([spec.master_seed, 1, 1])
+        loads = flow_mod.draw_loads(config, load_rng, spec.n_traj, workspace)
+        states, n_valid, scratch = flow_mod.evolve_batches(
+            [config], [np.random.default_rng([spec.master_seed, cell_index])], loads,
+            spec.n_traj, workspace=workspace[loads.size:],
         )
-        assert np.shares_memory(states, workspace)
-        assert np.shares_memory(n_minus, workspace)
+        n_minus = embedded_negatives(states[:, :, 0].swapaxes(0, 1), config.q_n, scratch=scratch)
+        for array in (loads, states, n_minus):
+            assert np.shares_memory(array, workspace)
         for t in range(0, spec.n_traj, 9):
             record = replay(spec, cell_index, t)
-            assert not record.collapsed and n_valid[t] == config.k_max + 1
-            np.testing.assert_array_equal(n_minus[t], record.n_minus)
-            single = flow_mod.evolve_batch(config, replay_generator(spec, cell_index, t), 1)[0]
-            assert states[..., t].tobytes() == single[..., 0].tobytes()
+            assert not record.collapsed and n_valid[0, t] == config.k_max + 1
+            np.testing.assert_array_equal(n_minus[:, t], record.n_minus)
+            assert states[:, :, 0, t].tobytes() == replay_states(spec, cell_index, t).tobytes()
 
     @pytest.mark.parametrize("name", list(BENCHMARK_BASES))
     def test_a_warm_cell_allocates_under_one_mib(self, name):
-        # numpy reports its data buffers to tracemalloc.  A pair of cells
-        # without a workspace allocates and frees about 4.4 MiB, which glibc
-        # hands back to the system and the next pair faults in again.
+        # numpy reports its data buffers to tracemalloc.  A row task given
+        # its workspace allocates nothing large: without one, a task
+        # allocates and frees about 3.8 MiB, which glibc may hand back to
+        # the system and the next task fault in again.
         spec = GridSpec(master_seed=1, base_config=BENCHMARK_BASES[name])
         if name == "wishart":
             spec = dataclasses.replace(spec, zeta_values=np.linspace(0.0, 0.8, 20))
         workspace = task_workspace(spec)
-        ensemble_mod._run_cells(spec, (210, 211), workspace)
+        task = (spec, 200, 220)
+        ensemble_mod._run_task(task, workspace)
         tracemalloc.start()
         try:
-            ensemble_mod._run_cells(spec, (210, 211), workspace)
+            ensemble_mod._run_task(task, workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -538,12 +603,13 @@ class TestWorkspace:
         spec = WORKSPACE_GRIDS["reference"]
         small = task_workspace(spec)[:-1]
         with pytest.raises(ValueError, match="^workspace: .* floats needed"):
-            ensemble_mod._run_cells(spec, (4, 5), small)
+            ensemble_mod._run_task((spec, 3, 6), small)
         run_cell(spec, 4, small)  # one cell needs less
 
     def test_grid_is_worker_independent_over_partial_tasks(self, monkeypatch):
-        # 21 cells: one worker takes tasks of 4 cells, two workers and three
-        # tasks of 2; the last task holds one cell, which evolves alone.  Three
+        # 3 rows of 7 cells: one worker splits each row into tasks of 4 and 3
+        # cells, two workers and three into tasks of 2 and a last of one,
+        # which evolves alone.  Each task draws its row's loads.  Three
         # workers run on a machine of fewer CPUs too.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         spec = GridSpec(
@@ -559,8 +625,8 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
     def test_three_by_three_grid_is_worker_independent(self, monkeypatch, name):
-        # One worker takes tasks of 2 cells, as do two and three; the ninth
-        # cell evolves alone.  Every cell equals its run alone.
+        # One worker takes tasks of 2 cells and one of 1 per row, as do two
+        # and three.  Every cell equals its run alone.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         spec = WORKSPACE_GRIDS[name]
         singles = [run_cell(spec, i) for i in range(spec.n_cells)]

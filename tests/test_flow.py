@@ -37,7 +37,7 @@ from schurflow import (
     signature,
 )
 from schurflow.tensor import (
-    ARRAY_BUDGET, count_inertia, packed_index, unpack_symmetric,
+    ARRAY_BUDGET, count_inertia, embedded_negatives, packed_index, unpack_symmetric,
 )
 
 
@@ -64,12 +64,31 @@ def draw_anisotropy(d_tan, n, rngs, **kwargs):
     return sample_anisotropy_batch(d_tan, n, rows(rngs, count), **kwargs)
 
 
-def replay_rng(seed, t, config):
-    """``default_rng(seed)`` after the normals of ``t`` trajectories of
-    ``config``: trajectory ``t`` of a batch drawn from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(t * sum(flow_mod.draw_counts(config)))
-    return rng
+def replay_rngs(seed, load_seed, t, config):
+    """``default_rng(seed)`` and ``default_rng(load_seed)`` after the
+    anisotropy and the load normals of ``t`` trajectories of ``config``:
+    trajectory ``t`` of a batch drawn from those generators."""
+    rngs = np.random.default_rng(seed), np.random.default_rng(load_seed)
+    for rng, count in zip(rngs, flow_mod.draw_counts(config)):
+        rng.standard_normal(t * count)
+    return rngs
+
+
+def run_batch(config, rng, load_rng, n):
+    """Sample, evolve and classify ``n`` trajectories, their anisotropies
+    drawn from ``rng`` and their loads from ``load_rng``: the load draw, the
+    anisotropy draw and evolve steps of one batch, then the classification.
+    Returns ``(states, n_minus, n_valid)``: the packed states, ``(k_max +
+    1, n_comp, n)``, the negative count of their full tensors, ``(n, k_max
+    + 1)``, and per trajectory the count of valid states."""
+    workspace = np.empty(flow_mod.check_batch_budget(config, n, "n, k_max, d_tan, schur_model"))
+    loads = flow_mod.draw_loads(config, load_rng, n, workspace)
+    states, n_valid, scratch = flow_mod.evolve_batches(
+        [config], [rng], loads, n, workspace=workspace[loads.size:]
+    )
+    states = states[:, :, 0]
+    n_minus = embedded_negatives(states.swapaxes(0, 1), config.q_n, scratch=scratch)
+    return states, n_minus.T, n_valid[0]
 
 
 class TestSigmaSamplers:
@@ -188,7 +207,7 @@ class TestAnisotropySampler:
         zero_rng = ZeroRng()
         config = FlowConfig(a0=0.5, k_max=2)
         with pytest.raises(DegenerateDraw, match="norm below"):
-            flow_mod.draw_batch(config, zero_rng, np.empty((2, 6, 3)))
+            flow_mod.draw_anisotropies(config, zero_rng, np.empty((2, 6, 3)))
         assert zero_rng.calls == 1
 
     # The sampler draws the packed components of a GOE matrix directly.
@@ -370,7 +389,7 @@ class TestBatchedSamplers:
 
             monkeypatch.setattr(flow_mod, name, spy)
         config = FlowConfig(zeta=zeta, a0=a0, k_max=10, disorder=disorder)
-        flow_mod.evolve_batch(config, np.random.default_rng(11), 7)
+        run_batch(config, np.random.default_rng(11), np.random.default_rng(12), 7)
         assert calls.get("sample_sigma_batch", 0) == (zeta > 0)
         assert calls.get("sample_anisotropy_batch", 0) == (a0 > 0)
 
@@ -395,16 +414,17 @@ class TestWorkspaceContract:
     def test_evolve_batch_calls_share_no_memory(self):
         config = FlowConfig(zeta=0.2, a0=0.5, k_max=10)
         first, second = (
-            flow_mod.evolve_batch(config, np.random.default_rng(11), 7) for _ in range(2)
+            run_batch(config, np.random.default_rng(11), np.random.default_rng(12), 7)
+            for _ in range(2)
         )
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
             assert not np.shares_memory(a, b)
 
     def test_record_counts_own_their_memory(self):
-        # evolve_batch's counts are views of its workspace; a record counts
+        # The grid's counts are views of its workspace; a record counts
         # anew rather than keep the whole workspace alive.
-        record = run_trajectory(FlowConfig(zeta=0.2, a0=0.5, k_max=10), 0)
+        record = run_trajectory(FlowConfig(zeta=0.2, a0=0.5, k_max=10), 0, 1)
         for counts in (record.n_plus, record.n_minus, record.n_zero):
             assert counts.flags.owndata
 
@@ -441,20 +461,21 @@ class TestWorkspaceContract:
         with pytest.raises(ValueError, match="too small"):
             sample(scratch=np.empty(floats - 1))
 
-    # Floats per trajectory of a cell, evolved alone and in a pair.  The
-    # last batch's draw lies at the end of the workspace, and its load
-    # sampler runs from its loads over the transient region and every
-    # batch's states up to the draw, so a batch costs its drive, the loads
-    # of the batches before it, its draw and a sampler's scratch: 6 + 18 +
-    # 21 floats per step (lognormal, annealed) alone and 3 * 6 + 18 + 21 in
-    # a pair; 6 + 9 + 18 and 3 * 6 + 9 + 18 (Wishart, quenched), whose draw
-    # also holds one anisotropy's 6 normals.
+    # Floats per trajectory of a task whose cells are evolved alone and in
+    # pairs.  A pair holds its row's unit loads, each cell's drive and
+    # loads, 6 floats per step each, each cell's states, 6 per state, and
+    # the flow loop's temporaries, 100 + 6 + 3 per cell: 5 x 600 + 2 x 606
+    # + 218 on both grids.  Alone, a cell's part leaves less room than the
+    # row's load draw takes from the head of the workspace, 12 + 21 floats
+    # per step (lognormal), and than the classification of its 101 states,
+    # 19 floats each, takes over its spent drive, loads and transient
+    # region (Wishart).
     @pytest.mark.parametrize(
         "config, single, pair",
         [
-            (FlowConfig(), 4500, 5700),
+            (FlowConfig(), 3300, 4430),
             (FlowConfig(schur_model=Wishart(), norm_mode="trace", disorder="quenched"),
-             3306, 4506),
+             3125, 4430),
         ],
         ids=["reference", "wishart-trace-quenched"],
     )
@@ -589,10 +610,11 @@ class TestFlowStep:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trajectory_names_step(self):
-        # Fast-block eigenvalues near 1e302 overflow the update norm at step 4.
+        # Fast-block eigenvalues near 1e302 overflow the update norm at step 3
+        # of the flow command's stream at seed 0.
         config = FlowConfig(zeta=0.1, k_max=5, schur_model=LognormalGaussian(sigma_log=300))
-        with pytest.raises(NonFiniteState, match="trajectory 0, step 4"):
-            run_trajectory(config, [0, 0, 0])
+        with pytest.raises(NonFiniteState, match="trajectory 0, step 3"):
+            run_trajectory(config, [0, 0], [0, 0, 1])
 
     def test_non_finite_scalars_raise(self):
         with pytest.raises(ValueError, match="finite"):
@@ -618,10 +640,11 @@ class TestEmbedFull:
             embed_full(np.eye(2), 0.0)
 
 
-def replay_trajectory(config: FlowConfig, seed):
+def replay_trajectory(config: FlowConfig, seed, load_seed):
     """Re-run a trajectory through the public samplers and flow_step, its
-    normals drawn from ``default_rng(seed)`` in the documented pieces."""
-    rng = np.random.default_rng(seed)
+    anisotropy normals drawn from ``default_rng(seed)`` and its load normals
+    from ``default_rng(load_seed)``, each in the documented pieces."""
+    rng, load_rng = np.random.default_rng(seed), np.random.default_rng(load_seed)
     annealed = config.disorder is Disorder.ANNEALED
     a_batch = None
     if config.a0 > 0:
@@ -629,7 +652,9 @@ def replay_trajectory(config: FlowConfig, seed):
         a_batch = dense(draw_anisotropy(config.d_tan, n_draws, [rng]))[0]
     sig_batch = None
     if config.zeta > 0:
-        sig_batch = dense(draw_sigma(config.schur_model, config.d_tan, config.k_max, [rng]))[0]
+        sig_batch = dense(
+            draw_sigma(config.schur_model, config.d_tan, config.k_max, [load_rng])
+        )[0]
     zero = np.zeros((config.d_tan, config.d_tan))
     q = config.initial_state()
     states = [q.copy()]
@@ -647,8 +672,8 @@ class TestTrajectories:
     def test_annealed_run_matches_manual_replay(self):
         config = FlowConfig(zeta=0.15, a0=0.5, d_tan=3, k_max=40)
         seed = 2024
-        record = run_trajectory(config, seed)
-        states = replay_trajectory(config, seed)
+        record = run_trajectory(config, seed, [seed, 1])
+        states = replay_trajectory(config, seed, [seed, 1])
         assert record.n_steps == config.k_max
         for k, q in enumerate(states):
             sig = signature(embed_full(q, config.q_n))
@@ -663,8 +688,8 @@ class TestTrajectories:
             schur_model=Wishart(),
         )
         seed = 77
-        record = run_trajectory(config, seed)
-        states = replay_trajectory(config, seed)
+        record = run_trajectory(config, seed, [seed, 1])
+        states = replay_trajectory(config, seed, [seed, 1])
         for k, q in enumerate(states):
             assert record.n_minus[k] == signature(q).n_minus
 
@@ -673,8 +698,8 @@ class TestTrajectories:
             zeta=0.2, a0=0.3, d_tan=3, k_max=25, norm_mode=NormMode.TRACE,
         )
         seed = 5
-        record = run_trajectory(config, seed)
-        states = replay_trajectory(config, seed)
+        record = run_trajectory(config, seed, [seed, 1])
+        states = replay_trajectory(config, seed, [seed, 1])
         for k, q in enumerate(states):
             assert record.q[k] == pytest.approx(np.trace(q) / config.d_tan, abs=1e-12)
             assert record.n_minus[k] == signature(q).n_minus
@@ -689,8 +714,8 @@ class TestTrajectories:
             q_init=q_init,
         )
         seed = 12
-        record = run_trajectory(config, seed)
-        states = replay_trajectory(config, seed)
+        record = run_trajectory(config, seed, [seed, 1])
+        states = replay_trajectory(config, seed, [seed, 1])
         assert record.n_steps == config.k_max
         for k, q in enumerate(states[1:], start=1):
             assert abs(np.trace(q)) < flow_mod.TRACE_FLOOR
@@ -706,17 +731,17 @@ class TestTrajectories:
 
     def test_same_seed_reproduces(self):
         config = FlowConfig(zeta=0.12, a0=0.4, d_tan=3, k_max=20)
-        assert run_trajectory(config, 123) == run_trajectory(config, 123)
+        assert run_trajectory(config, 123, 124) == run_trajectory(config, 123, 124)
 
     def test_different_seeds_differ(self):
         config = FlowConfig(zeta=0.12, a0=0.4, d_tan=3, k_max=20)
-        r1 = run_trajectory(config, 1)
-        r2 = run_trajectory(config, 2)
+        r1 = run_trajectory(config, 1, 11)
+        r2 = run_trajectory(config, 2, 12)
         assert not np.array_equal(r1.q, r2.q)
 
     def test_zero_drive_keeps_initial_signature(self):
         config = FlowConfig(zeta=0.0, a0=0.0, d_tan=3, k_max=10)
-        record = run_trajectory(config, 0)
+        record = run_trajectory(config, 0, 1)
         assert record.censored
         assert record.first_passage is None
         assert not record.collapsed
@@ -727,14 +752,14 @@ class TestTrajectories:
         config = FlowConfig(
             zeta=0.0, a0=0.0, d_tan=3, k_max=5, q_init=-np.eye(3),
         )
-        record = run_trajectory(config, 0)
+        record = run_trajectory(config, 0, 1)
         assert record.first_passage == 0
         assert not record.censored
 
     def test_separation_flags_match_definition(self):
         config = FlowConfig(zeta=0.18, a0=0.7, d_tan=3, k_max=30)
-        record = run_trajectory(config, 9)
-        states = replay_trajectory(config, 9)
+        record = run_trajectory(config, 9, 10)
+        states = replay_trajectory(config, 9, 10)
         for k, q in enumerate(states):
             iso = np.trace(q) / 3
             s = q - iso * np.eye(3)
@@ -754,12 +779,13 @@ class TestTrajectories:
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", cancelling_batch)
         config = FlowConfig(zeta=0.25, a0=0.0, d_tan=3, k_max=10)
-        record = run_trajectory(config, 0)
+        record = run_trajectory(config, 0, 1)
         assert record.collapsed
         assert record.n_steps == 0
         np.testing.assert_array_equal(record.n_minus, [0])
         # The valid-state count of 0.9.0, which checked the floor every step.
-        assert flow_mod.evolve_batch(config, np.random.default_rng(0), 2)[2].tolist() == [1, 1]
+        rngs = np.random.default_rng(0), np.random.default_rng(1)
+        assert run_batch(config, *rngs, 2)[2].tolist() == [1, 1]
 
 
 # Trajectory cases of TestClassificationContract.
@@ -787,8 +813,8 @@ class TestClassificationContract:
             zeta=0.3, a0=0.5, d_tan=d_tan, q_n=10.0**log_q_n, k_max=k_max,
             norm_mode=norm_mode, disorder=disorder, target_n_minus=d_tan,
         )
-        record = run_trajectory(config, seed)
-        states = replay_trajectory(config, seed)
+        record = run_trajectory(config, seed, [seed, 1])
+        states = replay_trajectory(config, seed, [seed, 1])
         sigs = [signature(embed_full(q, config.q_n)) for q in states]
         assert [tuple(s) for s in sigs] == list(
             zip(record.n_plus, record.n_minus, record.n_zero)
@@ -810,8 +836,9 @@ class TestClassificationContract:
             zeta=0.3, a0=0.5, d_tan=d_tan, q_n=10.0**log_q_n, k_max=k_max,
             norm_mode=norm_mode, disorder=disorder, schur_model=model,
         )
-        _, n_minus, n_valid = flow_mod.evolve_batch(config, np.random.default_rng(seed), 1)
-        states = replay_trajectory(config, seed)
+        rngs = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+        _, n_minus, n_valid = run_batch(config, *rngs, 1)
+        states = replay_trajectory(config, seed, [seed, 1])
         assert n_valid[0] == len(states)
         expected = [signature(embed_full(q, config.q_n)).n_minus for q in states]
         assert n_minus[0].tolist() == expected
@@ -821,8 +848,8 @@ class TestEvolveBatch:
     # The packed kernel against the dense flow_step oracle: every unpacked
     # state equals the replayed one up to the rounding of the Frobenius
     # norm, which the kernel sums over packed components; and each
-    # trajectory equals a batch of one drawn from its block of the stream,
-    # bit for bit.  Zero a0 or zeta shortens the block.
+    # trajectory equals a batch of one drawn from its blocks of the two
+    # streams, bit for bit.  Zero a0 or zeta empties a block.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         model=st.sampled_from([LognormalGaussian(), Wishart()]),
@@ -845,13 +872,16 @@ class TestEvolveBatch:
             zeta=zeta, a0=a0, d_tan=d_tan, k_max=30, norm_mode=norm_mode,
             schur_model=model, disorder=disorder, q_init=q_init,
         )
-        states, _, n_valid = flow_mod.evolve_batch(config, np.random.default_rng(seed), 3)
+        rngs = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+        states, _, n_valid = run_batch(config, *rngs, 3)
         assert states.shape == (31, d_tan * (d_tan + 1) // 2, 3)
         assert n_valid.tolist() == [31] * 3
         for t, got in enumerate(unpack_symmetric(states.transpose(1, 2, 0))):
-            single = flow_mod.evolve_batch(config, replay_rng(seed, t, config), 1)[0]
+            single = run_batch(config, *replay_rngs(seed, [seed, 1], t, config), 1)[0]
             np.testing.assert_array_equal(states[..., t], single[..., 0])
-            expected = np.array(replay_trajectory(config, replay_rng(seed, t, config)))
+            expected = np.array(
+                replay_trajectory(config, *replay_rngs(seed, [seed, 1], t, config))
+            )
             scale = np.maximum(1.0, np.abs(expected).max(axis=(1, 2)))
             deviation = np.abs(got - expected).max(axis=(1, 2))
             assert (deviation <= 1e-14 * scale).all()
@@ -872,7 +902,7 @@ class TestEvolveBatch:
         for norm_mode in NormMode:
             config = FlowConfig(zeta=0.25, k_max=8, norm_mode=norm_mode)
             with pytest.raises(NonFiniteState, match=r"^trajectory 2, step 4: .* not finite$"):
-                flow_mod.evolve_batch(config, np.random.default_rng(11), 4)
+                run_batch(config, np.random.default_rng(11), np.random.default_rng(12), 4)
 
     def test_trace_floor_falls_back_per_trajectory(self, monkeypatch):
         # At step 1 trajectory 0's update, diag(-1, 0, 1), has a trace of
@@ -894,7 +924,9 @@ class TestEvolveBatch:
 
         monkeypatch.setattr(flow_mod, "sample_sigma_batch", loads)
         config = FlowConfig(zeta=0.25, k_max=6, norm_mode=NormMode.TRACE)
-        states, _, n_valid = flow_mod.evolve_batch(config, np.random.default_rng(11), 3)
+        states, _, n_valid = run_batch(
+            config, np.random.default_rng(11), np.random.default_rng(12), 3
+        )
         assert n_valid.tolist() == [7] * 3
         dense_states = unpack_symmetric(states.transpose(1, 2, 0))
         for t, got in enumerate(dense_states):
@@ -909,14 +941,13 @@ class TestEvolveBatch:
         np.testing.assert_allclose(traces[2], 3.0)
 
     def test_batch_is_budgeted_before_allocation(self):
-        # Sizes only.  Per trajectory a Wishart/trace/quenched cell holds the
-        # packed anisotropies (100 x 6 floats), its draw (one anisotropy's 6
-        # normals and the Wishart factor, 100 x 3 x 3) and its load
-        # sampler's scratch: the packed loads (100 x 6), the factor's
-        # transposed copy (100 x 3 x 3) and the products (100 x 3), over
-        # which the states and the loop's temporaries lie later.  The
-        # largest batch that fits reaches the draw; one more trajectory is
-        # refused before it.
+        # Sizes only.  Per trajectory a Wishart/trace/quenched batch holds its
+        # row's packed unit loads (100 x 6 floats), its packed states (101 x
+        # 6) and the classification of its states (101 x 19), laid over its
+        # spent drive, loads and the transient region; the load draw and its
+        # sampler's scratch lie over all of these before they are written.
+        # The largest batch that fits reaches the load draw; one more
+        # trajectory is refused before it.
         class Started(Exception):
             pass
 
@@ -928,12 +959,12 @@ class TestEvolveBatch:
             zeta=0.4, a0=0.5, schur_model=Wishart(), norm_mode="trace",
             disorder="quenched",
         )
-        per_traj = 8 * (100 * (6 + 9 + 6 + 9 + 3) + 6)
+        per_traj = 8 * (100 * 6 + 101 * (6 + 19))
         fits = ARRAY_BUDGET // per_traj
         with pytest.raises(Started):
-            flow_mod.evolve_batch(config, StartingRng(), fits)
+            run_batch(config, StartingRng(), StartingRng(), fits)
         with pytest.raises(ValueError, match=r"^n, k_max, d_tan, schur_model ask for"):
-            flow_mod.evolve_batch(config, StartingRng(), fits + 1)
+            run_batch(config, StartingRng(), StartingRng(), fits + 1)
 
     # The two benchmark grids: the reference grid at the CLI defaults and
     # the Wishart/trace/quenched grid over zeta in [0, 0.8], where trace
@@ -951,8 +982,9 @@ class TestEvolveBatch:
     def test_counts_match_eigvalsh_on_benchmark_cells(self, spec, master_seed):
         for cell in (0, 19, 210, 399):
             config = spec.cell_config(cell)
-            rng = np.random.default_rng([master_seed, cell])
-            states, n_minus, _ = flow_mod.evolve_batch(config, rng, 20)
+            rngs = (np.random.default_rng([master_seed, cell]),
+                    np.random.default_rng([master_seed, cell // 20, 1]))
+            states, n_minus, _ = run_batch(config, *rngs, 20)
             eigs = np.linalg.eigvalsh(unpack_symmetric(states.transpose(1, 2, 0)))
             full = np.concatenate(
                 [np.full(eigs.shape[:-1] + (1,), config.q_n), eigs], axis=-1
@@ -970,23 +1002,23 @@ class TestEvolveBatch:
                 schur_model=Wishart(), norm_mode="trace", disorder="quenched"
             ),
         )
-        rng = np.random.default_rng([0, 285])
+        rngs = np.random.default_rng([0, 285]), np.random.default_rng([0, 14, 1])
         eigvalsh = np.linalg.eigvalsh
         seen = []
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a)
         )
-        flow_mod.evolve_batch(spec.cell_config(285), rng, spec.n_traj)
+        run_batch(spec.cell_config(285), *rngs, spec.n_traj)
         assert seen == []
 
 
 class TestDrawThenEvolve:
-    # The draw step and the evolve step apart: one draw evolved at several
-    # per-trajectory zeta vectors (ROADMAP item 1), each trajectory equal
-    # to a single run at its scalar zeta.  A zero entry adds -0.0 loads, as
-    # a run at zeta = 0, which draws none, does: the off-diagonal -0.0 of
-    # this q_init stays -0.0 only if no +0.0 is added to it.  The single run
-    # at zeta = 0 draws only the anisotropy part of its row.
+    # The draw steps and the evolve step apart: one draw evolved at several
+    # per-trajectory zeta vectors, each trajectory equal to a single run at
+    # its scalar zeta.  A zero entry adds -0.0 loads, as a run at zeta = 0,
+    # which draws none, does: the off-diagonal -0.0 of this q_init stays
+    # -0.0 only if no +0.0 is added to it.  The single run at zeta = 0
+    # draws nothing from its load generator.
     Q_INIT = np.array([[1.0, -0.0, -0.0], [-0.0, 2.0, -0.0], [-0.0, -0.0, 0.5]])
 
     @pytest.mark.parametrize("a0, q_init", [(0.6, None), (0.0, Q_INIT)], ids=["a0", "no-a0"])
@@ -999,7 +1031,8 @@ class TestDrawThenEvolve:
             q_init=q_init,
         )
         drive = np.empty((config.k_max, 6, 4))
-        loads = flow_mod.draw_batch(config, np.random.default_rng(7), drive)
+        flow_mod.draw_anisotropies(config, np.random.default_rng(7), drive)
+        loads = flow_mod.draw_loads(config, np.random.default_rng([7, 1]), 4)
         for zeta in ([0.3, 0.3, 0.3, 0.3], [0.05, 0.0, 0.2, 0.7], [0.0] * 4):
             # The evolve step consumes its draws: pass copies.
             states, n_valid = flow_mod.evolve_columns(
@@ -1007,10 +1040,10 @@ class TestDrawThenEvolve:
             )
             for t, z in enumerate(zeta):
                 single = dataclasses.replace(config, zeta=z)
-                expected, _, valid = flow_mod.evolve_batch(single, replay_rng(7, t, config), 1)
+                expected, _, valid = run_batch(single, *replay_rngs(7, [7, 1], t, config), 1)
                 assert states[:, :, 0, t].tobytes() == expected[..., 0].tobytes()
                 assert n_valid[0, t] == valid[0]
-                record = run_trajectory(single, replay_rng(7, t, config))
+                record = run_trajectory(single, *replay_rngs(7, [7, 1], t, config))
                 q = states[: valid[0], :3, 0, t].sum(axis=1) / 3
                 assert q.tobytes() == record.q.tobytes()
 
@@ -1022,7 +1055,8 @@ class TestDrawThenEvolve:
             zeta=0.3, a0=0.6, k_max=40, schur_model=Wishart(), norm_mode=norm_mode,
         )
         unit_drive = np.empty((config.k_max, 6, 4))
-        unit_loads = flow_mod.draw_batch(config, np.random.default_rng(7), unit_drive)
+        flow_mod.draw_anisotropies(config, np.random.default_rng(7), unit_drive)
+        unit_loads = flow_mod.draw_loads(config, np.random.default_rng([7, 1]), 4)
         a0, zeta = np.array([0.6, 0.1, 1.0, 0.4]), np.array([0.3, 0.05, 0.7, 0.2])
         drive, loads = unit_drive[None].copy(), unit_loads[None].copy()
         flow_mod.evolve_columns(config, drive, loads, a0, zeta)
@@ -1036,7 +1070,7 @@ class TestDrawThenEvolve:
             raise AssertionError("run_trajectory called embedded_negatives")
 
         monkeypatch.setattr(flow_mod, "embedded_negatives", spy)
-        record = run_trajectory(FlowConfig(zeta=0.15, a0=0.5, k_max=20), 3)
+        record = run_trajectory(FlowConfig(zeta=0.15, a0=0.5, k_max=20), 3, 4)
         assert record.n_steps == 20
 
 
@@ -1100,12 +1134,12 @@ class TestFlowConfigValidation:
 
     def test_trajectory_arrays_are_budgeted(self):
         # Sizes only: a config allocates nothing.  Each step of a d_tan = 3
-        # trajectory holds a packed anisotropy of 6 floats, its 18 normals
-        # (6 anisotropy components, 3 lognormal z and a coupling of 3 x 3)
-        # and its load sampler's scratch: the packed load, 3 lognormal
-        # weights, the coupling's transposed copy and 3 products, over which
-        # the states and the loop's temporaries lie later.
-        fits = ARRAY_BUDGET // 8 // (6 + 18 + 6 + 3 + 9 + 3)
+        # trajectory holds its 12 load normals (3 lognormal z and a coupling
+        # of 3 x 3) and its load sampler's scratch: the packed load, 3
+        # lognormal weights, the coupling's transposed copy and 3 products,
+        # over which its anisotropies, states and the loop's temporaries lie
+        # later.
+        fits = ARRAY_BUDGET // 8 // (12 + 6 + 3 + 9 + 3)
         FlowConfig(k_max=fits)
         keys = r"^k_max, d_tan, schur_model ask for .* budget$"
         with pytest.raises(ValueError, match=keys):

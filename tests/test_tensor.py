@@ -442,14 +442,14 @@ class TestNormsAndMargins:
     # its first record is the initial state, q_t = q I + s.
     def test_separation_example(self):
         config = FlowConfig(k_max=1, q_init=np.diag([-3.0, -2.0, -2.5]))
-        record = run_trajectory(config, 0)
+        record = run_trajectory(config, 0, 1)
         assert record.separation_holds[0]
         assert record.q[0] == pytest.approx(-2.5)
         assert record.s_opnorm[0] == pytest.approx(0.5)
 
     def test_separation_failure(self):
         config = FlowConfig(k_max=1, d_tan=2, q_init=np.diag([1.0, -1.0]))
-        record = run_trajectory(config, 0)
+        record = run_trajectory(config, 0, 1)
         assert not record.separation_holds[0]
         assert record.q[0] == pytest.approx(0.0)
         assert record.s_opnorm[0] == pytest.approx(1.0)
@@ -459,7 +459,7 @@ class TestNormsAndMargins:
         # of q; the normal sector q_n = 1 adds one positive direction.
         seen = {-1: 0, 1: 0}
         for seed in range(10):
-            record = run_trajectory(FlowConfig(zeta=0.3, a0=0.5, d_tan=4), seed)
+            record = run_trajectory(FlowConfig(zeta=0.3, a0=0.5, d_tan=4), seed, [seed, 1])
             holds = record.separation_holds
             assert np.all(record.n_plus[holds & (record.q < 0)] == 1)
             assert np.all(record.n_minus[holds & (record.q > 0)] == 0)
@@ -535,8 +535,8 @@ EQUALITY_CASES = {
         lambda: MinimalModelSpec(b0=2.0 * np.eye(2)),
     ),
     "TrajectoryRecord": (
-        lambda: run_trajectory(FlowConfig(zeta=0.1, k_max=5), [0, 0, 0]),
-        lambda: run_trajectory(FlowConfig(zeta=0.1, k_max=5), [0, 0, 1]),
+        lambda: run_trajectory(FlowConfig(zeta=0.1, k_max=5), [0, 0], [0, 0, 1]),
+        lambda: run_trajectory(FlowConfig(zeta=0.1, k_max=5), [0, 0], [0, 0, 2]),
     ),
 }
 

@@ -1,19 +1,19 @@
-"""Interleaved timing of two schurflow source trees, a pair of cells at a time.
+"""Interleaved timing of two schurflow source trees, a grid row at a time.
 
 Each tree's ``schurflow`` package is imported under its own name, so both
-run in one process and every pair is timed on both at nearly the same host
-speed.  The unit is a grid task's: two consecutive cells, ``(2 p, 2 p +
-1)``, run in one call of the tree's ``ensemble._run_cells(spec, cells,
-workspace)`` (0.22.0 and later), their cells evolved in one flow loop.
-Each tree's pairs reuse one workspace, as a grid task's do.  For a named
-grid this times every ``--every``-th pair, ``--rounds`` times, alternating
-which tree runs a pair first.  It prints the summed times, their ratio
-(new / old) and the median over pairs of the per-pair ratio of summed
+run in one process and every row is timed on both at nearly the same host
+speed.  The unit is a grid task of one whole row, run in one call of the
+tree's ``ensemble._run_task((spec, start, stop))``, which every tree since
+0.22.0 has: it allocates its workspace and evolves the row's cells two at
+a time, and since 0.25.0 draws the row's loads once for all of them.  For
+a named grid this times every ``--every``-th row, ``--rounds`` times,
+alternating which tree runs a row first.  It prints the summed times, their
+ratio (new / old) and the median over rows of the per-row ratio of summed
 times.
 
 Both trees must return equal cell outputs, compared by ``repr``, so the run
 doubles as a byte-identity check of the timed cells: on the first
-difference it prints the pair and exits 1.  Otherwise it reports and gates
+difference it prints the row and exits 1.  Otherwise it reports and gates
 nothing; the exit status is 0.
 
 Both trees share one process heap, so the ratio overstates a change in how
@@ -78,13 +78,11 @@ def grid_spec(package, grid: str, seed: int):
     return package.GridSpec(master_seed=seed, base_config=config, **axes)
 
 
-def pair_runner(package, ensemble, spec):
-    """A function of ``p`` that returns the outputs of the cells ``2 p`` and
-    ``2 p + 1`` of ``spec``, run as ``package``'s grid tasks run them, in a
-    workspace that every call reuses."""
-    budget = package.flow.check_batch_budget
-    workspace = np.empty(budget(spec.base_config, spec.n_traj, ensemble._CELL_KEYS, 2))
-    return lambda p: ensemble._run_cells(spec, (2 * p, 2 * p + 1), workspace)
+def row_runner(ensemble, spec):
+    """A function of ``i`` that returns the outputs of row ``i`` of
+    ``spec``, run as one of ``ensemble``'s grid tasks."""
+    n_zeta = spec.zeta_values.size
+    return lambda i: ensemble._run_task((spec, i * n_zeta, (i + 1) * n_zeta))
 
 
 def main(argv=None) -> int:
@@ -92,7 +90,7 @@ def main(argv=None) -> int:
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--grid", choices=sorted(GRIDS), default="reference")
-    parser.add_argument("--every", type=int, default=7, help="time every N-th pair")
+    parser.add_argument("--every", type=int, default=1, help="time every N-th row")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1, help="the grid's master seed")
     args = parser.parse_args(argv)
@@ -102,29 +100,29 @@ def main(argv=None) -> int:
         package = load(src, f"schurflow_{label}")
         spec = grid_spec(package, args.grid, args.seed)
         ensemble = sys.modules[f"schurflow_{label}.ensemble"]
-        sides.append(pair_runner(package, ensemble, spec))
+        sides.append(row_runner(ensemble, spec))
 
-    pairs = range(0, spec.n_cells // 2, args.every)
-    seconds = np.zeros((2, len(pairs)))
+    rows = range(0, spec.a0_values.size, args.every)
+    seconds = np.zeros((2, len(rows)))
     for r in range(args.rounds):
-        for i, p in enumerate(pairs):
+        for k, i in enumerate(rows):
             outputs = [None, None]
-            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+            for side in ((0, 1) if (r + k) % 2 == 0 else (1, 0)):
                 start = time.perf_counter()
-                outputs[side] = sides[side](p)
-                seconds[side, i] += time.perf_counter() - start
+                outputs[side] = sides[side](i)
+                seconds[side, k] += time.perf_counter() - start
             if repr(outputs[0]) != repr(outputs[1]):
                 print(
-                    f"cells {2 * p} and {2 * p + 1}: outputs differ\n"
+                    f"row {i}: outputs differ\n"
                     f"  old {outputs[0]!r}\n  new {outputs[1]!r}"
                 )
                 return 1
 
     old, new = seconds.sum(axis=1)
     print(
-        f"{args.grid} grid, seed {args.seed}: {len(pairs)} pairs x {args.rounds} rounds, "
+        f"{args.grid} grid, seed {args.seed}: {len(rows)} rows x {args.rounds} rounds, "
         f"outputs equal; old {old:.3f} s, new {new:.3f} s, ratio {new / old:.3f}, "
-        f"median per-pair ratio {statistics.median(seconds[1] / seconds[0]):.3f}"
+        f"median per-row ratio {statistics.median(seconds[1] / seconds[0]):.3f}"
     )
     return 0
 

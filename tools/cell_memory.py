@@ -1,15 +1,16 @@
-"""Memory of the two benchmark grids: per warm pair of cells, and per CLI run.
+"""Memory of the two benchmark grids: per warm row task, and per CLI run.
 
 For the reference grid (the CLI defaults) and the Wishart/trace/quenched
-grid over ``zeta`` in [0, 0.8], this runs pairs of cells as a ``run_grid``
-task does, two consecutive cells evolved in one flow loop, every pair
-reusing one workspace, and prints per grid:
+grid over ``zeta`` in [0, 0.8], this runs each row as one ``run_grid`` task
+(``ensemble._run_task``): the row's loads drawn once, its cells evolved two
+at a time in one flow loop, all in one workspace.  It prints per grid:
 
-- the minor page faults (``ru_minflt``) per warm pair, the mean over every
-  7th pair of the grid after one warm-up pair;
-- the ``tracemalloc`` peak of one warm pair, cells 210 and 211, in MiB.
-  numpy reports its data buffers to ``tracemalloc``, so this is what a pair
-  allocates beyond its workspace;
+- the minor page faults (``ru_minflt``) per warm row task, the mean over
+  every row after one warm-up row, each task allocating its own workspace
+  as ``run_grid``'s do;
+- the ``tracemalloc`` peak of one warm row task, row 10, given a workspace,
+  in MiB.  numpy reports its data buffers to ``tracemalloc``, so this is
+  what a task allocates beyond its workspace;
 - the size of the workspace itself in MiB, ``check_batch_budget``'s count
   of floats for two cells times 8 bytes;
 - the peak resident set (``ru_maxrss``) of a fresh ``python -m schurflow
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from schurflow import FlowConfig, GridSpec, Wishart
-from schurflow.ensemble import _CELL_KEYS, _run_cells
+from schurflow.ensemble import _CELL_KEYS, _run_task
 from schurflow.flow import check_batch_budget
 
 WISHART = {"schur_model": {"kind": "wishart"}, "norm_mode": "trace", "disorder": "quenched"}
@@ -51,26 +52,33 @@ GRIDS = {
         {"zeta_values": {"start": 0.0, "stop": 0.8, "num": 20}, "base_config": WISHART},
     ),
 }
-TRACED_PAIR = (210, 211)
+TRACED_ROW = 10
 
 
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def row_task(spec: GridSpec, row: int):
+    """The ``run_grid`` task of one whole row of ``spec``."""
+    n_zeta = spec.zeta_values.size
+    return spec, row * n_zeta, (row + 1) * n_zeta
+
+
 def measure(spec: GridSpec) -> tuple[float, float, float]:
-    """(minor faults per warm pair, traced peak of one warm pair in MiB,
-    workspace in MiB)."""
-    workspace = np.empty(check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS, 2))
-    pairs = [(c, c + 1) for c in range(0, spec.n_cells - 1, 14)]
-    _run_cells(spec, pairs[-1], workspace)  # warm-up
+    """(minor faults per warm row task, traced peak of one warm row task in
+    MiB, workspace in MiB)."""
+    rows = range(spec.a0_values.size)
+    _run_task(row_task(spec, rows[-1]))  # warm-up
     before = minor_faults()
-    for pair in pairs:
-        _run_cells(spec, pair, workspace)
-    faults = (minor_faults() - before) / len(pairs)
+    for row in rows:
+        _run_task(row_task(spec, row))
+    faults = (minor_faults() - before) / len(rows)
+    workspace = np.empty(check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS, 2))
+    _run_task(row_task(spec, TRACED_ROW), workspace)
     tracemalloc.start()
     try:
-        _run_cells(spec, TRACED_PAIR, workspace)
+        _run_task(row_task(spec, TRACED_ROW), workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -97,8 +105,8 @@ def main() -> int:
     for name, (spec, payload) in GRIDS.items():
         faults, peak, size = measure(spec)
         print(
-            f"{name} grid: {faults:.1f} minor faults per warm pair, "
-            f"traced peak {peak:.2f} MiB per warm pair, workspace {size:.2f} MiB, "
+            f"{name} grid: {faults:.1f} minor faults per warm row task, "
+            f"traced peak {peak:.2f} MiB per warm row task, workspace {size:.2f} MiB, "
             f"CLI run max RSS {cli_max_rss(payload):.1f} MB"
         )
     return 0
