@@ -11,7 +11,7 @@ Core pieces:
 - :mod:`schurflow.cli` -- batch command-line runner.
 """
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 import types
 

@@ -25,18 +25,13 @@ import numpy as np
 from .contour import BoundaryCurve, find_contour
 from .errors import NonFiniteState, NoValidRecords
 from .flow import (
-    FlowConfig, check_batch_budget, draw_loads, evolve_batches, first_passage_steps,
+    FlowConfig, check_batch_budget, draw_loads, evolve_cells, first_passage_steps, row_loop,
 )
-from .tensor import (
-    check_axis, check_budget, check_int, check_scalar, embedded_negatives, fields_equal,
-)
+from .tensor import check_axis, check_budget, check_int, check_scalar, fields_equal
 
 
 # The config keys that size a task's workspace.
 _CELL_KEYS = "n_traj, base_config.k_max, base_config.d_tan, base_config.schur_model"
-# Cells evolved in one flow loop.  Two share the loop's per-step cost; each
-# more cell holds its draws and states too and raises the peak memory.
-CELLS_PER_LOOP = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,9 +41,9 @@ class GridSpec:
     The defaults are the reference grid: 20 x 20 cells over moderate
     anisotropy and elimination strength, 100 trajectories per cell.  Axes
     are non-negative as well as finite and strictly increasing.  The
-    workspace of a task, its row's loads and the cells that one flow loop
-    evolves, and the results of the whole grid, must each fit in
-    ``ARRAY_BUDGET``.
+    workspace of a task of a whole row
+    (:func:`~schurflow.flow.check_batch_budget`) and the results of the
+    whole grid must each fit in ``ARRAY_BUDGET``.
     """
 
     a0_values: np.ndarray = dataclasses.field(
@@ -72,9 +67,7 @@ class GridSpec:
         check_int(self.master_seed, "master_seed", low=0)
         if not isinstance(self.base_config, FlowConfig):
             raise TypeError("base_config must be a FlowConfig")
-        check_batch_budget(
-            self.base_config, self.n_traj, _CELL_KEYS, min(CELLS_PER_LOOP, self.zeta_values.size)
-        )
+        check_batch_budget(self.base_config, self.n_traj, _CELL_KEYS, self.zeta_values.size)
         # Per cell the result holds p_sector (d_tan + 1), mean_fpt,
         # censored_fraction and n_valid.
         check_budget((self.n_cells, self.base_config.d_tan + 4), "a0_values, zeta_values")
@@ -153,28 +146,26 @@ def mean_first_passage(records, target_n_minus: int):
     return mean, 1.0 - len(times) / len(records)
 
 
-def _run_cells(spec: GridSpec, cells, loads, workspace):
+def _run_cells(spec: GridSpec, cells, loads, steps, workspace):
     """Statistics of the given cells of one row, in order: each cell draws
     its anisotropies on its own, all read the row's unit loads ``loads``
-    and are evolved in one flow loop, then each is classified and
-    aggregated on its own (:func:`~schurflow.flow.evolve_batches`).  Their
-    arrays are views of ``workspace``."""
+    and are evolved in one flow loop that classifies every ``steps`` steps
+    (:func:`~schurflow.flow.evolve_cells`), then each is aggregated on its
+    own.  Their arrays are views of ``workspace``.  Any cell's non-finite
+    update is raised before any cell is aggregated."""
     configs = [spec.cell_config(index) for index in cells]
     rngs = [np.random.default_rng([spec.master_seed, index]) for index in cells]
     names = [f"cell (a0={config.a0}, zeta={config.zeta})" for config in configs]
     try:
-        states, n_valid, scratch = evolve_batches(
-            configs, rngs, loads, spec.n_traj, workspace=workspace
+        n_minus, n_valid = evolve_cells(
+            configs, rngs, loads, spec.n_traj, steps, workspace=workspace
         )
     except NonFiniteState as exc:
-        raise NonFiniteState(f"{names[exc.batch]}: {exc}") from exc
+        raise NonFiniteState(f"{names[exc.cell]}: {exc}") from exc
     outputs = []
-    for b, (config, cell) in enumerate(zip(configs, names)):
-        n_minus = embedded_negatives(
-            states[:, :, b].swapaxes(0, 1), config.q_n, scratch=scratch
-        )
+    for g, (config, cell) in enumerate(zip(configs, names)):
         # Non-collapsed trajectories are valid through all k_max + 1 states.
-        valid = n_minus.T[n_valid[b] == config.k_max + 1]
+        valid = n_minus[:, g].T[n_valid[g] == config.k_max + 1]
         if not len(valid):
             raise NoValidRecords(f"{cell}: all {spec.n_traj} trajectories collapsed")
         p = [sector_probability(valid, m) for m in range(config.d_tan + 1)]
@@ -188,22 +179,25 @@ def _run_cells(spec: GridSpec, cells, loads, workspace):
 def _run_task(task, workspace=None):
     """Statistics of the cells ``start .. stop - 1`` of ``task = (spec,
     start, stop)``, which lie in one row: the row's unit loads are drawn
-    once, then the cells are evolved ``CELLS_PER_LOOP`` at a time, all in
-    one workspace, ``workspace`` if given, else a fresh one."""
+    once, then the cells are evolved ``G`` at a time, classifying every
+    ``B`` steps (:func:`~schurflow.flow.row_loop`), all in one workspace,
+    ``workspace`` if given, else a fresh one."""
     spec, start, stop = task
     row = start // spec.zeta_values.size
-    size = check_batch_budget(
-        spec.base_config, spec.n_traj, _CELL_KEYS, min(CELLS_PER_LOOP, stop - start)
-    )
+    size = check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS, stop - start)
     if workspace is None:
         workspace = np.empty(size)
-    # The last cell has the task's largest zeta: none positive draws nothing.
+    elif workspace.size < size:
+        raise ValueError(f"workspace: {size} floats needed, got {workspace.size}")
+    # The last cell has the row's a0 and the task's largest zeta: none
+    # positive draws nothing.
+    last = spec.cell_config(stop - 1)
     load_rng = np.random.default_rng([spec.master_seed, row, 1])
-    loads = draw_loads(spec.cell_config(stop - 1), load_rng, spec.n_traj, workspace[:size])
-    rest = workspace[loads.size:]
-    firsts = range(start, stop, CELLS_PER_LOOP)
-    blocks = (range(first, min(first + CELLS_PER_LOOP, stop)) for first in firsts)
-    return [output for cells in blocks for output in _run_cells(spec, cells, loads, rest)]
+    loads = draw_loads(last, load_rng, spec.n_traj, workspace[:size])
+    cells, steps = row_loop(last, stop - start, size // spec.n_traj, drive=last.a0 > 0)
+    rest = workspace[loads.size:size]
+    loops = (range(first, min(first + cells, stop)) for first in range(start, stop, cells))
+    return [output for loop in loops for output in _run_cells(spec, loop, loads, steps, rest)]
 
 
 def grid_workers(spec: GridSpec, parallelism: int) -> int:
@@ -220,15 +214,17 @@ def run_grid(spec: GridSpec, parallelism: int = 1) -> GridResult:
     processes; the output is bitwise independent of the worker count
     because every cell owns a generator derived from ``[master_seed,
     cell_index]`` and every row one derived from ``[master_seed, row, 1]``.
-    A task is a run of consecutive cells of one row, at most about an
-    eighth of a worker's share so that the pool can balance the load, and
-    an even number of them but for a row's last task: it allocates one
-    workspace, in which it draws its row's loads and evolves its cells two
-    at a time.
+    A task is a run of consecutive cells of one row: it allocates one
+    workspace, in which it draws its row's loads and evolves its cells.  On
+    one worker a task is a whole row.  On more, a grid with fewer than
+    eight rows per worker splits each row into about as many tasks as that
+    takes, so that the pool can balance the load; each task of a split row
+    draws the row's loads again.
     """
     workers = grid_workers(spec, parallelism)
-    chunk = -(-spec.n_cells // (8 * workers * CELLS_PER_LOOP)) * CELLS_PER_LOOP
-    n_zeta = spec.zeta_values.size
+    n_rows, n_zeta = spec.a0_values.size, spec.zeta_values.size
+    pieces = 1 if workers == 1 else -(-8 * workers // n_rows)
+    chunk = -(-n_zeta // pieces)
     tasks = [
         (spec, start, min(start + chunk, end))
         for end in range(n_zeta, spec.n_cells + 1, n_zeta)

@@ -50,48 +50,54 @@ stays dense and apart from the kernel.
 
 Draw step and evolve step
 -------------------------
-A run is a load draw (:func:`draw_loads`), an anisotropy draw per batch
-(:func:`draw_anisotropies`) and one evolve step (:func:`evolve_columns`),
-which scales the unit draws by a per-trajectory ``a0`` and ``zeta`` and
-runs the flow loop over any number of batches at once; step ``k`` of the
-states is one contiguous ``(n_comp, batches, n)`` array.  A grid evolves
-two cells of a row in one loop, which shares the loop's per-step cost, and
-draws their anisotropies, classifies and aggregates each on its own.
+A grid row is a load draw (:func:`draw_loads`), an anisotropy draw per
+cell (:func:`draw_anisotropies`) and flow loops (:func:`evolve_columns`)
+over ``G`` cells each.  A loop reads the unit draws and writes none: each
+step forms the load term ``unit_loads[k] * -zeta``, broadcast over the
+cells, and the drive term ``unit_aniso[k] * (a0 * exp(-beta_decay * k))``
+(step 0's anisotropy in every step when quenched), and adds them to the
+state in that order; a zero ``zeta`` or ``a0`` adds -0.0, which changes
+nothing, so a loop with no such term skips it.  Step ``k`` of the states is
+one contiguous ``(n_comp, G, n)`` array.  The states live in a ring of
+``B + 1`` steps: every ``B`` steps the new ones are classified in one
+:func:`~schurflow.tensor.embedded_negatives` call into a one-byte
+``(k_max + 1, G, n)`` negative-count history, which is all a grid cell
+reads.  :func:`row_loop` picks ``G`` and ``B`` (:func:`evolve_cells`).
 
 Workspace
 ---------
-A run works in one flat float64 workspace of :func:`check_batch_budget`'s
-count, so the budget check and the allocation are one number.  A grid task
-allocates it once for its row's loads and all its pairs of cells; without
-one, a call allocates its own.  It is laid out as ``[row loads][drive]
-[loads][transient][states]``, the row's unit loads one ``(k_max, n_comp,
-n)`` block, and the drive and the loads one such block per batch:
+A grid task works in one flat float64 workspace of
+:func:`check_batch_budget`'s count, so the budget check and the allocation
+are one number; without one, a call allocates its own arrays.  It is laid
+out as ``[row loads][drives][history][ring][loop temporaries]
+[classification]``:
 
 - the load draw lies at the end of the workspace, and its sampler takes
-  as scratch everything from the head up to the draw: the unit loads stay
-  at the head of the scratch, the row loads block;
-- :func:`evolve_batches` works in the rest.  A batch's anisotropy draw lies
-  at the end of the workspace, and its sampler takes as scratch everything
-  from the batch's loads block up to the draw, none of it written yet; the
-  anisotropies are copied to its drive block, and then the row's unit loads
-  to its loads block, where the evolve step scales them;
-- the evolve step keeps the update norms, squares and scales in the
-  transient region, and writes each update into its state;
-- after the loop one batch at a time is classified over the spent drive,
-  loads and transient region: a contiguous copy of its states, the closed
-  form's temporaries and the negative counts.
+  as scratch everything from the head up to the draw: the unit loads, one
+  ``(k_max, n_comp, n)`` block, stay at its head;
+- :func:`evolve_cells` works in the rest.  Each cell's unit anisotropies
+  are one ``(n_draws, n_comp, n)`` block (none when ``a0 == 0``); its
+  draw lies at the end of the workspace, and its sampler takes as scratch
+  everything from its block up to the draw, none of it written yet, so
+  the anisotropies land in place;
+- :func:`evolve_columns` lays out after the history the ring, a step's
+  term (which also takes its squares), the update norms of a block, a
+  step's scale, trace and mask, the valid counts, and the classification
+  scratch of a block, ``CLOSED_FORM_ROWS`` floats a state.
 
 Every view is written in full before it is read, so what a workspace held
 before a call never reaches a result.  Aliasing rule: the unit loads of
-:func:`draw_loads` and the states of :func:`evolve_batches` are views of
-the workspace, valid until it is used again.  Given ``scratch``, a sampler
-returns the first view it takes from it, the head of the scratch, and lays
-out its temporaries after it.  Without ``workspace`` or ``scratch`` no
-returned array shares memory with another call's.
+:func:`draw_loads` and the arrays :func:`evolve_cells` and
+:func:`evolve_columns` return are views of the workspace, valid until it is
+used again.  Given ``scratch``, a sampler returns the first view it takes
+from it, the head of the scratch, and lays out its temporaries after it.
+Without ``workspace`` or ``scratch`` no returned array shares memory with
+another call's.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
 
@@ -253,41 +259,67 @@ class TrajectoryRecord:
         return len(self.q) - 1
 
 
-def check_batch_budget(config: FlowConfig, n: int, keys: str, batches: int = 1) -> int:
-    """Refuse, naming the config ``keys``, ``batches`` batches of ``n``
-    trajectories evolved together whose arrays would exceed
-    ``ARRAY_BUDGET``; allocates nothing.  Returns the size in floats of
-    their workspace, the count the budget checks: the row's unit loads
-    (:func:`draw_loads`) and the rest, :func:`evolve_batches`' part.
+def check_batch_budget(config: FlowConfig, n: int, keys: str, cells: int = 1) -> int:
+    """Refuse, naming the config ``keys``, a grid task of ``cells`` cells of
+    ``n`` trajectories whose workspace would exceed ``ARRAY_BUDGET``;
+    allocates nothing.  Returns the size of that workspace in floats, the
+    count the budget checks.
 
-    Per trajectory, the row loads and each batch's drive and loads hold
-    ``n_comp`` floats per step, and each batch's states ``n_comp`` per
-    state, the initial one included.  The transient region lies between the
-    loads and the states and is sized for the largest of its uses in turn:
-    the load draw, whose normals lie at the end of the workspace and whose
-    sampler's scratch runs from the head up to them; a batch's anisotropy
-    draw, whose normals lie at the end of the workspace and whose sampler's
-    scratch runs from that batch's loads through the later batches' loads,
-    the transient region and the states up to the normals, none of them
-    written yet (the last batch's is the shortest); the update norms and
-    the flow loop's squared state and three scalars; and one batch's
-    closed-form classification, ``CLOSED_FORM_ROWS`` per state, over the
-    spent drive, loads and transient region.
+    Per trajectory it is the row's load draw (:func:`_sigma_floats`), or,
+    if more, what a flow loop of up to two cells took when each held its
+    unit anisotropies, a copy of the row's loads and its whole state
+    history (0.22.0 to 0.25.0): the row's unit loads, ``n_comp`` floats per
+    step, and per cell ``3 * k_max + 1`` times ``n_comp`` and the loop's
+    update norms and three scalars; and never less than a loop of one cell
+    classified every step.  Each row of the task runs in it the largest
+    loop that fits (:func:`row_loop`).
     """
-    d, k, n_aniso = int(config.d_tan), int(config.k_max), _anisotropy_draws(config)
+    d, k, pair = config.d_tan, config.k_max, min(2, cells)
     n_comp = d * (d + 1) // 2
-    block, states = k * n_comp, (k + 1) * n_comp
     _, per_load, sigma = _sigma_floats(config.schur_model, d)
-    held = block + batches * (2 * block + states)
-    transient = max(
-        k * (per_load + sigma) - held,
-        n_aniso * (n_comp + _anisotropy_floats(d)) - block - batches * states,
-        batches * (k + n_comp + 3),
-        (k + 1) * CLOSED_FORM_ROWS - 2 * batches * block,
+    per_cell = (3 * k + 1) * n_comp + k + n_comp + 3
+    per_trajectory = max(
+        k * (per_load + sigma), k * n_comp + pair * per_cell,
+        _task_floats(config, 1, 1, drive=True),
     )
-    per_trajectory = held + transient
     check_budget((n, per_trajectory), keys)
     return n * per_trajectory
+
+
+def _task_floats(config: FlowConfig, cells: int, steps: int, drive: bool) -> int:
+    """Floats per trajectory of a grid task whose flow loops evolve
+    ``cells`` cells, with anisotropies where ``drive`` holds, and classify
+    every ``steps`` steps: the largest of the row's load draw, the last
+    cell's anisotropy draw, whose sampler's scratch starts at that cell's
+    block, and the loop (module docstring, Workspace).  The loop holds the
+    row's unit loads, and per cell its unit anisotropies, one byte a state
+    of history, the ring's first state, the term, and ``scale``, ``trace``,
+    ``kept`` and ``n_valid``, a float each; and per step of a block a
+    state, its norm and its classification."""
+    d, k = config.d_tan, config.k_max
+    n_comp = d * (d + 1) // 2
+    _, per_load, sigma = _sigma_floats(config.schur_model, d)
+    n_draws = _anisotropy_draws(config) if drive else 0
+    per_cell = n_draws * n_comp + 2 * n_comp + 4 + steps * (n_comp + 1 + CLOSED_FORM_ROWS)
+    return max(
+        k * (per_load + sigma),
+        k * n_comp + cells * n_draws * n_comp + n_draws * _anisotropy_floats(d),
+        k * n_comp + -(-(k + 1) * cells // 8) + cells * per_cell,
+    )
+
+
+def row_loop(config: FlowConfig, cells: int, floats: int, drive: bool):
+    """``(G, B)`` for a row of ``cells`` cells under ``config``, with
+    anisotropies where ``drive`` holds: the most cells ``G``, then the most
+    steps ``B <= k_max`` between classifications, whose task fits in
+    ``floats`` per trajectory (:func:`_task_floats`, which grows with
+    both); at least ``(1, 1)``."""
+
+    def fitting(count, need):
+        return max(1, bisect.bisect_right(range(1, count + 1), floats, key=need))
+
+    g = fitting(cells, lambda g: _task_floats(config, g, 1, drive))
+    return g, fitting(config.k_max, lambda b: _task_floats(config, g, b, drive))
 
 
 def _anisotropy_draws(config: FlowConfig) -> int:
@@ -511,12 +543,12 @@ def _draw(rng, n: int, count: int, scratch):
 
 def draw_anisotropies(config: FlowConfig, rng, drive, *, scratch=None) -> None:
     """Cell part of the draw step: one ``(n, n_aniso)`` standard-normal draw
-    from ``rng`` for the ``n = drive.shape[-1]`` trajectories of a batch,
+    from ``rng`` for the ``n = drive.shape[-1]`` trajectories of a cell,
     transformed in one :func:`sample_anisotropy_batch` call.  Writes the
-    unit anisotropies into ``drive``, ``(k_max, n_comp, n)``, a quenched
-    one in every step.  With ``scratch`` the draw lies at its end and the
-    sampler takes the rest.  A zero ``a0`` draws and writes nothing;
-    :func:`evolve_columns` sets those columns.
+    unit anisotropies into ``drive``, ``(n_draws, n_comp, n)``.  With
+    ``scratch`` the draw lies at its end and the sampler takes the rest.  A
+    zero ``a0`` draws and writes nothing; :func:`evolve_columns` then adds
+    no drive.
     """
     if config.a0 > 0:
         normals, scratch = _draw(rng, drive.shape[-1], draw_counts(config)[0], scratch)
@@ -530,7 +562,7 @@ def draw_loads(config: FlowConfig, rng, n: int, workspace=None) -> np.ndarray:
     Returns the unit loads, ``(k_max, n_comp, n)``, as the sampler returns
     them: the head of ``workspace`` when given, whose end then holds the
     draw, with the sampler's scratch between.  A zero ``zeta`` draws
-    nothing and returns that head unwritten; no batch reads it.
+    nothing and returns that head unwritten; no loop reads it.
     """
     n_comp = config.d_tan * (config.d_tan + 1) // 2
     if config.zeta == 0:
@@ -541,126 +573,159 @@ def draw_loads(config: FlowConfig, rng, n: int, workspace=None) -> np.ndarray:
     )
 
 
-def _scale(terms: np.ndarray, factor: np.ndarray, absent: np.ndarray) -> None:
-    """``terms *= factor`` in place, but -0.0, what an absent term adds,
-    where ``absent`` holds."""
-    if absent.any():
-        np.multiply(terms, factor, out=terms, where=~absent)
-        np.copyto(terms, -0.0, where=absent)
-    else:
-        np.multiply(terms, factor, out=terms)
+def evolve_columns(
+    config: FlowConfig, drives, loads, a0, zeta, *, steps=None, history=None, workspace=None
+):
+    """Evolve step: the flow loop over ``cells`` cells of ``n`` trajectories
+    at once, which reads its unit draws and writes none of them.
 
+    ``loads`` holds the row's unit loads (:func:`draw_loads`), ``(k_max,
+    n_comp, n)``, and ``zeta`` one value per cell; ``drives`` the cells'
+    unit anisotropies (:func:`draw_anisotropies`), ``(cells, n_draws,
+    n_comp, n)``, or None where the row's ``a0`` is zero; the config's own
+    ``a0`` and ``zeta`` are not read.  Step ``k`` adds ``unit_loads[k] *
+    -zeta``, -0.0 where ``zeta`` is zero, then ``unit_aniso[k] * (a0 *
+    exp(-beta_decay * k))``, one product per element, and normalizes.
 
-def evolve_columns(config: FlowConfig, drive, loads, a0, zeta, *, states=None, scratch=None):
-    """Evolve step: the flow loop over ``batches`` batches of ``n``
-    trajectories at once.
-
-    ``drive`` and ``loads`` hold the unit draws of :func:`draw_anisotropies`
-    and :func:`draw_loads`, ``(batches, k_max, n_comp, n)`` each, and
-    ``a0`` and ``zeta`` one value per trajectory, broadcast to ``(batches,
-    n)``; the config's own are not read.  The draws are consumed: scaled
-    in place by ``a0 * exp(-beta_decay * k)`` and ``-zeta``, one product
-    per element, and not written otherwise.  Where ``a0`` or ``zeta`` is
-    zero the term is -0.0, as if absent, and its draws are not read.
-
-    Returns ``(states, n_valid)``: the packed states, ``(k_max + 1, n_comp,
-    batches, n)``, written into ``states`` if given, and the count of valid
-    states per trajectory, those before the first below the zero floor.
-    The norms and the loop's temporaries are views of ``scratch``, or
-    fresh.  A non-finite update raises :class:`NonFiniteState` naming, in
-    the first batch with one, the first step with one and the first
-    trajectory, by index in the batch, at that step; its ``batch``
-    attribute holds the batch.
+    The states live in a ring of ``steps + 1`` states (``steps = k_max`` by
+    default holds them all).  Given ``history``, an int8 ``(k_max + 1,
+    cells, n)`` array, every ``steps`` steps the new states are classified
+    into it by one :func:`~schurflow.tensor.embedded_negatives` call.
+    Returns ``(ring, n_valid)``: the ring, ``(steps + 1, n_comp, cells,
+    n)``, whose row 0 holds the initial state and rows ``1 ..`` the last
+    block's, and per trajectory, ``(cells, n)``, the count of valid states,
+    those before the first below the zero floor.  The arrays are views of
+    ``workspace``, or fresh.  A non-finite update raises
+    :class:`NonFiniteState` naming, in the first cell with one, the first
+    step with one and the first trajectory, by index in the cell, at that
+    step; its ``cell`` attribute holds the cell.  No block is classified
+    after one with a non-finite update.
     """
-    batches, k_max, n_comp, n = drive.shape
-    d = config.d_tan
-    # Per column, on the draws' axes, so that a product runs over whole steps.
-    a0, zeta = (np.atleast_2d(np.asarray(x, dtype=float))[:, None, None] for x in (a0, zeta))
-    empty = scratch_views(scratch)
-    if states is None:
-        states = np.empty((k_max + 1, n_comp, batches, n))
-    norms, square = empty((k_max, batches, n)), empty((n_comp, batches, n))
-    scale, trace, kept = empty((batches, n)), empty((batches, n)), empty((batches, n), bool)
+    k_max, d = config.k_max, config.d_tan
+    zeta = np.asarray(zeta, dtype=float)
+    cells, n_comp, n = zeta.size, d * (d + 1) // 2, loads.shape[-1]
+    steps = k_max if steps is None else steps
+    empty = scratch_views(workspace)
+    ring = empty((steps + 1, n_comp, cells, n))
+    term, norms = empty((n_comp, cells, n)), empty((steps, cells, n))
+    scale, trace, kept = empty((cells, n)), empty((cells, n)), empty((cells, n), bool)
+    n_valid = empty((cells, n), np.intp)
+    if history is not None:
+        scratch = empty((steps * cells * n * CLOSED_FORM_ROWS,))
+    # Per cell, on a step's (cells, n) axes.
+    idle = (zeta == 0)[:, None]
+    loading, some_idle, neg_zeta = not idle.all(), idle.any(), -zeta[:, None]
+    if drives is not None:
+        factor = a0 * anisotropy_strength(1.0, config.beta_decay, np.arange(k_max))
+        drive_steps = drives.transpose(1, 2, 0, 3)  # step k as (n_comp, cells, n)
+        annealed = config.disorder is Disorder.ANNEALED
     trace_mode = config.norm_mode is NormMode.TRACE
-    decay = anisotropy_strength(1.0, config.beta_decay, np.arange(k_max))
-    states[0] = config.initial_state().ravel()[packed_index(d), None, None]
-    # Step k of the draws as (n_comp, batches, n), as the states are laid out.
-    drive_k, loads_k = drive.transpose(1, 2, 0, 3), loads.transpose(1, 2, 0, 3)
+    ring[0] = config.initial_state().ravel()[packed_index(d), None, None]
+    n_valid.fill(k_max + 1)
+    if history is not None:
+        history[0] = embedded_negatives(ring[0, :, :1, :1], config.q_n)
+    prev, bad = ring[0], None
     # A state below the zero floor is scaled as if its norm were the floor,
     # so it stays finite; n_valid drops it and what follows.  A non-finite
     # update spreads along its own trajectory only and is reported after.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _scale(drive, a0 * decay[:, None, None], a0 == 0)
-        _scale(loads, -zeta, zeta == 0)  # adding -zeta * sigma subtracts it exactly
-        for k in range(k_max):
-            q, norm = states[k + 1], norms[k]
-            np.add(states[k], loads_k[k], out=q)
-            q += drive_k[k]
-            _frobenius(q, d, square, norm)
-            np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=scale), out=scale)
-            if trace_mode:  # d / |trace| unless |trace| is below the floor
-                np.abs(_row_sum(q[:d], trace), out=trace)
-                np.greater_equal(trace, TRACE_FLOOR, out=kept)
-                np.divide(d, trace, out=scale, where=kept)
-            q *= scale
+        for start in range(0, k_max, steps):
+            block = norms[:min(steps, k_max - start)]
+            for j, norm in enumerate(block):
+                k, q = start + j, ring[j + 1]
+                if loading:  # adding -zeta * sigma subtracts it exactly
+                    np.multiply(loads[k, :, None], neg_zeta, out=term)
+                    if some_idle:
+                        np.copyto(term, -0.0, where=idle)
+                    np.add(prev, term, out=q)
+                else:
+                    np.copyto(q, prev)
+                if drives is not None:
+                    np.multiply(drive_steps[k if annealed else 0], factor[k], out=term)
+                    q += term
+                _frobenius(q, d, term, norm)
+                np.divide(1.0, np.maximum(norm, ZERO_FLOOR, out=scale), out=scale)
+                if trace_mode:  # d / |trace| unless |trace| is below the floor
+                    np.abs(_row_sum(q[:d], trace), out=trace)
+                    np.greater_equal(trace, TRACE_FLOOR, out=kept)
+                    np.divide(d, trace, out=scale, where=kept)
+                q *= scale
+                prev = q
+            if not (block.min() >= ZERO_FLOOR and block.max() < np.inf):  # NaN fails both
+                _first_steps(block < ZERO_FLOOR, start + 1, n_valid, k_max + 1)
+                broken = ~np.isfinite(block)
+                if broken.any():
+                    bad = np.full((cells, n), k_max) if bad is None else bad
+                    _first_steps(broken, start, bad, k_max)
+            if history is not None and bad is None:
+                states = ring[1:len(block) + 1].swapaxes(0, 1)
+                history[start + 1:start + len(block) + 1] = embedded_negatives(
+                    states, config.q_n, scratch=scratch
+                )
 
-    bad = ~np.isfinite(norms)
-    if bad.any():
-        b = int(bad.any(axis=(0, 2)).argmax())
-        k = int(bad[:, b].any(axis=1).argmax())
+    if bad is not None:
+        cell = int((bad < k_max).any(axis=1).argmax())
         error = NonFiniteState(
-            f"trajectory {int(bad[k, b].argmax())}, step {k + 1}: "
+            f"trajectory {int(bad[cell].argmin())}, step {int(bad[cell].min()) + 1}: "
             "the update or its Frobenius norm is not finite"
         )
-        error.batch = b
+        error.cell = cell
         raise error
-    zero = norms < ZERO_FLOOR
-    return states, np.where(zero.any(axis=0), zero.argmax(axis=0) + 1, k_max + 1)
+    return ring, n_valid
 
 
-def evolve_batches(configs, rngs, loads, n, *, workspace=None):
-    """Draw each batch's anisotropies in turn, then evolve all of them in
-    one flow loop.
+def _first_steps(hits: np.ndarray, start: int, out: np.ndarray, unset: int) -> None:
+    """Where ``out`` is still ``unset``, write ``start + i`` for the first
+    ``i`` along axis 0 at which the mask ``hits`` holds, if any."""
+    np.copyto(out, hits.argmax(axis=0) + start, where=hits.any(axis=0) & (out == unset))
 
-    Batch ``b`` is ``n`` trajectories under ``configs[b]``, its anisotropies
-    drawn from the generator ``rngs[b]`` (:func:`draw_anisotropies`); the
-    configs differ in ``a0`` and ``zeta`` alone.  Every batch with a
-    positive ``zeta`` reads the unit loads ``loads`` (:func:`draw_loads`),
-    copied into its own block, where the evolve step scales them, so
-    ``loads`` is only read.  A trajectory reads only its own row of each
-    draw, so it is bitwise identical to a batch of one drawn from its
-    blocks of the streams.  Returns :func:`evolve_columns`' ``(states,
-    n_valid)`` and the workspace spent after the loop, in which one batch
-    at a time can be classified
-    (:func:`~schurflow.tensor.embedded_negatives` of ``states[:, :,
-    b].swapaxes(0, 1)``).  ``workspace``, of at least
-    :func:`check_batch_budget`'s count for ``len(configs)`` batches less
-    the row loads block, or a fresh one, is laid out as the module
-    docstring describes.
+
+def _draw_drives(configs, rngs, n: int, workspace=None):
+    """The unit anisotropies of ``n`` trajectories of each cell, drawn from
+    ``rngs[g]`` under ``configs[g]`` (:func:`draw_anisotropies`), as one
+    ``(cells, n_draws, n_comp, n)`` array at the head of ``workspace``, or
+    fresh; None where ``a0`` is zero.  Each sampler takes as scratch the
+    workspace from its cell's block on."""
+    config = configs[0]
+    if config.a0 == 0:
+        return None
+    n_comp = config.d_tan * (config.d_tan + 1) // 2
+    drives = scratch_views(workspace)((len(configs), _anisotropy_draws(config), n_comp, n))
+    for g, (cell, rng) in enumerate(zip(configs, rngs)):
+        scratch = None if workspace is None else workspace[g * drives[g].size:]
+        draw_anisotropies(cell, rng, drives[g], scratch=scratch)
+    return drives
+
+
+def evolve_cells(configs, rngs, loads, n, steps, *, workspace=None):
+    """Draw each cell's anisotropies in turn, then evolve all the cells in
+    one flow loop that classifies every ``steps`` steps.
+
+    Cell ``g`` is ``n`` trajectories under ``configs[g]``, its anisotropies
+    drawn from the generator ``rngs[g]`` (:func:`draw_anisotropies`); the
+    configs differ in ``zeta`` alone.  Every cell reads the row's unit loads
+    ``loads`` (:func:`draw_loads`), and none writes them.  A trajectory
+    reads only its own row of each draw and every operation is elementwise
+    per trajectory, so its states, and hence its counts, are bitwise those
+    of a cell of one drawn from its blocks of the streams, whatever
+    ``steps`` and the number of cells are.  Returns ``(n_minus, n_valid)``:
+    the int8 negative-count history, ``(k_max + 1, cells, n)``, and
+    :func:`evolve_columns`' ``n_valid``.  ``workspace``, of at least
+    :func:`_task_floats`' count less the row loads, or None for fresh
+    arrays, is laid out as the module docstring describes.
     """
-    config, batches = configs[0], len(configs)
-    d, k_max = config.d_tan, config.k_max
-    n_comp = d * (d + 1) // 2
-    block, held_states = k_max * n_comp * n, (k_max + 1) * n_comp * batches * n
-    size = check_batch_budget(config, n, "n, k_max, d_tan, schur_model", batches) - block
-    if workspace is None:
-        workspace = np.empty(size)
-    elif workspace.size < size:
-        raise ValueError(f"workspace: {size} floats needed, got {workspace.size}")
-    workspace = workspace[:size]
-    empty = scratch_views(workspace)
-    drive, held = empty((batches, k_max, n_comp, n)), empty((batches, k_max, n_comp, n))
-    states = workspace[size - held_states:].reshape(k_max + 1, n_comp, batches, n)
-    for b, (cell, rng) in enumerate(zip(configs, rngs)):
-        draw_anisotropies(cell, rng, drive[b], scratch=workspace[(batches + b) * block:])
-        if cell.zeta > 0:
-            np.copyto(held[b], loads)
-    free = workspace[:size - held_states]
-    states, n_valid = evolve_columns(
-        config, drive, held, [[c.a0] for c in configs], [[c.zeta] for c in configs],
-        states=states, scratch=free[2 * batches * block:],
+    config = configs[0]
+    drives = _draw_drives(configs, rngs, n, workspace)
+    if workspace is not None and drives is not None:
+        workspace = workspace[drives.size:]
+    n_minus = scratch_views(workspace)((config.k_max + 1, len(configs), n), np.int8)
+    if workspace is not None:
+        workspace = workspace[-(-n_minus.size // 8):]
+    _, n_valid = evolve_columns(
+        config, drives, loads, config.a0, [cell.zeta for cell in configs], steps=steps,
+        history=n_minus, workspace=workspace,
     )
-    return states, n_valid, free
+    return n_minus, n_valid
 
 
 def first_passage_steps(n_minus, target_n_minus: int) -> np.ndarray:
@@ -688,18 +753,17 @@ def run_trajectory(config: FlowConfig, seed, load_seed) -> TrajectoryRecord:
     trajectory that collapses below the zero floor mid-run is returned as
     the record of its valid prefix, with ``collapsed`` set.  The states come
     from the draw and evolve steps alone (:func:`draw_loads`,
-    :func:`evolve_batches`), without the grid's bulk classification.
+    :func:`draw_anisotropies`, :func:`evolve_columns` with one block and no
+    history), without the grid's bulk classification.
 
     Raises
     ------
     NonFiniteState
         If an update or its norm is not finite.
     """
-    workspace = np.empty(check_batch_budget(config, 1, "k_max, d_tan, schur_model"))
-    loads = draw_loads(config, np.random.default_rng(load_seed), 1, workspace)
-    states, n_valid, _ = evolve_batches(
-        [config], [np.random.default_rng(seed)], loads, 1, workspace=workspace[loads.size:]
-    )
+    loads = draw_loads(config, np.random.default_rng(load_seed), 1)
+    drives = _draw_drives([config], [np.random.default_rng(seed)], 1)
+    states, n_valid = evolve_columns(config, drives, loads, config.a0, [config.zeta])
     valid = slice(0, int(n_valid[0, 0]))
     states = states[valid, :, 0, 0].T
     eigs = np.linalg.eigvalsh(unpack_symmetric(states))

@@ -40,8 +40,8 @@ def test_equal_trees_report_a_ratio():
 
 
 def test_different_outputs_exit_one(tmp_path):
-    old = "_scale(loads, -zeta, zeta == 0)"
-    tree = copy_tree(tmp_path, "flow.py", old, old.replace("-zeta,", "-2.0 * zeta,"))
+    old = "-zeta[:, None]"
+    tree = copy_tree(tmp_path, "flow.py", old, "-2.0 * zeta[:, None]")
     result = run_tool(SRC, tree)
     assert result.returncode == 1, result.stderr
     assert "outputs differ" in result.stdout

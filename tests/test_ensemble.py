@@ -35,7 +35,8 @@ from schurflow import (
     run_trajectory,
     sector_probability,
 )
-from schurflow.tensor import ARRAY_BUDGET, embedded_negatives
+from schurflow.flow import first_passage_steps
+from schurflow.tensor import ARRAY_BUDGET
 
 
 def history(final_n_minus=0, first_passage=None, target=3, n_states=6):
@@ -122,12 +123,13 @@ def replay(spec, cell_index, t):
 
 def replay_states(spec, cell_index, t):
     """The packed states of trajectory ``t`` of a grid cell, ``(k_max + 1,
-    n_comp)``, drawn and evolved as a batch of one from its replay
+    n_comp)``, drawn and evolved as a cell of one from its replay
     generators, as ``run_trajectory`` draws and evolves it."""
     config = spec.cell_config(cell_index)
     rng, load_rng = replay_generators(spec, cell_index, t)
     loads = flow_mod.draw_loads(config, load_rng, 1)
-    return flow_mod.evolve_batches([config], [rng], loads, 1)[0][:, :, 0, 0]
+    drives = flow_mod._draw_drives([config], [rng], 1)
+    return flow_mod.evolve_columns(config, drives, loads, config.a0, [config.zeta])[0][:, :, 0, 0]
 
 
 def run_cell(spec, cell_index, workspace=None):
@@ -170,15 +172,14 @@ class TestGridSpec:
             GridSpec([0.0], [0.0], n_traj=1, master_seed=0, base_config=object())
 
     def test_cell_arrays_are_budgeted(self):
-        # Sizes only: a spec allocates nothing.  A task holds its row's
-        # packed unit loads and evolves two cells at once.  Per trajectory
-        # it holds the row's loads and both cells' packed anisotropies and
-        # loads, 100 x 6 floats each, both cells' packed states, 101 x 6
-        # each, and the flow loop's update norms, squared state and three
-        # scalars, 100 + 6 + 3 floats per cell.  The row's load draw, a
-        # cell's anisotropy draw and the classification lie over these
-        # before or after their use.  At 0.25.0 the largest accepted n_traj
-        # is 30,297.
+        # Sizes only: a spec allocates nothing.  A task of a whole row keeps
+        # the workspace of a pair of cells with whole histories: per
+        # trajectory the row's packed unit loads, 100 x 6 floats, and per
+        # cell of the pair two blocks of draws, 100 x 6 each, its packed
+        # states, 101 x 6, and the update norms, squared state and three
+        # scalars, 100 + 6 + 3.  Its flow loops of four annealed cells,
+        # classified every 12 steps, take 4,363 of these 4,430 floats.  The
+        # largest accepted n_traj is 30,297, as at 0.25.0.
         per_traj = (100 * 5 * 6 + 2 * 101 * 6 + 2 * (100 + 6 + 3)) * 8
         assert ARRAY_BUDGET // per_traj == 30_297
         GridSpec(n_traj=ARRAY_BUDGET // per_traj)
@@ -341,16 +342,19 @@ class TestRunGrid:
             run_grid(spec)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("pair, failing", [((0, 1), [1]), ((3, 4), [4]), ((1, 2), [1, 2])])
+    @pytest.mark.parametrize("pair, failing", [
+        ((0, 1), [1]), ((3, 4), [4]), ((1, 2), [1, 2]), ((3, 5), [4, 5]), ((0, 2), [1, 2]),
+    ])
     def test_non_finite_cell_of_a_pair_is_named(self, pair, failing):
-        # The two cells of a row evolve in one loop.  The error names the
+        # The cells of a task evolve in one loop: a pair, or a whole row
+        # whose middle cell is the first to fail.  The error names the
         # failing cell, trajectory and step as a run of that cell alone
-        # does, and when both fail, the first.  Cells with zeta = 0 stay
+        # does, and when several fail, the first.  Cells with zeta = 0 stay
         # finite.
         base = FlowConfig(k_max=5, schur_model=LognormalGaussian(sigma_log=300))
         spec = GridSpec([0.0, 0.5], [0.0, 0.1, 0.2], n_traj=2, base_config=base)
         alone = {}
-        for cell_index in pair:
+        for cell_index in range(pair[0], pair[1] + 1):
             try:
                 run_cell(spec, cell_index)
             except NonFiniteState as exc:
@@ -368,6 +372,33 @@ class TestRunGrid:
                 run_grid(spec)
             assert str(error.value) == alone[1]
 
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_later_cell_failing_earlier_does_not_hide_the_first(self, monkeypatch):
+        # One loop evolves the whole row.  Trajectory 1's load at step 2
+        # overflows the update's squares at zeta = 0.2 but not at 0.1, and
+        # every trajectory's load at step 5 overflows both.  The last cell
+        # fails first, at step 2; the error names the middle cell, the
+        # first to fail in cell order, at step 5, as its run alone does.
+        def loads(model, d_tan, n, normals, **_):
+            out = np.zeros((n, d_tan * (d_tan + 1) // 2, len(normals)))
+            out[1, 0, 1] = 1e155
+            out[4, :d_tan] = 1e300
+            return out
+
+        monkeypatch.setattr(flow_mod, "sample_sigma_batch", loads)
+        spec = GridSpec([0.0, 0.5], [0.0, 0.1, 0.2], n_traj=2, base_config=FlowConfig(k_max=6))
+        alone = {}
+        for cell_index in (4, 5):
+            with pytest.raises(NonFiniteState) as error:
+                run_cell(spec, cell_index)
+            alone[cell_index] = str(error.value)
+        assert alone[4] == "cell (a0=0.5, zeta=0.1): trajectory 0, step 5: " \
+            "the update or its Frobenius norm is not finite"
+        assert ": trajectory 1, step 2: " in alone[5]
+        with pytest.raises(NonFiniteState) as error:
+            ensemble_mod._run_task((spec, 3, 6))
+        assert str(error.value) == alone[4]
 
     def test_large_master_cells_replay_each_trajectory(self, monkeypatch):
         # 2**64 + 5 is 3 words: with the cell index, 4 words of entropy.
@@ -400,19 +431,27 @@ class TestRunGrid:
 
 def grid_states(monkeypatch, spec):
     """Every cell's packed states, ``(k_max + 1, n_comp, n_traj)`` each, in
-    cell order, as a serial ``run_grid`` of ``spec`` evolves them."""
-    batches = []
-    evolve = ensemble_mod.evolve_batches
+    cell order, as a serial ``run_grid`` of ``spec`` evolves them: the
+    states each of its flow loops classifies, the initial state, ``(n_comp,
+    1, 1)``, then each block's, ``(n_comp, steps, cells, n_traj)``."""
+    loops = []
+    classify = flow_mod.embedded_negatives
 
-    def recording(configs, rngs, loads, n, *, workspace=None):
-        states, n_valid, free = evolve(configs, rngs, loads, n, workspace=workspace)
-        batches.extend(states[:, :, b].copy() for b in range(len(configs)))
-        return states, n_valid, free
+    def recording(q_t, q_n, **kwargs):
+        if q_t.ndim == 3:
+            loops.append([])
+        loops[-1].append(q_t.copy())
+        return classify(q_t, q_n, **kwargs)
 
-    monkeypatch.setattr(ensemble_mod, "evolve_batches", recording)
+    monkeypatch.setattr(flow_mod, "embedded_negatives", recording)
     run_grid(spec)
     monkeypatch.undo()
-    return batches
+    states = []
+    for initial, *blocks in loops:
+        first = np.broadcast_to(initial[:, :, :, None], (len(initial), 1, *blocks[0].shape[2:]))
+        history = np.concatenate([first, *blocks], axis=1)
+        states.extend(history[:, :, g].swapaxes(0, 1).copy() for g in range(history.shape[2]))
+    return states
 
 
 class TestSeedingRule:
@@ -490,6 +529,20 @@ class TestSeedingRule:
         run_grid(GridSpec([0.0, 0.5], [0.0], n_traj=5))
         assert calls == {"sample_sigma_batch": 0, "sample_anisotropy_batch": 1}
 
+    def test_a_row_draws_its_loads_once(self, monkeypatch):
+        # One worker runs each row of a 2 x 41 grid as one task, which draws
+        # the row's loads once.  When a row was split into tasks of 12, 12,
+        # 12 and 5 cells, each task drew them: 8 draws.
+        calls = []
+        sample = flow_mod.sample_sigma_batch
+        monkeypatch.setattr(
+            flow_mod, "sample_sigma_batch", lambda *args, **kw: calls.append(1) or sample(*args, **kw)
+        )
+        spec = GridSpec([0.2, 0.6], np.linspace(0.0, 0.3, 41), n_traj=3,
+                        base_config=FlowConfig(k_max=8))
+        run_grid(spec)
+        assert len(calls) == 2
+
     def test_shared_loads_are_not_scaled_in_place(self):
         # Cells 4 and 5 read one row's unit loads at zeta 0.15 and 0.3 in
         # one loop: had the first scaled them in place, the second would
@@ -517,12 +570,12 @@ WORKSPACE_GRIDS = {
 }
 
 
-def task_workspace(spec, batches=2):
-    """A workspace for a task of ``spec`` that evolves ``batches`` cells
-    together, as run_grid builds it for two."""
-    return np.empty(
-        flow_mod.check_batch_budget(spec.base_config, spec.n_traj, "n_traj", batches)
-    )
+def task_workspace(spec):
+    """A workspace for a task of a whole row of ``spec``, as run_grid builds
+    it on one worker."""
+    return np.empty(flow_mod.check_batch_budget(
+        spec.base_config, spec.n_traj, "n_traj", spec.zeta_values.size
+    ))
 
 
 def assert_same_outputs(got, expected):
@@ -534,11 +587,11 @@ def assert_same_outputs(got, expected):
 
 class TestWorkspace:
     """A grid task reuses one workspace for its row's loads and all its
-    cells, two at a time.  No view may be read before it is written: a
+    cells' flow loops.  No view may be read before it is written: a
     workspace full of NaN, or of the previous tasks' arrays, must not reach
     any result."""
 
-    # The 3 x 3 grids' rows as tasks: a pair and one cell alone each.
+    # The 3 x 3 grids' rows as tasks: each a whole row in one loop.
     ROWS = [(0, 3), (3, 6), (6, 9)]
 
     @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
@@ -566,24 +619,25 @@ class TestWorkspace:
         config = spec.cell_config(cell_index)
         load_rng = np.random.default_rng([spec.master_seed, 1, 1])
         loads = flow_mod.draw_loads(config, load_rng, spec.n_traj, workspace)
-        states, n_valid, scratch = flow_mod.evolve_batches(
+        # The row's block size, with this cell evolved alone.
+        steps = flow_mod.row_loop(config, 3, workspace.size // spec.n_traj, config.a0 > 0)[1]
+        n_minus, n_valid = flow_mod.evolve_cells(
             [config], [np.random.default_rng([spec.master_seed, cell_index])], loads,
-            spec.n_traj, workspace=workspace[loads.size:],
+            spec.n_traj, steps, workspace=workspace[loads.size:],
         )
-        n_minus = embedded_negatives(states[:, :, 0].swapaxes(0, 1), config.q_n, scratch=scratch)
-        for array in (loads, states, n_minus):
+        assert steps < config.k_max
+        for array in (loads, n_minus, n_valid):
             assert np.shares_memory(array, workspace)
         for t in range(0, spec.n_traj, 9):
             record = replay(spec, cell_index, t)
             assert not record.collapsed and n_valid[0, t] == config.k_max + 1
-            np.testing.assert_array_equal(n_minus[:, t], record.n_minus)
-            assert states[:, :, 0, t].tobytes() == replay_states(spec, cell_index, t).tobytes()
+            np.testing.assert_array_equal(n_minus[:, 0, t], record.n_minus)
 
     @pytest.mark.parametrize("name", list(BENCHMARK_BASES))
     def test_a_warm_cell_allocates_under_one_mib(self, name):
         # numpy reports its data buffers to tracemalloc.  A row task given
         # its workspace allocates nothing large: without one, a task
-        # allocates and frees about 3.8 MiB, which glibc may hand back to
+        # allocates and frees about 3.4 MiB, which glibc may hand back to
         # the system and the next task fault in again.
         spec = GridSpec(master_seed=1, base_config=BENCHMARK_BASES[name])
         if name == "wishart":
@@ -607,9 +661,9 @@ class TestWorkspace:
         run_cell(spec, 4, small)  # one cell needs less
 
     def test_grid_is_worker_independent_over_partial_tasks(self, monkeypatch):
-        # 3 rows of 7 cells: one worker splits each row into tasks of 4 and 3
-        # cells, two workers and three into tasks of 2 and a last of one,
-        # which evolves alone.  Each task draws its row's loads.  Three
+        # 3 rows of 7 cells: one worker runs each row as one task, two
+        # workers split each row into tasks of 2 and a last of one, three
+        # into tasks of one cell.  Each task draws its row's loads.  Three
         # workers run on a machine of fewer CPUs too.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         spec = GridSpec(
@@ -625,8 +679,8 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", list(WORKSPACE_GRIDS))
     def test_three_by_three_grid_is_worker_independent(self, monkeypatch, name):
-        # One worker takes tasks of 2 cells and one of 1 per row, as do two
-        # and three.  Every cell equals its run alone.
+        # One worker takes each row as a task, two and three workers each
+        # cell.  Every cell equals its run alone.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         spec = WORKSPACE_GRIDS[name]
         singles = [run_cell(spec, i) for i in range(spec.n_cells)]
@@ -715,3 +769,134 @@ class TestBoundary:
         assert ensemble_mod._bracket_indices(axis, 1.0) == (1,)
         assert ensemble_mod._bracket_indices(axis, 0.5) == (0, 1)
         assert ensemble_mod._bracket_indices(axis, 1.5) == (1, 2)
+
+
+def first_load_normals(spec, row):
+    """The first load normal of each trajectory of a grid row, which tells
+    the trajectory apart in a grid draw and in its replay alike."""
+    n_zeta = spec.zeta_values.size
+    n_loads = flow_mod.draw_counts(spec.cell_config((row + 1) * n_zeta - 1))[1]
+    load_rng = np.random.default_rng([spec.master_seed, row, 1])
+    return load_rng.standard_normal((spec.n_traj, n_loads))[:, 0]
+
+
+def spiked_loads(spec, spikes, value):
+    """``sample_sigma_batch``, but trajectory ``t`` of every row, for each
+    ``t: step`` of ``spikes``, loads nothing but ``value`` times the
+    identity at that step."""
+    sample = flow_mod.sample_sigma_batch
+    keys = {
+        first_load_normals(spec, row)[t]: step
+        for row in range(spec.a0_values.size) for t, step in spikes.items()
+    }
+
+    def spiked(model, d_tan, n, normals, **kwargs):
+        out = sample(model, d_tan, n, normals, **kwargs)
+        for t, normal in enumerate(np.asarray(normals)[:, 0]):
+            if normal in keys:
+                out[:, :, t] = 0.0
+                out[keys[normal] - 1, :d_tan, t] = value
+        return out
+
+    return spiked
+
+
+def row_loops(spec, row, cells_per_loop, steps):
+    """Run row ``row`` of ``spec`` as flow loops of ``cells_per_loop`` cells
+    classified every ``steps`` steps; yield each loop's cells and its
+    ``(n_minus, n_valid)``, or its ``NonFiniteState``."""
+    n_zeta = spec.zeta_values.size
+    last = spec.cell_config((row + 1) * n_zeta - 1)
+    load_rng = np.random.default_rng([spec.master_seed, row, 1])
+    loads = flow_mod.draw_loads(last, load_rng, spec.n_traj)
+    for first in range(row * n_zeta, (row + 1) * n_zeta, cells_per_loop):
+        cells = range(first, min(first + cells_per_loop, (row + 1) * n_zeta))
+        configs = [spec.cell_config(c) for c in cells]
+        rngs = [np.random.default_rng([spec.master_seed, c]) for c in cells]
+        try:
+            yield cells, flow_mod.evolve_cells(configs, rngs, loads, spec.n_traj, steps)
+        except NonFiniteState as exc:
+            yield cells, exc
+
+
+class TestRowLoop:
+    """A cell's outputs do not depend on how many cells share its flow loop
+    or on how many steps lie between classifications: loops of one cell,
+    two and a whole row, classified every step, every 4 steps and once, on
+    an annealed and a quenched grid with an a0 = 0 row and a zeta = 0
+    column, each trajectory checked against its ``run_trajectory`` replay,
+    the independent oracle."""
+
+    # Trace normalization keeps an identity state exact while a0 and the
+    # loads are zero, so a spike of 4 I cancels it at zeta = 0.25 and
+    # inverts it at zeta = 0.5.
+    BASES = {
+        "annealed": FlowConfig(k_max=9, norm_mode="trace"),
+        "quenched": FlowConfig(k_max=9, norm_mode="trace", disorder="quenched",
+                               schur_model=Wishart()),
+    }
+    LOOPS = [(g, b) for g in (1, 2, 3) for b in (1, 4, 9)]
+
+    def spec(self, name):
+        return GridSpec([0.0, 0.6], [0.0, 0.25, 0.5], n_traj=5, master_seed=4,
+                        base_config=self.BASES[name])
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_counts_first_passage_and_n_valid_match_replays(self, monkeypatch, name):
+        # Trajectories 1 and 2 of the a0 = 0 row collapse at steps 4 and 5
+        # at zeta = 0.25, on either side of the boundary of blocks of 4
+        # steps, and pass at those steps at zeta = 0.5.
+        spec = self.spec(name)
+        monkeypatch.setattr(flow_mod, "sample_sigma_batch", spiked_loads(spec, {1: 4, 2: 5}, 4.0))
+        records = {
+            c: [replay(spec, c, t) for t in range(spec.n_traj)] for c in range(spec.n_cells)
+        }
+        assert [r.n_steps + 1 for r in records[1]] == [10, 4, 5, 10, 10]
+        assert [r.first_passage for r in records[2]][1:3] == [4, 5]
+        for cells_per_loop, steps in self.LOOPS:
+            for row in range(spec.a0_values.size):
+                for cells, (n_minus, n_valid) in row_loops(spec, row, cells_per_loop, steps):
+                    for g, c in enumerate(cells):
+                        target = spec.cell_config(c).target_n_minus
+                        for t, record in enumerate(records[c]):
+                            valid = n_minus[:n_valid[g, t], g, t]
+                            assert len(valid) == record.n_steps + 1
+                            np.testing.assert_array_equal(valid, record.n_minus)
+                            first = int(first_passage_steps(valid, target))
+                            assert first == (-1 if record.censored else record.first_passage)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spikes", [{1: 4, 3: 5}, {3: 5}], ids=["step-4", "step-5"])
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_non_finite_step_matches_replays(self, monkeypatch, name, spikes):
+        # Loads of 1e300 overflow every cell with zeta > 0 at the spiked
+        # steps, on either side of the boundary of blocks of 4 steps.  A
+        # loop names its first cell with a non-finite update, that cell's
+        # first such step and the first trajectory at it, as the replays
+        # of its trajectories find them.
+        spec = self.spec(name)
+        monkeypatch.setattr(flow_mod, "sample_sigma_batch", spiked_loads(spec, spikes, 1e300))
+        failures = {}
+        for c in range(spec.n_cells):
+            for t in range(spec.n_traj):
+                try:
+                    replay(spec, c, t)
+                except NonFiniteState as exc:
+                    step = int(re.match(r"trajectory 0, step (\d+):", str(exc))[1])
+                    failures.setdefault(c, (step, t))
+                    failures[c] = min(failures[c], (step, t))
+        assert sorted(failures) == [1, 2, 4, 5]
+        for cells_per_loop, steps in self.LOOPS:
+            for row in range(spec.a0_values.size):
+                for cells, outcome in row_loops(spec, row, cells_per_loop, steps):
+                    failing = [g for g, c in enumerate(cells) if c in failures]
+                    if not failing:
+                        assert not isinstance(outcome, NonFiniteState)
+                        continue
+                    assert isinstance(outcome, NonFiniteState)
+                    assert outcome.cell == failing[0]
+                    step, t = failures[cells[failing[0]]]
+                    assert str(outcome) == (
+                        f"trajectory {t}, step {step}: "
+                        "the update or its Frobenius norm is not finite"
+                    )

@@ -36,9 +36,7 @@ from schurflow import (
     sample_sigma_batch,
     signature,
 )
-from schurflow.tensor import (
-    ARRAY_BUDGET, count_inertia, embedded_negatives, packed_index, unpack_symmetric,
-)
+from schurflow.tensor import ARRAY_BUDGET, count_inertia, packed_index, unpack_symmetric
 
 
 def dense(packed):
@@ -74,21 +72,28 @@ def replay_rngs(seed, load_seed, t, config):
     return rngs
 
 
+def unit_drives(config, rngs, n):
+    """The unit anisotropies of one cell under ``config`` per generator in
+    ``rngs``, ``(cells, n_draws, n_comp, n)``, or None where ``a0`` is
+    zero."""
+    return flow_mod._draw_drives([config] * len(rngs), rngs, n)
+
+
 def run_batch(config, rng, load_rng, n):
     """Sample, evolve and classify ``n`` trajectories, their anisotropies
-    drawn from ``rng`` and their loads from ``load_rng``: the load draw, the
-    anisotropy draw and evolve steps of one batch, then the classification.
-    Returns ``(states, n_minus, n_valid)``: the packed states, ``(k_max +
-    1, n_comp, n)``, the negative count of their full tensors, ``(n, k_max
-    + 1)``, and per trajectory the count of valid states."""
+    drawn from ``rng`` and their loads from ``load_rng``: the budget check
+    of a task of one cell, the load draw into its workspace, the anisotropy
+    draw and one flow loop of one cell that classifies all its states in one
+    block.  Returns ``(states, n_minus, n_valid)``: the packed states,
+    ``(k_max + 1, n_comp, n)``, the negative count of their full tensors,
+    ``(n, k_max + 1)``, and per trajectory the count of valid states."""
     workspace = np.empty(flow_mod.check_batch_budget(config, n, "n, k_max, d_tan, schur_model"))
     loads = flow_mod.draw_loads(config, load_rng, n, workspace)
-    states, n_valid, scratch = flow_mod.evolve_batches(
-        [config], [rng], loads, n, workspace=workspace[loads.size:]
+    n_minus = np.empty((config.k_max + 1, 1, n), np.int8)
+    states, n_valid = flow_mod.evolve_columns(
+        config, unit_drives(config, [rng], n), loads, config.a0, [config.zeta], history=n_minus
     )
-    states = states[:, :, 0]
-    n_minus = embedded_negatives(states.swapaxes(0, 1), config.q_n, scratch=scratch)
-    return states, n_minus.T, n_valid[0]
+    return states[:, :, 0], n_minus[:, 0].T, n_valid[0]
 
 
 class TestSigmaSamplers:
@@ -461,27 +466,37 @@ class TestWorkspaceContract:
         with pytest.raises(ValueError, match="too small"):
             sample(scratch=np.empty(floats - 1))
 
-    # Floats per trajectory of a task whose cells are evolved alone and in
-    # pairs.  A pair holds its row's unit loads, each cell's drive and
-    # loads, 6 floats per step each, each cell's states, 6 per state, and
-    # the flow loop's temporaries, 100 + 6 + 3 per cell: 5 x 600 + 2 x 606
-    # + 218 on both grids.  Alone, a cell's part leaves less room than the
-    # row's load draw takes from the head of the workspace, 12 + 21 floats
-    # per step (lognormal), and than the classification of its 101 states,
-    # 19 floats each, takes over its spent drive, loads and transient
-    # region (Wishart).
+    # Floats per trajectory of a task of one cell and of a whole row of 20,
+    # and the loops a row runs in it.  A row task keeps the budget of a
+    # pair of cells with whole histories, 4,430 floats on both grids: the
+    # row's unit loads, 600, and per cell two blocks of draws, 101 states
+    # and 109 temporaries.  A row loop holds the row's unit loads and per
+    # cell its unit anisotropies (600 annealed, 6 quenched), 101 bytes of
+    # history and 16 floats, and per step of a block 26 (a state, its norm
+    # and its classification).  So the annealed rows fit 4 cells, the last
+    # cell's anisotropy draw taking 1,900 floats from its block on, with
+    # blocks of 12 steps (4,363 floats), and the quenched rows and the
+    # a0 = 0 row all 20 cells with blocks of 6 (4,413 and 4,293).  A cell
+    # alone has the budget of the row's load draw, 12 + 21 floats per step
+    # (lognormal) and 9 + 18 (Wishart), and blocks of 79 steps.  A task of
+    # one cell took 3,300 and 3,125 floats before the row loop.
     @pytest.mark.parametrize(
-        "config, single, pair",
+        "config, single, loop",
         [
-            (FlowConfig(), 3300, 4430),
+            (FlowConfig(), 3300, (4, 12)),
             (FlowConfig(schur_model=Wishart(), norm_mode="trace", disorder="quenched"),
-             3125, 4430),
+             2700, (20, 6)),
         ],
         ids=["reference", "wishart-trace-quenched"],
     )
-    def test_benchmark_grids_keep_their_workspace_size(self, config, single, pair):
+    def test_benchmark_grids_keep_their_workspace_size(self, config, single, loop):
         assert flow_mod.check_batch_budget(config, 100, "n_traj") == 100 * single
-        assert flow_mod.check_batch_budget(config, 100, "n_traj", 2) == 100 * pair
+        assert flow_mod.check_batch_budget(config, 100, "n_traj", 20) == 100 * 4430
+        cell = dataclasses.replace(config, a0=0.5)
+        assert flow_mod.row_loop(cell, 20, 4430, True) == loop
+        assert flow_mod.row_loop(config, 20, 4430, False) == (20, 6)
+        assert flow_mod.row_loop(cell, 1, single, True) == (1, 79)
+
 
 class TestAnisotropyStrength:
     def test_first_step_uses_full_amplitude(self):
@@ -941,11 +956,10 @@ class TestEvolveBatch:
         np.testing.assert_allclose(traces[2], 3.0)
 
     def test_batch_is_budgeted_before_allocation(self):
-        # Sizes only.  Per trajectory a Wishart/trace/quenched batch holds its
-        # row's packed unit loads (100 x 6 floats), its packed states (101 x
-        # 6) and the classification of its states (101 x 19), laid over its
-        # spent drive, loads and the transient region; the load draw and its
-        # sampler's scratch lie over all of these before they are written.
+        # Sizes only.  Per trajectory a Wishart/trace/quenched task of one
+        # cell takes as much as its row's load draw, 9 normals and 18
+        # scratch floats per step, and its loop fits in that (re-pinned with
+        # the row loop; a cell took 100 x 6 + 101 x (6 + 19) floats before).
         # The largest batch that fits reaches the load draw; one more
         # trajectory is refused before it.
         class Started(Exception):
@@ -959,7 +973,7 @@ class TestEvolveBatch:
             zeta=0.4, a0=0.5, schur_model=Wishart(), norm_mode="trace",
             disorder="quenched",
         )
-        per_traj = 8 * (100 * 6 + 101 * (6 + 19))
+        per_traj = 8 * 100 * (9 + 18)
         fits = ARRAY_BUDGET // per_traj
         with pytest.raises(Started):
             run_batch(config, StartingRng(), StartingRng(), fits)
@@ -1013,12 +1027,12 @@ class TestEvolveBatch:
 
 
 class TestDrawThenEvolve:
-    # The draw steps and the evolve step apart: one draw evolved at several
-    # per-trajectory zeta vectors, each trajectory equal to a single run at
-    # its scalar zeta.  A zero entry adds -0.0 loads, as a run at zeta = 0,
-    # which draws none, does: the off-diagonal -0.0 of this q_init stays
-    # -0.0 only if no +0.0 is added to it.  The single run at zeta = 0
-    # draws nothing from its load generator.
+    # The draw steps and the evolve step apart: one draw evolved as several
+    # cells at several zeta, each trajectory equal to a single run at its
+    # scalar zeta.  A zero zeta adds -0.0 loads, as a run at zeta = 0, which
+    # draws none, does: the off-diagonal -0.0 of this q_init stays -0.0
+    # only if no +0.0 is added to it.  The single run at zeta = 0 draws
+    # nothing from its load generator.
     Q_INIT = np.array([[1.0, -0.0, -0.0], [-0.0, 2.0, -0.0], [-0.0, -0.0, 0.5]])
 
     @pytest.mark.parametrize("a0, q_init", [(0.6, None), (0.0, Q_INIT)], ids=["a0", "no-a0"])
@@ -1030,39 +1044,40 @@ class TestDrawThenEvolve:
             zeta=0.3, a0=a0, k_max=40, schur_model=model, norm_mode=norm_mode,
             q_init=q_init,
         )
-        drive = np.empty((config.k_max, 6, 4))
-        flow_mod.draw_anisotropies(config, np.random.default_rng(7), drive)
+        drive = unit_drives(config, [np.random.default_rng(7)], 4)
         loads = flow_mod.draw_loads(config, np.random.default_rng([7, 1]), 4)
         for zeta in ([0.3, 0.3, 0.3, 0.3], [0.05, 0.0, 0.2, 0.7], [0.0] * 4):
-            # The evolve step consumes its draws: pass copies.
-            states, n_valid = flow_mod.evolve_columns(
-                config, drive[None].copy(), loads[None].copy(), a0, zeta
-            )
-            for t, z in enumerate(zeta):
+            # Every cell reads the one anisotropy draw.
+            drives = None if drive is None else np.repeat(drive, len(zeta), axis=0)
+            states, n_valid = flow_mod.evolve_columns(config, drives, loads, a0, zeta)
+            for g, z in enumerate(zeta):
                 single = dataclasses.replace(config, zeta=z)
-                expected, _, valid = run_batch(single, *replay_rngs(7, [7, 1], t, config), 1)
-                assert states[:, :, 0, t].tobytes() == expected[..., 0].tobytes()
-                assert n_valid[0, t] == valid[0]
-                record = run_trajectory(single, *replay_rngs(7, [7, 1], t, config))
-                q = states[: valid[0], :3, 0, t].sum(axis=1) / 3
-                assert q.tobytes() == record.q.tobytes()
+                for t in range(4):
+                    rngs = replay_rngs(7, [7, 1], t, config)
+                    expected, _, valid = run_batch(single, *rngs, 1)
+                    assert states[:, :, g, t].tobytes() == expected[..., 0].tobytes()
+                    assert n_valid[g, t] == valid[0]
+                    record = run_trajectory(single, *replay_rngs(7, [7, 1], t, config))
+                    q = states[: valid[0], :3, g, t].sum(axis=1) / 3
+                    assert q.tobytes() == record.q.tobytes()
 
     @pytest.mark.parametrize("norm_mode", list(NormMode), ids=lambda m: m.value)
-    def test_evolve_step_writes_only_the_scaled_terms_into_its_draws(self, norm_mode):
-        # One contract in both modes: the draws end up as the terms the loop
-        # added, one product per element, and no update is written over them.
+    def test_evolve_step_leaves_its_draws_unwritten(self, norm_mode):
+        # One contract in both modes: the loop forms each step's terms apart
+        # from the unit draws, which every cell of a row shares, and writes
+        # nothing into them, in blocks of any size.
         config = FlowConfig(
             zeta=0.3, a0=0.6, k_max=40, schur_model=Wishart(), norm_mode=norm_mode,
         )
-        unit_drive = np.empty((config.k_max, 6, 4))
-        flow_mod.draw_anisotropies(config, np.random.default_rng(7), unit_drive)
-        unit_loads = flow_mod.draw_loads(config, np.random.default_rng([7, 1]), 4)
-        a0, zeta = np.array([0.6, 0.1, 1.0, 0.4]), np.array([0.3, 0.05, 0.7, 0.2])
-        drive, loads = unit_drive[None].copy(), unit_loads[None].copy()
-        flow_mod.evolve_columns(config, drive, loads, a0, zeta)
-        decay = anisotropy_strength(1.0, config.beta_decay, np.arange(config.k_max))
-        assert loads[0].tobytes() == (unit_loads * -zeta).tobytes()
-        assert drive[0].tobytes() == (unit_drive * (a0 * decay[:, None, None])).tobytes()
+        drives = unit_drives(config, [np.random.default_rng(7), np.random.default_rng(8)], 4)
+        loads = flow_mod.draw_loads(config, np.random.default_rng([7, 1]), 4)
+        before = drives.tobytes(), loads.tobytes()
+        for steps in (1, 7, config.k_max):
+            history = np.empty((config.k_max + 1, 2, 4), np.int8)
+            flow_mod.evolve_columns(
+                config, drives, loads, 0.6, [0.05, 0.3], steps=steps, history=history
+            )
+            assert (drives.tobytes(), loads.tobytes()) == before
 
     def test_run_trajectory_classifies_nothing_in_bulk(self, monkeypatch):
         # A record counts from the eigvalsh spectra it computes anyway.

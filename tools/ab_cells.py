@@ -4,8 +4,9 @@ Each tree's ``schurflow`` package is imported under its own name, so both
 run in one process and every row is timed on both at nearly the same host
 speed.  The unit is a grid task of one whole row, run in one call of the
 tree's ``ensemble._run_task((spec, start, stop))``, which every tree since
-0.22.0 has: it allocates its workspace and evolves the row's cells two at
-a time, and since 0.25.0 draws the row's loads once for all of them.  For
+0.22.0 has: it allocates its workspace and evolves the row's cells, two at
+a time before 0.26.0 and in row loops since; since 0.25.0 it draws the
+row's loads once for all of them.  For
 a named grid this times every ``--every``-th row, ``--rounds`` times,
 alternating which tree runs a row first.  It prints the summed times, their
 ratio (new / old) and the median over rows of the per-row ratio of summed

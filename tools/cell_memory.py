@@ -2,8 +2,9 @@
 
 For the reference grid (the CLI defaults) and the Wishart/trace/quenched
 grid over ``zeta`` in [0, 0.8], this runs each row as one ``run_grid`` task
-(``ensemble._run_task``): the row's loads drawn once, its cells evolved two
-at a time in one flow loop, all in one workspace.  It prints per grid:
+(``ensemble._run_task``): the row's loads drawn once, its cells evolved in
+flow loops of as many cells as fit the workspace (4 annealed, the whole row
+quenched or at ``a0 = 0``), all in one workspace.  It prints per grid:
 
 - the minor page faults (``ru_minflt``) per warm row task, the mean over
   every row after one warm-up row, each task allocating its own workspace
@@ -12,7 +13,7 @@ at a time in one flow loop, all in one workspace.  It prints per grid:
   in MiB.  numpy reports its data buffers to ``tracemalloc``, so this is
   what a task allocates beyond its workspace;
 - the size of the workspace itself in MiB, ``check_batch_budget``'s count
-  of floats for two cells times 8 bytes;
+  of floats for a task of a whole row times 8 bytes;
 - the peak resident set (``ru_maxrss``) of a fresh ``python -m schurflow
   grid`` process that runs the whole grid on one worker, in MB.
 
@@ -74,7 +75,9 @@ def measure(spec: GridSpec) -> tuple[float, float, float]:
     for row in rows:
         _run_task(row_task(spec, row))
     faults = (minor_faults() - before) / len(rows)
-    workspace = np.empty(check_batch_budget(spec.base_config, spec.n_traj, _CELL_KEYS, 2))
+    workspace = np.empty(check_batch_budget(
+        spec.base_config, spec.n_traj, _CELL_KEYS, spec.zeta_values.size
+    ))
     _run_task(row_task(spec, TRACED_ROW), workspace)
     tracemalloc.start()
     try:
